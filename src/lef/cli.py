@@ -14,6 +14,7 @@ followed by the node values as row-major little-endian float64.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -152,8 +153,18 @@ def _build_group(spec: dict | None) -> SymmetryGroup | None:
     raise ValueError(f"unknown group kind {spec['kind']!r}")
 
 
+class ConfigError(ValueError):
+    """A config names a key or value the program does not know."""
+
+
 def _flow_config(spec: dict | None) -> flow.FlowConfig:
-    return flow.FlowConfig(**(spec or {}))
+    spec = spec or {}
+    allowed = [f.name for f in dataclasses.fields(flow.FlowConfig)]
+    unknown = sorted(set(spec) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown flow config key {unknown[0]!r}; "
+                          f"allowed: {', '.join(allowed)}")
+    return flow.FlowConfig(**spec)
 
 
 def _resolve_alpha(alpha, p: float) -> float:
@@ -241,10 +252,10 @@ def _initial_field(spec: dict, grid, p: float, alpha: float):
 
 def run_flow(args) -> int:
     config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    cfg = _flow_config(config.get("flow"))
     p = float(config["p"])
     grid, _ = _build_grid(config)
     group = _build_group(config.get("group"))
-    cfg = _flow_config(config.get("flow"))
     alpha = _resolve_alpha(config.get("alpha"), p)
     v0 = _initial_field(config.get("initial", {"type": "ball"}), grid, p,
                         alpha)
@@ -300,10 +311,10 @@ def _audit_candidate(cand: flow.ScalarField, p: float, group, grid) -> dict:
 
 def run_pipeline(args) -> int:
     config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    cfg = _flow_config(config.get("flow", {"t_max": 120.0}))
     p = float(config["p"])
     grid, domain = _build_grid(config)
     group = _build_group(config.get("group", {"kind": "cyclic", "order": 4}))
-    cfg = _flow_config(config.get("flow", {"t_max": 120.0}))
     scan_spec = config.get("scan", {})
     seed = int(config.get("seed", 0))
     outdir = Path(config.get("outdir", "pipeline_out"))
@@ -477,7 +488,11 @@ def main(argv=None) -> int:
     handlers = {"constants": run_constants, "radial": run_radial_sweep,
                 "flow": run_flow, "pipeline": run_pipeline,
                 "spectrum": run_spectrum}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ConfigError as exc:
+        print(f"lef {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -70,7 +70,10 @@ def minimize_f() -> AlphaOptimum:
     """Minimize f on (0, inf); the minimizer sits in (1e-3, 2)."""
     a = brentq(f_alpha_prime, 1e-3, 2.0, xtol=1e-14, rtol=8.9e-16)
     opt = AlphaOptimum(float(a), float(f_alpha(a)))
-    assert abs(f_alpha_prime(opt.alpha_bar)) < 1e-8
+    slope = float(f_alpha_prime(opt.alpha_bar))
+    if abs(slope) >= 1e-8:
+        raise RuntimeError(f"minimize_f: f'(alpha_bar) = {slope:.3e} at "
+                           f"alpha_bar = {opt.alpha_bar}, not below 1e-8")
     return opt
 
 
@@ -129,7 +132,7 @@ def combined_energy(u1, u2, t1: float, t2: float, p: float,
         cross = t1 * t2 * float(u1.values @ (u1.grid.stiffness @ u2.values))
         slack = 1e-8 * max(1.0, abs(bound)) + max(cross, 0.0)
         if rep.energy > bound + slack:
-            raise AssertionError(
+            raise ValueError(
                 f"combination bound violated: {rep.energy} > {bound}")
     return rep
 

@@ -1,10 +1,15 @@
 """Semilinear heat flow: IMEX stepping, classification, threshold search.
 
 One step solves (W + dt K) v_{n+1} = W (v_n + dt |v_n|^{p-1} v_n): implicit
-backward-Euler diffusion (sparse LU, factorizations cached per step size on
-the grid), explicit reaction.  Steps that would raise the energy beyond
+backward-Euler diffusion (sparse LU, each grid owns its factorizations per
+step size), explicit reaction.  Steps that would raise the energy beyond
 roundoff slack are rejected and retried with a smaller dt, so the discrete
 energy is a Lyapunov functional by construction.
+
+With a symmetry group G the flow runs on the orbit grid
+``grid.quotient(G)``.  Group elements are node permutations commuting with
+K and W and the reaction acts node by node, so the reduced flow is exactly
+the G-invariant flow, with one unknown per orbit instead of per node.
 
 Trajectories are classified as decay to zero, blow-up, convergence to a
 steady state (small elliptic residual) or time-out.  Negative energy is
@@ -76,7 +81,6 @@ class FlowConfig:
     blowup_factor: float = 1e4     # blow-up threshold, relative to initial sup
     residual_tol: float = 1e-6     # ConvergedSteady elliptic residual
     dt_min: float = 1e-12
-    project_every: int = 10        # symmetry projection cadence (steps)
     residual_every: int = 20       # elliptic-residual check cadence (steps)
     record_nodal_every: int = 0    # 0: off; else nodal count cadence (steps)
     energy_slack: float = 1e-10    # relative per-step energy increase slack
@@ -103,15 +107,11 @@ class Trajectory:
 
 
 def _lu_for(grid, dt: float):
-    cache = getattr(grid, "_flow_lu", None)
-    if cache is None:
-        cache = {}
-        grid._flow_lu = cache
     key = float(dt)
-    if key not in cache:
+    if key not in grid.step_factors:
         mat = (sp.diags(grid.weights) + dt * grid.stiffness).tocsc()
-        cache[key] = spla.splu(mat)
-    return cache[key]
+        grid.step_factors[key] = spla.splu(mat)
+    return grid.step_factors[key]
 
 
 def step(v: ScalarField, p: float, dt: float, *,
@@ -141,15 +141,26 @@ def _quantized_dt(dt_max: float, dt_target: float, extra_halvings: int) -> float
 
 def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
            group: SymmetryGroup | None = None) -> Trajectory:
-    """Time-step the flow from v0 until classification or t_max."""
-    grid = v0.grid
-    v = np.asarray(v0.values, dtype=float).copy()
+    """Time-step the flow from v0 until classification or t_max.
+
+    With a group G the whole loop runs on the orbit grid
+    ``v0.grid.quotient(G)``: data that are not G-invariant are restricted
+    to the invariant subspace (their W-orthogonal orbit average) at t = 0,
+    and the flow then stays exactly invariant.  Only the returned fields
+    (final, best snapshot, nodal samples) are lifted back to ``v0.grid``.
+    """
+    full = v0.grid
+    grid = full if group is None else full.quotient(group)
+    v = np.array(grid.restrict(v0.values), dtype=float)
+
+    def lifted(values, t):
+        return ScalarField(full, grid.lift(values), v0.time_stamp + t)
+
     sup0 = float(np.max(np.abs(v)))
     if sup0 == 0.0:
-        zero = ScalarField(grid, v, v0.time_stamp)
         return Trajectory(np.array([0.0]), np.array([0.0]), np.array([0.0]),
                           np.array([]), np.array([]), Classification.STEADY,
-                          zero, 0.0)
+                          lifted(v, 0.0), 0.0)
     decay_at = config.decay_factor * sup0
     blowup_at = config.blowup_factor * sup0
 
@@ -196,16 +207,13 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
         t += dt
         n_step += 1
         E = E_new
-        if group is not None and n_step % config.project_every == 0:
-            v = grid.symmetrize(v, group)
-            E = _energy_of(grid, v, p)
         times.append(t)
         energies.append(E)
         sup = float(np.max(np.abs(v)))
         sups.append(sup)
 
         if config.record_nodal_every and n_step % config.record_nodal_every == 0:
-            dec = nodal_mod.decompose(ScalarField(grid, v))
+            dec = nodal_mod.decompose(lifted(v, t))
             nodal_counts.append((t, dec.n_domains))
 
         if sup < decay_at:
@@ -218,7 +226,7 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
             residual = residual_of(v)
             if residual < best_residual and sup > 10.0 * decay_at:
                 best_residual = residual
-                best_snapshot = ScalarField(grid, v.copy(), v0.time_stamp + t)
+                best_snapshot = lifted(v.copy(), t)
             if residual < config.residual_tol and sup > 10.0 * decay_at:
                 cls = Classification.STEADY
         if cls is None and t >= config.t_max:
@@ -226,7 +234,7 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
 
     if not math.isfinite(residual):
         residual = residual_of(v) if np.all(np.isfinite(v)) else math.inf
-    final = ScalarField(grid, v, v0.time_stamp + t)
+    final = lifted(v, t)
     if cls == Classification.STEADY and residual < best_residual:
         best_snapshot, best_residual = final, residual
     return Trajectory(np.array(times), np.array(energies), np.array(sups),
@@ -367,12 +375,11 @@ def threshold_bisect(direction: ScalarField, p: float,
              if lam_hi is not None and lam_hi > lam_lo else width_tol)
 
     def _polish(fld: ScalarField) -> tuple[ScalarField, float]:
-        polished, pres = spectrum_mod.newton_polish(fld, p)
-        if group is not None and pres < 1e-6:
-            sym = fld.grid.symmetrize(polished.values, group)
-            polished = dataclasses.replace(polished, values=sym)
-            pres = spectrum_mod.elliptic_residual(polished, p)
-        return polished, pres
+        grid = fld.grid if group is None else fld.grid.quotient(group)
+        polished, pres = spectrum_mod.newton_polish(
+            ScalarField(grid, grid.restrict(fld.values)), p)
+        values = grid.lift(polished.values)
+        return dataclasses.replace(fld, values=values), pres
 
     v0 = direction.scaled(lam_star)
     candidate = None

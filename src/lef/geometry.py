@@ -6,9 +6,13 @@ finite-volume grid on disks/annuli and a masked cartesian grid for general
 level-set domains.  Both expose the same surface: node coordinates, cell
 weights, a symmetric stiffness matrix (discrete Dirichlet form), adjacency
 for flood fill and, when the discretization conforms to the group, exact
-node permutations for every group element.
+node permutations for every group element.  ``grid.quotient(G)`` is the
+grid of G-orbits of those nodes: the same surface in orbit coordinates,
+on which the G-invariant fields live with one unknown per orbit.
 
-All objects here are immutable after construction.
+All objects here are immutable after construction, apart from the caches
+a grid fills on demand (group permutations, orbit grids, and the step
+factorizations that the flow module stores in ``step_factors``).
 """
 
 from __future__ import annotations
@@ -203,6 +207,10 @@ def check_admissible(G: SymmetryGroup, domain: DomainSpec,
 # grids
 # ---------------------------------------------------------------------------
 
+def _group_key(G: SymmetryGroup) -> tuple:
+    return (G.kind, G.order_h, round(G.axis_angle, 12))
+
+
 class _GridBase:
     """Shared helpers; concrete grids define nodes, weights and stiffness."""
 
@@ -215,6 +223,12 @@ class _GridBase:
     #: nodes adjacent to the domain boundary
     boundary_adjacent: np.ndarray
     domain: DomainSpec
+
+    def __init__(self):
+        self._perm_cache: dict = {}
+        self._quotients: dict = {}
+        #: SuperLU factors of W + dt K per step size dt, filled by flow.step
+        self.step_factors: dict = {}
 
     @property
     def n_nodes(self) -> int:
@@ -264,6 +278,23 @@ class _GridBase:
         return max(float(np.max(np.abs(values[perm] - values)))
                    for perm in perms)
 
+    # -- orbit coordinates ----------------------------------------------------
+
+    def quotient(self, G: SymmetryGroup) -> "OrbitGrid":
+        """The grid of G-orbits of this grid's nodes (cached per group)."""
+        key = _group_key(G)
+        if key not in self._quotients:
+            self._quotients[key] = OrbitGrid(self, G)
+        return self._quotients[key]
+
+    def restrict(self, values: np.ndarray) -> np.ndarray:
+        """Field in this grid's coordinates; the identity on a full grid."""
+        return values
+
+    def lift(self, values: np.ndarray) -> np.ndarray:
+        """Field on the full grid; the identity on a full grid."""
+        return values
+
 
 class PolarGrid(_GridBase):
     """Cell-centered finite-volume grid in polar coordinates.
@@ -283,6 +314,7 @@ class PolarGrid(_GridBase):
             raise ValueError("need n_r >= 2 and n_theta >= 4")
         if not 0 <= r_in < r_out:
             raise ValueError("need 0 <= r_in < r_out")
+        super().__init__()
         self.n_r, self.n_theta = n_r, n_theta
         self.r_in, self.r_out = r_in, r_out
         self.dr = (r_out - r_in) / n_r
@@ -309,7 +341,6 @@ class PolarGrid(_GridBase):
         if r_in > 0.0:
             ba[self._idx(0, np.arange(n_theta))] = True
         self.boundary_adjacent = ba
-        self._perm_cache: dict = {}
 
     def _idx(self, j, i):
         return j * self.n_theta + i
@@ -385,7 +416,7 @@ class PolarGrid(_GridBase):
         return si % self.n_theta
 
     def group_permutations(self, G: SymmetryGroup) -> list[np.ndarray]:
-        key = (G.kind, G.order_h, round(G.axis_angle, 12))
+        key = _group_key(G)
         if key in self._perm_cache:
             return self._perm_cache[key]
         if self.n_theta % G.order_h != 0:
@@ -426,6 +457,7 @@ class CartesianMaskedGrid(_GridBase):
     def __init__(self, domain: DomainSpec, n: int, extent: float | None = None):
         if n < 4:
             raise ValueError("need n >= 4")
+        super().__init__()
         self.domain = domain
         self.n = n
         self.extent = float(extent if extent is not None
@@ -443,7 +475,6 @@ class CartesianMaskedGrid(_GridBase):
         self.xy = pts[inside]
         self.weights = np.full(self.xy.shape[0], self.h ** 2)
         self._build_stiffness()
-        self._perm_cache: dict = {}
 
     def _build_stiffness(self):
         n = self.n
@@ -517,7 +548,7 @@ class CartesianMaskedGrid(_GridBase):
         return perm
 
     def group_permutations(self, G: SymmetryGroup) -> list[np.ndarray]:
-        key = (G.kind, G.order_h, round(G.axis_angle, 12))
+        key = _group_key(G)
         if key in self._perm_cache:
             return self._perm_cache[key]
         if G.order_h not in (1, 2, 4):
@@ -526,6 +557,46 @@ class CartesianMaskedGrid(_GridBase):
         perms = [self._index_map(m) for m in G.elements()]
         self._perm_cache[key] = perms
         return perms
+
+
+class OrbitGrid(_GridBase):
+    """Grid whose nodes are the G-orbits of a parent grid's nodes.
+
+    Group elements act as node permutations that commute with the parent's
+    stiffness K and weights W, so the G-invariant fields are exactly the
+    fields v = B c constant on orbits, with B the n x m orbit-indicator
+    matrix.  In orbit coordinates c the weights are B^T w (orbit weight
+    sums) and the stiffness is B^T K B: quadratures, Dirichlet forms,
+    Laplacians and linear solves here equal their lifted counterparts on
+    the parent grid, with one unknown per orbit.
+    """
+
+    kind = "orbit"
+
+    def __init__(self, parent: _GridBase, G: SymmetryGroup):
+        super().__init__()
+        perms = parent.group_permutations(G)
+        # the permutation list is a full group, so {perm[a]} is the orbit of
+        # a; its smallest node index labels the orbit
+        reps, self.orbit_id = np.unique(np.min(np.stack(perms), axis=0),
+                                        return_inverse=True)
+        n = parent.n_nodes
+        basis = sp.csr_matrix((np.ones(n), (np.arange(n), self.orbit_id)),
+                              shape=(n, reps.size))
+        self.parent = parent
+        self.xy = parent.xy[reps]   # one representative node per orbit
+        self.weights = np.bincount(self.orbit_id, weights=parent.weights)
+        self.stiffness = (basis.T @ parent.stiffness @ basis).tocsr()
+
+    def restrict(self, values: np.ndarray) -> np.ndarray:
+        """W-orthogonal orbit average of a parent field, in orbit
+        coordinates; lifted back it equals ``parent.symmetrize``."""
+        return np.bincount(self.orbit_id, weights=self.parent.weights * values,
+                           minlength=self.n_nodes) / self.weights
+
+    def lift(self, values: np.ndarray) -> np.ndarray:
+        """The parent field that is constant on orbits."""
+        return values[self.orbit_id]
 
 
 def squircle_mask(radius: float = 1.0, power: float = 4.0) -> DomainSpec:

@@ -5,10 +5,10 @@ The discrete eigenproblem is the generalized symmetric pencil
     (K - W diag(p |u|^{p-1})) phi = lambda W phi
 
 with K the grid stiffness matrix and W the diagonal cell-weight (mass)
-matrix.  Restriction to the G-symmetric subspace uses the orbit-indicator
-basis: group elements act as node permutations, so symmetric fields are
-exactly the fields constant on node orbits and the restriction is an
-exact congruence, not an approximation.
+matrix.  Restriction to the G-symmetric subspace is the same pencil on the
+orbit grid ``grid.quotient(G)``: group elements act as node permutations,
+so symmetric fields are exactly the fields constant on node orbits and
+the restriction is an exact congruence, not an approximation.
 """
 
 from __future__ import annotations
@@ -98,18 +98,6 @@ def _count_negative(vals: np.ndarray) -> int:
     return int(np.count_nonzero(vals < -NEGATIVE_EIG_REL_TOL * max(scale, 1e-30)))
 
 
-def _orbit_basis(grid, G: SymmetryGroup) -> sp.csr_matrix:
-    """Sparse n x m basis of the G-symmetric subspace (orbit indicators)."""
-    perms = grid.group_permutations(G)
-    n = grid.n_nodes
-    # the permutation list is a full group, so {perm[a]} is the orbit of a
-    rep = np.min(np.stack(perms), axis=0)
-    _, orbit_ids = np.unique(rep, return_inverse=True)
-    n_orb = orbit_ids.max() + 1
-    return sp.csr_matrix((np.ones(n), (np.arange(n), orbit_ids)),
-                         shape=(n, n_orb))
-
-
 def elliptic_residual(u, p: float) -> float:
     """|| Delta_h u + |u|^{p-1} u ||_2 / ||u||_2 in the weighted norm."""
     grid = u.grid
@@ -138,16 +126,11 @@ def morse_index(u, p: float, G: SymmetryGroup | None = None, k: int = 12,
 
     sym_vals = sym_idx = None
     if G is not None:
-        B = _orbit_basis(grid, G)
-        A_red = (B.T @ A @ B).tocsr()
-        M_red = (B.T @ _mass(grid) @ B).tocsr()
-        kk = min(k, A_red.shape[0] - 2)
-        try:
-            sv, _ = spla.eigsh(A_red, k=kk, M=M_red, sigma=floor, which="LM")
-        except Exception as exc:
-            raise EigenSolveError(f"symmetric-subspace eigensolve failed: "
-                                  f"{exc}") from exc
-        sym_vals = np.sort(sv)
+        orbits = grid.quotient(G)
+        u_sym = dataclasses.replace(u, grid=orbits,
+                                    values=orbits.restrict(u.values))
+        sym_vals, _ = _smallest_eigs(assemble_linearized(u_sym, p),
+                                     _mass(orbits), k, floor)
         sym_idx = _count_negative(sym_vals)
 
     return SpectrumReport(tuple(float(x) for x in vals),

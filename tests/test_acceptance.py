@@ -261,4 +261,4 @@ def test_criterion_10_equivariance_and_symmetry(disk_grid_small):
     sym_ok = steps >= 10_000 and defect < 1e-8
     verdict(10, odd_ok and sym_ok,
             f"evolve(-v0) = -evolve(v0) to {odd_dev:.1e}; symmetry defect "
-            f"after {steps} projected steps {defect:.1e} < 1e-8 * sup")
+            f"after {steps} steps {defect:.1e} < 1e-8 * sup")

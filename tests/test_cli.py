@@ -133,3 +133,20 @@ class TestPipelineAdmissibility:
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(config), encoding="utf-8")
         assert cli.main(["pipeline", "--config", str(cfg_path)]) == 2
+
+
+class TestConfigValidation:
+    def test_unknown_flow_key_exits_2_before_any_work(self, tmp_path, capsys,
+                                                      monkeypatch):
+        shots = []
+        monkeypatch.setattr(radial, "solve_ivp",
+                            lambda *a, **kw: shots.append(a))
+        config = {"p": 8.0, "flow": {"project_every": 10},
+                  "outdir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["pipeline", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "'project_every'" in err[0] and "t_max" in err[0]
+        assert shots == []

@@ -1,7 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from lef import energy, flow, geometry
 from tests.conftest import ring_bump
@@ -87,6 +89,17 @@ class TestCombinedEnergy:
             for t2 in (0.3, 1.0, 1.9):
                 rep = energy.combined_energy(u1, u2, t1, t2, p)
                 assert rep.energy <= e_sum + 1e-8
+
+    def test_violated_bound_raises(self):
+        # a Dirichlet form that couples the supports while the stiffness
+        # behind the contact slack does not: E(u1 + u2) = 1 > E(u1) + E(u2)
+        grid = SimpleNamespace(
+            weights=np.ones(2), stiffness=sp.identity(2, format="csr"),
+            dirichlet_form=lambda v: float(v @ v + v[0] * v[1]))
+        u1 = flow.ScalarField(grid, np.array([1.0, 0.0]))
+        u2 = flow.ScalarField(grid, np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="combination bound violated"):
+            energy.combined_energy(u1, u2, 1.0, 1.0, 3.0)
 
     def test_overlapping_supports_rejected(self, disk_grid_medium):
         g = disk_grid_medium

@@ -119,3 +119,55 @@ class TestRestartSelection:
         assert u_neg.values.min() < 0 and u_neg.values.max() <= 0
         for u in (u_pos, u_neg):
             assert energy.field_energy(u, 5.0).nehari_residual < 1e-10
+
+
+@pytest.fixture(scope="module", params=["disk-c4", "squircle-d4"])
+def grid_and_group(request):
+    if request.param == "disk-c4":
+        return geometry.PolarGrid(24, 16), geometry.cyclic(4)
+    return (geometry.CartesianMaskedGrid(geometry.squircle_mask(), 24),
+            geometry.dihedral(4))
+
+
+def _invariant_datum(grid, G):
+    """A G-invariant, non-radial bump (exactly constant on orbits)."""
+    th = np.arctan2(grid.xy[:, 1], grid.xy[:, 0])
+    vals = ring_bump(grid, 0.1, 0.9).values * (1.0 + 0.3 * np.cos(4 * th))
+    orbits = grid.quotient(G)
+    return flow.ScalarField(grid, orbits.lift(orbits.restrict(vals)))
+
+
+class TestOrbitGrid:
+    def test_restrict_then_lift_is_symmetrize(self, grid_and_group):
+        g, G = grid_and_group
+        orbits = g.quotient(G)
+        assert g.quotient(G) is orbits
+        assert orbits.n_nodes < g.n_nodes
+        v = np.random.default_rng(5).standard_normal(g.n_nodes)
+        lifted = orbits.lift(orbits.restrict(v))
+        assert np.max(np.abs(lifted - g.symmetrize(v, G))) <= 1e-14
+
+    def test_energy_and_residual_match_the_lifted_field(self, grid_and_group):
+        g, G = grid_and_group
+        orbits = g.quotient(G)
+        c = orbits.restrict(_invariant_datum(g, G).values)
+        v = orbits.lift(c)
+        assert flow._energy_of(orbits, c, 3.0) == pytest.approx(
+            flow._energy_of(g, v, 3.0), rel=1e-12)
+        assert spectrum.elliptic_residual(
+            flow.ScalarField(orbits, c), 3.0) == pytest.approx(
+            spectrum.elliptic_residual(flow.ScalarField(g, v), 3.0),
+            rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [0.5, 4.0])
+    def test_reduced_flow_matches_full_flow(self, grid_and_group, scale):
+        g, G = grid_and_group
+        v0 = _invariant_datum(g, G).scaled(scale)
+        cfg = FlowConfig(t_max=20.0)
+        reduced = flow.evolve(v0, 3.0, cfg, G)
+        full = flow.evolve(v0, 3.0, cfg)
+        assert reduced.classification == full.classification
+        assert len(reduced.dts) == len(full.dts)
+        assert reduced.final.grid is g
+        dev = np.max(np.abs(reduced.final.values - full.final.values))
+        assert dev <= 1e-10 * full.final.sup
