@@ -109,16 +109,21 @@ def load_field(path) -> tuple[flow.ScalarField, dict]:
 # config plumbing
 # ---------------------------------------------------------------------------
 
+class ConfigError(ValueError):
+    """A config names a key or value the program does not know."""
+
+
 def _build_domain(spec: dict) -> DomainSpec:
     kind = spec.get("type", "disk")
     if kind == "disk":
         return DomainSpec.disk(spec.get("radius", 1.0))
     if kind == "annulus":
-        return DomainSpec.annulus(spec["a"], spec["b"])
+        return DomainSpec.annulus(spec["a"], spec.get("b", 1.0))
     if kind == "squircle":
         return squircle_mask(spec.get("radius", 1.0),
                              spec.get("power", 4.0))
-    raise ValueError(f"unknown domain type {kind!r}")
+    raise ConfigError(f"unknown domain type {kind!r}; "
+                      "allowed: disk, annulus, squircle")
 
 
 def _cartesian_grid(domain, n, extent, domain_spec):
@@ -132,29 +137,29 @@ def _build_grid(config: dict):
     domain = _build_domain(dom_spec)
     gspec = config.get("grid", {"type": "polar", "n_r": 96, "n_theta": 32})
     if gspec["type"] == "polar":
-        if dom_spec.get("type", "disk") == "annulus":
+        if domain.shape == "annulus":
             return PolarGrid(gspec["n_r"], gspec["n_theta"],
-                             r_in=dom_spec["a"], r_out=dom_spec["b"]), domain
+                             r_in=domain.inner_radius,
+                             r_out=domain.radius), domain
         return PolarGrid(gspec["n_r"], gspec["n_theta"],
                          r_out=dom_spec.get("radius", 1.0)), domain
     if gspec["type"] == "cartesian":
         return _cartesian_grid(domain, gspec["n"], gspec.get("extent"),
                                dom_spec), domain
-    raise ValueError(f"unknown grid type {gspec['type']!r}")
+    raise ConfigError(f"unknown grid type {gspec['type']!r}; "
+                      "allowed: polar, cartesian")
 
 
 def _build_group(spec: dict | None) -> SymmetryGroup | None:
     if spec is None:
         return None
-    if spec["kind"] == "cyclic":
+    kind = spec.get("kind")
+    if kind == "cyclic":
         return cyclic(spec["order"])
-    if spec["kind"] == "dihedral":
+    if kind == "dihedral":
         return dihedral(spec["order"], spec.get("axis_angle", 0.0))
-    raise ValueError(f"unknown group kind {spec['kind']!r}")
-
-
-class ConfigError(ValueError):
-    """A config names a key or value the program does not know."""
+    raise ConfigError(f"unknown group kind {kind!r}; "
+                      "allowed: cyclic, dihedral")
 
 
 def _flow_config(spec: dict | None) -> flow.FlowConfig:
@@ -165,6 +170,21 @@ def _flow_config(spec: dict | None) -> flow.FlowConfig:
         raise ConfigError(f"unknown flow config key {unknown[0]!r}; "
                           f"allowed: {', '.join(allowed)}")
     return flow.FlowConfig(**spec)
+
+
+def _run_setup(config: dict, flow_default, group_default):
+    """(flow config, p, group, grid, domain) of a flow or pipeline config.
+
+    An unknown or missing key raises ConfigError before any work starts.
+    """
+    try:
+        cfg = _flow_config(config.get("flow", flow_default))
+        p = float(config["p"])
+        group = _build_group(config.get("group", group_default))
+        grid, domain = _build_grid(config)
+    except KeyError as exc:
+        raise ConfigError(f"missing config key {exc.args[0]!r}") from None
+    return cfg, p, group, grid, domain
 
 
 def _resolve_alpha(alpha, p: float) -> float:
@@ -252,10 +272,7 @@ def _initial_field(spec: dict, grid, p: float, alpha: float):
 
 def run_flow(args) -> int:
     config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    cfg = _flow_config(config.get("flow"))
-    p = float(config["p"])
-    grid, _ = _build_grid(config)
-    group = _build_group(config.get("group"))
+    cfg, p, group, grid, _ = _run_setup(config, None, None)
     alpha = _resolve_alpha(config.get("alpha"), p)
     v0 = _initial_field(config.get("initial", {"type": "ball"}), grid, p,
                         alpha)
@@ -311,10 +328,8 @@ def _audit_candidate(cand: flow.ScalarField, p: float, group, grid) -> dict:
 
 def run_pipeline(args) -> int:
     config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    cfg = _flow_config(config.get("flow", {"t_max": 120.0}))
-    p = float(config["p"])
-    grid, domain = _build_grid(config)
-    group = _build_group(config.get("group", {"kind": "cyclic", "order": 4}))
+    cfg, p, group, grid, domain = _run_setup(
+        config, {"t_max": 120.0}, {"kind": "cyclic", "order": 4})
     scan_spec = config.get("scan", {})
     seed = int(config.get("seed", 0))
     outdir = Path(config.get("outdir", "pipeline_out"))
@@ -331,9 +346,25 @@ def run_pipeline(args) -> int:
     report["alpha"] = alpha
     inner = radial.build_ball_solution_scaled(p, alpha)
     outer = radial.solve_annulus(p, math.exp(-alpha * p), 1.0)
-    u1, t1n = energy.nehari_project(flow.field_from_radial(grid, inner), p)
-    u2, t2n = energy.nehari_project(
-        flow.field_from_radial(grid, outer, sign=-1.0), p)
+    f1 = flow.field_from_radial(grid, inner)
+    f2 = flow.field_from_radial(grid, outer, sign=-1.0)
+    if not (np.any(f1.values) and np.any(f2.values)):
+        # e.g. an annulus whose hole swallows the ball of radius e^{-alpha p}
+        rho = math.exp(-alpha * p)
+        report["failure"] = {"stage": "profiles", "ball_radius": rho,
+                             "annulus_radii": [rho, 1.0],
+                             "domain_radii": [domain.inner_radius,
+                                              domain.bounding_radius]}
+        (outdir / "pipeline_report.json").write_text(
+            _json(report), encoding="utf-8")
+        print(_json(report))
+        print(f"lef pipeline: profiles stage: the ball profile on r < "
+              f"{rho:.4g} or the annulus profile on ({rho:.4g}, 1) is zero "
+              f"on every node of the domain {domain.inner_radius:g} <= r <= "
+              f"{domain.bounding_radius:g}", file=sys.stderr)
+        return 3
+    u1, t1n = energy.nehari_project(f1, p)
+    u2, t2n = energy.nehari_project(f2, p)
     pE1 = p * energy.field_energy(u1, p).energy
     pE2 = p * energy.field_energy(u2, p).energy
     report["component_pE"] = {"ball": pE1, "annulus": pE2, "sum": pE1 + pE2}
@@ -493,6 +524,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"lef {args.command}: {exc}", file=sys.stderr)
         return 2
+    except radial.RadialSolveError as exc:
+        print(f"lef {args.command}: radial stage: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -15,12 +15,14 @@ tiny inner radius.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import simpson, solve_ivp
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from .energy import EnergyReport
@@ -227,7 +229,12 @@ def ball_scaled_energy(p: float, alpha: float) -> EnergyReport:
     L^{p+1} power scales identically (the profile solves the equation, so
     both norms agree up to the solver's Nehari residual).
     """
-    base = ball_energy(p)
+    return _rescaled_energy(ball_energy(p), p, alpha)
+
+
+def _rescaled_energy(base: EnergyReport, p: float,
+                     alpha: float) -> EnergyReport:
+    """The ball solution's report ``base`` rescaled to radius e^{-alpha p}."""
     factor = math.exp(4.0 * alpha * p / (p - 1.0))
     return EnergyReport.from_norms(base.grad_norm_sq * factor,
                                    base.lp1_norm_pow * factor, p)
@@ -260,64 +267,51 @@ def solve_annulus(p: float, a: float, b: float, n_samples: int = 4096,
                   rtol: float = 1e-11, max_expand: int = 200) -> RadialProfile:
     """Positive radial solution on the annulus a < r < b, zero at both ends.
 
-    Bisection on the initial slope: too-steep shots hit an interior zero
-    before r = b, too-shallow shots arrive at b with u(b) > 0.
+    Brent's method on the initial slope, applied to a signed miss that is
+    continuous in the slope: u(b) > 0 for a shot that reaches r = b,
+    -(log b - t_z) < 0 for one with an interior zero at log r = t_z, and
+    exactly 0 on the endpoint test (no interior zero and |u(b)| <
+    ENDPOINT_TOL * sup), so Brent stops on that test.  A bracket that
+    closes without such a shot raises RadialSolveError.
     """
     if p <= 1:
         raise ValueError("need p > 1")
     if not 0 < a < b:
         raise ValueError("need 0 < a < b")
     t_a, t_b = math.log(a), math.log(b)
+    ratios = {}  # slope -> |u(b)| / sup, for shots that reach r = b
 
-    def classify(slope):
+    @functools.lru_cache(maxsize=None)  # brentq re-reads the bracket ends
+    def miss(slope):
         sol = _shoot_annulus(p, t_a, t_b, slope, rtol)
-        interior_zero = bool(sol.t_events[0].size) and sol.t_events[0][0] < t_b - 1e-13
-        u_end = 0.0 if interior_zero else float(sol.y[0, -1])
-        return interior_zero, u_end, sol
+        t_zero = sol.t_events[0]
+        if t_zero.size and t_zero[0] < t_b - 1e-13:
+            return -(t_b - float(t_zero[0]))
+        u_end = float(sol.y[0, -1])
+        ratios[slope] = abs(u_end) / float(np.max(np.abs(sol.y[0])))
+        return 0.0 if ratios[slope] < ENDPOINT_TOL else u_end
 
     # bracket: expand/contract by factor 2 from slope 1
-    s_low = s_high = None
-    s = 1.0
-    hi, u_end, _ = classify(s)
-    if hi:
-        s_high = s
-        for _ in range(max_expand):
-            s /= 2.0
-            hi, u_end, _ = classify(s)
-            if not hi:
-                s_low = s
-                break
-            s_high = s
+    s, m = 1.0, miss(1.0)
+    factor = 0.5 if m < 0 else 2.0
+    for _ in range(max_expand):
+        s_next = s * factor
+        m_next = miss(s_next)
+        if (m_next < 0) != (m < 0):
+            break
+        s, m = s_next, m_next
     else:
-        s_low = s
-        for _ in range(max_expand):
-            s *= 2.0
-            hi, u_end, _ = classify(s)
-            if hi:
-                s_high = s
-                break
-            s_low = s
-    if s_low is None or s_high is None:
         raise RadialSolveError(
             f"slope bracket failure for annulus p={p}, a={a}, b={b}")
 
-    best = None
-    for _ in range(200):
-        s_mid = 0.5 * (s_low + s_high)
-        hi, u_end, sol = classify(s_mid)
-        if hi:
-            s_high = s_mid
-        else:
-            s_low = s_mid
-            sup = float(np.max(np.abs(sol.y[0])))
-            best = (s_mid, u_end, sup)
-            if u_end < ENDPOINT_TOL * sup:
-                break
-    if best is None:
-        raise RadialSolveError("slope bisection did not produce an "
-                               "admissible shot")
+    s_final = brentq(miss, s, s_next, xtol=1e-300, disp=False)
+    if ratios.get(s_final, math.inf) >= ENDPOINT_TOL:
+        closest = min(ratios.values(), default=math.inf)
+        raise RadialSolveError(
+            f"annulus shooting for p={p}, a={a}, b={b} closed its slope "
+            f"bracket at u(b)/sup = {closest:.3e}, not below "
+            f"ENDPOINT_TOL = {ENDPOINT_TOL:g}")
 
-    s_final = best[0]
     sol = _shoot_annulus(p, t_a, t_b, s_final, rtol, dense=True)
     t_s = np.linspace(t_a, t_b, n_samples)
     y = sol.sol(t_s)
@@ -380,10 +374,12 @@ def optimal_alpha(p: float, bounds: tuple = (0.05, 0.9),
     """
     from scipy.optimize import minimize_scalar
 
+    ball = ball_energy(p)
+
     def total(alpha):
         ann = solve_annulus(p, math.exp(-alpha * p), 1.0, n_samples=2048)
         return p * (radial_energy(ann, p).energy
-                    + ball_scaled_energy(p, alpha).energy)
+                    + _rescaled_energy(ball, p, alpha).energy)
 
     res = minimize_scalar(total, bounds=bounds, method="bounded",
                           options={"xatol": xatol})

@@ -150,3 +150,68 @@ class TestConfigValidation:
         assert len(err) == 1
         assert "'project_every'" in err[0] and "t_max" in err[0]
         assert shots == []
+
+    @pytest.mark.parametrize("key, value", [
+        ("grid", {"type": "hex", "n": 16}),
+        ("domain", {"type": "ellipse"}),
+        ("group", {"kind": "tetrahedral", "order": 12}),
+    ])
+    @pytest.mark.parametrize("command", ["flow", "pipeline"])
+    def test_unknown_type_exits_2_before_any_work(self, tmp_path, capsys,
+                                                  monkeypatch, command, key,
+                                                  value):
+        shots = []
+        monkeypatch.setattr(radial, "solve_ivp",
+                            lambda *a, **kw: shots.append(a))
+        config = {"p": 8.0, key: value, "outdir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main([command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert repr(value.get("type", value.get("kind"))) in err[0]
+        assert shots == []
+
+    @pytest.mark.parametrize("config, key", [
+        ({}, "p"),
+        ({"p": 8.0, "grid": {"type": "polar", "n_theta": 16}}, "n_r"),
+    ])
+    def test_missing_key_exits_2(self, tmp_path, capsys, config, key):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["pipeline", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"lef pipeline: missing config key {key!r}"]
+
+
+class TestLabelledFailures:
+    def test_annulus_hole_swallowing_the_ball_exits_3(self, tmp_path,
+                                                      capsys):
+        # alpha = 0.44 puts the ball radius e^{-alpha p} at 0.11 < a = 0.3
+        config = {
+            "p": 5.0, "alpha": 0.44,
+            "domain": {"type": "annulus", "a": 0.3},
+            "grid": {"type": "polar", "n_r": 24, "n_theta": 16},
+            "group": {"kind": "cyclic", "order": 4},
+            "outdir": str(tmp_path / "out"),
+        }
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["pipeline", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "profiles stage" in err[0]
+        rep = json.loads((tmp_path / "out" / "pipeline_report.json")
+                         .read_text(encoding="utf-8"))
+        failure = rep["failure"]
+        assert failure["stage"] == "profiles"
+        assert failure["ball_radius"] == pytest.approx(math.exp(-2.2))
+        assert failure["domain_radii"] == [0.3, 1.0]
+
+    def test_radial_solve_error_exits_3(self, tmp_path, capsys,
+                                        monkeypatch):
+        monkeypatch.setattr(radial, "ENDPOINT_TOL", 0.0)
+        rc = cli.main(["radial", "--p", "5", "--alpha", "0.2",
+                       "--out", str(tmp_path / "sweep.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("lef radial: radial stage")

@@ -72,6 +72,41 @@ class TestAnnulus:
             radial.solve_annulus(5.0, 1.2, 1.0)
 
 
+@pytest.fixture
+def shots(monkeypatch):
+    """The solution of every _shoot_annulus call, in call order."""
+    record = []
+    shoot = radial._shoot_annulus
+
+    def counted(p, t_a, t_b, slope, rtol, dense=False):
+        sol = shoot(p, t_a, t_b, slope, rtol, dense)
+        record.append(sol)
+        return sol
+
+    monkeypatch.setattr(radial, "_shoot_annulus", counted)
+    return record
+
+
+class TestAnnulusShooting:
+    A_BAR = 0.19493053  # asymptotic optimal alpha, energy.minimize_f()
+
+    @pytest.mark.parametrize("p, a", [(5.0, 0.3),
+                                      (200.0, math.exp(-A_BAR * 200.0))])
+    def test_few_shots_and_admissible_final_shot(self, shots, p, a):
+        radial.solve_annulus(p, a, 1.0)
+        assert len(shots) <= 20
+        final = shots[-1]
+        t_zero = final.t_events[0]  # log r; the outer edge is log 1 = 0
+        assert t_zero.size == 0 or t_zero[0] >= -1e-13
+        sup = np.max(np.abs(final.y[0]))
+        assert abs(final.y[0, -1]) < radial.ENDPOINT_TOL * sup
+
+    def test_unmet_endpoint_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(radial, "ENDPOINT_TOL", 0.0)
+        with pytest.raises(RadialSolveError, match=r"p=5\.0.*u\(b\)/sup"):
+            radial.solve_annulus(5.0, 0.3, 1.0)
+
+
 class TestOmegaProfile:
     def test_closed_form_energy(self):
         p, alpha, b = 10.0, 1.0, 1.0
@@ -104,6 +139,15 @@ class TestOptimalAlpha:
             return rep.total
 
         assert total(a_star) < total(a_bar)
+
+    def test_solves_the_ball_once(self, monkeypatch):
+        calls = []
+        solve_ball = radial.solve_ball
+        monkeypatch.setattr(radial, "solve_ball",
+                            lambda *a, **kw: calls.append(a) or
+                            solve_ball(*a, **kw))
+        radial.optimal_alpha(8.0)
+        assert len(calls) == 1
 
     def test_approaches_asymptotic_minimizer(self):
         from lef import energy
