@@ -252,14 +252,16 @@ def run_radial_sweep(args) -> int:
 # single flow
 # ---------------------------------------------------------------------------
 
-def _initial_field(spec: dict, grid, p: float, alpha: float):
+def _initial_field(spec: dict, grid, p: float, alpha):
+    """The configured initial datum; ``alpha`` is the unresolved config
+    value, resolved only by the datum that uses it."""
     kind = spec.get("type", "ball")
     scale = spec.get("scale", 1.0)
     if kind == "ball":
         prof = radial.solve_ball(p)
         return flow.field_from_radial(grid, prof).scaled(scale)
     if kind == "scaled-ball":
-        prof = radial.build_ball_solution_scaled(p, alpha)
+        prof = radial.build_ball_solution_scaled(p, _resolve_alpha(alpha, p))
         return flow.field_from_radial(grid, prof).scaled(scale)
     if kind == "annulus":
         prof = radial.solve_annulus(p, spec["a"], spec.get("b", 1.0))
@@ -273,9 +275,8 @@ def _initial_field(spec: dict, grid, p: float, alpha: float):
 def run_flow(args) -> int:
     config = json.loads(Path(args.config).read_text(encoding="utf-8"))
     cfg, p, group, grid, _ = _run_setup(config, None, None)
-    alpha = _resolve_alpha(config.get("alpha"), p)
     v0 = _initial_field(config.get("initial", {"type": "ball"}), grid, p,
-                        alpha)
+                        config.get("alpha"))
     traj = flow.evolve(v0, p, cfg, group)
     outdir = Path(config.get("outdir", "."))
     outdir.mkdir(parents=True, exist_ok=True)
@@ -464,6 +465,8 @@ def run_pipeline(args) -> int:
 # ---------------------------------------------------------------------------
 
 def run_spectrum(args) -> int:
+    if args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
     field, header = load_field(args.field)
     p = args.p if args.p is not None else header.get("p")
     if p is None:
@@ -472,7 +475,11 @@ def run_spectrum(args) -> int:
     if args.group:
         kind, order = args.group.split(":")
         group = _build_group({"kind": kind, "order": int(order)})
-    rep = spectrum.morse_index(field, float(p), group, k=args.k)
+    try:
+        rep = spectrum.morse_index(field, float(p), group, k=args.k)
+    except spectrum.NotSteadyError as exc:
+        print(f"lef spectrum: {exc}", file=sys.stderr)
+        return 4
     out = rep.to_dict()
     if isinstance(field.grid, PolarGrid):
         mu, info = spectrum.half_domain_mu(field, float(p))
@@ -511,7 +518,10 @@ def main(argv=None) -> int:
     p_spec = sub.add_parser("spectrum", help="Morse report for a field dump")
     p_spec.add_argument("--field", required=True)
     p_spec.add_argument("--p", type=float, default=None)
-    p_spec.add_argument("--k", type=int, default=12)
+    p_spec.add_argument("--k", type=int, default=12,
+                        help="number of lowest eigenvalues to print; the "
+                             "Morse index is an inertia count, not capped "
+                             "by k")
     p_spec.add_argument("--group", default=None,
                         help="kind:order, e.g. cyclic:4")
 
@@ -526,6 +536,9 @@ def main(argv=None) -> int:
         return 2
     except radial.RadialSolveError as exc:
         print(f"lef {args.command}: radial stage: {exc}", file=sys.stderr)
+        return 3
+    except spectrum.EigenSolveError as exc:
+        print(f"lef {args.command}: spectrum stage: {exc}", file=sys.stderr)
         return 3
 
 

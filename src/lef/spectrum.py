@@ -9,6 +9,11 @@ matrix.  Restriction to the G-symmetric subspace is the same pencil on the
 orbit grid ``grid.quotient(G)``: group elements act as node permutations,
 so symmetric fields are exactly the fields constant on node orbits and
 the restriction is an exact congruence, not an approximation.
+
+Morse indices are inertia counts (Sylvester's law): W is positive
+diagonal, so the number of eigenvalues below a shift sigma equals the
+number of negative pivots of a symmetric factorization of A - sigma W.
+``eigsh`` computes only the eigenvalues a report prints.
 """
 
 from __future__ import annotations
@@ -27,7 +32,11 @@ NEGATIVE_EIG_REL_TOL = 1e-8  # lambda < -tol * |lambda_1| counts as negative
 
 
 class EigenSolveError(RuntimeError):
-    pass
+    """An eigensolve or inertia count failed or could not be verified."""
+
+
+class NotSteadyError(ValueError):
+    """The field is not a converged steady state, so it has no Morse index."""
 
 
 @dataclass(frozen=True)
@@ -53,36 +62,107 @@ def _mass(grid) -> sp.dia_matrix:
     return sp.diags(grid.weights)
 
 
-def _smallest_eigs(A: sp.csr_matrix, M, k: int, sigma_floor: float):
-    """k algebraically smallest eigenpairs of A x = lam M x."""
-    n = A.shape[0]
-    k = min(k, n - 2)
+# Bound at import: the inertia count reads the factor's permutations and
+# pivots, which only SuperLU's own factor object exposes.
+_superlu = spla.splu
+
+# sigma_2 placement: halvings of sigma_2 - lambda_1 before giving up on
+# separating lambda_1 from lambda_2, then bisection steps toward lambda_2
+_SHIFT_HALVINGS = 40
+_SHIFT_BISECTIONS = 3
+
+
+def inertia_below(A: sp.spmatrix, weights: np.ndarray, sigma: float) -> int:
+    """Number of eigenvalues of the pencil (A, diag(weights)) below sigma.
+
+    Sylvester's law of inertia: W = diag(weights) is positive, so this is
+    the number of negative pivots of a symmetric factorization
+    P (A - sigma W) P^T = L D L^T.  SuperLU in symmetric mode with a zero
+    pivot threshold keeps every pivot on the diagonal, so D is the
+    diagonal of its U factor; a factorization that pivots off the diagonal
+    or meets a zero pivot (sigma is an eigenvalue) raises EigenSolveError.
+    """
+    S = (A - sigma * sp.diags(weights)).tocsc()
     try:
-        vals, vecs = spla.eigsh(A, k=k, M=M, sigma=sigma_floor, which="LM")
-    except Exception as exc:  # pragma: no cover - solver failure path
-        raise EigenSolveError(f"shift-invert eigensolve failed: {exc}") from exc
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+        lu = _superlu(S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise EigenSolveError(f"inertia count at sigma = {sigma:.6g}: zero "
+                              f"pivot ({exc})") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise EigenSolveError(f"inertia count at sigma = {sigma:.6g}: SuperLU "
+                              f"pivoted off the diagonal (perm_r != perm_c)")
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
-def _sigma_floor(u_values: np.ndarray, p: float) -> float:
-    """Strict lower bound for the spectrum: -p max|u|^{p-1} - 1."""
-    m = float(np.max(np.abs(u_values))) if u_values.size else 0.0
-    return -(p * m ** (p - 1.0) if m > 0 else 0.0) - 1.0
+def _eigsh(A, k: int, M, sigma: float, which: str):
+    """Shift-invert eigsh with solver failures raised as EigenSolveError."""
+    try:
+        return spla.eigsh(A, k=k, M=M, sigma=sigma, which=which)
+    except RuntimeError as exc:  # ArpackError, singular shift
+        raise EigenSolveError(f"shift-invert eigensolve at sigma = "
+                              f"{sigma:.6g} failed: {exc}") from exc
+
+
+def _spectrum_floor(A, weights: np.ndarray) -> float:
+    """Strict lower bound of the pencil's spectrum: 1 below the lowest
+    Gershgorin disc of W^{-1} A."""
+    diag = A.diagonal()
+    radius = np.asarray(abs(A).sum(axis=1)).ravel() - np.abs(diag)
+    return float(np.min((diag - radius) / weights)) - 1.0
+
+
+def _shift_above_first(A, weights: np.ndarray, lam1: float) -> float:
+    """A shift sigma_2 in (lambda_1, lambda_2), placed by inertia counts.
+
+    The distance above lambda_1 is halved until exactly one eigenvalue lies
+    below the shift, then a few bisection steps move it toward lambda_2.
+    """
+    d = max(abs(lam1), 1.0)
+    above = None  # lowest tried shift with two or more eigenvalues below
+    for _ in range(_SHIFT_HALVINGS):
+        count = inertia_below(A, weights, lam1 + d)
+        if count == 1:
+            break
+        if count == 0:
+            raise EigenSolveError(f"no eigenvalue below {lam1 + d:.6g}: "
+                                  f"{lam1:.6g} is not the lowest eigenvalue")
+        above = lam1 + d
+        d *= 0.5
+    else:
+        raise EigenSolveError(f"no shift above lambda_1 = {lam1:.6g} has "
+                              f"exactly one eigenvalue below it")
+    sigma = lam1 + d
+    for _ in range(_SHIFT_BISECTIONS if above is not None else 0):
+        mid = 0.5 * (sigma + above)
+        if inertia_below(A, weights, mid) == 1:
+            sigma = mid
+        else:
+            above = mid
+    return sigma
 
 
 def lowest_eigenpairs(operator: sp.csr_matrix, grid, k: int,
-                      sigma_floor: float | None = None,
                       residual_tol: float = 1e-8):
-    """k smallest eigenvalues (and vectors) with residual verification."""
+    """k smallest eigenvalues (and vectors) with residual verification.
+
+    lambda_1 comes from shift-invert eigsh below the spectrum; the next
+    k - 1 from one shift-invert eigsh for the eigenvalues just above a
+    shift sigma_2 in (lambda_1, lambda_2) placed by inertia counts.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
+    k = min(k, grid.n_nodes - 2)
     M = _mass(grid)
-    if sigma_floor is None:
-        # Gershgorin-type floor from the diagonal potential
-        d = operator.diagonal() / grid.weights
-        sigma_floor = min(float(d.min()), 0.0) - 1.0
-    vals, vecs = _smallest_eigs(operator, M, k, sigma_floor)
+    vals, vecs = _eigsh(operator, 1, M,
+                        _spectrum_floor(operator, grid.weights), "LM")
+    if k > 1:
+        sigma2 = _shift_above_first(operator, grid.weights, float(vals[0]))
+        more, more_vecs = _eigsh(operator, k - 1, M, sigma2, "LA")
+        vals = np.concatenate([vals, more])
+        vecs = np.hstack([vecs, more_vecs])
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
     for lam, phi in zip(vals, vecs.T):
         r = operator @ phi - lam * (grid.weights * phi)
         rel = np.linalg.norm(r / grid.weights) / (
@@ -91,11 +171,6 @@ def lowest_eigenpairs(operator: sp.csr_matrix, grid, k: int,
             raise EigenSolveError(
                 f"eigenpair residual {rel:.2e} exceeds {residual_tol}")
     return vals, vecs
-
-
-def _count_negative(vals: np.ndarray) -> int:
-    scale = abs(vals[0]) if len(vals) else 1.0
-    return int(np.count_nonzero(vals < -NEGATIVE_EIG_REL_TOL * max(scale, 1e-30)))
 
 
 def elliptic_residual(u, p: float) -> float:
@@ -108,35 +183,36 @@ def elliptic_residual(u, p: float) -> float:
     return grid.weighted_norm(res) / nrm
 
 
+def _index_and_eigenvalues(u, p: float, k: int):
+    """(Morse index, k lowest eigenvalues) of L at u on u's grid.
+
+    The index counts eigenvalues lambda < -NEGATIVE_EIG_REL_TOL |lambda_1|
+    by inertia, so it does not depend on k.
+    """
+    A = assemble_linearized(u, p)
+    vals, _ = lowest_eigenpairs(A, u.grid, k)
+    sigma = -NEGATIVE_EIG_REL_TOL * max(abs(float(vals[0])), 1e-30)
+    return (inertia_below(A, u.grid.weights, sigma),
+            tuple(float(x) for x in vals))
+
+
 def morse_index(u, p: float, G: SymmetryGroup | None = None, k: int = 12,
                 residual_check: float = 1e-6) -> SpectrumReport:
     """Morse index of a converged steady state, optionally also restricted
-    to the G-symmetric subspace."""
+    to the G-symmetric subspace.  ``k`` is only the number of lowest
+    eigenvalues reported per space."""
     res = elliptic_residual(u, p)
     if res > residual_check:
-        raise ValueError(f"not a converged steady state: elliptic residual "
-                         f"{res:.2e} > {residual_check}")
-    grid = u.grid
-    A = assemble_linearized(u, p)
-    floor = _sigma_floor(u.values, p)
-    vals, _ = _smallest_eigs(A, _mass(grid), k, floor)
-    while _count_negative(vals) == len(vals) and len(vals) < grid.n_nodes - 2:
-        k = min(2 * k, grid.n_nodes - 2)
-        vals, _ = _smallest_eigs(A, _mass(grid), k, floor)
-
-    sym_vals = sym_idx = None
+        raise NotSteadyError(f"not a converged steady state: elliptic "
+                             f"residual {res:.2e} > {residual_check}")
+    index, vals = _index_and_eigenvalues(u, p, k)
+    sym_idx = sym_vals = None
     if G is not None:
-        orbits = grid.quotient(G)
+        orbits = u.grid.quotient(G)
         u_sym = dataclasses.replace(u, grid=orbits,
                                     values=orbits.restrict(u.values))
-        sym_vals, _ = _smallest_eigs(assemble_linearized(u_sym, p),
-                                     _mass(orbits), k, floor)
-        sym_idx = _count_negative(sym_vals)
-
-    return SpectrumReport(tuple(float(x) for x in vals),
-                          _count_negative(vals), sym_idx,
-                          None if sym_vals is None else
-                          tuple(float(x) for x in sym_vals))
+        sym_idx, sym_vals = _index_and_eigenvalues(u_sym, p, k)
+    return SpectrumReport(vals, index, sym_idx, sym_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +260,9 @@ def half_domain_mu(u, p: float, axis_angle: float = math.pi / 2.0,
     cross[perm[idx] == idx] = 0.0
     if np.any(cross):
         A_half = A_half - sp.diags(cross)
-    M_half = sp.diags(grid.weights[idx])
-    floor = _sigma_floor(u.values, p)
-    vals, vecs = spla.eigsh(A_half, k=1, M=M_half, sigma=floor, which="LM")
+    w_half = grid.weights[idx]
+    vals, vecs = _eigsh(A_half, 1, sp.diags(w_half),
+                        _spectrum_floor(A_half, w_half), "LM")
     mu = float(vals[0])
     psi = vecs[:, 0]
 

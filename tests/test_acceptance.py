@@ -232,6 +232,19 @@ def test_criterion_09_morse_bound_on_convex_domain(pipeline_run):
             f"{info['odd_extension_residual']:.1e} < 1e-6)")
 
 
+def test_morse_index_oracle_two_nodal_disk(pipeline_run):
+    """De Marchis-Ianni-Pacella (Ann. Mat. Pura Appl. 2016) give Morse
+    index 12 for the two-nodal radial solution in the disk; 4 is the
+    measured C4-symmetric index.  The index is an inertia count, so asking
+    for only k = 2 eigenvalues leaves it unchanged."""
+    _, report, candidate = pipeline_run
+    assert report["morse"]["morse_index"] == 12
+    assert report["morse"]["symmetric_morse_index"] == 4
+    rep = spectrum.morse_index(candidate, 8.0, geometry.cyclic(4), k=2)
+    assert (rep.morse_index, rep.symmetric_morse_index) == (12, 4)
+    assert len(rep.eigenvalues) == len(rep.symmetric_eigenvalues) == 2
+
+
 def test_criterion_10_equivariance_and_symmetry(disk_grid_small):
     g = disk_grid_small
     p = 3.0

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from lef import cli, flow, geometry, radial
+from lef import cli, flow, geometry, radial, spectrum
 
 
 class TestDumpFormat:
@@ -68,18 +69,23 @@ class TestRadialCommand:
             float(row["pE_annulus"]) + float(row["pE_ball"]), rel=1e-9)
 
 
+def _ball_flow_config(tmp_path):
+    config = {
+        "p": 5.0,
+        "domain": {"type": "disk", "radius": 1.0},
+        "grid": {"type": "polar", "n_r": 32, "n_theta": 16},
+        "initial": {"type": "ball", "scale": 0.5},
+        "flow": {"t_max": 30.0},
+        "outdir": str(tmp_path / "out"),
+    }
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    return cfg_path
+
+
 class TestFlowCommand:
     def test_decay_run_outputs(self, tmp_path, capsys):
-        config = {
-            "p": 5.0,
-            "domain": {"type": "disk", "radius": 1.0},
-            "grid": {"type": "polar", "n_r": 32, "n_theta": 16},
-            "initial": {"type": "ball", "scale": 0.5},
-            "flow": {"t_max": 30.0},
-            "outdir": str(tmp_path / "out"),
-        }
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        cfg_path = _ball_flow_config(tmp_path)
         assert cli.main(["flow", "--config", str(cfg_path)]) == 0
         rep = json.loads((tmp_path / "out" / "flow_report.json").read_text())
         assert rep["classification"] == "DecayToZero"
@@ -89,16 +95,34 @@ class TestFlowCommand:
         assert len(csv_lines) == rep["steps"] + 2
         assert (tmp_path / "out" / "final.bin").exists()
 
+    def test_ball_datum_resolves_no_alpha(self, tmp_path, monkeypatch):
+        # only the scaled-ball datum needs alpha and its annulus solves
+        solves = []
+        solve_annulus = radial.solve_annulus
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return solve_annulus(*args, **kwargs)
+
+        monkeypatch.setattr(radial, "solve_annulus", counted)
+        cfg_path = _ball_flow_config(tmp_path)
+        assert cli.main(["flow", "--config", str(cfg_path)]) == 0
+        assert solves == []
+
+
+@pytest.fixture(scope="module")
+def polished_ball():
+    g = geometry.PolarGrid(48, 16)
+    v = flow.field_from_radial(g, radial.solve_ball(5.0))
+    u, res = spectrum.newton_polish(v, 5.0)
+    assert res < 1e-10
+    return u
+
 
 class TestSpectrumCommand:
-    def test_morse_report_from_dump(self, tmp_path, capsys):
-        from lef import spectrum
-        g = geometry.PolarGrid(48, 16)
-        v = flow.field_from_radial(g, radial.solve_ball(5.0))
-        u, res = spectrum.newton_polish(v, 5.0)
-        assert res < 1e-10
+    def test_morse_report_from_dump(self, tmp_path, capsys, polished_ball):
         path = tmp_path / "ball.bin"
-        cli.dump_field(path, u, p=5.0)
+        cli.dump_field(path, polished_ball, p=5.0)
         rc = cli.main(["spectrum", "--field", str(path),
                        "--group", "cyclic:4", "--k", "8"])
         assert rc == 0
@@ -106,6 +130,36 @@ class TestSpectrumCommand:
         assert out["morse_index"] == 1
         assert out["symmetric_morse_index"] == 1
         assert out["odd_extension_residual"] < 1e-6
+        assert len(out["eigenvalues"]) == 8
+
+    def test_eigensolve_failure_exits_3(self, tmp_path, capsys, monkeypatch,
+                                        polished_ball):
+        def fail(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.empty(0),
+                                           np.empty((0, 0)))
+
+        monkeypatch.setattr(spla, "eigsh", fail)
+        path = tmp_path / "ball.bin"
+        cli.dump_field(path, polished_ball, p=5.0)
+        assert cli.main(["spectrum", "--field", str(path)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("lef spectrum: spectrum stage:")
+
+    def test_k_below_one_exits_2(self, tmp_path, capsys, polished_ball):
+        path = tmp_path / "ball.bin"
+        cli.dump_field(path, polished_ball, p=5.0)
+        assert cli.main(["spectrum", "--field", str(path), "--k", "0"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["lef spectrum: --k must be >= 1, got 0"]
+
+    def test_non_steady_dump_exits_4(self, tmp_path, capsys, polished_ball):
+        path = tmp_path / "scaled.bin"
+        cli.dump_field(path, polished_ball.scaled(1.5), p=5.0)
+        assert cli.main(["spectrum", "--field", str(path)]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "not a converged steady state" in err[0]
 
 
 class TestAlphaResolution:

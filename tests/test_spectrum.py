@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
 from lef import energy, flow, geometry, radial, spectrum
+from tests.conftest import angular_bump
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +39,65 @@ class TestLinearEigenOracles:
         for j in range(2):
             nrm = g.weighted_norm(vecs[:, j])
             assert nrm == pytest.approx(1.0, rel=1e-8)
+
+
+def _bump_operator(case: str, reduced: bool, p: float = 5.0):
+    """(A, grid) of L at a scaled cos(4 theta) bump: not a steady
+    state, with several negative eigenvalues; optionally on the orbit
+    grid."""
+    if case == "disk-c4":
+        grid, G = geometry.PolarGrid(24, 16), geometry.cyclic(4)
+    else:
+        grid = geometry.CartesianMaskedGrid(geometry.squircle_mask(1.0, 4.0),
+                                            24)
+        G = geometry.dihedral(4)
+    u = angular_bump(grid, 4).scaled(3.0)
+    if reduced:
+        orbits = grid.quotient(G)
+        u = dataclasses.replace(u, grid=orbits,
+                                values=orbits.restrict(u.values))
+    return spectrum.assemble_linearized(u, p), u.grid
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["full", "orbit"])
+@pytest.mark.parametrize("case", ["disk-c4", "squircle-d4"])
+class TestInertiaAgainstDenseEigh:
+    def test_count_below_shift(self, case, reduced):
+        A, grid = _bump_operator(case, reduced)
+        dense = scipy.linalg.eigh(A.toarray(), np.diag(grid.weights),
+                                  eigvals_only=True)
+        n_neg = int(np.count_nonzero(dense < 0.0))
+        assert n_neg >= 2
+        # shifts in spectral gaps clear of roundoff, spread over the spectrum
+        gaps = np.flatnonzero(np.diff(dense) > 1e-6 * np.max(np.abs(dense)))
+        picks = gaps[[0, 1, len(gaps) // 4, len(gaps) // 2, -1]]
+        shifts = [dense[0] - 1.0, 0.0, dense[-1] + 1.0]
+        shifts += [0.5 * (dense[j] + dense[j + 1]) for j in picks]
+        for sigma in shifts:
+            assert spectrum.inertia_below(A, grid.weights, sigma) == \
+                np.count_nonzero(dense < sigma), sigma
+
+    def test_lowest_eigenpairs_match_dense(self, case, reduced):
+        A, grid = _bump_operator(case, reduced)
+        dense = scipy.linalg.eigh(A.toarray(), np.diag(grid.weights),
+                                  eigvals_only=True)
+        vals, vecs = spectrum.lowest_eigenpairs(A, grid, 6)
+        assert np.allclose(vals, dense[:6], rtol=1e-9,
+                           atol=1e-9 * abs(dense[0]))
+
+
+class TestInertiaGuards:
+    def test_zero_pivot_raises(self):
+        # sigma = 2 is an eigenvalue: A - sigma W is singular
+        A = sp.diags([1.0, 2.0, 3.0]).tocsr()
+        with pytest.raises(spectrum.EigenSolveError, match="zero pivot"):
+            spectrum.inertia_below(A, np.ones(3), 2.0)
+
+    def test_off_diagonal_pivot_raises(self):
+        # a zero diagonal forces SuperLU to pivot across rows
+        A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(spectrum.EigenSolveError, match="perm_r"):
+            spectrum.inertia_below(A, np.ones(2), 0.0)
 
 
 class TestNewtonPolish:
