@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import energy, flow, nodal, radial, spectrum
-from .geometry import (CartesianMaskedGrid, DomainSpec, PolarGrid,
-                       SymmetryGroup, check_admissible, cyclic, dihedral,
-                       squircle_mask)
+from .geometry import (CartesianMaskedGrid, ConfigError, DomainSpec,
+                       PolarGrid, SymmetryGroup, check_admissible, cyclic,
+                       dihedral)
 
 
 def _np_default(obj):
@@ -44,23 +44,6 @@ def _json(obj) -> str:
 # field dumps
 # ---------------------------------------------------------------------------
 
-def _domain_config_of(grid) -> dict:
-    """Serializable recipe of the grid's domain, for dump round-trips."""
-    cfg = getattr(grid, "_domain_config", None)
-    if cfg is not None:
-        return cfg
-    dom = grid.domain
-    if dom.shape == "disk":
-        return {"type": "disk", "radius": dom.radius}
-    if dom.shape == "annulus":
-        return {"type": "annulus", "a": dom.inner_radius, "b": dom.radius}
-    cfg = getattr(dom, "_config", None)
-    if cfg is not None:
-        return cfg
-    raise TypeError("mask domain carries no serializable recipe; build the "
-                    "grid from a config dict or use a named mask factory")
-
-
 def dump_field(path, field: flow.ScalarField, p: float | None = None,
                extra: dict | None = None) -> None:
     """Write a field as one JSON header line plus little-endian float64."""
@@ -75,7 +58,7 @@ def dump_field(path, field: flow.ScalarField, p: float | None = None,
     elif isinstance(grid, CartesianMaskedGrid):
         header["grid"] = {"type": "cartesian", "n": grid.n,
                           "extent": grid.extent,
-                          "domain": _domain_config_of(grid)}
+                          "domain": grid.domain.to_config()}
     else:
         raise TypeError(f"cannot serialize grid of type {type(grid)}")
     if extra:
@@ -97,9 +80,8 @@ def load_field(path) -> tuple[flow.ScalarField, dict]:
         grid = PolarGrid(gspec["n_r"], gspec["n_theta"],
                          r_out=gspec["r_out"], r_in=gspec["r_in"])
     elif gspec["type"] == "cartesian":
-        domain = _build_domain(gspec["domain"])
-        grid = _cartesian_grid(domain, gspec["n"], gspec["extent"],
-                               gspec["domain"])
+        grid = CartesianMaskedGrid(DomainSpec.from_config(gspec["domain"]),
+                                   gspec["n"], extent=gspec["extent"])
     else:
         raise ValueError(f"unknown grid type {gspec['type']!r}")
     return flow.ScalarField(grid, np.array(data)), header
@@ -109,43 +91,16 @@ def load_field(path) -> tuple[flow.ScalarField, dict]:
 # config plumbing
 # ---------------------------------------------------------------------------
 
-class ConfigError(ValueError):
-    """A config names a key or value the program does not know."""
-
-
-def _build_domain(spec: dict) -> DomainSpec:
-    kind = spec.get("type", "disk")
-    if kind == "disk":
-        return DomainSpec.disk(spec.get("radius", 1.0))
-    if kind == "annulus":
-        return DomainSpec.annulus(spec["a"], spec.get("b", 1.0))
-    if kind == "squircle":
-        return squircle_mask(spec.get("radius", 1.0),
-                             spec.get("power", 4.0))
-    raise ConfigError(f"unknown domain type {kind!r}; "
-                      "allowed: disk, annulus, squircle")
-
-
-def _cartesian_grid(domain, n, extent, domain_spec):
-    grid = CartesianMaskedGrid(domain, n, extent=extent)
-    grid._domain_config = domain_spec  # kept for round-tripping dumps
-    return grid
-
-
 def _build_grid(config: dict):
-    dom_spec = config.get("domain", {"type": "disk", "radius": 1.0})
-    domain = _build_domain(dom_spec)
+    domain = DomainSpec.from_config(config.get("domain", {"type": "disk"}))
     gspec = config.get("grid", {"type": "polar", "n_r": 96, "n_theta": 32})
     if gspec["type"] == "polar":
-        if domain.shape == "annulus":
-            return PolarGrid(gspec["n_r"], gspec["n_theta"],
-                             r_in=domain.inner_radius,
-                             r_out=domain.radius), domain
         return PolarGrid(gspec["n_r"], gspec["n_theta"],
-                         r_out=dom_spec.get("radius", 1.0)), domain
+                         r_in=domain.inner_radius,
+                         r_out=domain.bounding_radius), domain
     if gspec["type"] == "cartesian":
-        return _cartesian_grid(domain, gspec["n"], gspec.get("extent"),
-                               dom_spec), domain
+        return CartesianMaskedGrid(domain, gspec["n"],
+                                   extent=gspec.get("extent")), domain
     raise ConfigError(f"unknown grid type {gspec['type']!r}; "
                       "allowed: polar, cartesian")
 
@@ -162,13 +117,17 @@ def _build_group(spec: dict | None) -> SymmetryGroup | None:
                       "allowed: cyclic, dihedral")
 
 
-def _flow_config(spec: dict | None) -> flow.FlowConfig:
-    spec = spec or {}
-    allowed = [f.name for f in dataclasses.fields(flow.FlowConfig)]
+def _check_keys(section: str, spec: dict, allowed: list) -> None:
     unknown = sorted(set(spec) - set(allowed))
     if unknown:
-        raise ConfigError(f"unknown flow config key {unknown[0]!r}; "
+        raise ConfigError(f"unknown {section} config key {unknown[0]!r}; "
                           f"allowed: {', '.join(allowed)}")
+
+
+def _flow_config(spec: dict | None) -> flow.FlowConfig:
+    spec = spec or {}
+    _check_keys("flow", spec,
+                [f.name for f in dataclasses.fields(flow.FlowConfig)])
     return flow.FlowConfig(**spec)
 
 
@@ -327,12 +286,22 @@ def _audit_candidate(cand: flow.ScalarField, p: float, group, grid) -> dict:
     return audit, dec
 
 
+def _stage_failure(report: dict, outdir: Path, message: str) -> int:
+    """Write and print the report of a failed pipeline stage, and one
+    stderr line; exit code 3."""
+    (outdir / "pipeline_report.json").write_text(_json(report),
+                                                 encoding="utf-8")
+    print(_json(report))
+    print(f"lef pipeline: {message}", file=sys.stderr)
+    return 3
+
+
 def run_pipeline(args) -> int:
     config = json.loads(Path(args.config).read_text(encoding="utf-8"))
     cfg, p, group, grid, domain = _run_setup(
         config, {"t_max": 120.0}, {"kind": "cyclic", "order": 4})
     scan_spec = config.get("scan", {})
-    seed = int(config.get("seed", 0))
+    _check_keys("scan", scan_spec, ["ratios"])
     outdir = Path(config.get("outdir", "pipeline_out"))
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -356,43 +325,38 @@ def run_pipeline(args) -> int:
                              "annulus_radii": [rho, 1.0],
                              "domain_radii": [domain.inner_radius,
                                               domain.bounding_radius]}
-        (outdir / "pipeline_report.json").write_text(
-            _json(report), encoding="utf-8")
-        print(_json(report))
-        print(f"lef pipeline: profiles stage: the ball profile on r < "
-              f"{rho:.4g} or the annulus profile on ({rho:.4g}, 1) is zero "
-              f"on every node of the domain {domain.inner_radius:g} <= r <= "
-              f"{domain.bounding_radius:g}", file=sys.stderr)
-        return 3
+        return _stage_failure(
+            report, outdir,
+            f"profiles stage: the ball profile on r < {rho:.4g} or the "
+            f"annulus profile on ({rho:.4g}, 1) is zero on every node of the "
+            f"domain {domain.inner_radius:g} <= r <= "
+            f"{domain.bounding_radius:g}")
     u1, t1n = energy.nehari_project(f1, p)
     u2, t2n = energy.nehari_project(f2, p)
     pE1 = p * energy.field_energy(u1, p).energy
     pE2 = p * energy.field_energy(u2, p).energy
     report["component_pE"] = {"ball": pE1, "annulus": pE2, "sum": pE1 + pE2}
 
-    ratios = scan_spec.get("ratios")
-    if ratios is None:
-        ratios = np.linspace(0.1, math.pi / 2 - 0.1, 7)
-    ratios = np.array(ratios, dtype=float)
-    # scan order is seeded but the outcome set is order-independent
-    rng = np.random.default_rng(seed)
-    ratios = ratios[rng.permutation(len(ratios))]
-    ratios.sort()
-
-    scan = flow.ray_scan(u1, u2, p, ratios=ratios, config=cfg, group=group,
-                         refine=scan_spec.get("refine", 30))
+    scan = flow.ray_scan(u1, u2, p, ratios=scan_spec.get("ratios"),
+                         config=cfg, group=group)
+    # energy-consistent datum: the transition angle's threshold point; the
+    # refinement's rays join the scan's rays
+    trans = (flow.refine_transition(u1, u2, p, scan, cfg, group)
+             if scan.success else None)
+    n_rays = len(scan.all_results)
     report["scan"] = {
-        "n_rays": len(scan.all_results),
+        "n_rays": n_rays,
         "success": scan.success,
         "rays": [(th, r if isinstance(r, str) else r.to_dict())
                  for th, r in scan.all_results],
     }
     if not scan.success:
-        print(_json(report))
-        return 3
+        report["failure"] = {"stage": "scan", "n_rays": n_rays}
+        return _stage_failure(
+            report, outdir,
+            f"scan stage: no sign-changing candidate on any of {n_rays} "
+            f"rays")
 
-    # energy-consistent datum: the transition angle's threshold point
-    trans = flow.refine_transition(u1, u2, p, scan, cfg, group)
     chosen_res, chosen_theta = (trans if trans is not None
                                 else (scan.best, scan.best_theta))
     lam = chosen_res.lambda_star

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -246,6 +247,12 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
 # threshold bisection
 # ---------------------------------------------------------------------------
 
+# Bisection stop: the default relative width of the lambda bracket, and the
+# width in rad of the mixing-angle bracket.  Past it v0's energy moves less
+# than the lambda bisection resolves.
+WIDTH_TOL = 1e-3
+
+
 class BracketError(RuntimeError):
     """No decay/blow-up bracket exists along the ray."""
 
@@ -297,10 +304,11 @@ def threshold_bisect(direction: ScalarField, p: float,
                      config: FlowConfig = FlowConfig(),
                      group: SymmetryGroup | None = None,
                      lambda_init: float = 1.0,
-                     width_tol: float = 1e-3,
+                     width_tol: float = WIDTH_TOL,
                      polish: bool = True,
                      max_bracket: int = 60) -> ThresholdResult:
-    """Bisect the ray {lam * direction} for the decay/blow-up threshold.
+    """Bisect the ray {lam * direction} for the decay/blow-up threshold
+    down to a relative bracket width of ``width_tol``.
 
     MaxTimeReached probes count toward the decay side (their energy stayed
     nonnegative).  If a probe converges to a steady state the bisection
@@ -448,10 +456,64 @@ def _transition_sign(res: ThresholdResult) -> int:
     return s if s != 0 else res.blowup_sign
 
 
+def _ray_runner(u1: ScalarField, u2: ScalarField, p: float,
+                config: FlowConfig, group: SymmetryGroup | None,
+                results: list, polish: bool = True):
+    """theta -> threshold result on the ray cos(theta) u1 + sin(theta) u2.
+
+    Every ray is appended to ``results`` as (theta, ThresholdResult or the
+    BracketError message); an unbracketable ray returns None.
+    """
+    def run(theta: float) -> ThresholdResult | None:
+        direction = ScalarField(u1.grid, math.cos(theta) * u1.values
+                                + math.sin(theta) * u2.values)
+        try:
+            res = threshold_bisect(direction, p, config, group, polish=polish)
+        except BracketError as exc:
+            res = str(exc)
+        results.append((theta, res))
+        return res if isinstance(res, ThresholdResult) else None
+    return run
+
+
+def _bisect_angle(run, results: list, sign,
+                  stop=None) -> tuple[ThresholdResult, float] | None:
+    """Bisect the mixing angle on ``sign`` from the first flip between
+    angle-adjacent signed rays of ``results`` until the bracket is no wider
+    than WIDTH_TOL rad.
+
+    An unbracketable ray, a ray of sign 0 or one that satisfies ``stop``
+    ends the loop.  Returns the last signed (threshold result, angle) it
+    ran, or None, also when no two rays differ in sign or their bracket is
+    already no wider than WIDTH_TOL.
+    """
+    signed = [(th, sign(r)) for th, r in sorted(results, key=lambda x: x[0])
+              if isinstance(r, ThresholdResult) and sign(r) != 0]
+    flips = [(t1, t2, s1) for (t1, s1), (t2, s2) in zip(signed, signed[1:])
+             if s1 != s2]
+    if not flips:
+        return None
+    lo, hi, s_lo = flips[0]
+    last = None
+    while hi - lo > WIDTH_TOL:
+        mid = 0.5 * (lo + hi)
+        r = run(mid)
+        s = 0 if r is None or (stop is not None and stop(r)) else sign(r)
+        if s == 0:
+            break
+        last = (r, mid)
+        lo, hi = (mid, hi) if s == s_lo else (lo, mid)
+    return last
+
+
+def _has_candidate(res) -> bool:
+    return (isinstance(res, ThresholdResult)
+            and res.best_sign_changing()[0] is not None)
+
+
 def ray_scan(u1: ScalarField, u2: ScalarField, p: float,
              ratios=None, config: FlowConfig = FlowConfig(),
-             group: SymmetryGroup | None = None,
-             refine: int = 30, **bisect_kw) -> RayScanResult:
+             group: SymmetryGroup | None = None) -> RayScanResult:
     """Threshold-bisect along cos(theta) u1 + sin(theta) u2 per ratio.
 
     The sign-changing saddle separates angles whose threshold dynamics end
@@ -468,104 +530,39 @@ def ray_scan(u1: ScalarField, u2: ScalarField, p: float,
         ratios = np.linspace(0.1, math.pi / 2.0 - 0.1, 7)
 
     results: list = []
+    run = _ray_runner(u1, u2, p, config, group, results)
+    for theta in ratios:
+        run(theta)
+    if not any(_has_candidate(r) for _, r in results):
+        _bisect_angle(run, results, _transition_sign, stop=_has_candidate)
 
-    def run(theta: float) -> ThresholdResult | None:
-        vals = math.cos(theta) * u1.values + math.sin(theta) * u2.values
-        d = ScalarField(u1.grid, vals)
-        try:
-            res = threshold_bisect(d, p, config, group, **bisect_kw)
-        except BracketError as exc:
-            results.append((theta, str(exc)))
-            return None
-        results.append((theta, res))
-        return res
-
-    def found() -> bool:
-        return any(isinstance(r, ThresholdResult)
-                   and r.best_sign_changing()[0] is not None
-                   for _, r in results)
-
-    scan = [(th, run(th)) for th in ratios]
-
-    if not found():
-        signed = [(th, _transition_sign(r)) for th, r in scan
-                  if r is not None and _transition_sign(r) != 0]
-        pair = None
-        for (t1, s1), (t2, s2) in zip(signed, signed[1:]):
-            if s1 != s2:
-                pair = [t1, t2, s1]
-                break
-        if pair is not None:
-            lo, hi, s_lo = pair
-            for _ in range(refine):
-                mid = 0.5 * (lo + hi)
-                r = run(mid)
-                if found():
-                    break
-                s = _transition_sign(r) if r is not None else 0
-                if s == 0:
-                    break
-                if s == s_lo:
-                    lo = mid
-                else:
-                    hi = mid
-
-    best, best_theta = None, None
-    best_cand, best_res = None, math.inf
-    for th, r in results:
-        if not isinstance(r, ThresholdResult):
-            continue
-        cand, res = r.best_sign_changing()
-        if cand is not None and res < best_res:
-            best, best_theta, best_cand, best_res = r, th, cand, res
-    return RayScanResult(best, best_theta, best_cand, best_res, results)
+    found = [(r.best_sign_changing(), th, r) for th, r in results
+             if _has_candidate(r)]
+    if not found:
+        return RayScanResult(None, None, None, math.inf, results)
+    (cand, res), theta, best = min(found, key=lambda x: x[0][1])
+    return RayScanResult(best, theta, cand, res, results)
 
 
 def refine_transition(u1: ScalarField, u2: ScalarField, p: float,
                       scan: RayScanResult,
                       config: FlowConfig = FlowConfig(),
-                      group: SymmetryGroup | None = None,
-                      iters: int = 20) -> tuple[ThresholdResult, float] | None:
+                      group: SymmetryGroup | None = None
+                      ) -> tuple[ThresholdResult, float] | None:
     """Shrink the scan's sign-flip bracket onto the transition angle.
 
     Homes in on the flip of the supercritical blow-up sign, whose crossing
     marks where the threshold family passes the sign-changing saddle.  The
     threshold datum there is the energy-consistent initial condition: it
     sits above the saddle in energy, while data on rays away from the
-    transition may not.  Returns (threshold result, angle) at the refined
-    transition, or None when the scan shows no flip.
+    transition may not.  The refinement rays join ``scan.all_results``.
+    Returns (threshold result, angle) at the refined transition, or None
+    when it ran no signed ray, e.g. when the scan shows no flip.
     """
-    signed = []
-    for th, r in sorted(scan.all_results, key=lambda x: x[0]):
-        if isinstance(r, ThresholdResult) and r.blowup_sign != 0:
-            signed.append((th, r.blowup_sign))
-    bracket = None
-    for (t1, s1), (t2, s2) in zip(signed, signed[1:]):
-        if s1 != s2:
-            bracket = [t1, t2, s1]
-            break
-    if bracket is None:
-        return None
-    lo, hi, s_lo = bracket
-    last = None
-
-    def run(theta):
-        vals = math.cos(theta) * u1.values + math.sin(theta) * u2.values
-        return threshold_bisect(ScalarField(u1.grid, vals), p, config, group,
-                                polish=False)
-
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        r = run(mid)
-        s = r.blowup_sign
-        if s == 0:
-            break
-        last = (r, mid)
-        if s == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return last
+    run = _ray_runner(u1, u2, p, config, group, scan.all_results,
+                      polish=False)
+    return _bisect_angle(run, scan.all_results,
+                         operator.attrgetter("blowup_sign"))
 
 
 def select_restart_pair(u: ScalarField,
@@ -620,12 +617,12 @@ def select_restart_pair(u: ScalarField,
 def restart_from_nodal_pair(u: ScalarField,
                             decomposition: "nodal_mod.NodalDecomposition",
                             p: float, config: FlowConfig = FlowConfig(),
-                            group: SymmetryGroup | None = None,
-                            **scan_kw) -> RayScanResult:
+                            group: SymmetryGroup | None = None
+                            ) -> RayScanResult:
     """Restart the threshold search from two opposite-sign nodal domains.
 
     Restricts u to two adjacent nodal domains of opposite sign, projects
     each restriction onto the Nehari manifold and reruns the ray scan.
     """
     u1, u2 = select_restart_pair(u, decomposition, p)
-    return ray_scan(u1, u2, p, config=config, group=group, **scan_kw)
+    return ray_scan(u1, u2, p, config=config, group=group)

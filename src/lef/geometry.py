@@ -18,7 +18,7 @@ factorizations that the flow module stores in ``step_factors``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -26,6 +26,10 @@ import numpy as np
 import scipy.sparse as sp
 
 COINCIDENCE_TOL = 1e-12
+
+
+class ConfigError(ValueError):
+    """A config names a key or value the program does not know."""
 
 
 class GridSymmetryError(ValueError):
@@ -133,7 +137,7 @@ class DomainSpec:
 
     For ``mask`` domains ``mask_fn`` maps an ``(n, 2)`` coordinate array to a
     boolean "strictly inside" array and ``bounding_radius`` bounds the
-    domain.
+    domain; ``recipe`` is the config dict of a named mask (``to_config``).
     """
 
     shape: str  # 'disk' | 'annulus' | 'mask'
@@ -141,6 +145,35 @@ class DomainSpec:
     inner_radius: float = 0.0
     mask_fn: Callable[[np.ndarray], np.ndarray] | None = None
     bounding_radius: float = 0.0
+    recipe: dict | None = field(default=None, compare=False)
+
+    @staticmethod
+    def from_config(spec: dict) -> "DomainSpec":
+        """Build a domain from its config dict (type disk, annulus or
+        squircle); an unknown type raises ConfigError."""
+        kind = spec.get("type", "disk")
+        if kind == "disk":
+            return DomainSpec.disk(spec.get("radius", 1.0))
+        if kind == "annulus":
+            return DomainSpec.annulus(spec["a"], spec.get("b", 1.0))
+        if kind == "squircle":
+            return squircle_mask(spec.get("radius", 1.0),
+                                 spec.get("power", 4.0))
+        raise ConfigError(f"unknown domain type {kind!r}; "
+                          "allowed: disk, annulus, squircle")
+
+    def to_config(self) -> dict:
+        """The config dict that ``from_config`` rebuilds this domain from."""
+        if self.shape == "disk":
+            return {"type": "disk", "radius": self.radius}
+        if self.shape == "annulus":
+            return {"type": "annulus", "a": self.inner_radius,
+                    "b": self.radius}
+        if self.recipe is None:
+            raise TypeError("mask domain carries no serializable recipe; "
+                            "build it from a config dict or a named mask "
+                            "factory")
+        return dict(self.recipe)
 
     @staticmethod
     def disk(radius: float) -> "DomainSpec":
@@ -604,8 +637,6 @@ def squircle_mask(radius: float = 1.0, power: float = 4.0) -> DomainSpec:
     def fn(pts):
         return (np.abs(pts[:, 0]) ** power + np.abs(pts[:, 1]) ** power
                 < radius ** power)
-    dom = DomainSpec.symmetric_mask(fn, bounding_radius=radius)
-    # serializable recipe, so field dumps on this domain can round-trip
-    object.__setattr__(dom, "_config",
-                       {"type": "squircle", "radius": radius, "power": power})
-    return dom
+    return DomainSpec("mask", mask_fn=fn, bounding_radius=radius,
+                      recipe={"type": "squircle", "radius": radius,
+                              "power": power})

@@ -23,14 +23,29 @@ class TestDumpFormat:
         assert loaded.grid.n_nodes == g.n_nodes
         assert np.allclose(loaded.grid.xy, g.xy)
 
-    def test_cartesian_round_trip(self, tmp_path):
-        g = geometry.CartesianMaskedGrid(geometry.squircle_mask(1.0, 4.0), 24)
+    @pytest.mark.parametrize("domain", [
+        geometry.squircle_mask(1.0, 4.0),
+        geometry.DomainSpec.disk(1.0),
+        geometry.DomainSpec.annulus(0.3, 1.0),
+    ], ids=["squircle", "disk", "annulus"])
+    def test_cartesian_round_trip(self, tmp_path, domain):
+        g = geometry.CartesianMaskedGrid(domain, 24)
         v = flow.ScalarField(g, np.linspace(-1, 1, g.n_nodes))
         path = tmp_path / "g.bin"
         cli.dump_field(path, v, p=8.0)
         loaded, header = cli.load_field(path)
+        assert header["grid"]["domain"] == domain.to_config()
+        assert loaded.grid.domain.to_config() == domain.to_config()
         assert np.array_equal(loaded.values, v.values)
         assert np.allclose(loaded.grid.xy, g.xy)
+
+    def test_mask_without_recipe_cannot_be_dumped(self, tmp_path):
+        dom = geometry.DomainSpec.symmetric_mask(
+            lambda pts: np.max(np.abs(pts), axis=1) < 1.0, 1.0)
+        g = geometry.CartesianMaskedGrid(dom, 8)
+        with pytest.raises(TypeError, match="no serializable recipe"):
+            cli.dump_field(tmp_path / "m.bin",
+                           flow.ScalarField(g, np.zeros(g.n_nodes)))
 
     def test_header_is_one_json_line(self, tmp_path, disk_grid_small):
         g = disk_grid_small
@@ -226,6 +241,22 @@ class TestConfigValidation:
         assert repr(value.get("type", value.get("kind"))) in err[0]
         assert shots == []
 
+    @pytest.mark.parametrize("scan", [{"refine": 30}, {"ratio": [0.5]}],
+                             ids=["refine", "ratio"])
+    def test_unknown_scan_key_exits_2_before_any_work(self, tmp_path, capsys,
+                                                      monkeypatch, scan):
+        shots = []
+        monkeypatch.setattr(radial, "solve_ivp",
+                            lambda *a, **kw: shots.append(a))
+        config = {"p": 8.0, "scan": scan, "outdir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["pipeline", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"lef pipeline: unknown scan config key "
+                       f"{next(iter(scan))!r}; allowed: ratios"]
+        assert shots == []
+
     @pytest.mark.parametrize("config, key", [
         ({}, "p"),
         ({"p": 8.0, "grid": {"type": "polar", "n_theta": 16}}, "n_r"),
@@ -260,6 +291,26 @@ class TestLabelledFailures:
         assert failure["stage"] == "profiles"
         assert failure["ball_radius"] == pytest.approx(math.exp(-2.2))
         assert failure["domain_radii"] == [0.3, 1.0]
+
+    def test_scan_without_candidate_exits_3_with_report(self, tmp_path,
+                                                        capsys):
+        # one ray gives no sign-changing candidate and no flip to refine
+        config = {
+            "p": 8.0,
+            "grid": {"type": "polar", "n_r": 24, "n_theta": 16},
+            "group": {"kind": "cyclic", "order": 4},
+            "scan": {"ratios": [0.1]},
+            "outdir": str(tmp_path / "out"),
+        }
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["pipeline", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "scan stage" in err[0]
+        rep = json.loads((tmp_path / "out" / "pipeline_report.json")
+                         .read_text(encoding="utf-8"))
+        assert rep["failure"] == {"stage": "scan", "n_rays": 1}
+        assert rep["scan"]["success"] is False
 
     def test_radial_solve_error_exits_3(self, tmp_path, capsys,
                                         monkeypatch):

@@ -171,3 +171,133 @@ class TestOrbitGrid:
         assert reduced.final.grid is g
         dev = np.max(np.abs(reduced.final.values - full.final.values))
         assert dev <= 1e-10 * full.final.sup
+
+
+THETA_STAR = 0.77
+FAN = np.linspace(0.1, math.pi / 2 - 0.1, 7)   # the default scan angles
+
+
+def _angle_sign(theta):
+    return int(np.sign(theta - THETA_STAR))
+
+
+@pytest.fixture
+def fake_rays(monkeypatch):
+    """Replace threshold_bisect by a fake on a two-node stand-in grid.
+
+    u1 and u2 are the unit vectors, so a ray's angle is the polar angle of
+    its direction; ``rule(theta)`` gives the blow-up sign of the ray, a
+    ThresholdResult, or raises.  Returns (u1, u2, probed angles, install).
+    """
+    grid = object()
+    u1 = flow.ScalarField(grid, np.array([1.0, 0.0]))
+    u2 = flow.ScalarField(grid, np.array([0.0, 1.0]))
+    probed = []
+
+    def install(rule=_angle_sign):
+        def fake(direction, p, config, group, polish=True):
+            theta = math.atan2(direction.values[1], direction.values[0])
+            probed.append(theta)
+            out = rule(theta)
+            if isinstance(out, flow.ThresholdResult):
+                return out
+            return flow.ThresholdResult(1.0, direction, None, flow.WIDTH_TOL,
+                                        math.inf, False, [], out)
+        monkeypatch.setattr(flow, "threshold_bisect", fake)
+
+    return u1, u2, probed, install
+
+
+def _fan_scan(u1, u2):
+    """The scan's fan rays, without its own refinement."""
+    results = [(th, flow.threshold_bisect(
+        flow.ScalarField(u1.grid, math.cos(th) * u1.values
+                         + math.sin(th) * u2.values), 8.0, None, None))
+        for th in FAN]
+    return flow.RayScanResult(None, None, None, math.inf, results)
+
+
+def _final_bracket(results):
+    signed = sorted((th, r.blowup_sign) for th, r in results
+                    if isinstance(r, flow.ThresholdResult)
+                    and r.blowup_sign != 0)
+    return next((t1, t2) for (t1, s1), (t2, s2) in zip(signed, signed[1:])
+                if s1 != s2)
+
+
+class TestAngleBisection:
+    def test_transition_stops_at_width_tol(self, fake_rays):
+        u1, u2, probed, install = fake_rays
+        install()
+        scan = _fan_scan(u1, u2)
+        probed.clear()
+        res, theta = flow.refine_transition(u1, u2, 8.0, scan)
+        lo, hi = _final_bracket(scan.all_results)
+        assert lo < THETA_STAR < hi
+        assert hi - lo <= flow.WIDTH_TOL
+        w0 = FAN[1] - FAN[0]
+        assert len(probed) == math.ceil(math.log2(w0 / flow.WIDTH_TOL)) == 8
+        assert len(scan.all_results) == len(FAN) + len(probed)
+        # the result is the last signed ray
+        assert scan.all_results[-1] == (theta, res)
+        assert res.blowup_sign == _angle_sign(theta)
+
+    def test_scan_refines_to_the_same_width(self, fake_rays):
+        u1, u2, probed, install = fake_rays
+        install()
+        scan = flow.ray_scan(u1, u2, 8.0)
+        assert not scan.success
+        assert len(scan.all_results) == len(probed) == len(FAN) + 8
+        lo, hi = _final_bracket(scan.all_results)
+        assert lo < THETA_STAR < hi and hi - lo <= flow.WIDTH_TOL
+
+    def test_scan_stops_at_a_sign_changing_candidate(self, fake_rays):
+        u1, u2, probed, install = fake_rays
+        field = flow.ScalarField(u1.grid, np.array([1.0, -1.0]))
+
+        def rule(theta):
+            if abs(theta - THETA_STAR) > 0.01:
+                return _angle_sign(theta)
+            return flow.ThresholdResult(1.0, field, field, flow.WIDTH_TOL,
+                                        1e-9, True, [], 0)
+
+        install(rule)
+        scan = flow.ray_scan(u1, u2, 8.0)
+        # the fourth halving is the first ray within 0.01 of THETA_STAR
+        assert len(scan.all_results) == len(probed) == len(FAN) + 4
+        assert scan.success and scan.best_theta == scan.all_results[-1][0]
+
+    @pytest.mark.parametrize("ending", ["sign 0", "no bracket"])
+    def test_unsigned_ray_ends_the_loop(self, fake_rays, ending):
+        u1, u2, probed, install = fake_rays
+
+        def rule(theta):
+            if abs(theta - THETA_STAR) > 0.01:
+                return _angle_sign(theta)
+            if ending == "sign 0":
+                return 0
+            raise flow.BracketError("no decay/blow-up bracket")
+
+        install(rule)
+        scan = _fan_scan(u1, u2)
+        probed.clear()
+        res, theta = flow.refine_transition(u1, u2, 8.0, scan)
+        # halvings 1-3 land 0.099, 0.042 and 0.013 rad from THETA_STAR,
+        # the fourth within 0.01
+        assert len(probed) == 4
+        assert len(scan.all_results) == len(FAN) + 4
+        assert scan.all_results[-2] == (theta, res)
+        assert res.blowup_sign == _angle_sign(theta)
+        last = scan.all_results[-1][1]
+        if ending == "sign 0":
+            assert last.blowup_sign == 0
+        else:
+            assert isinstance(last, str) and "bracket" in last
+
+    def test_no_flip_returns_none(self, fake_rays):
+        u1, u2, probed, install = fake_rays
+        install(lambda theta: 1)
+        scan = _fan_scan(u1, u2)
+        probed.clear()
+        assert flow.refine_transition(u1, u2, 8.0, scan) is None
+        assert probed == []
