@@ -138,7 +138,7 @@ def _run_setup(config: dict, flow_default, group_default):
     """
     try:
         cfg = _flow_config(config.get("flow", flow_default))
-        p = float(config["p"])
+        p = _exponent(config["p"])
         group = _build_group(config.get("group", group_default))
         grid, domain = _build_grid(config)
     except KeyError as exc:
@@ -146,14 +146,53 @@ def _run_setup(config: dict, flow_default, group_default):
     return cfg, p, group, grid, domain
 
 
-def _resolve_alpha(alpha, p: float) -> float:
-    """Numeric alpha, or a named policy: 'optimal' minimizes the measured
-    two-profile sum at this p, 'asymptotic' uses the limit optimizer."""
+def _exponent(value) -> float:
+    """The exponent p from a config or the command line; ConfigError
+    unless it is a finite number > 1."""
+    try:
+        p = float(value)
+    except (TypeError, ValueError):
+        p = math.nan
+    if not 1.0 < p < math.inf:
+        raise ConfigError(f"p must be a finite number > 1, got {value!r}")
+    return p
+
+
+def _alpha_policy(alpha, p: float):
+    """'optimal', or the number alpha names ('asymptotic' is the limit
+    optimizer); ConfigError unless every alpha it can use at this p has
+    0 < alpha and alpha*p <= AMPLITUDE_EXPONENT_GUARD."""
+    guard = radial.AMPLITUDE_EXPONENT_GUARD
     if alpha in (None, "optimal"):
+        top = radial.ALPHA_BOUNDS[1]
+        if top * p > guard:
+            raise ConfigError(
+                f"alpha 'optimal' searches alpha up to {top:g}, and "
+                f"alpha*p = {top * p:g} at p = {p:g} exceeds the amplitude "
+                f"guard {guard:g}")
+        return "optimal"
+    try:
+        value = (energy.minimize_f().alpha_bar if alpha == "asymptotic"
+                 else float(alpha))
+    except (TypeError, ValueError):
+        value = math.nan
+    if not value > 0.0:
+        raise ConfigError(f"alpha must be a number > 0, 'optimal' or "
+                          f"'asymptotic', got {alpha!r}")
+    if value * p > guard:
+        raise ConfigError(f"alpha*p = {value * p:g} at p = {p:g} exceeds "
+                          f"the amplitude guard {guard:g}")
+    return value
+
+
+def _resolve_alpha(alpha, p: float) -> radial.AlphaChoice:
+    """Numeric alpha, or a named policy: 'optimal' minimizes the measured
+    two-profile sum at this p and keeps the profiles solved there,
+    'asymptotic' uses the limit optimizer."""
+    policy = _alpha_policy(alpha, p)
+    if policy == "optimal":
         return radial.optimal_alpha(p)
-    if alpha == "asymptotic":
-        return energy.minimize_f().alpha_bar
-    return float(alpha)
+    return radial.AlphaChoice(policy)
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +229,15 @@ def run_constants(args) -> int:
 # ---------------------------------------------------------------------------
 
 def run_radial_sweep(args) -> int:
-    p_list = [float(tok) for tok in args.p.split(",")]
+    p_list = [_exponent(tok) for tok in args.p.split(",")]
+    for p in p_list:  # every argument is checked before the first shot
+        _alpha_policy(args.alpha, p)
     lines = ["p,alpha,pE_annulus,pE_ball,total,bound,delta"]
     for p in p_list:
-        alpha = _resolve_alpha(args.alpha, p)
-        rep = energy.upper_bound_report(p, alpha=alpha)
+        choice = _resolve_alpha(args.alpha, p)
+        alpha = choice.alpha
+        rep = energy.upper_bound_report(p, alpha=alpha, slope=choice.slope,
+                                        ball=choice.ball)
         delta = rep.total / rep.bound
         lines.append(f"{p:g},{alpha:.10g},{rep.p_energy_annulus:.10g},"
                      f"{rep.p_energy_ball:.10g},{rep.total:.10g},"
@@ -220,7 +263,9 @@ def _initial_field(spec: dict, grid, p: float, alpha):
         prof = radial.solve_ball(p)
         return flow.field_from_radial(grid, prof).scaled(scale)
     if kind == "scaled-ball":
-        prof = radial.build_ball_solution_scaled(p, _resolve_alpha(alpha, p))
+        choice = _resolve_alpha(alpha, p)
+        prof = radial.build_ball_solution_scaled(p, choice.alpha,
+                                                 ball=choice.ball)
         return flow.field_from_radial(grid, prof).scaled(scale)
     if kind == "annulus":
         prof = radial.solve_annulus(p, spec["a"], spec.get("b", 1.0))
@@ -312,10 +357,11 @@ def run_pipeline(args) -> int:
         print(_json(report))
         return 2
 
-    alpha = _resolve_alpha(config.get("alpha", "optimal"), p)
-    report["alpha"] = alpha
-    inner = radial.build_ball_solution_scaled(p, alpha)
-    outer = radial.solve_annulus(p, math.exp(-alpha * p), 1.0)
+    choice = _resolve_alpha(config.get("alpha", "optimal"), p)
+    alpha = report["alpha"] = choice.alpha
+    inner = radial.build_ball_solution_scaled(p, alpha, ball=choice.ball)
+    outer = radial.solve_annulus(p, math.exp(-alpha * p), 1.0,
+                                 slope=choice.slope)
     f1 = flow.field_from_radial(grid, inner)
     f2 = flow.field_from_radial(grid, outer, sign=-1.0)
     if not (np.any(f1.values) and np.any(f2.values)):
@@ -411,8 +457,9 @@ def run_pipeline(args) -> int:
             report["morse"]["half_domain_mu"] = mu
             report["morse"]["odd_extension_residual"] = \
                 mu_info["odd_extension_residual"]
-    except Exception as exc:  # audit failure is reported, not fatal
-        report["morse"] = {"error": str(exc)}
+    except (spectrum.EigenSolveError, spectrum.NotSteadyError) as exc:
+        report["failure"] = {"stage": "spectrum", "error": str(exc)}
+        return _stage_failure(report, outdir, f"spectrum stage: {exc}")
 
     (outdir / "pipeline_report.json").write_text(
         _json(report), encoding="utf-8")

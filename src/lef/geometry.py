@@ -424,13 +424,6 @@ class PolarGrid(_GridBase):
             (vals, (rows, cols)), shape=(self.n_nodes, self.n_nodes))
         self._edges = (np.array(ea), np.array(eb))
 
-    # -- radial sampling ----------------------------------------------------
-
-    def sample_radial(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """Evaluate a radial function at the node radii."""
-        ring_vals = np.asarray(fn(self.r_nodes), dtype=float)
-        return np.repeat(ring_vals, self.n_theta)
-
     @property
     def origin_ring(self) -> np.ndarray | None:
         """Indices of the innermost ring (proxy for the origin node)."""

@@ -11,24 +11,32 @@ in t the solution is uniformly smooth.  Energies are also natural there:
 Profiles are sampled geometrically in r (uniformly in t), which resolves
 the concentration layers both on the ball (near r = 0) and on annuli with
 tiny inner radius.
+
+Annulus solutions are found by Newton's method on the initial slope s of
+the shot from u(log a) = 0: each shot integrates the slope's variational
+equation beside the solution, so F(s) = u(log b; s) and F'(s) come from
+one integration.  A [lo, hi] slope bracket with bisection guards the
+iteration, and optimal_alpha warm-starts each solve from the slopes it
+has already found.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import simpson, solve_ivp
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from .energy import EnergyReport
 
 ENDPOINT_TOL = 1e-10
 AMPLITUDE_EXPONENT_GUARD = 600.0  # reject alpha * p beyond this
+ALPHA_BOUNDS = (0.05, 0.9)  # the interval optimal_alpha searches
+MAX_SHOTS = 100  # per annulus solve
+DENSE_RATIO = 1e-4  # |u(b)| / sup below which Newton is about to converge
 
 
 class RadialSolveError(RuntimeError):
@@ -41,7 +49,8 @@ class RadialProfile:
 
     ``segments`` lists index ranges of smooth pieces (quadrature is done
     per piece; piecewise-defined profiles have a derivative jump at the
-    break point).
+    break point).  ``slope`` is the initial slope u_t(log r_in) of the shot
+    that produced an annulus solution.
     """
 
     r: np.ndarray
@@ -51,6 +60,7 @@ class RadialProfile:
     r_out: float
     p: float
     segments: tuple[tuple[int, int], ...] = field(default=None)  # type: ignore
+    slope: float | None = None
 
     def __post_init__(self):
         if self.segments is None:
@@ -132,7 +142,7 @@ def radial_energy(profile: RadialProfile, p: float | None = None) -> EnergyRepor
 def _make_rhs(p: float):
     """RHS of u_tt = -e^{2t} |u|^{p-1} u, overflow-guarded on trial steps."""
     def rhs(t, y):
-        u, ut = y
+        u, ut = y.tolist()  # float arithmetic is faster than numpy scalars
         if u == 0.0:
             return [ut, 0.0]
         log_mag = 2.0 * t + p * math.log(abs(u))
@@ -208,28 +218,34 @@ def ball_energy(p: float, R: float = 1.0) -> EnergyReport:
 
 
 def build_ball_solution_scaled(p: float, alpha: float,
-                               n_samples: int = 4096) -> RadialProfile:
+                               n_samples: int = 4096,
+                               ball: RadialProfile | None = None
+                               ) -> RadialProfile:
     """u_{p,2,alpha}: the ball solution rescaled to radius e^{-alpha p}.
 
-    Exact similarity rescaling of solve_ball(p, 1); no re-integration.
+    Exact similarity rescaling of ``ball``, the solution solve_ball(p, 1),
+    which is solved here when not given; no re-integration.
     """
     if alpha < 0:
         raise ValueError("need alpha >= 0")
     if alpha * p > AMPLITUDE_EXPONENT_GUARD:
         raise ValueError(f"alpha*p = {alpha * p:.1f} too large; the scaled "
                          "amplitude exceeds the overflow guard")
-    w = solve_ball(p, 1.0, n_samples=n_samples)
+    w = ball if ball is not None else solve_ball(p, 1.0, n_samples=n_samples)
     return w.scaled(math.exp(alpha * p))
 
 
-def ball_scaled_energy(p: float, alpha: float) -> EnergyReport:
+def ball_scaled_energy(p: float, alpha: float,
+                       ball: RadialProfile | None = None) -> EnergyReport:
     """Energy of u_{p,2,alpha} via the exact scaling identity.
 
     ||grad u_{p,2,alpha}||^2 = e^{4 alpha p/(p-1)} ||grad w_p||^2, and the
     L^{p+1} power scales identically (the profile solves the equation, so
-    both norms agree up to the solver's Nehari residual).
+    both norms agree up to the solver's Nehari residual).  ``ball`` is the
+    solution solve_ball(p, 1), solved here when not given.
     """
-    return _rescaled_energy(ball_energy(p), p, alpha)
+    base = radial_energy(ball, p) if ball is not None else ball_energy(p)
+    return _rescaled_energy(base, p, alpha)
 
 
 def _rescaled_energy(base: EnergyReport, p: float,
@@ -244,82 +260,134 @@ def _rescaled_energy(base: EnergyReport, p: float,
 # annulus solution (shooting)
 # ---------------------------------------------------------------------------
 
+def _make_shot_rhs(p: float):
+    """RHS of the shot (u, u_t) and of its slope derivative (w, w_t).
+
+    w = du/ds solves the variational equation w_tt = -p e^{2t} |u|^{p-1} w.
+    The force keeps _make_rhs's overflow guard.
+    """
+    def rhs(t, y):
+        u, ut, w, wt = y.tolist()
+        if u == 0.0:
+            return [ut, 0.0, wt, 0.0]
+        mag = math.exp(min(2.0 * t + p * math.log(abs(u)), 700.0))
+        return [ut, -math.copysign(mag, u), wt, -p * mag / abs(u) * w]
+    return rhs
+
+
 def _shoot_annulus(p: float, t_a: float, t_b: float, slope: float,
                    rtol: float, dense: bool = False):
-    """Integrate in t from (0, slope) at t_a; returns the solution bunch."""
-    rhs = _make_rhs(p)
+    """Integrate (u, u_t, du/ds, du_t/ds) in t from (0, slope, 0, 1) at t_a.
+
+    The shot runs to t_b, recording zeros of u in ``t_events[0]``, unless
+    it first reaches a trough (u_t = 0 and rising, after a zero), where it
+    ends.  rtol and atol are divided by sqrt(2) and the derivative gets
+    atol 1e300, so (u, u_t) have exactly the step control of a
+    two-component shot and the derivative does not drive it.
+    """
+    rhs = _make_shot_rhs(p)
 
     def hit_zero(t, y):
         return y[0]
-    hit_zero.terminal = True
     hit_zero.direction = -1
 
-    # steep trial shots overflow |u|^{p-1} before hitting the zero event;
-    # the integrator rejects those steps on its own
+    def trough(t, y):
+        return y[1]
+    trough.terminal = True
+    trough.direction = 1
+
+    tol = 1.0 / math.sqrt(2.0)
+    # steep trial shots overflow |u|^{p-1} before the trough; the
+    # integrator rejects those steps on its own
     with np.errstate(over="ignore", invalid="ignore"):
-        return solve_ivp(rhs, (t_a, t_b), [0.0, slope], method="DOP853",
-                         rtol=rtol, atol=1e-14, events=hit_zero,
-                         dense_output=dense,
+        return solve_ivp(rhs, (t_a, t_b), [0.0, slope, 0.0, 1.0],
+                         method="DOP853", rtol=rtol * tol,
+                         atol=[1e-14 * tol, 1e-14 * tol, 1e300, 1e300],
+                         events=(hit_zero, trough), dense_output=dense,
                          first_step=min(1e-3, (t_b - t_a) / 100))
 
 
+def _annulus_shot(p: float, a: float, b: float, slope: float, rtol: float):
+    """Dense shot of the positive annulus solution, by safeguarded Newton.
+
+    Newton's method on F(s) = u(log b; s) from ``slope``, with F'(s) from
+    the variational equation, aims at u(b) = ENDPOINT_TOL * sup / 10:
+    inside the acceptance band, and clear of the integrator's noise in F,
+    which reaches a few 1e-12 * sup at p = 200.  A shot is accepted when
+    it has no interior zero and |u(b)| < ENDPOINT_TOL * sup.  Shots with
+    an interior zero, and shots that stop before r = b, are upper ends of
+    the slope bracket, the others lower ends.  A Newton step that leaves
+    the bracket, or follows a shot that stopped early, is replaced by
+    geometric bisection, or by a factor-4 step while one end is missing.
+    Once a shot has come within DENSE_RATIO, shots keep their dense
+    output, so that the accepted one is usually not shot again.
+    """
+    t_a, t_b = math.log(a), math.log(b)
+    lo, hi = 0.0, math.inf
+    closest = math.inf  # smallest |u(b)| / sup of a shot reaching r = b
+    s = slope
+    for _ in range(MAX_SHOTS):
+        sol = _shoot_annulus(p, t_a, t_b, s, rtol,
+                             dense=closest < DENSE_RATIO)
+        newton = math.nan
+        if sol.status != 0:  # a trough, or a too-steep rise, before r = b
+            hi = s
+        else:
+            u_end, sup = float(sol.y[0, -1]), float(np.max(np.abs(sol.y[0])))
+            ratio = abs(u_end) / sup
+            closest = min(closest, ratio)
+            t_zero = sol.t_events[0]
+            interior = t_zero.size and t_zero[0] < t_b - 1e-13
+            if not interior and ratio < ENDPOINT_TOL:
+                return sol if sol.sol is not None else _shoot_annulus(
+                    p, t_a, t_b, s, rtol, dense=True)
+            if interior:
+                hi = s
+            else:
+                lo = s
+            target = 0.1 * ENDPOINT_TOL * sup
+            newton = s - (u_end - target) / float(sol.y[2, -1])
+        if lo < newton < hi:
+            s_next = newton
+        elif 0.0 < lo and hi < math.inf:
+            s_next = math.sqrt(lo * hi)
+        else:
+            s_next = 4.0 * lo if hi == math.inf else 0.25 * hi
+        if not lo < s_next < hi or abs(s_next - s) <= 8e-16 * s:
+            break
+        s = s_next
+    if lo == 0.0 or hi == math.inf:
+        raise RadialSolveError(
+            f"slope bracket failure for annulus p={p}, a={a}, b={b}")
+    raise RadialSolveError(
+        f"annulus shooting for p={p}, a={a}, b={b} closed its slope "
+        f"bracket at u(b)/sup = {closest:.3e}, not below "
+        f"ENDPOINT_TOL = {ENDPOINT_TOL:g}")
+
+
 def solve_annulus(p: float, a: float, b: float, n_samples: int = 4096,
-                  rtol: float = 1e-11, max_expand: int = 200) -> RadialProfile:
+                  rtol: float = 1e-11,
+                  slope: float | None = None) -> RadialProfile:
     """Positive radial solution on the annulus a < r < b, zero at both ends.
 
-    Brent's method on the initial slope, applied to a signed miss that is
-    continuous in the slope: u(b) > 0 for a shot that reaches r = b,
-    -(log b - t_z) < 0 for one with an interior zero at log r = t_z, and
-    exactly 0 on the endpoint test (no interior zero and |u(b)| <
-    ENDPOINT_TOL * sup), so Brent stops on that test.  A bracket that
-    closes without such a shot raises RadialSolveError.
+    Shoots from u(a) = 0 with the initial slope found by _annulus_shot,
+    started from ``slope`` (default 1), e.g. the slope of a solution on a
+    nearby annulus.  The returned profile records its slope.
     """
     if p <= 1:
         raise ValueError("need p > 1")
     if not 0 < a < b:
         raise ValueError("need 0 < a < b")
-    t_a, t_b = math.log(a), math.log(b)
-    ratios = {}  # slope -> |u(b)| / sup, for shots that reach r = b
-
-    @functools.lru_cache(maxsize=None)  # brentq re-reads the bracket ends
-    def miss(slope):
-        sol = _shoot_annulus(p, t_a, t_b, slope, rtol)
-        t_zero = sol.t_events[0]
-        if t_zero.size and t_zero[0] < t_b - 1e-13:
-            return -(t_b - float(t_zero[0]))
-        u_end = float(sol.y[0, -1])
-        ratios[slope] = abs(u_end) / float(np.max(np.abs(sol.y[0])))
-        return 0.0 if ratios[slope] < ENDPOINT_TOL else u_end
-
-    # bracket: expand/contract by factor 2 from slope 1
-    s, m = 1.0, miss(1.0)
-    factor = 0.5 if m < 0 else 2.0
-    for _ in range(max_expand):
-        s_next = s * factor
-        m_next = miss(s_next)
-        if (m_next < 0) != (m < 0):
-            break
-        s, m = s_next, m_next
-    else:
-        raise RadialSolveError(
-            f"slope bracket failure for annulus p={p}, a={a}, b={b}")
-
-    s_final = brentq(miss, s, s_next, xtol=1e-300, disp=False)
-    if ratios.get(s_final, math.inf) >= ENDPOINT_TOL:
-        closest = min(ratios.values(), default=math.inf)
-        raise RadialSolveError(
-            f"annulus shooting for p={p}, a={a}, b={b} closed its slope "
-            f"bracket at u(b)/sup = {closest:.3e}, not below "
-            f"ENDPOINT_TOL = {ENDPOINT_TOL:g}")
-
-    sol = _shoot_annulus(p, t_a, t_b, s_final, rtol, dense=True)
-    t_s = np.linspace(t_a, t_b, n_samples)
+    if slope is not None and not 0 < slope < math.inf:
+        raise ValueError("need a finite slope > 0")
+    sol = _annulus_shot(p, a, b, 1.0 if slope is None else slope, rtol)
+    t_s = np.linspace(math.log(a), math.log(b), n_samples)
     y = sol.sol(t_s)
     u, ut = y[0].copy(), y[1]
     u[0] = 0.0
     u[-1] = 0.0  # snap residual endpoint value (< ENDPOINT_TOL * sup)
     r = np.exp(t_s)
-    return RadialProfile(r, u, ut / r, a, b, p)
+    return RadialProfile(r, u, ut / r, a, b, p, slope=float(sol.y[1, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -362,30 +430,60 @@ def omega_test_function(p: float, alpha: float, b: float,
                          segments=((0, n1), (n1, n_samples)))
 
 
-def optimal_alpha(p: float, bounds: tuple = (0.05, 0.9),
-                  xatol: float = 1e-5) -> float:
+@dataclass(frozen=True)
+class AlphaChoice:
+    """An alpha, with the profiles optimal_alpha solved there.
+
+    ``slope`` is the initial slope of the annulus solution on
+    (e^{-alpha p}, 1) and ``ball`` the solution solve_ball(p, 1); both are
+    None when alpha was not chosen by optimal_alpha.
+    """
+
+    alpha: float
+    slope: float | None = None
+    ball: RadialProfile | None = None
+
+
+def _predict_slope(slopes: dict, alpha: float) -> float | None:
+    """Secant prediction of log slope at alpha from the two solved alphas
+    nearest to it (the one slope if only one is solved)."""
+    near = sorted(slopes, key=lambda a: abs(a - alpha))[:2]
+    if len(near) < 2:
+        return slopes[near[0]] if near else None
+    a1, a2 = near
+    l1, l2 = math.log(slopes[a1]), math.log(slopes[a2])
+    return math.exp(l1 + (alpha - a1) * (l2 - l1) / (a2 - a1))
+
+
+def optimal_alpha(p: float, bounds: tuple = ALPHA_BOUNDS,
+                  xatol: float = 1e-5) -> AlphaChoice:
     """Alpha minimizing the measured two-profile energy sum at this p.
 
     Minimizes p E_p(annulus solution on (e^{-alpha p}, 1)) plus
     p E_p(scaled ball solution on B_{e^{-alpha p}}).  As p grows the
     minimizer approaches the stationary point of the limit profile
     e^{2 alpha - 1}/alpha + e^{4 alpha}; at moderate p the two differ
-    enough to matter for energy budgets.
+    enough to matter for energy budgets.  Each annulus solve starts from
+    the slope predicted by the alphas already solved.
     """
     from scipy.optimize import minimize_scalar
 
-    ball = ball_energy(p)
+    ball = solve_ball(p)
+    ball_rep = radial_energy(ball, p)
+    slopes = {}  # alpha -> initial slope of the annulus solution
 
     def total(alpha):
-        ann = solve_annulus(p, math.exp(-alpha * p), 1.0, n_samples=2048)
+        ann = solve_annulus(p, math.exp(-alpha * p), 1.0, n_samples=2048,
+                            slope=_predict_slope(slopes, alpha))
+        slopes[alpha] = ann.slope
         return p * (radial_energy(ann, p).energy
-                    + _rescaled_energy(ball, p, alpha).energy)
+                    + _rescaled_energy(ball_rep, p, alpha).energy)
 
     res = minimize_scalar(total, bounds=bounds, method="bounded",
                           options={"xatol": xatol})
     if not res.success:
         raise RadialSolveError(f"alpha optimization failed: {res.message}")
-    return float(res.x)
+    return AlphaChoice(float(res.x), slopes[res.x], ball)
 
 
 def omega_energy_closed_form(p: float, alpha: float, b: float) -> float:

@@ -83,6 +83,53 @@ class TestRadialCommand:
         assert float(row["total"]) == pytest.approx(
             float(row["pE_annulus"]) + float(row["pE_ball"]), rel=1e-9)
 
+    def test_optimal_sweep_oracle_and_one_ball_per_p(self, tmp_path,
+                                                     monkeypatch):
+        # pinned rows: total to 10 significant digits, alpha within the
+        # optimizer's xatol 1e-5
+        oracle = {20.0: ("156.8163302", 0.23237359619129289),
+                  200.0: ("161.3359995", 0.20347069671477458)}
+        balls = []
+        solve_ball = radial.solve_ball
+        monkeypatch.setattr(radial, "solve_ball",
+                            lambda *a, **kw: balls.append(a) or
+                            solve_ball(*a, **kw))
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["radial", "--p", "20,200", "--alpha", "optimal",
+                         "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").strip().splitlines()
+        rows = [dict(zip(lines[0].split(","), ln.split(",")))
+                for ln in lines[1:]]
+        assert [float(r["p"]) for r in rows] == list(oracle)
+        for row in rows:
+            total, alpha = oracle[float(row["p"])]
+            assert row["total"] == total
+            assert abs(float(row["alpha"]) - alpha) < 1e-5
+        assert len(balls) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--p", "abc"], "p must be a finite number > 1, got 'abc'"),
+        (["--p", "1.0"], "p must be a finite number > 1, got '1.0'"),
+        (["--p", "20", "--alpha", "-1"],
+         "alpha must be a number > 0, 'optimal' or 'asymptotic', got '-1'"),
+        (["--p", "20,1000", "--alpha", "0.7"],
+         "alpha*p = 700 at p = 1000 exceeds the amplitude guard 600"),
+        (["--p", "20,1000"], "alpha 'optimal' searches alpha up to 0.9"),
+    ], ids=["p-not-a-number", "p-one", "alpha-negative", "alpha-p-guard",
+            "optimal-alpha-p-guard"])
+    def test_bad_arguments_exit_2_before_any_shot(self, tmp_path, capsys,
+                                                  monkeypatch, argv,
+                                                  message):
+        shots = []
+        monkeypatch.setattr(radial, "solve_ivp",
+                            lambda *a, **kw: shots.append(a))
+        rc = cli.main(["radial", *argv, "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("lef radial: ") and message in err[0]
+        assert shots == []
+
 
 def _ball_flow_config(tmp_path):
     config = {
@@ -180,13 +227,13 @@ class TestSpectrumCommand:
 class TestAlphaResolution:
     def test_asymptotic_and_numeric(self):
         from lef import energy
-        assert cli._resolve_alpha("asymptotic", 8.0) == pytest.approx(
+        assert cli._resolve_alpha("asymptotic", 8.0).alpha == pytest.approx(
             energy.minimize_f().alpha_bar)
-        assert cli._resolve_alpha(0.25, 8.0) == 0.25
-        assert cli._resolve_alpha("0.25", 8.0) == 0.25
+        assert cli._resolve_alpha(0.25, 8.0).alpha == 0.25
+        assert cli._resolve_alpha("0.25", 8.0).alpha == 0.25
 
     def test_optimal_is_per_p(self):
-        a8 = cli._resolve_alpha("optimal", 8.0)
+        a8 = cli._resolve_alpha("optimal", 8.0).alpha
         assert 0.2 < a8 < 0.4
 
 
@@ -268,6 +315,15 @@ class TestConfigValidation:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"lef pipeline: missing config key {key!r}"]
 
+    @pytest.mark.parametrize("p", [1.0, "abc"])
+    def test_bad_exponent_exits_2(self, tmp_path, capsys, p):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"p": p}), encoding="utf-8")
+        assert cli.main(["pipeline", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"lef pipeline: p must be a finite number > 1, "
+                       f"got {p!r}"]
+
 
 class TestLabelledFailures:
     def test_annulus_hole_swallowing_the_ball_exits_3(self, tmp_path,
@@ -311,6 +367,30 @@ class TestLabelledFailures:
                          .read_text(encoding="utf-8"))
         assert rep["failure"] == {"stage": "scan", "n_rays": 1}
         assert rep["scan"]["success"] is False
+
+    def test_eigensolve_failure_exits_3_with_report(self, tmp_path, capsys,
+                                                    monkeypatch):
+        def fail(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.empty(0),
+                                           np.empty((0, 0)))
+
+        monkeypatch.setattr(spla, "eigsh", fail)
+        config = {
+            "p": 8.0, "alpha": 0.28,
+            "grid": {"type": "polar", "n_r": 24, "n_theta": 16},
+            "group": {"kind": "cyclic", "order": 4},
+            "outdir": str(tmp_path / "out"),
+        }
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["pipeline", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("lef pipeline: spectrum stage:")
+        rep = json.loads((tmp_path / "out" / "pipeline_report.json")
+                         .read_text(encoding="utf-8"))
+        assert rep["failure"]["stage"] == "spectrum"
+        assert "morse" not in rep
 
     def test_radial_solve_error_exits_3(self, tmp_path, capsys,
                                         monkeypatch):

@@ -106,6 +106,28 @@ class TestAnnulusShooting:
         with pytest.raises(RadialSolveError, match=r"p=5\.0.*u\(b\)/sup"):
             radial.solve_annulus(5.0, 0.3, 1.0)
 
+    @pytest.mark.parametrize("p, a, s", [(5.0, 0.3, 4.29),
+                                         (200.0, math.exp(-39.0), 0.0507)])
+    def test_slope_derivative_matches_central_difference(self, p, a, s):
+        h = 1e-4 * s
+        lo, mid, hi = (radial._shoot_annulus(p, math.log(a), 0.0, x, 1e-11)
+                       for x in (s - h, s, s + h))
+        assert all(sol.status == 0 for sol in (lo, mid, hi))  # reach r = 1
+        central = (hi.y[0, -1] - lo.y[0, -1]) / (2.0 * h)
+        assert mid.y[2, -1] == pytest.approx(central, rel=1e-6)
+
+    def test_warm_start_from_converged_slope(self, shots):
+        prof = radial.solve_annulus(8.0, 0.1, 1.0)
+        shots.clear()
+        again = radial.solve_annulus(8.0, 0.1, 1.0, slope=prof.slope)
+        assert len(shots) <= 2
+        assert again.slope == prof.slope
+        assert np.array_equal(again.u, prof.u)
+
+    def test_optimal_alpha_warm_starts(self, shots):
+        radial.optimal_alpha(200.0)
+        assert len(shots) <= 80
+
 
 class TestOmegaProfile:
     def test_closed_form_energy(self):
@@ -130,7 +152,7 @@ class TestOptimalAlpha:
     def test_beats_asymptotic_alpha_at_moderate_p(self):
         from lef import energy
         p = 8.0
-        a_star = radial.optimal_alpha(p)
+        a_star = radial.optimal_alpha(p).alpha
         a_bar = energy.minimize_f().alpha_bar
         assert 0.05 < a_star < 0.9
 
@@ -152,5 +174,5 @@ class TestOptimalAlpha:
     def test_approaches_asymptotic_minimizer(self):
         from lef import energy
         a_bar = energy.minimize_f().alpha_bar
-        a_200 = radial.optimal_alpha(200.0)
+        a_200 = radial.optimal_alpha(200.0).alpha
         assert abs(a_200 - a_bar) < 0.02
