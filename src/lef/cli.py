@@ -268,12 +268,21 @@ def _initial_field(spec: dict, grid, p: float, alpha):
                                                  ball=choice.ball)
         return flow.field_from_radial(grid, prof).scaled(scale)
     if kind == "annulus":
-        prof = radial.solve_annulus(p, spec["a"], spec.get("b", 1.0))
+        try:
+            a, b = float(spec["a"]), float(spec.get("b", 1.0))
+        except (KeyError, TypeError, ValueError):
+            a = b = math.nan
+        if not 0.0 < a < b:
+            raise ConfigError(f"initial annulus needs numbers 0 < a < b, got "
+                              f"a = {spec.get('a')!r}, b = "
+                              f"{spec.get('b', 1.0)!r}")
+        prof = radial.solve_annulus(p, a, b)
         return flow.field_from_radial(grid, prof).scaled(scale)
     if kind == "dump":
         field, _ = load_field(spec["path"])
         return field.scaled(scale)
-    raise ValueError(f"unknown initial datum type {kind!r}")
+    raise ConfigError(f"unknown initial datum type {kind!r}; allowed: "
+                      "ball, scaled-ball, annulus, dump")
 
 
 def run_flow(args) -> int:
@@ -296,6 +305,7 @@ def run_flow(args) -> int:
               "steps": int(len(traj.dts)),
               "energy_initial": float(traj.energies[0]),
               "energy_final": float(traj.energies[-1]),
+              "energy_defects": traj.energy_defects,
               "nodal_counts": traj.nodal_counts}
     (outdir / "flow_report.json").write_text(_json(report),
                                              encoding="utf-8")

@@ -2,9 +2,10 @@
 
 One step solves (W + dt K) v_{n+1} = W (v_n + dt |v_n|^{p-1} v_n): implicit
 backward-Euler diffusion (sparse LU, each grid owns its factorizations per
-step size), explicit reaction.  Steps that would raise the energy beyond
-roundoff slack are rejected and retried with a smaller dt, so the discrete
-energy is a Lyapunov functional by construction.
+step size), explicit reaction.  That is Eyre's convex splitting of the
+energy, so E(v_{n+1}) <= E(v_n) - dt ||(v_{n+1} - v_n)/dt||_W^2 at any dt:
+no step is rejected, an energy rise beyond roundoff is counted as a defect,
+and ``c_stab`` bounds dt where |v| is large for accuracy, not stability.
 
 With a symmetry group G the flow runs on the orbit grid
 ``grid.quotient(G)``.  Group elements are node permutations commuting with
@@ -14,7 +15,12 @@ the G-invariant flow, with one unknown per orbit instead of per node.
 Trajectories are classified as decay to zero, blow-up, convergence to a
 steady state (small elliptic residual) or time-out.  Negative energy is
 used as an early blow-up certificate: the energy decreases along the flow
-and no globally decaying trajectory can have E_p < 0.
+and no globally decaying trajectory can have E_p < 0.  Threshold probes
+also stop at a decay certificate (a discrete comparison principle): given
+the grid's Perron pair K psi >= mu W psi, psi > 0, max psi = 1, once
+M = max |v| / psi has M^{p-1} < mu every later step shrinks M by the factor
+(1 + dt M^{p-1}) / (1 + dt mu) < 1, as (W + dt K)^{-1} W >= 0 (an M-matrix
+inverse) and v -> v + dt |v|^{p-1} v is odd and increasing.
 
 Threshold initial data on the boundary of the attraction domain of zero
 are located by bisection along rays of initial data, with an outer scan
@@ -76,7 +82,7 @@ def field_from_radial(grid, profile, sign: float = 1.0,
 @dataclass(frozen=True)
 class FlowConfig:
     dt_max: float = 0.05
-    c_stab: float = 0.2            # explicit-reaction stability constant
+    c_stab: float = 0.2            # dt <= c_stab / (p sup^{p-1}), for accuracy
     t_max: float = 50.0
     decay_factor: float = 1e-6     # decay threshold, relative to initial sup
     blowup_factor: float = 1e4     # blow-up threshold, relative to initial sup
@@ -84,7 +90,6 @@ class FlowConfig:
     dt_min: float = 1e-12
     residual_every: int = 20       # elliptic-residual check cadence (steps)
     record_nodal_every: int = 0    # 0: off; else nodal count cadence (steps)
-    energy_slack: float = 1e-10    # relative per-step energy increase slack
 
 
 @dataclass
@@ -101,6 +106,8 @@ class Trajectory:
     # least-residual snapshot seen along the run (hovering near a saddle)
     best_snapshot: ScalarField | None = None
     best_residual: float = math.inf
+    # steps whose energy rose by more than 1e-10 max(|E|, 1) (roundoff)
+    energy_defects: int = 0
 
     @property
     def t_final(self) -> float:
@@ -124,8 +131,7 @@ def step(v: ScalarField, p: float, dt: float, *,
     rhs = v.values
     if reaction:
         rhs = rhs + dt * np.abs(v.values) ** (p - 1.0) * v.values
-    lu = _lu_for(grid, dt)
-    out = lu.solve(grid.weights * rhs)
+    out = _lu_for(grid, dt).solve(grid.weights * rhs)
     return ScalarField(grid, out, v.time_stamp + dt)
 
 
@@ -135,13 +141,14 @@ def _energy_of(grid, values: np.ndarray, p: float) -> float:
     return 0.5 * grad - lp1 / (p + 1.0)
 
 
-def _quantized_dt(dt_max: float, dt_target: float, extra_halvings: int) -> float:
+def _quantized_dt(dt_max: float, dt_target: float) -> float:
     k = max(0, math.ceil(math.log2(max(dt_max / max(dt_target, 1e-300), 1.0))))
-    return dt_max / 2.0 ** (k + extra_halvings)
+    return dt_max / 2.0 ** k
 
 
 def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
-           group: SymmetryGroup | None = None) -> Trajectory:
+           group: SymmetryGroup | None = None, *,
+           certify_decay: bool = False) -> Trajectory:
     """Time-step the flow from v0 until classification or t_max.
 
     With a group G the whole loop runs on the orbit grid
@@ -149,6 +156,9 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
     to the invariant subspace (their W-orthogonal orbit average) at t = 0,
     and the flow then stays exactly invariant.  Only the returned fields
     (final, best snapshot, nodal samples) are lifted back to ``v0.grid``.
+
+    DECAY means sup < decay_factor * sup0; with ``certify_decay`` also the
+    decay certificate (module docstring) on a grid with a Perron pair.
     """
     full = v0.grid
     grid = full if group is None else full.quotient(group)
@@ -157,50 +167,45 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
     def lifted(values, t):
         return ScalarField(full, grid.lift(values), v0.time_stamp + t)
 
-    sup0 = float(np.max(np.abs(v)))
+    sup = sup0 = float(np.max(np.abs(v)))
     if sup0 == 0.0:
         return Trajectory(np.array([0.0]), np.array([0.0]), np.array([0.0]),
                           np.array([]), np.array([]), Classification.STEADY,
                           lifted(v, 0.0), 0.0)
     decay_at = config.decay_factor * sup0
     blowup_at = config.blowup_factor * sup0
+    # decay certificate level for M (sup <= M, so sup is tested first)
+    perron = grid.perron if certify_decay else None
+    certify_at = 0.0 if perron is None else perron.mu ** (1.0 / (p - 1.0))
 
     E = _energy_of(grid, v, p)
     energy_scale = max(abs(E), grid.dirichlet_form(v))
     times, energies, sups = [0.0], [E], [sup0]
     vdots, dts, nodal_counts = [], [], []
-    t = 0.0
-    n_step = 0
-    extra = 0
-    cls = None
-    residual = math.inf
-    best_snapshot = None
-    best_residual = math.inf
+    t, n_step, defects = 0.0, 0, 0
+    residual, best_snapshot, best_residual = math.inf, None, math.inf
 
     def residual_of(values):
         return spectrum_mod.elliptic_residual(ScalarField(grid, values), p)
 
-    if E < -1e-9 * max(energy_scale, 1.0):
-        cls = Classification.BLOWUP
-
+    negative_at = -1e-9 * max(energy_scale, 1.0)  # blow-up certificate
+    cls = Classification.BLOWUP if E < negative_at else None
     while cls is None:
-        sup = float(np.max(np.abs(v)))
         dt_target = min(config.dt_max,
                         config.c_stab / max(p * sup ** (p - 1.0), 1e-300))
-        dt = _quantized_dt(config.dt_max, dt_target, extra)
+        dt = _quantized_dt(config.dt_max, dt_target)
         if dt < config.dt_min:
             cls = Classification.BLOWUP  # step-size underflow
             break
         nxt = step(ScalarField(grid, v), p, dt).values
-        if not np.all(np.isfinite(nxt)):
+        abs_v = np.abs(nxt)
+        sup = float(np.max(abs_v))  # nan or inf unless nxt is all finite
+        if not math.isfinite(sup):
             cls = Classification.BLOWUP
             break
         E_new = _energy_of(grid, nxt, p)
-        if E_new > E + config.energy_slack * abs(E):
-            extra += 1
-            continue
-        if extra > 0 and n_step % 16 == 15:
-            extra -= 1
+        if E_new - E > 1e-10 * max(abs(E), 1.0):
+            defects += 1
 
         vdots.append(float(grid.weights @ ((nxt - v) / dt) ** 2))
         dts.append(dt)
@@ -210,18 +215,18 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
         E = E_new
         times.append(t)
         energies.append(E)
-        sup = float(np.max(np.abs(v)))
         sups.append(sup)
 
         if config.record_nodal_every and n_step % config.record_nodal_every == 0:
             dec = nodal_mod.decompose(lifted(v, t))
             nodal_counts.append((t, dec.n_domains))
 
-        if sup < decay_at:
+        if sup < decay_at or (sup < certify_at
+                              and np.max(abs_v / perron.psi) < certify_at):
             cls = Classification.DECAY
         elif sup > blowup_at:
             cls = Classification.BLOWUP
-        elif E < -1e-9 * max(energy_scale, 1.0):
+        elif E < negative_at:
             cls = Classification.BLOWUP
         elif n_step % config.residual_every == 0:
             residual = residual_of(v)
@@ -240,7 +245,7 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
         best_snapshot, best_residual = final, residual
     return Trajectory(np.array(times), np.array(energies), np.array(sups),
                       np.array(vdots), np.array(dts), cls, final, residual,
-                      nodal_counts, best_snapshot, best_residual)
+                      nodal_counts, best_snapshot, best_residual, defects)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +256,9 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
 # width in rad of the mixing-angle bracket.  Past it v0's energy moves less
 # than the lambda bisection resolves.
 WIDTH_TOL = 1e-3
+# Elliptic residual up to which a threshold result's candidate counts as
+# converged: only those are scan candidates or carry a sign.
+CONVERGED_RESIDUAL = 1e-6
 
 
 class BracketError(RuntimeError):
@@ -274,10 +282,13 @@ class ThresholdResult:
     datum_residual: float = math.inf
 
     def best_sign_changing(self) -> tuple[ScalarField | None, float]:
+        """The converged sign-changing candidate of least residual, or
+        (None, inf)."""
         out, res = None, math.inf
         for cand, r in ((self.omega_candidate, self.residual),
                         (self.datum_candidate, self.datum_residual)):
-            if cand is not None and r < res and _is_sign_changing(cand.values):
+            if (cand is not None and r <= CONVERGED_RESIDUAL and r < res
+                    and _is_sign_changing(cand.values)):
                 out, res = cand, r
         return out, res
 
@@ -293,10 +304,9 @@ class ThresholdResult:
 
 
 def _is_sign_changing(values: np.ndarray, rel_tol: float = 1e-3) -> bool:
-    sup = float(np.max(np.abs(values))) if values.size else 0.0
-    if sup == 0.0:
+    if not values.size:
         return False
-    t = rel_tol * sup
+    t = rel_tol * float(np.max(np.abs(values)))
     return bool(np.min(values) < -t and np.max(values) > t)
 
 
@@ -322,18 +332,16 @@ def threshold_bisect(direction: ScalarField, p: float,
     blow = {"lam": math.inf, "sign": 0}
 
     def classify(lam: float) -> str:
-        traj = evolve(direction.scaled(lam), p, config, group)
+        traj = evolve(direction.scaled(lam), p, config, group,
+                      certify_decay=True)
         probes.append((lam, traj.classification))
         if traj.best_snapshot is not None and traj.best_residual < best["res"]:
             best["field"], best["res"] = traj.best_snapshot, traj.best_residual
         if traj.classification == Classification.BLOWUP:
             if lam < blow["lam"]:
-                v = traj.final.values
-                mask = np.isfinite(v)
-                if np.any(mask):
-                    vv = np.where(mask, v, 0.0)
-                    blow["lam"] = lam
-                    blow["sign"] = int(np.sign(vv[np.argmax(np.abs(vv))]))
+                v = np.nan_to_num(traj.final.values)
+                blow["lam"] = lam
+                blow["sign"] = int(np.sign(v[np.argmax(np.abs(v))]))
             return "blow"
         if traj.classification == Classification.STEADY:
             return "steady"
@@ -390,29 +398,22 @@ def threshold_bisect(direction: ScalarField, p: float,
         return dataclasses.replace(fld, values=values), pres
 
     v0 = direction.scaled(lam_star)
-    candidate = None
-    residual = math.inf
-    if best["field"] is not None:
-        candidate = best["field"]
-        residual = best["res"]
-        if polish and candidate.sup > 0:
-            polished, pres = _polish(candidate)
-            if pres < residual:
-                candidate, residual = polished, pres
+    candidate, residual = best["field"], best["res"]
+    if polish and candidate is not None and candidate.sup > 0:
+        polished, pres = _polish(candidate)
+        if pres < residual:
+            candidate, residual = polished, pres
 
-    datum_candidate = None
-    datum_residual = math.inf
+    datum_candidate, datum_residual = None, math.inf
     if polish:
         polished, pres = _polish(v0)
-        if pres < 1e-6 and polished.sup > 0:
+        if pres < CONVERGED_RESIDUAL and polished.sup > 0:
             datum_candidate, datum_residual = polished, pres
 
-    return ThresholdResult(lam_star, v0, candidate,
-                           width,
-                           residual,
-                           candidate is not None
-                           and _is_sign_changing(candidate.values),
-                           probes, blow["sign"],
+    sign_changing = (candidate is not None
+                     and _is_sign_changing(candidate.values))
+    return ThresholdResult(lam_star, v0, candidate, width, residual,
+                           sign_changing, probes, blow["sign"],
                            datum_candidate, datum_residual)
 
 
@@ -433,15 +434,14 @@ class RayScanResult:
         return self.best_candidate is not None
 
 
-def _candidate_sign(res: ThresholdResult, residual_tol: float = 1e-6) -> int:
+def _candidate_sign(res: ThresholdResult) -> int:
     """+1 / -1 for converged one-signed candidates, else 0.
 
     Unconverged snapshots (left over from a run that simply decayed) carry
     no usable sign information and must not steer the angle refinement.
     """
-    if res.omega_candidate is None or res.omega_candidate.sup == 0.0:
-        return 0
-    if res.sign_changing or res.residual > residual_tol:
+    if (res.omega_candidate is None or res.omega_candidate.sup == 0.0
+            or res.sign_changing or res.residual > CONVERGED_RESIDUAL):
         return 0
     return 1 if float(np.max(res.omega_candidate.values)) > 0 else -1
 
@@ -452,8 +452,7 @@ def _transition_sign(res: ThresholdResult) -> int:
     A converged one-signed omega-candidate carries the sign directly;
     otherwise the sign of the blow-up closest to the threshold is used.
     """
-    s = _candidate_sign(res)
-    return s if s != 0 else res.blowup_sign
+    return _candidate_sign(res) or res.blowup_sign
 
 
 def _ray_runner(u1: ScalarField, u2: ScalarField, p: float,

@@ -11,21 +11,30 @@ grid of G-orbits of those nodes: the same surface in orbit coordinates,
 on which the G-invariant fields live with one unknown per orbit.
 
 All objects here are immutable after construction, apart from the caches
-a grid fills on demand (group permutations, orbit grids, and the step
-factorizations that the flow module stores in ``step_factors``).
+a grid fills on demand (group permutations, orbit grids, the Perron pair
+``grid.perron`` and the step factorizations that the flow module stores in
+``step_factors``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 COINCIDENCE_TOL = 1e-12
+# Perron pair: inverse iteration stops once the Collatz-Wielandt bracket
+# [min, max] of (K psi)_i / (w_i psi_i) is this narrow (relative), or after
+# PERRON_MAX_ITER solves; mu is the bracket's lower end shrunk by
+# PERRON_SAFETY, which absorbs the roundoff of K psi.
+PERRON_BRACKET_TOL = 1e-9
+PERRON_MAX_ITER = 500
+PERRON_SAFETY = 1e-6
 
 
 class ConfigError(ValueError):
@@ -240,6 +249,42 @@ def check_admissible(G: SymmetryGroup, domain: DomainSpec,
 # grids
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class PerronPair:
+    """A positive field psi (max 1) and mu > 0 with K psi >= mu W psi
+    entrywise: a lower bound for the first Dirichlet eigenvalue lambda_1 of
+    the pencil (K, W), and psi close to its eigenfunction."""
+
+    psi: np.ndarray
+    mu: float
+
+
+def _perron_pair(stiffness: sp.csr_matrix,
+                 weights: np.ndarray) -> PerronPair | None:
+    """Inverse iteration psi <- K^{-1} W psi / ||.||_inf from psi = 1.
+
+    None unless every off-diagonal entry of K is <= 0.  Then K is a
+    Stieltjes matrix, K^{-1} >= 0 entrywise and every iterate is positive;
+    mu is certified by the Collatz-Wielandt bound
+    min_i (K psi)_i / (w_i psi_i) <= lambda_1 however far the iteration got.
+    """
+    coo = stiffness.tocoo()
+    if np.any(coo.data[coo.row != coo.col] > 0.0):
+        return None
+    lu = splu(stiffness.tocsc())
+    psi = np.ones(stiffness.shape[0])
+    for _ in range(PERRON_MAX_ITER):
+        psi = lu.solve(weights * psi)
+        psi /= np.max(psi)
+        ratio = (stiffness @ psi) / (weights * psi)
+        lo, hi = float(np.min(ratio)), float(np.max(ratio))
+        if hi - lo <= PERRON_BRACKET_TOL * lo:
+            break
+    if not (lo > 0.0 and np.all(psi > 0.0)):
+        return None
+    return PerronPair(psi, (1.0 - PERRON_SAFETY) * lo)
+
+
 def _group_key(G: SymmetryGroup) -> tuple:
     return (G.kind, G.order_h, round(G.axis_angle, 12))
 
@@ -277,6 +322,13 @@ class _GridBase:
 
     def weighted_norm(self, v: np.ndarray) -> float:
         return math.sqrt(float(self.weights @ (v * v)))
+
+    @cached_property
+    def perron(self) -> PerronPair | None:
+        """Positive first-eigenvector approximation psi and a certified
+        lower bound mu of lambda_1 (cached); None when K has a positive
+        off-diagonal entry, i.e. is not an M-matrix."""
+        return _perron_pair(self.stiffness, self.weights)
 
     # -- adjacency / flood fill -------------------------------------------
 

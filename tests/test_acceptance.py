@@ -151,6 +151,25 @@ def test_criterion_06_lyapunov_dissipation(ball_field_p5):
             f"dE/dt vs -||v_t||^2 worst rel dev {rate_worst:.3f} < 0.10")
 
 
+@pytest.mark.parametrize("dt_max", [0.05, 1.0])
+def test_eyre_inequality_at_any_step_size(dt_max):
+    """The IMEX step is Eyre's convex splitting, so even with c_stab = 1e9
+    (dt = dt_max on every step) each step lowers the energy by at least
+    dt ||(v_{n+1} - v_n)/dt||_W^2, up to roundoff."""
+    g = geometry.PolarGrid(64, 32)
+    ball = flow.field_from_radial(g, radial.solve_ball(5.0))
+    cfg = flow.FlowConfig(c_stab=1e9, dt_max=dt_max)
+    for lam, expected in ((0.5, flow.Classification.DECAY),
+                          (1.02, flow.Classification.BLOWUP)):
+        tr = flow.evolve(ball.scaled(lam), 5.0, cfg)
+        assert tr.classification == expected
+        assert len(tr.dts) >= 2 and np.all(tr.dts == dt_max)
+        dE = np.diff(tr.energies)
+        roundoff = 1e-10 * np.maximum(np.abs(tr.energies[:-1]), 1.0)
+        assert np.all(dE <= -tr.dts * tr.vdot_sq + roundoff)
+        assert tr.energy_defects == 0
+
+
 def test_criterion_07_threshold_oracle_equivalence():
     p = 5.0
     g = geometry.PolarGrid(256, 64)

@@ -171,6 +171,33 @@ class TestFlowCommand:
         assert cli.main(["flow", "--config", str(cfg_path)]) == 0
         assert solves == []
 
+    def test_report_counts_energy_defects(self, tmp_path):
+        cfg_path = _ball_flow_config(tmp_path)
+        assert cli.main(["flow", "--config", str(cfg_path)]) == 0
+        rep = json.loads((tmp_path / "out" / "flow_report.json").read_text())
+        assert rep["energy_defects"] == 0
+
+    @pytest.mark.parametrize("initial, message", [
+        ({"type": "hexagon"}, "unknown initial datum type 'hexagon'"),
+        ({"type": "annulus", "a": 1.2},
+         "initial annulus needs numbers 0 < a < b, got a = 1.2, b = 1.0"),
+    ], ids=["unknown-type", "annulus-a-above-b"])
+    def test_bad_initial_datum_exits_2_before_any_shot(
+            self, tmp_path, capsys, monkeypatch, initial, message):
+        shots = []
+        monkeypatch.setattr(radial, "solve_ivp",
+                            lambda *a, **kw: shots.append(a))
+        config = {"p": 5.0,
+                  "grid": {"type": "polar", "n_r": 16, "n_theta": 8},
+                  "initial": initial, "outdir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["flow", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("lef flow: ") and message in err[0]
+        assert shots == []
+
 
 @pytest.fixture(scope="module")
 def polished_ball():

@@ -294,6 +294,28 @@ class TestAngleBisection:
         else:
             assert isinstance(last, str) and "bracket" in last
 
+    def test_unconverged_candidate_does_not_end_the_scan(self, fake_rays):
+        # the only sign-changing candidate, on the third fan ray, is
+        # unconverged (residual 26.6): the scan still bisects the angle
+        u1, u2, probed, install = fake_rays
+        field = flow.ScalarField(u1.grid, np.array([1.0, -1.0]))
+
+        def rule(theta):
+            if abs(theta - FAN[2]) > 1e-12:
+                return _angle_sign(theta)
+            return flow.ThresholdResult(1.0, field, field, flow.WIDTH_TOL,
+                                        26.6, True, [], _angle_sign(theta))
+
+        install(rule)
+        scan = flow.ray_scan(u1, u2, 8.0)
+        unconverged = dict(scan.all_results)[FAN[2]]
+        assert unconverged.omega_candidate is field
+        assert unconverged.best_sign_changing() == (None, math.inf)
+        assert not scan.success
+        assert len(scan.all_results) == len(probed) == len(FAN) + 8
+        lo, hi = _final_bracket(scan.all_results)
+        assert lo < THETA_STAR < hi and hi - lo <= flow.WIDTH_TOL
+
     def test_no_flip_returns_none(self, fake_rays):
         u1, u2, probed, install = fake_rays
         install(lambda theta: 1)
@@ -301,3 +323,103 @@ class TestAngleBisection:
         probed.clear()
         assert flow.refine_transition(u1, u2, 8.0, scan) is None
         assert probed == []
+
+
+def _certificate_grid(name):
+    """(grid the flow runs on, full grid, group) for the certificate tests."""
+    if name == "disk":
+        g = geometry.PolarGrid(24, 16)
+        return g, g, None
+    if name == "disk-c4":
+        g = geometry.PolarGrid(24, 16)
+        return g.quotient(geometry.cyclic(4)), g, geometry.cyclic(4)
+    if name == "squircle-d4":
+        g = geometry.CartesianMaskedGrid(geometry.squircle_mask(), 24)
+        return g.quotient(geometry.dihedral(4)), g, geometry.dihedral(4)
+    g = geometry.PolarGrid(24, 16, r_in=0.3)
+    return g, g, None
+
+
+CERTIFICATE_GRIDS = ["disk", "disk-c4", "squircle-d4", "annulus"]
+
+
+def _m_of(grid, values):
+    """M max psi, with M = max |v| / psi."""
+    psi = grid.perron.psi
+    return float(np.max(np.abs(values) / psi)) * float(np.max(psi))
+
+
+class TestDecayCertificate:
+    @pytest.mark.parametrize("name", CERTIFICATE_GRIDS)
+    def test_perron_pair_bounds_lambda_1(self, name):
+        grid, _, _ = _certificate_grid(name)
+        pair = grid.perron
+        assert grid.perron is pair  # cached
+        assert np.all(pair.psi > 0) and np.max(pair.psi) == 1.0
+        k_psi = grid.stiffness @ pair.psi
+        assert np.all(k_psi >= pair.mu * grid.weights * pair.psi)
+        lam1 = spectrum.lowest_eigenpairs(grid.stiffness, grid, 1)[0][0]
+        # mu is the Collatz-Wielandt lower bound times (1 - PERRON_SAFETY);
+        # the bound itself is within 1e-6 relative of lambda_1
+        assert pair.mu < lam1
+        assert pair.mu >= (1.0 - geometry.PERRON_SAFETY) * (1.0 - 1e-6) * lam1
+
+    @pytest.mark.parametrize("name", CERTIFICATE_GRIDS)
+    def test_certified_state_keeps_decaying(self, name):
+        grid, full, G = _certificate_grid(name)
+        p = 3.0
+        r_in = getattr(full, "r_in", 0.0)
+        th = np.arctan2(full.xy[:, 1], full.xy[:, 0])
+        vals = (ring_bump(full, r_in + 0.05, 0.95).values
+                * (1.0 + 0.3 * np.cos(4 * th)))
+        v0 = flow.ScalarField(full, 0.5 * vals)
+        cfg = FlowConfig(t_max=50.0)
+        tr = flow.evolve(v0, p, cfg, G, certify_decay=True)
+        assert tr.classification == Classification.DECAY
+        # the certificate fired before the sup test would have
+        decay_at = cfg.decay_factor * tr.sup_norms[0]
+        assert tr.sup_norms[-1] > decay_at
+        assert len(tr.dts) < len(flow.evolve(v0, p, cfg, G).dts)
+        v = grid.restrict(tr.final.values)
+        m = _m_of(grid, v)
+        assert m ** (p - 1.0) < grid.perron.mu
+        for _ in range(10_000):
+            v = flow.step(flow.ScalarField(grid, v), p, cfg.dt_max).values
+            m_next = _m_of(grid, v)
+            assert m_next < m
+            m = m_next
+            if np.max(np.abs(v)) < decay_at:
+                break
+        assert np.max(np.abs(v)) < decay_at
+
+    @pytest.mark.parametrize("name", ["disk", "disk-c4"])
+    def test_never_fires_on_a_steady_state(self, name):
+        grid, full, G = _certificate_grid(name)
+        u, res = spectrum.newton_polish(
+            flow.field_from_radial(full, radial.solve_ball(5.0)), 5.0)
+        assert res < 1e-10
+        m = _m_of(grid, grid.restrict(u.values))
+        assert m ** 4.0 >= grid.perron.mu
+        tr = flow.evolve(u, 5.0, FlowConfig(t_max=5.0), G,
+                         certify_decay=True)
+        assert tr.classification == Classification.STEADY
+
+    def test_no_m_matrix_keeps_the_sup_test(self):
+        grid = geometry.PolarGrid(24, 16)
+        k = grid.stiffness.tolil()
+        k[0, 1] = k[1, 0] = 0.1   # an angular neighbour pair; still SPD
+        grid.stiffness = k.tocsr()
+        assert grid.perron is None
+        direction = flow.field_from_radial(grid, radial.solve_ball(3.0))
+        cfg = FlowConfig(t_max=20.0)
+        res = flow.threshold_bisect(direction, 3.0, cfg, polish=False,
+                                    width_tol=0.05)
+        assert any(c == Classification.DECAY for _, c in res.probes)
+        for lam, cls in res.probes:
+            plain = flow.evolve(direction.scaled(lam), 3.0, cfg)
+            certified = flow.evolve(direction.scaled(lam), 3.0, cfg,
+                                    certify_decay=True)
+            assert plain.classification == cls
+            assert len(certified.dts) == len(plain.dts)
+            assert np.array_equal(certified.final.values, plain.final.values)
+
