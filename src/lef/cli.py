@@ -24,8 +24,8 @@ import numpy as np
 
 from . import energy, flow, nodal, radial, spectrum
 from .geometry import (CartesianMaskedGrid, ConfigError, DomainSpec,
-                       PolarGrid, SymmetryGroup, check_admissible, cyclic,
-                       dihedral)
+                       PolarGrid, SymmetryGroup, check_admissible,
+                       config_number, cyclic, dihedral)
 
 
 def _np_default(obj):
@@ -149,10 +149,7 @@ def _run_setup(config: dict, flow_default, group_default):
 def _exponent(value) -> float:
     """The exponent p from a config or the command line; ConfigError
     unless it is a finite number > 1."""
-    try:
-        p = float(value)
-    except (TypeError, ValueError):
-        p = math.nan
+    p = config_number(value)
     if not 1.0 < p < math.inf:
         raise ConfigError(f"p must be a finite number > 1, got {value!r}")
     return p
@@ -171,11 +168,8 @@ def _alpha_policy(alpha, p: float):
                 f"alpha*p = {top * p:g} at p = {p:g} exceeds the amplitude "
                 f"guard {guard:g}")
         return "optimal"
-    try:
-        value = (energy.minimize_f().alpha_bar if alpha == "asymptotic"
-                 else float(alpha))
-    except (TypeError, ValueError):
-        value = math.nan
+    value = (energy.minimize_f().alpha_bar if alpha == "asymptotic"
+             else config_number(alpha))
     if not value > 0.0:
         raise ConfigError(f"alpha must be a number > 0, 'optimal' or "
                           f"'asymptotic', got {alpha!r}")
@@ -186,13 +180,13 @@ def _alpha_policy(alpha, p: float):
 
 
 def _resolve_alpha(alpha, p: float) -> radial.AlphaChoice:
-    """Numeric alpha, or a named policy: 'optimal' minimizes the measured
-    two-profile sum at this p and keeps the profiles solved there,
+    """The two profiles at a numeric alpha, or at a named policy's:
+    'optimal' minimizes the measured two-profile sum at this p,
     'asymptotic' uses the limit optimizer."""
     policy = _alpha_policy(alpha, p)
     if policy == "optimal":
         return radial.optimal_alpha(p)
-    return radial.AlphaChoice(policy)
+    return radial.profiles_at(p, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +228,9 @@ def run_radial_sweep(args) -> int:
         _alpha_policy(args.alpha, p)
     lines = ["p,alpha,pE_annulus,pE_ball,total,bound,delta"]
     for p in p_list:
-        choice = _resolve_alpha(args.alpha, p)
-        alpha = choice.alpha
-        rep = energy.upper_bound_report(p, alpha=alpha, slope=choice.slope,
-                                        ball=choice.ball)
+        rep = energy.upper_bound_report(_resolve_alpha(args.alpha, p))
         delta = rep.total / rep.bound
-        lines.append(f"{p:g},{alpha:.10g},{rep.p_energy_annulus:.10g},"
+        lines.append(f"{p:g},{rep.alpha:.10g},{rep.p_energy_annulus:.10g},"
                      f"{rep.p_energy_ball:.10g},{rep.total:.10g},"
                      f"{rep.bound:.10g},{delta:.10g}")
     text = "\n".join(lines) + "\n"
@@ -256,22 +247,24 @@ def run_radial_sweep(args) -> int:
 
 def _initial_field(spec: dict, grid, p: float, alpha):
     """The configured initial datum; ``alpha`` is the unresolved config
-    value, resolved only by the datum that uses it."""
+    value, resolved only by the datum that uses it (a numeric alpha needs
+    no annulus)."""
     kind = spec.get("type", "ball")
     scale = spec.get("scale", 1.0)
     if kind == "ball":
         prof = radial.solve_ball(p)
         return flow.field_from_radial(grid, prof).scaled(scale)
     if kind == "scaled-ball":
-        choice = _resolve_alpha(alpha, p)
-        prof = radial.build_ball_solution_scaled(p, choice.alpha,
-                                                 ball=choice.ball)
+        alpha = _alpha_policy(alpha, p)
+        if alpha == "optimal":
+            choice = radial.optimal_alpha(p)
+            alpha, ball = choice.alpha, choice.ball
+        else:
+            ball = radial.solve_ball(p)
+        prof = radial.build_ball_solution_scaled(p, alpha, ball)
         return flow.field_from_radial(grid, prof).scaled(scale)
     if kind == "annulus":
-        try:
-            a, b = float(spec["a"]), float(spec.get("b", 1.0))
-        except (KeyError, TypeError, ValueError):
-            a = b = math.nan
+        a, b = config_number(spec.get("a")), config_number(spec.get("b", 1.0))
         if not 0.0 < a < b:
             raise ConfigError(f"initial annulus needs numbers 0 < a < b, got "
                               f"a = {spec.get('a')!r}, b = "
@@ -319,13 +312,8 @@ def run_flow(args) -> int:
 
 def _audit_candidate(cand: flow.ScalarField, p: float, group, grid) -> dict:
     dec = nodal.decompose(cand)
-    origin = None
-    if getattr(grid, "origin_ring", None) is not None or \
-            isinstance(grid, CartesianMaskedGrid):
-        try:
-            origin = nodal.contains_origin(dec)
-        except ValueError:
-            origin = None
+    origin = (nodal.contains_origin(dec) if grid.origin_ring is not None
+              else None)
     audit = {
         "elliptic_residual": spectrum.elliptic_residual(cand, p),
         "nodal_count": dec.n_domains,
@@ -369,11 +357,9 @@ def run_pipeline(args) -> int:
 
     choice = _resolve_alpha(config.get("alpha", "optimal"), p)
     alpha = report["alpha"] = choice.alpha
-    inner = radial.build_ball_solution_scaled(p, alpha, ball=choice.ball)
-    outer = radial.solve_annulus(p, math.exp(-alpha * p), 1.0,
-                                 slope=choice.slope)
+    inner = radial.build_ball_solution_scaled(p, alpha, choice.ball)
     f1 = flow.field_from_radial(grid, inner)
-    f2 = flow.field_from_radial(grid, outer, sign=-1.0)
+    f2 = flow.field_from_radial(grid, choice.annulus, sign=-1.0)
     if not (np.any(f1.values) and np.any(f2.values)):
         # e.g. an annulus whose hole swallows the ball of radius e^{-alpha p}
         rho = math.exp(-alpha * p)
@@ -460,13 +446,7 @@ def run_pipeline(args) -> int:
                          "v0": str(outdir / "v0.bin")}
 
     try:
-        spec_rep = spectrum.morse_index(candidate, p, group)
-        report["morse"] = spec_rep.to_dict()
-        if isinstance(grid, PolarGrid):
-            mu, mu_info = spectrum.half_domain_mu(candidate, p)
-            report["morse"]["half_domain_mu"] = mu
-            report["morse"]["odd_extension_residual"] = \
-                mu_info["odd_extension_residual"]
+        report["morse"] = _morse_report(candidate, p, group)
     except (spectrum.EigenSolveError, spectrum.NotSteadyError) as exc:
         report["failure"] = {"stage": "spectrum", "error": str(exc)}
         return _stage_failure(report, outdir, f"spectrum stage: {exc}")
@@ -485,6 +465,17 @@ def run_pipeline(args) -> int:
 # spectrum
 # ---------------------------------------------------------------------------
 
+def _morse_report(field: flow.ScalarField, p: float, group,
+                  k: int = 12) -> dict:
+    """The Morse report of a steady field, with the half-domain eigenvalue
+    and the residual of its odd extension."""
+    out = spectrum.morse_index(field, p, group, k=k).to_dict()
+    mu, info = spectrum.half_domain_mu(field, p)
+    out["half_domain_mu"] = mu
+    out["odd_extension_residual"] = info["odd_extension_residual"]
+    return out
+
+
 def run_spectrum(args) -> int:
     if args.k < 1:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
@@ -497,15 +488,10 @@ def run_spectrum(args) -> int:
         kind, order = args.group.split(":")
         group = _build_group({"kind": kind, "order": int(order)})
     try:
-        rep = spectrum.morse_index(field, float(p), group, k=args.k)
+        out = _morse_report(field, float(p), group, args.k)
     except spectrum.NotSteadyError as exc:
         print(f"lef spectrum: {exc}", file=sys.stderr)
         return 4
-    out = rep.to_dict()
-    if isinstance(field.grid, PolarGrid):
-        mu, info = spectrum.half_domain_mu(field, float(p))
-        out["half_domain_mu"] = mu
-        out["odd_extension_residual"] = info["odd_extension_residual"]
     print(_json(out))
     return 0
 

@@ -154,25 +154,17 @@ class UpperBoundReport:
         return dataclasses.asdict(self)
 
 
-def upper_bound_report(p: float, alpha: float | None = None,
-                       b: float = 1.0, slope: float | None = None,
-                       ball=None) -> UpperBoundReport:
+def upper_bound_report(choice) -> UpperBoundReport:
     """p E_p of the annulus and scaled-ball solutions vs the sharp bound.
 
-    ``alpha=None`` uses the optimal alpha from :func:`minimize_f`.
-    ``slope`` starts the annulus shooting and ``ball`` is the solution
-    ``radial.solve_ball(p, 1)``, as ``radial.optimal_alpha`` returns them;
-    without them both profiles are solved from scratch.
+    ``choice`` is a ``radial.AlphaChoice``: the profiles at one alpha, as
+    ``radial.profiles_at`` and ``radial.optimal_alpha`` return them.
     """
     from . import radial  # deferred: radial imports EnergyReport from here
 
-    if p <= 1:
-        raise ValueError("need p > 1")
-    if alpha is None:
-        alpha = minimize_f().alpha_bar
-    prof1 = radial.solve_annulus(p, math.exp(-alpha * p), b, slope=slope)
-    rep1 = radial.radial_energy(prof1, p)
-    rep2 = radial.ball_scaled_energy(p, alpha, ball=ball)
+    p, alpha = choice.annulus.p, choice.alpha
+    rep1 = radial.radial_energy(choice.annulus, p)
+    rep2 = radial.ball_scaled_energy(p, alpha, choice.ball)
     return UpperBoundReport(p, alpha, rep1.scaled_energy, rep2.scaled_energy,
                             rep1.scaled_energy + rep2.scaled_energy,
                             UPPER_BOUND_CONST)

@@ -38,7 +38,7 @@ PERRON_SAFETY = 1e-6
 
 
 class ConfigError(ValueError):
-    """A config names a key or value the program does not know."""
+    """A config names a key or value the program does not accept."""
 
 
 class GridSymmetryError(ValueError):
@@ -90,10 +90,6 @@ class SymmetryGroup:
             mats += [_reflection(self.axis_angle + math.pi * k / h)
                      for k in range(h)]
         return mats
-
-    @property
-    def has_reflection(self) -> bool:
-        return self.kind == "dihedral"
 
 
 def cyclic(h: int) -> SymmetryGroup:
@@ -159,15 +155,23 @@ class DomainSpec:
     @staticmethod
     def from_config(spec: dict) -> "DomainSpec":
         """Build a domain from its config dict (type disk, annulus or
-        squircle); an unknown type raises ConfigError."""
+        squircle); an unknown type, or radii that are not numbers with
+        0 < radius and 0 < a < b, raise ConfigError."""
         kind = spec.get("type", "disk")
-        if kind == "disk":
-            return DomainSpec.disk(spec.get("radius", 1.0))
+        if kind in ("disk", "squircle"):
+            radius = config_number(spec.get("radius", 1.0))
+            if not 0.0 < radius < math.inf:
+                raise ConfigError(f"domain {kind!r} needs a number radius "
+                                  f"> 0, got {spec['radius']!r}")
+            return (DomainSpec.disk(radius) if kind == "disk" else
+                    squircle_mask(radius, spec.get("power", 4.0)))
         if kind == "annulus":
-            return DomainSpec.annulus(spec["a"], spec.get("b", 1.0))
-        if kind == "squircle":
-            return squircle_mask(spec.get("radius", 1.0),
-                                 spec.get("power", 4.0))
+            a, b = config_number(spec["a"]), config_number(spec.get("b", 1.0))
+            if not 0.0 < a < b < math.inf:
+                raise ConfigError(f"domain 'annulus' needs numbers 0 < a < b, "
+                                  f"got a = {spec['a']!r}, b = "
+                                  f"{spec.get('b', 1.0)!r}")
+            return DomainSpec.annulus(a, b)
         raise ConfigError(f"unknown domain type {kind!r}; "
                           "allowed: disk, annulus, squircle")
 
@@ -219,6 +223,14 @@ class DomainSpec:
         if self.shape == "annulus":
             return (r > self.inner_radius) & (r < self.radius)
         return np.asarray(self.mask_fn(pts), dtype=bool)
+
+
+def config_number(value) -> float:
+    """A config or command-line value as a float; nan if it is no number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return math.nan
 
 
 def check_admissible(G: SymmetryGroup, domain: DomainSpec,

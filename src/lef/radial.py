@@ -35,8 +35,11 @@ from .energy import EnergyReport
 ENDPOINT_TOL = 1e-10
 AMPLITUDE_EXPONENT_GUARD = 600.0  # reject alpha * p beyond this
 ALPHA_BOUNDS = (0.05, 0.9)  # the interval optimal_alpha searches
+ALPHA_XATOL = 1e-5  # optimal_alpha's absolute tolerance in alpha
 MAX_SHOTS = 100  # per annulus solve
 DENSE_RATIO = 1e-4  # |u(b)| / sup below which Newton is about to converge
+N_SAMPLES = 4096  # samples of every solved or explicit profile
+RTOL = 1e-11  # relative tolerance of every radial integration
 
 
 class RadialSolveError(RuntimeError):
@@ -151,7 +154,7 @@ def _make_rhs(p: float):
     return rhs
 
 
-def _integrate_ball_log(p: float, rtol: float = 1e-11):
+def _integrate_ball_log(p: float):
     """Integrate from u(0)=1 in t = log r up to the first zero.
 
     Returns (solution_bunch, t_start, t_zero).
@@ -171,7 +174,7 @@ def _integrate_ball_log(p: float, rtol: float = 1e-11):
     t_end = t_start + max(40.0, 0.3 * p + 40.0)
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_ivp(rhs, (t_start, t_end), y0, method="DOP853",
-                        rtol=rtol, atol=1e-14, events=hit_zero,
+                        rtol=RTOL, atol=1e-14, events=hit_zero,
                         dense_output=True)
     if not sol.t_events[0].size:
         raise RadialSolveError(
@@ -180,72 +183,65 @@ def _integrate_ball_log(p: float, rtol: float = 1e-11):
     return sol, t_start, float(sol.t_events[0][0])
 
 
-def solve_ball(p: float, R: float = 1.0, n_samples: int = 4096,
-               rtol: float = 1e-11) -> RadialProfile:
-    """Positive radial solution on the ball of radius R with u(R) = 0.
+def solve_ball(p: float) -> RadialProfile:
+    """Positive radial solution on the unit ball with u(1) = 0.
 
     Integrates from the center with unit amplitude, locates the first zero
-    r0 and applies the exact similarity rescaling with lambda = r0 / R.
+    r0 and applies the exact similarity rescaling with lambda = r0.
     """
     if p <= 1:
         raise ValueError("need p > 1")
-    if R <= 0:
-        raise ValueError("need R > 0")
-    sol, t_start, t_zero = _integrate_ball_log(p, rtol)
-    lam = math.exp(t_zero) / R  # can be huge; amplitude below stays finite
+    sol, t_start, t_zero = _integrate_ball_log(p)
+    lam = math.exp(t_zero)  # can be huge; amplitude below stays finite
     amp = lam ** (2.0 / (p - 1.0))
 
-    t_s = np.linspace(t_start, t_zero, n_samples - 1)
+    t_s = np.linspace(t_start, t_zero, N_SAMPLES - 1)
     y = sol.sol(t_s)
     u_t, ut_t = y[0], y[1]
     u_t[-1] = 0.0  # exact Dirichlet endpoint
     r_unscaled = np.exp(t_s)
 
-    r = np.empty(n_samples)
-    u = np.empty(n_samples)
-    du = np.empty(n_samples)
+    r = np.empty(N_SAMPLES)
+    u = np.empty(N_SAMPLES)
+    du = np.empty(N_SAMPLES)
     r[0], u[0], du[0] = 0.0, amp, 0.0
     r[1:] = r_unscaled / lam
     u[1:] = amp * u_t
     du[1:] = amp * ut_t / (r_unscaled / lam)
-    r[-1] = R
-    return RadialProfile(r, u, du, 0.0, R, p)
+    r[-1] = 1.0
+    return RadialProfile(r, u, du, 0.0, 1.0, p)
 
 
-def ball_energy(p: float, R: float = 1.0) -> EnergyReport:
+def ball_energy(p: float) -> EnergyReport:
     """Energy report of the positive ball solution."""
-    return radial_energy(solve_ball(p, R), p)
+    return radial_energy(solve_ball(p), p)
 
 
 def build_ball_solution_scaled(p: float, alpha: float,
-                               n_samples: int = 4096,
-                               ball: RadialProfile | None = None
-                               ) -> RadialProfile:
+                               ball: RadialProfile) -> RadialProfile:
     """u_{p,2,alpha}: the ball solution rescaled to radius e^{-alpha p}.
 
-    Exact similarity rescaling of ``ball``, the solution solve_ball(p, 1),
-    which is solved here when not given; no re-integration.
+    Exact similarity rescaling of ``ball``, the solution solve_ball(p);
+    no re-integration.
     """
     if alpha < 0:
         raise ValueError("need alpha >= 0")
     if alpha * p > AMPLITUDE_EXPONENT_GUARD:
         raise ValueError(f"alpha*p = {alpha * p:.1f} too large; the scaled "
                          "amplitude exceeds the overflow guard")
-    w = ball if ball is not None else solve_ball(p, 1.0, n_samples=n_samples)
-    return w.scaled(math.exp(alpha * p))
+    return ball.scaled(math.exp(alpha * p))
 
 
 def ball_scaled_energy(p: float, alpha: float,
-                       ball: RadialProfile | None = None) -> EnergyReport:
+                       ball: RadialProfile) -> EnergyReport:
     """Energy of u_{p,2,alpha} via the exact scaling identity.
 
     ||grad u_{p,2,alpha}||^2 = e^{4 alpha p/(p-1)} ||grad w_p||^2, and the
     L^{p+1} power scales identically (the profile solves the equation, so
     both norms agree up to the solver's Nehari residual).  ``ball`` is the
-    solution solve_ball(p, 1), solved here when not given.
+    solution solve_ball(p).
     """
-    base = radial_energy(ball, p) if ball is not None else ball_energy(p)
-    return _rescaled_energy(base, p, alpha)
+    return _rescaled_energy(radial_energy(ball, p), p, alpha)
 
 
 def _rescaled_energy(base: EnergyReport, p: float,
@@ -365,8 +361,7 @@ def _annulus_shot(p: float, a: float, b: float, slope: float, rtol: float):
         f"ENDPOINT_TOL = {ENDPOINT_TOL:g}")
 
 
-def solve_annulus(p: float, a: float, b: float, n_samples: int = 4096,
-                  rtol: float = 1e-11,
+def solve_annulus(p: float, a: float, b: float,
                   slope: float | None = None) -> RadialProfile:
     """Positive radial solution on the annulus a < r < b, zero at both ends.
 
@@ -380,8 +375,8 @@ def solve_annulus(p: float, a: float, b: float, n_samples: int = 4096,
         raise ValueError("need 0 < a < b")
     if slope is not None and not 0 < slope < math.inf:
         raise ValueError("need a finite slope > 0")
-    sol = _annulus_shot(p, a, b, 1.0 if slope is None else slope, rtol)
-    t_s = np.linspace(math.log(a), math.log(b), n_samples)
+    sol = _annulus_shot(p, a, b, 1.0 if slope is None else slope, RTOL)
+    t_s = np.linspace(math.log(a), math.log(b), N_SAMPLES)
     y = sol.sol(t_s)
     u, ut = y[0].copy(), y[1]
     u[0] = 0.0
@@ -394,8 +389,7 @@ def solve_annulus(p: float, a: float, b: float, n_samples: int = 4096,
 # explicit logarithmic test profile
 # ---------------------------------------------------------------------------
 
-def omega_test_function(p: float, alpha: float, b: float,
-                        n_samples: int = 4096) -> RadialProfile:
+def omega_test_function(p: float, alpha: float, b: float) -> RadialProfile:
     """Piecewise-logarithmic test profile on e^{-alpha p} < r < b.
 
     Rises as log r from the inner edge, falls as log(b/r) to the outer
@@ -411,8 +405,8 @@ def omega_test_function(p: float, alpha: float, b: float,
     t_in, t_out = -alpha * p, math.log(b)
     t_break = 0.5 * (t_in + t_out)  # log of sqrt(b) e^{-alpha p/2}
 
-    n1 = n_samples // 2
-    n2 = n_samples - n1
+    n1 = N_SAMPLES // 2
+    n2 = N_SAMPLES - n1
     t1 = np.linspace(t_in, t_break, n1)
     t2 = np.linspace(t_break, t_out, n2)
     r1, r2 = np.exp(t1), np.exp(t2)
@@ -427,37 +421,51 @@ def omega_test_function(p: float, alpha: float, b: float,
     u[0] = 0.0
     u[-1] = 0.0
     return RadialProfile(r, u, du, r_in, b, p,
-                         segments=((0, n1), (n1, n_samples)))
+                         segments=((0, n1), (n1, N_SAMPLES)))
 
 
 @dataclass(frozen=True)
 class AlphaChoice:
-    """An alpha, with the profiles optimal_alpha solved there.
+    """An alpha with the two profiles of the energy budget there.
 
-    ``slope`` is the initial slope of the annulus solution on
-    (e^{-alpha p}, 1) and ``ball`` the solution solve_ball(p, 1); both are
-    None when alpha was not chosen by optimal_alpha.
+    ``ball`` is the solution solve_ball(p), and ``annulus`` the solution
+    on (e^{-alpha p}, 1); its ``slope`` can start a solve on a nearby
+    annulus.
     """
 
     alpha: float
-    slope: float | None = None
-    ball: RadialProfile | None = None
+    ball: RadialProfile
+    annulus: RadialProfile
 
 
-def _predict_slope(slopes: dict, alpha: float) -> float | None:
-    """Secant prediction of log slope at alpha from the two solved alphas
-    nearest to it (the one slope if only one is solved)."""
-    near = sorted(slopes, key=lambda a: abs(a - alpha))[:2]
+def profiles_at(p: float, alpha: float, ball: RadialProfile | None = None,
+                slope: float | None = None) -> AlphaChoice:
+    """The ball and annulus solutions of the energy budget at ``alpha``.
+
+    ``ball`` is the solution solve_ball(p), solved here when not given;
+    ``slope`` starts the annulus shooting (see solve_annulus).
+    """
+    if ball is None:
+        ball = solve_ball(p)
+    return AlphaChoice(alpha, ball,
+                       solve_annulus(p, math.exp(-alpha * p), 1.0, slope))
+
+
+def _predict_slope(choices: dict, alpha: float) -> float | None:
+    """Secant prediction of log slope at alpha from the annulus slopes of
+    the two solved alphas nearest to it (the one slope if only one is
+    solved)."""
+    near = sorted(choices, key=lambda a: abs(a - alpha))[:2]
+    slopes = [choices[a].annulus.slope for a in near]
     if len(near) < 2:
-        return slopes[near[0]] if near else None
-    a1, a2 = near
-    l1, l2 = math.log(slopes[a1]), math.log(slopes[a2])
+        return slopes[0] if near else None
+    (a1, a2), (l1, l2) = near, map(math.log, slopes)
     return math.exp(l1 + (alpha - a1) * (l2 - l1) / (a2 - a1))
 
 
-def optimal_alpha(p: float, bounds: tuple = ALPHA_BOUNDS,
-                  xatol: float = 1e-5) -> AlphaChoice:
-    """Alpha minimizing the measured two-profile energy sum at this p.
+def optimal_alpha(p: float) -> AlphaChoice:
+    """Alpha minimizing the measured two-profile energy sum at this p,
+    with the profiles solved there.
 
     Minimizes p E_p(annulus solution on (e^{-alpha p}, 1)) plus
     p E_p(scaled ball solution on B_{e^{-alpha p}}).  As p grows the
@@ -470,20 +478,19 @@ def optimal_alpha(p: float, bounds: tuple = ALPHA_BOUNDS,
 
     ball = solve_ball(p)
     ball_rep = radial_energy(ball, p)
-    slopes = {}  # alpha -> initial slope of the annulus solution
+    choices = {}  # every evaluated alpha -> its AlphaChoice
 
     def total(alpha):
-        ann = solve_annulus(p, math.exp(-alpha * p), 1.0, n_samples=2048,
-                            slope=_predict_slope(slopes, alpha))
-        slopes[alpha] = ann.slope
-        return p * (radial_energy(ann, p).energy
+        choice = choices[alpha] = profiles_at(
+            p, float(alpha), ball, _predict_slope(choices, alpha))
+        return p * (radial_energy(choice.annulus, p).energy
                     + _rescaled_energy(ball_rep, p, alpha).energy)
 
-    res = minimize_scalar(total, bounds=bounds, method="bounded",
-                          options={"xatol": xatol})
+    res = minimize_scalar(total, bounds=ALPHA_BOUNDS, method="bounded",
+                          options={"xatol": ALPHA_XATOL})
     if not res.success:
         raise RadialSolveError(f"alpha optimization failed: {res.message}")
-    return AlphaChoice(float(res.x), slopes[res.x], ball)
+    return choices[res.x]
 
 
 def omega_energy_closed_form(p: float, alpha: float, b: float) -> float:

@@ -107,6 +107,20 @@ class TestRadialCommand:
             assert abs(float(row["alpha"]) - alpha) < 1e-5
         assert len(balls) == 2
 
+    def test_optimal_row_solves_no_profile_again(self, tmp_path,
+                                                 monkeypatch):
+        optimal_alpha = radial.optimal_alpha
+
+        def then_no_solves(p):
+            choice = optimal_alpha(p)
+            for name in ("solve_annulus", "solve_ball", "solve_ivp"):
+                monkeypatch.setattr(radial, name, None)  # calling raises
+            return choice
+
+        monkeypatch.setattr(radial, "optimal_alpha", then_no_solves)
+        assert cli.main(["radial", "--p", "8", "--alpha", "optimal",
+                         "--out", str(tmp_path / "s.csv")]) == 0
+
     @pytest.mark.parametrize("argv, message", [
         (["--p", "abc"], "p must be a finite number > 1, got 'abc'"),
         (["--p", "1.0"], "p must be a finite number > 1, got '1.0'"),
@@ -131,7 +145,7 @@ class TestRadialCommand:
         assert shots == []
 
 
-def _ball_flow_config(tmp_path):
+def _ball_flow_config(tmp_path, **extra):
     config = {
         "p": 5.0,
         "domain": {"type": "disk", "radius": 1.0},
@@ -139,6 +153,7 @@ def _ball_flow_config(tmp_path):
         "initial": {"type": "ball", "scale": 0.5},
         "flow": {"t_max": 30.0},
         "outdir": str(tmp_path / "out"),
+        **extra,
     }
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
@@ -170,6 +185,17 @@ class TestFlowCommand:
         cfg_path = _ball_flow_config(tmp_path)
         assert cli.main(["flow", "--config", str(cfg_path)]) == 0
         assert solves == []
+
+    def test_scaled_ball_with_numeric_alpha_solves_no_annulus(
+            self, tmp_path, monkeypatch):
+        def no_annulus(*args, **kwargs):
+            raise AssertionError("annulus solved for a scaled-ball datum")
+
+        monkeypatch.setattr(radial, "solve_annulus", no_annulus)
+        cfg_path = _ball_flow_config(
+            tmp_path, alpha=0.25,
+            initial={"type": "scaled-ball", "scale": 0.5})
+        assert cli.main(["flow", "--config", str(cfg_path)]) == 0
 
     def test_report_counts_energy_defects(self, tmp_path):
         cfg_path = _ball_flow_config(tmp_path)
@@ -220,6 +246,19 @@ class TestSpectrumCommand:
         assert out["symmetric_morse_index"] == 1
         assert out["odd_extension_residual"] < 1e-6
         assert len(out["eigenvalues"]) == 8
+
+    def test_cartesian_dump_reports_half_domain_mu(self, tmp_path, capsys):
+        g = geometry.CartesianMaskedGrid(geometry.DomainSpec.disk(1.0), 32)
+        u, res = spectrum.newton_polish(
+            flow.field_from_radial(g, radial.solve_ball(5.0)), 5.0)
+        assert res < 1e-10
+        path = tmp_path / "ball.bin"
+        cli.dump_field(path, u, p=5.0)
+        assert cli.main(["spectrum", "--field", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["morse_index"] == 1
+        assert out["half_domain_mu"] > 0.0  # the ball's Morse index is 1
+        assert out["odd_extension_residual"] < 1e-6
 
     def test_eigensolve_failure_exits_3(self, tmp_path, capsys, monkeypatch,
                                         polished_ball):
@@ -298,6 +337,9 @@ class TestConfigValidation:
         ("grid", {"type": "hex", "n": 16}),
         ("domain", {"type": "ellipse"}),
         ("group", {"kind": "tetrahedral", "order": 12}),
+        ("domain", {"type": "annulus", "a": 1.2}),
+        ("domain", {"type": "disk", "radius": 0.0}),
+        ("domain", {"type": "squircle", "radius": -1.0}),
     ])
     @pytest.mark.parametrize("command", ["flow", "pipeline"])
     def test_unknown_type_exits_2_before_any_work(self, tmp_path, capsys,

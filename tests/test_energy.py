@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from lef import energy, flow, geometry
+from lef import energy, flow, geometry, radial
 from tests.conftest import ring_bump
 
 
@@ -111,7 +111,8 @@ class TestCombinedEnergy:
 
 class TestUpperBoundReport:
     def test_fields_consistent(self):
-        rep = energy.upper_bound_report(50.0)
+        alpha = energy.minimize_f().alpha_bar
+        rep = energy.upper_bound_report(radial.profiles_at(50.0, alpha))
         assert rep.total == pytest.approx(
             rep.p_energy_annulus + rep.p_energy_ball, rel=1e-12)
         assert rep.bound == pytest.approx(energy.UPPER_BOUND_CONST)
@@ -119,4 +120,4 @@ class TestUpperBoundReport:
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):
-            energy.upper_bound_report(1.0)
+            energy.upper_bound_report(radial.profiles_at(1.0, 0.2))

@@ -120,6 +120,27 @@ class TestRestartSelection:
         for u in (u_pos, u_neg):
             assert energy.field_energy(u, 5.0).nehari_residual < 1e-10
 
+    def test_restart_scans_the_selected_pair(self, monkeypatch):
+        # +/-/+ rings with nodal circles at r = 0.2 and 0.6
+        g = geometry.PolarGrid(24, 16)
+        r = np.hypot(g.xy[:, 0], g.xy[:, 1])
+        v = flow.ScalarField(g, np.cos(2.5 * np.pi * r))
+        dec = nodal.decompose(v)
+        assert dec.n_domains == 3
+        calls = []
+        monkeypatch.setattr(flow, "ray_scan",
+                            lambda *args, **kwargs: calls.append(
+                                (args, kwargs)) or "scanned")
+        cfg, G = FlowConfig(t_max=7.0), geometry.cyclic(4)
+        assert flow.restart_from_nodal_pair(v, dec, 5.0, config=cfg,
+                                            group=G) == "scanned"
+        (args, kwargs), = calls
+        u_pos, u_neg = flow.select_restart_pair(v, dec, 5.0)
+        assert np.array_equal(args[0].values, u_pos.values)
+        assert np.array_equal(args[1].values, u_neg.values)
+        assert args[2] == 5.0
+        assert kwargs["config"] is cfg and kwargs["group"] is G
+
 
 @pytest.fixture(scope="module", params=["disk-c4", "squircle-d4"])
 def grid_and_group(request):

@@ -46,12 +46,13 @@ class TestBall:
 
     def test_scaled_ball_consistency(self):
         p, alpha = 8.0, 0.25
-        prof = radial.build_ball_solution_scaled(p, alpha)
+        ball = radial.solve_ball(p)
+        prof = radial.build_ball_solution_scaled(p, alpha, ball)
         rho = math.exp(-alpha * p)
         assert prof(np.array([rho]))[0] == pytest.approx(0.0, abs=1e-8)
         assert prof(np.array([2.0 * rho]))[0] == 0.0
         rep_direct = radial.radial_energy(prof, p)
-        rep_closed = radial.ball_scaled_energy(p, alpha)
+        rep_closed = radial.ball_scaled_energy(p, alpha, ball)
         assert rep_direct.energy == pytest.approx(rep_closed.energy, rel=1e-6)
 
 
@@ -157,10 +158,20 @@ class TestOptimalAlpha:
         assert 0.05 < a_star < 0.9
 
         def total(alpha):
-            rep = energy.upper_bound_report(p, alpha)
+            rep = energy.upper_bound_report(radial.profiles_at(p, alpha))
             return rep.total
 
         assert total(a_star) < total(a_bar)
+
+    def test_returns_the_profiles_at_its_alpha(self):
+        p = 8.0
+        choice = radial.optimal_alpha(p)
+        ann = choice.annulus
+        assert ann.r_in == math.exp(-choice.alpha * p) and ann.r_out == 1.0
+        assert len(ann.r) == radial.N_SAMPLES
+        again = radial.profiles_at(p, choice.alpha, choice.ball, ann.slope)
+        assert again.ball is choice.ball
+        assert np.array_equal(again.annulus.u, ann.u)
 
     def test_solves_the_ball_once(self, monkeypatch):
         calls = []
