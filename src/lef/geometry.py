@@ -155,16 +155,22 @@ class DomainSpec:
     @staticmethod
     def from_config(spec: dict) -> "DomainSpec":
         """Build a domain from its config dict (type disk, annulus or
-        squircle); an unknown type, or radii that are not numbers with
-        0 < radius and 0 < a < b, raise ConfigError."""
+        squircle); an unknown type, or radii or a squircle power that are
+        not numbers with 0 < radius, 0 < power and 0 < a < b, raise
+        ConfigError."""
         kind = spec.get("type", "disk")
         if kind in ("disk", "squircle"):
             radius = config_number(spec.get("radius", 1.0))
             if not 0.0 < radius < math.inf:
                 raise ConfigError(f"domain {kind!r} needs a number radius "
                                   f"> 0, got {spec['radius']!r}")
-            return (DomainSpec.disk(radius) if kind == "disk" else
-                    squircle_mask(radius, spec.get("power", 4.0)))
+            if kind == "disk":
+                return DomainSpec.disk(radius)
+            power = config_number(spec.get("power", 4.0))
+            if not 0.0 < power < math.inf:
+                raise ConfigError(f"domain 'squircle' needs a number power "
+                                  f"> 0, got {spec['power']!r}")
+            return squircle_mask(radius, power)
         if kind == "annulus":
             a, b = config_number(spec["a"]), config_number(spec.get("b", 1.0))
             if not 0.0 < a < b < math.inf:

@@ -18,6 +18,16 @@ equation beside the solution, so F(s) = u(log b; s) and F'(s) come from
 one integration.  A [lo, hi] slope bracket with bisection guards the
 iteration, and optimal_alpha warm-starts each solve from the slopes it
 has already found.
+
+Every shot, of the ball or of an annulus, is one call of solve_ivp below:
+scipy's DOP853 method (the tableau of scipy.integrate.DOP853, its step
+control, event location and dense output) written out on Python floats
+for the four lanes (u, u_t, du/ds, du_t/ds).  It is not
+scipy.integrate.solve_ivp because at four lanes that spends most of each
+step in small-array numpy calls, event bookkeeping and OdeSolution
+rather than in arithmetic; the float kernel takes about a quarter of the
+time per shot.  Its steps are not bitwise scipy's (summation order
+differs), but its profiles agree with scipy's to roundoff.
 """
 
 from __future__ import annotations
@@ -26,8 +36,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson, solve_ivp
+from scipy.integrate import DOP853, simpson
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from .energy import EnergyReport
@@ -40,6 +51,7 @@ MAX_SHOTS = 100  # per annulus solve
 DENSE_RATIO = 1e-4  # |u(b)| / sup below which Newton is about to converge
 N_SAMPLES = 4096  # samples of every solved or explicit profile
 RTOL = 1e-11  # relative tolerance of every radial integration
+ATOL = 1e-14  # absolute tolerance on (u, u_t) of every radial integration
 
 
 class RadialSolveError(RuntimeError):
@@ -139,43 +151,265 @@ def radial_energy(profile: RadialProfile, p: float | None = None) -> EnergyRepor
 
 
 # ---------------------------------------------------------------------------
-# ball solution
+# the shot: scipy's DOP853 on Python floats
 # ---------------------------------------------------------------------------
 
-def _make_rhs(p: float):
-    """RHS of u_tt = -e^{2t} |u|^{p-1} u, overflow-guarded on trial steps."""
-    def rhs(t, y):
-        u, ut = y.tolist()  # float arithmetic is faster than numpy scalars
+def _nonzero(row) -> tuple[tuple[int, float], ...]:
+    """(index, coefficient) pairs of the nonzero entries of a tableau row."""
+    return tuple((j, a) for j, a in enumerate(row.tolist()) if a != 0.0)
+
+
+# the tableau of scipy.integrate.DOP853, read at import
+_STAGES = tuple((c, _nonzero(a[:s])) for s, (a, c)
+                in enumerate(zip(DOP853.A, DOP853.C.tolist())) if s)
+_EXTRA_STAGES = tuple((c, _nonzero(a)) for a, c
+                      in zip(DOP853.A_EXTRA, DOP853.C_EXTRA.tolist()))
+_B, _E3, _E5 = _nonzero(DOP853.B), _nonzero(DOP853.E3), _nonzero(DOP853.E5)
+_D = tuple(_nonzero(row) for row in DOP853.D)
+# scipy's step control
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
+_EVENT_TOL = 4.0 * float(np.finfo(float).eps)  # brentq's xtol and rtol
+_FSAL = DOP853.n_stages  # row of f(t + h, y_new) among a step's stages
+
+
+def _shot_rhs(p: float):
+    """RHS of (u, u_t) and of its slope derivative (w, w_t).
+
+    u_tt = -e^{2t} |u|^{p-1} u, and w = du/ds solves the variational
+    equation w_tt = -p e^{2t} |u|^{p-1} w.  The force is capped at e^700,
+    so steep trial steps give large or non-finite values that the step
+    control rejects, and never an exception.
+    """
+    def rhs(t, u, ut, w, wt):
         if u == 0.0:
-            return [ut, 0.0]
-        log_mag = 2.0 * t + p * math.log(abs(u))
-        force = math.copysign(math.exp(min(log_mag, 700.0)), u)
-        return [ut, -force]
+            return ut, 0.0, wt, 0.0
+        mag = math.exp(min(2.0 * t + p * math.log(abs(u)), 700.0))
+        return ut, -math.copysign(mag, u), wt, -p * mag / abs(u) * w
     return rhs
 
 
-def _integrate_ball_log(p: float):
-    """Integrate from u(0)=1 in t = log r up to the first zero.
+def _combine(K, pairs):
+    """sum_j a_j K[j] over the four lanes, accumulated in index order."""
+    d0 = d1 = d2 = d3 = 0.0
+    for j, a in pairs:
+        k0, k1, k2, k3 = K[j]
+        d0 += a * k0
+        d1 += a * k1
+        d2 += a * k2
+        d3 += a * k3
+    return d0, d1, d2, d3
 
-    Returns (solution_bunch, t_start, t_zero).
+
+def _add_stages(rhs, K, stages, t, y, h):
+    """Append the RK stages ``stages`` of the step (t, y, h) to K."""
+    y0, y1, y2, y3 = y
+    for c, pairs in stages:
+        d0, d1, d2, d3 = _combine(K, pairs)
+        K.append(rhs(t + c * h, y0 + d0 * h, y1 + d1 * h, y2 + d2 * h,
+                     y3 + d3 * h))
+
+
+def _rms(x0, x1, x2, x3) -> float:
+    return math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3) / 2.0
+
+
+def _initial_step(rhs, t, y, f, length, rtol, atol) -> float:
+    """Hairer's initial step rule, as scipy's select_initial_step."""
+    scale = [a + abs(v) * rtol for v, a in zip(y, atol)]
+    d0 = _rms(*(v / s for v, s in zip(y, scale)))
+    d1 = _rms(*(v / s for v, s in zip(f, scale)))
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, length)
+    f1 = rhs(t + h0, *(v + h0 * g for v, g in zip(y, f)))
+    d2 = _rms(*((g1 - g) / s for g1, g, s in zip(f1, f, scale))) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
+    return min(100.0 * h0, h1, length)
+
+
+def _step_coefficients(K, h, y, y_new):
+    """The 7 x 4 interpolation coefficients of one step, as scipy's."""
+    f_old, f_new = K[0], K[_FSAL]
+    dy = [b - a for a, b in zip(y, y_new)]
+    return [dy,
+            [h * f - d for f, d in zip(f_old, dy)],
+            [2.0 * d - h * (g + f) for d, g, f in zip(dy, f_new, f_old)],
+            *([h * v for v in _combine(K, row)] for row in _D)]
+
+
+def _interpolate(F, y_old, x, lane) -> float:
+    """Lane ``lane`` of the step interpolant at fraction x of the step."""
+    v = 0.0
+    for i in range(6, -1, -1):
+        v = (v + F[i][lane]) * (x if i % 2 == 0 else 1.0 - x)
+    return v + y_old[lane]
+
+
+class DenseShot:
+    """The piecewise interpolant of a shot: sol(t) has shape (4, len(t))."""
+
+    def __init__(self, ts, t_old, h, y_old, y_new, K):
+        self.ts, self.t_old, self.h, self.y_old = ts, t_old, h, y_old
+        dy = y_new - y_old
+        hc = h[:, None]
+        self.F = np.concatenate([
+            dy[:, None], (hc * K[:, 0] - dy)[:, None],
+            (2.0 * dy - hc * (K[:, _FSAL] + K[:, 0]))[:, None],
+            hc[:, None] * (DOP853.D @ K)], axis=1)
+
+    def __call__(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        seg = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0,
+                      len(self.h) - 1)
+        x = ((t - self.t_old[seg]) / self.h[seg])[:, None]
+        F = self.F[seg]
+        y = np.zeros((len(t), 4))
+        for i in range(6, -1, -1):
+            y += F[:, i]
+            y *= x if i % 2 == 0 else 1.0 - x
+        return (y + self.y_old[seg]).T
+
+
+@dataclass
+class Shot:
+    """What a shot returns, with the meanings of scipy's solve_ivp result.
+
+    ``status`` is 0 when the shot reached t_span[1], 1 when it stopped at
+    a trough and -1 when the step size fell below its floor.  ``t`` and
+    ``y`` (shape (4, len(t))) are the accepted steps, ending at the trough
+    on status 1; ``t_events`` lists the zeros of u and the trough; ``sol``
+    is the DenseShot, or None for a shot without dense output.
+    """
+
+    t: np.ndarray
+    y: np.ndarray
+    t_events: list
+    status: int
+    sol: DenseShot | None
+
+
+def solve_ivp(p: float, t_span, y0, rtol: float, first_step=None,
+              dense_output: bool = False) -> Shot:
+    """Integrate (u, u_t, du/ds, du_t/ds) over t_span from y0 by DOP853.
+
+    scipy's DOP853 (its tableau, step-size control and dense output) on
+    Python floats: at four lanes scipy's small-array numpy calls cost far
+    more than the arithmetic.  rtol and ATOL are divided by sqrt(2) and the
+    derivative lanes get atol 1e300, so (u, u_t) have exactly the step
+    control of a two-lane integration and the derivative does not drive
+    it.  Zeros of u (falling) are recorded in ``t_events[0]``; a trough
+    (u_t = 0, rising) is recorded in ``t_events[1]`` and ends the shot.
+    Each is located by brentq on the step's interpolant, whose three extra
+    stages are computed only on steps with an event and on dense shots.
+    ``first_step`` defaults to Hairer's rule.
+    """
+    t, t_bound = float(t_span[0]), float(t_span[1])
+    rhs = _shot_rhs(p)
+    tol = 1.0 / math.sqrt(2.0)
+    rtol *= tol
+    atol = (ATOL * tol, ATOL * tol, 1e300, 1e300)
+    y = tuple(float(v) for v in y0)
+    f = rhs(t, *y)
+    h_abs = (first_step if first_step is not None
+             else _initial_step(rhs, t, y, f, t_bound - t, rtol, atol))
+    ts, ys = [t], [y]
+    steps = []  # (t_old, h, y_old, y_new, stages) of every step if dense
+    t_zero, t_trough = [], []
+    status = None
+    while status is None:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                status = -1
+                break
+            t_new = min(t + h_abs, t_bound)
+            h = h_abs = t_new - t
+            K = [f]
+            _add_stages(rhs, K, _STAGES, t, y, h)
+            b0, b1, b2, b3 = _combine(K, _B)
+            y_new = (y[0] + h * b0, y[1] + h * b1, y[2] + h * b2,
+                     y[3] + h * b3)
+            K.append(rhs(t_new, *y_new))
+            n5 = n3 = 0.0  # squared norms of the scaled error estimates
+            for a, v, w, e5, e3 in zip(atol, y, y_new, _combine(K, _E5),
+                                       _combine(K, _E3)):
+                scale = a + max(abs(v), abs(w)) * rtol
+                e5 /= scale
+                e3 /= scale
+                n5 += e5 * e5
+                n3 += e3 * e3
+            if n5 == 0.0 and n3 == 0.0:
+                error_norm = 0.0
+            else:
+                error_norm = h * n5 / math.sqrt((n5 + 0.01 * n3) * 4.0)
+            if error_norm < 1.0:
+                factor = (_MAX_FACTOR if error_norm == 0.0 else
+                          min(_MAX_FACTOR,
+                              _SAFETY * error_norm ** _ERROR_EXPONENT))
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        if status == -1:
+            break
+        if t_new >= t_bound:
+            status = 0
+        falls = y[0] >= 0.0 >= y_new[0]
+        rises = y[1] <= 0.0 <= y_new[1]
+        if dense_output or falls or rises:
+            _add_stages(rhs, K, _EXTRA_STAGES, t, y, h)
+        t_end, y_end = t_new, y_new
+        if falls or rises:
+            F = _step_coefficients(K, h, y, y_new)
+
+            def root(lane):
+                return brentq(lambda s: _interpolate(F, y, (s - t) / h, lane),
+                              t, t_new, xtol=_EVENT_TOL, rtol=_EVENT_TOL)
+            zero = root(0) if falls else math.inf
+            if rises:  # terminal; a zero after the trough is not reached
+                t_end = root(1)
+                t_trough.append(t_end)
+                y_end = tuple(_interpolate(F, y, (t_end - t) / h, lane)
+                              for lane in range(4))
+                status = 1
+            if zero <= t_end:
+                t_zero.append(zero)
+        if dense_output:
+            steps.append((t, h, y, y_new, K))
+        ts.append(t_end)
+        ys.append(y_end)
+        t, y, f = t_new, y_new, K[_FSAL]
+    sol = None
+    if dense_output and steps:
+        t_old, h, y_old, y_new, K = zip(*steps)
+        sol = DenseShot(np.array(ts), np.array(t_old), np.array(h),
+                        np.array(y_old), np.array(y_new), np.array(K))
+    return Shot(np.array(ts), np.array(ys).T,
+                [np.array(t_zero), np.array(t_trough)], status, sol)
+
+
+# ---------------------------------------------------------------------------
+# ball solution
+# ---------------------------------------------------------------------------
+
+def _integrate_ball_log(p: float):
+    """Integrate from u(0)=1 in t = log r past the first zero.
+
+    The shot ends at the trough after the zero.  Returns (shot, t_start,
+    t_zero).
     """
     # series start: u = 1 - e^{2t}/4 + O(e^{4t}); valid where e^{2t} tiny
     t_start = 0.5 * math.log(1.0 / max(p, 1.0)) - 8.0
 
-    rhs = _make_rhs(p)
-
-    def hit_zero(t, y):
-        return y[0]
-    hit_zero.terminal = True
-    hit_zero.direction = -1
-
     e2t = math.exp(2.0 * t_start)
-    y0 = [1.0 - e2t / 4.0, -e2t / 2.0]
+    y0 = [1.0 - e2t / 4.0, -e2t / 2.0, 0.0, 0.0]
     t_end = t_start + max(40.0, 0.3 * p + 40.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(rhs, (t_start, t_end), y0, method="DOP853",
-                        rtol=RTOL, atol=1e-14, events=hit_zero,
-                        dense_output=True)
+    sol = solve_ivp(p, (t_start, t_end), y0, RTOL, dense_output=True)
     if not sol.t_events[0].size:
         raise RadialSolveError(
             f"no zero of the ball solution found for p={p} "
@@ -256,51 +490,17 @@ def _rescaled_energy(base: EnergyReport, p: float,
 # annulus solution (shooting)
 # ---------------------------------------------------------------------------
 
-def _make_shot_rhs(p: float):
-    """RHS of the shot (u, u_t) and of its slope derivative (w, w_t).
-
-    w = du/ds solves the variational equation w_tt = -p e^{2t} |u|^{p-1} w.
-    The force keeps _make_rhs's overflow guard.
-    """
-    def rhs(t, y):
-        u, ut, w, wt = y.tolist()
-        if u == 0.0:
-            return [ut, 0.0, wt, 0.0]
-        mag = math.exp(min(2.0 * t + p * math.log(abs(u)), 700.0))
-        return [ut, -math.copysign(mag, u), wt, -p * mag / abs(u) * w]
-    return rhs
-
-
 def _shoot_annulus(p: float, t_a: float, t_b: float, slope: float,
-                   rtol: float, dense: bool = False):
-    """Integrate (u, u_t, du/ds, du_t/ds) in t from (0, slope, 0, 1) at t_a.
+                   rtol: float, dense: bool = False) -> Shot:
+    """Shoot (u, u_t, du/ds, du_t/ds) in t from (0, slope, 0, 1) at t_a.
 
     The shot runs to t_b, recording zeros of u in ``t_events[0]``, unless
     it first reaches a trough (u_t = 0 and rising, after a zero), where it
-    ends.  rtol and atol are divided by sqrt(2) and the derivative gets
-    atol 1e300, so (u, u_t) have exactly the step control of a
-    two-component shot and the derivative does not drive it.
+    ends (see solve_ivp).
     """
-    rhs = _make_shot_rhs(p)
-
-    def hit_zero(t, y):
-        return y[0]
-    hit_zero.direction = -1
-
-    def trough(t, y):
-        return y[1]
-    trough.terminal = True
-    trough.direction = 1
-
-    tol = 1.0 / math.sqrt(2.0)
-    # steep trial shots overflow |u|^{p-1} before the trough; the
-    # integrator rejects those steps on its own
-    with np.errstate(over="ignore", invalid="ignore"):
-        return solve_ivp(rhs, (t_a, t_b), [0.0, slope, 0.0, 1.0],
-                         method="DOP853", rtol=rtol * tol,
-                         atol=[1e-14 * tol, 1e-14 * tol, 1e300, 1e300],
-                         events=(hit_zero, trough), dense_output=dense,
-                         first_step=min(1e-3, (t_b - t_a) / 100))
+    return solve_ivp(p, (t_a, t_b), [0.0, slope, 0.0, 1.0], rtol,
+                     first_step=min(1e-3, (t_b - t_a) / 100),
+                     dense_output=dense)
 
 
 def _annulus_shot(p: float, a: float, b: float, slope: float, rtol: float):

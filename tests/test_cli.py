@@ -107,6 +107,26 @@ class TestRadialCommand:
             assert abs(float(row["alpha"]) - alpha) < 1e-5
         assert len(balls) == 2
 
+    def test_one_integration_per_shot(self, tmp_path, monkeypatch):
+        # each annulus shot and each ball solve is one radial.solve_ivp call
+        calls = {"solve_ivp": 0, "_shoot_annulus": 0, "solve_ball": 0}
+
+        def counted(name):
+            inner = getattr(radial, name)
+
+            def call(*a, **kw):
+                calls[name] += 1
+                return inner(*a, **kw)
+            monkeypatch.setattr(radial, name, call)
+
+        for name in calls:
+            counted(name)
+        assert cli.main(["radial", "--p", "8", "--alpha", "optimal",
+                         "--out", str(tmp_path / "s.csv")]) == 0
+        assert calls["solve_ball"] == 1 and calls["_shoot_annulus"] > 0
+        assert calls["solve_ivp"] == (calls["_shoot_annulus"]
+                                      + calls["solve_ball"])
+
     def test_optimal_row_solves_no_profile_again(self, tmp_path,
                                                  monkeypatch):
         optimal_alpha = radial.optimal_alpha
@@ -340,6 +360,8 @@ class TestConfigValidation:
         ("domain", {"type": "annulus", "a": 1.2}),
         ("domain", {"type": "disk", "radius": 0.0}),
         ("domain", {"type": "squircle", "radius": -1.0}),
+        ("domain", {"type": "squircle", "power": "x"}),
+        ("domain", {"type": "squircle", "power": 0.0}),
     ])
     @pytest.mark.parametrize("command", ["flow", "pipeline"])
     def test_unknown_type_exits_2_before_any_work(self, tmp_path, capsys,
@@ -348,13 +370,17 @@ class TestConfigValidation:
         shots = []
         monkeypatch.setattr(radial, "solve_ivp",
                             lambda *a, **kw: shots.append(a))
-        config = {"p": 8.0, key: value, "outdir": str(tmp_path / "out")}
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(config), encoding="utf-8")
-        assert cli.main([command, "--config", str(cfg_path)]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        assert repr(value.get("type", value.get("kind"))) in err[0]
+        # on both grid kinds (a "grid" case replaces the grid)
+        for grid in ({"type": "polar", "n_r": 16, "n_theta": 8},
+                     {"type": "cartesian", "n": 16}):
+            config = {"p": 8.0, "grid": grid, key: value,
+                      "outdir": str(tmp_path / "out")}
+            cfg_path = tmp_path / "run.json"
+            cfg_path.write_text(json.dumps(config), encoding="utf-8")
+            assert cli.main([command, "--config", str(cfg_path)]) == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1
+            assert repr(value.get("type", value.get("kind"))) in err[0]
         assert shots == []
 
     @pytest.mark.parametrize("scan", [{"refine": 30}, {"ratio": [0.5]}],

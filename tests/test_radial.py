@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from lef import radial
 from lef.radial import RadialSolveError
@@ -128,6 +129,71 @@ class TestAnnulusShooting:
     def test_optimal_alpha_warm_starts(self, shots):
         radial.optimal_alpha(200.0)
         assert len(shots) <= 80
+
+
+def scipy_shot(p, t_span, y0, rtol, first_step=None, dense_output=False):
+    """The shot radial.solve_ivp integrates, by scipy's solve_ivp."""
+    rhs = radial._shot_rhs(p)
+
+    def hit_zero(t, y):
+        return y[0]
+    hit_zero.direction = -1
+
+    def trough(t, y):
+        return y[1]
+    trough.terminal = True
+    trough.direction = 1
+
+    tol = 1.0 / math.sqrt(2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return scipy.integrate.solve_ivp(
+            lambda t, y: rhs(t, *y.tolist()), t_span, y0, method="DOP853",
+            rtol=rtol * tol, atol=[radial.ATOL * tol] * 2 + [1e300] * 2,
+            events=(hit_zero, trough), dense_output=dense_output,
+            first_step=first_step)
+
+
+class TestShotKernel:
+    """radial.solve_ivp against scipy's solve_ivp(method="DOP853")."""
+
+    def test_tableau_is_consistent(self):
+        D = scipy.integrate.DOP853
+        assert D.B.sum() == pytest.approx(1.0, abs=1e-14)
+        for A, C in ((D.A, D.C), (D.A_EXTRA, D.C_EXTRA)):
+            assert np.allclose(A.sum(axis=1), C, rtol=0.0, atol=1e-14)
+        assert D.E3.sum() == pytest.approx(0.0, abs=1e-14)
+        assert D.E5.sum() == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("p", [3.0, 8.0, 200.0])
+    def test_ball_matches_scipy(self, monkeypatch, p):
+        mine = radial.solve_ball(p)
+        monkeypatch.setattr(radial, "solve_ivp", scipy_shot)
+        ref = radial.solve_ball(p)
+        assert np.max(np.abs(mine.u - ref.u)) <= 1e-13 * ref.sup
+
+    @pytest.mark.parametrize("p, a, s", [(5.0, 0.3, 4.29),
+                                         (200.0, math.exp(-39.0), 0.0507),
+                                         (50.0, math.exp(-10.0), 0.3)])
+    def test_annulus_shot_matches_scipy(self, monkeypatch, p, a, s):
+        mine = radial._shoot_annulus(p, math.log(a), 0.0, s, radial.RTOL,
+                                     dense=True)
+        monkeypatch.setattr(radial, "solve_ivp", scipy_shot)
+        ref = radial._shoot_annulus(p, math.log(a), 0.0, s, radial.RTOL,
+                                    dense=True)
+        assert mine.status == ref.status
+        for t_mine, t_ref in zip(mine.t_events, ref.t_events):
+            assert t_mine.shape == t_ref.shape
+            assert np.allclose(t_mine, t_ref, rtol=0.0, atol=1e-9)
+        t = np.linspace(math.log(a), ref.t[-1], radial.N_SAMPLES)
+        u_mine, u_ref = mine.sol(t)[:2], ref.sol(t)[:2]
+        sup = np.max(np.abs(u_ref[0]))
+        assert np.max(np.abs(u_mine - u_ref)) <= 1e-9 * sup
+
+    def test_steep_shot_stops_early_in_both(self, monkeypatch):
+        args = (200.0, -39.0, 0.0, 50.0, radial.RTOL)
+        assert radial._shoot_annulus(*args).status != 0
+        monkeypatch.setattr(radial, "solve_ivp", scipy_shot)
+        assert radial._shoot_annulus(*args).status != 0
 
 
 class TestOmegaProfile:
