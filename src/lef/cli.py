@@ -24,8 +24,8 @@ import numpy as np
 
 from . import energy, flow, nodal, radial, spectrum
 from .geometry import (CartesianMaskedGrid, ConfigError, DomainSpec,
-                       PolarGrid, SymmetryGroup, check_admissible,
-                       config_number, cyclic, dihedral)
+                       GridSymmetryError, PolarGrid, SymmetryGroup,
+                       check_admissible, config_number, cyclic, dihedral)
 
 
 def _np_default(obj):
@@ -44,46 +44,41 @@ def _json(obj) -> str:
 # field dumps
 # ---------------------------------------------------------------------------
 
-def dump_field(path, field: flow.ScalarField, p: float | None = None,
-               extra: dict | None = None) -> None:
-    """Write a field as one JSON header line plus little-endian float64."""
-    grid = field.grid
-    header = {"count": int(field.values.size), "dtype": "<f8"}
+def dump_field(path, field: flow.ScalarField,
+               p: float | None = None) -> None:
+    """Write a field as one JSON header line plus little-endian float64;
+    the header's ``grid`` and ``domain`` are the config sections of the
+    field's grid."""
+    header = {"count": int(field.values.size), "dtype": "<f8",
+              "grid": field.grid.to_config(),
+              "domain": field.grid.domain.to_config()}
     if p is not None:
         header["p"] = p
-    if isinstance(grid, PolarGrid):
-        header["grid"] = {"type": "polar", "n_r": grid.n_r,
-                          "n_theta": grid.n_theta, "r_in": grid.r_in,
-                          "r_out": grid.r_out}
-    elif isinstance(grid, CartesianMaskedGrid):
-        header["grid"] = {"type": "cartesian", "n": grid.n,
-                          "extent": grid.extent,
-                          "domain": grid.domain.to_config()}
-    else:
-        raise TypeError(f"cannot serialize grid of type {type(grid)}")
-    if extra:
-        header.update(extra)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
         fh.write(field.values.astype("<f8").tobytes())
 
 
 def load_field(path) -> tuple[flow.ScalarField, dict]:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != header["count"]:
-        raise ValueError(f"{path}: expected {header['count']} values, "
-                         f"found {data.size}")
-    gspec = header["grid"]
-    if gspec["type"] == "polar":
-        grid = PolarGrid(gspec["n_r"], gspec["n_theta"],
-                         r_out=gspec["r_out"], r_in=gspec["r_in"])
-    elif gspec["type"] == "cartesian":
-        grid = CartesianMaskedGrid(DomainSpec.from_config(gspec["domain"]),
-                                   gspec["n"], extent=gspec["extent"])
-    else:
-        raise ValueError(f"unknown grid type {gspec['type']!r}")
+    """The field of a dump and its header; ConfigError unless the file
+    reads as a header whose grid has ``count`` nodes and ``count``
+    values."""
+    try:
+        with open(path, "rb") as fh:
+            header = json.loads(fh.readline().decode("utf-8"))
+            data = np.frombuffer(fh.read(), dtype="<f8")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: not a field dump: {exc}") from None
+    try:
+        grid = _build_grid(header["grid"], header["domain"])
+        count = header["count"]
+    except KeyError as exc:
+        raise ConfigError(f"{path}: dump header has no key "
+                          f"{exc.args[0]!r}") from None
+    if not grid.n_nodes == count == data.size:
+        raise ConfigError(f"{path}: header count {count!r}, grid of "
+                          f"{grid.n_nodes} nodes and {data.size} values "
+                          f"differ")
     return flow.ScalarField(grid, np.array(data)), header
 
 
@@ -91,17 +86,34 @@ def load_field(path) -> tuple[flow.ScalarField, dict]:
 # config plumbing
 # ---------------------------------------------------------------------------
 
-def _build_grid(config: dict):
-    domain = DomainSpec.from_config(config.get("domain", {"type": "disk"}))
-    gspec = config.get("grid", {"type": "polar", "n_r": 96, "n_theta": 32})
-    if gspec["type"] == "polar":
-        return PolarGrid(gspec["n_r"], gspec["n_theta"],
-                         r_in=domain.inner_radius,
-                         r_out=domain.bounding_radius), domain
-    if gspec["type"] == "cartesian":
-        return CartesianMaskedGrid(domain, gspec["n"],
-                                   extent=gspec.get("extent")), domain
-    raise ConfigError(f"unknown grid type {gspec['type']!r}; "
+def _config_int(value, name: str, least: int) -> int:
+    """An integer config value; ConfigError unless it is one >= least."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, "
+                          f"got {value!r}")
+    return value
+
+
+def _build_grid(gspec: dict, domain_spec: dict):
+    """The grid of a config's (or a dump header's) ``grid`` and ``domain``
+    sections; a polar grid takes a disk or an annulus."""
+    domain = DomainSpec.from_config(domain_spec)
+    kind = gspec.get("type")
+    if kind == "polar":
+        if domain.shape not in ("disk", "annulus"):
+            raise ConfigError(f"a polar grid needs a disk or annulus domain, "
+                              f"got {domain_spec.get('type')!r}")
+        return PolarGrid(_config_int(gspec["n_r"], "grid n_r", 2),
+                         _config_int(gspec["n_theta"], "grid n_theta", 4),
+                         r_out=domain.radius, r_in=domain.inner_radius)
+    if kind == "cartesian":
+        n = _config_int(gspec["n"], "grid n", 4)
+        extent = config_number(gspec.get("extent", domain.bounding_radius))
+        if not 0.0 < extent < math.inf:
+            raise ConfigError(f"grid extent must be a number > 0, "
+                              f"got {gspec['extent']!r}")
+        return CartesianMaskedGrid(domain, n, extent=extent)
+    raise ConfigError(f"unknown grid type {kind!r}; "
                       "allowed: polar, cartesian")
 
 
@@ -109,12 +121,30 @@ def _build_group(spec: dict | None) -> SymmetryGroup | None:
     if spec is None:
         return None
     kind = spec.get("kind")
+    if kind not in ("cyclic", "dihedral"):
+        raise ConfigError(f"unknown group kind {kind!r}; "
+                          "allowed: cyclic, dihedral")
+    order = _config_int(spec["order"], "group order", 1)
     if kind == "cyclic":
-        return cyclic(spec["order"])
-    if kind == "dihedral":
-        return dihedral(spec["order"], spec.get("axis_angle", 0.0))
-    raise ConfigError(f"unknown group kind {kind!r}; "
-                      "allowed: cyclic, dihedral")
+        return cyclic(order)
+    axis = config_number(spec.get("axis_angle", 0.0))
+    if not math.isfinite(axis):
+        raise ConfigError(f"group axis_angle must be a number, "
+                          f"got {spec['axis_angle']!r}")
+    return dihedral(order, axis)
+
+
+def _realize(grid, group: SymmetryGroup | None) -> None:
+    """Build the grid's orbit grid of the group (cached for the flow);
+    ConfigError if the grid does not realize the group."""
+    if group is None:
+        return
+    try:
+        grid.quotient(group)
+    except GridSymmetryError as exc:
+        raise ConfigError(f"grid {grid.to_config()} does not realize the "
+                          f"group {group.kind}:{group.order_h}: "
+                          f"{exc}") from None
 
 
 def _check_keys(section: str, spec: dict, allowed: list) -> None:
@@ -132,18 +162,23 @@ def _flow_config(spec: dict | None) -> flow.FlowConfig:
 
 
 def _run_setup(config: dict, flow_default, group_default):
-    """(flow config, p, group, grid, domain) of a flow or pipeline config.
+    """(flow config, p, group, grid) of a flow or pipeline config; the
+    grid defaults to polar 96x32 on the unit disk.
 
-    An unknown or missing key raises ConfigError before any work starts.
+    An unknown or missing key, or a group the grid does not realize,
+    raises ConfigError before any work starts.
     """
     try:
         cfg = _flow_config(config.get("flow", flow_default))
         p = _exponent(config["p"])
         group = _build_group(config.get("group", group_default))
-        grid, domain = _build_grid(config)
+        grid = _build_grid(
+            config.get("grid", {"type": "polar", "n_r": 96, "n_theta": 32}),
+            config.get("domain", {"type": "disk"}))
     except KeyError as exc:
         raise ConfigError(f"missing config key {exc.args[0]!r}") from None
-    return cfg, p, group, grid, domain
+    _realize(grid, group)
+    return cfg, p, group, grid
 
 
 def _exponent(value) -> float:
@@ -272,15 +307,22 @@ def _initial_field(spec: dict, grid, p: float, alpha):
         prof = radial.solve_annulus(p, a, b)
         return flow.field_from_radial(grid, prof).scaled(scale)
     if kind == "dump":
+        if "path" not in spec:
+            raise ConfigError("initial dump needs a 'path'")
         field, _ = load_field(spec["path"])
-        return field.scaled(scale)
+        recipe = (field.grid.to_config(), field.grid.domain.to_config())
+        if recipe != (grid.to_config(), grid.domain.to_config()):
+            raise ConfigError(f"the dump's grid {recipe[0]} on {recipe[1]} "
+                              f"is not the config's grid {grid.to_config()} "
+                              f"on {grid.domain.to_config()}")
+        return flow.ScalarField(grid, field.values).scaled(scale)
     raise ConfigError(f"unknown initial datum type {kind!r}; allowed: "
                       "ball, scaled-ball, annulus, dump")
 
 
 def run_flow(args) -> int:
     config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    cfg, p, group, grid, _ = _run_setup(config, None, None)
+    cfg, p, group, grid = _run_setup(config, None, None)
     v0 = _initial_field(config.get("initial", {"type": "ball"}), grid, p,
                         config.get("alpha"))
     traj = flow.evolve(v0, p, cfg, group)
@@ -341,18 +383,21 @@ def _stage_failure(report: dict, outdir: Path, message: str) -> int:
 
 def run_pipeline(args) -> int:
     config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    cfg, p, group, grid, domain = _run_setup(
+    cfg, p, group, grid = _run_setup(
         config, {"t_max": 120.0}, {"kind": "cyclic", "order": 4})
+    domain = grid.domain
     scan_spec = config.get("scan", {})
     _check_keys("scan", scan_spec, ["ratios"])
     outdir = Path(config.get("outdir", "pipeline_out"))
     outdir.mkdir(parents=True, exist_ok=True)
 
     report: dict = {"p": p, "config": config}
-    admissible = check_admissible(group, domain)
+    admissible = group is not None and check_admissible(group, domain)
     report["admissible"] = bool(admissible)
     if not admissible:
         print(_json(report))
+        print(f"lef pipeline: the group {group} is not admissible on the "
+              f"domain {domain.to_config()}", file=sys.stderr)
         return 2
 
     choice = _resolve_alpha(config.get("alpha", "optimal"), p)
@@ -480,15 +525,17 @@ def run_spectrum(args) -> int:
     if args.k < 1:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
     field, header = load_field(args.field)
-    p = args.p if args.p is not None else header.get("p")
-    if p is None:
-        raise SystemExit("p not in dump header; pass --p")
+    if args.p is None and "p" not in header:
+        raise ConfigError("p not in dump header; pass --p")
+    p = _exponent(args.p if args.p is not None else header["p"])
     group = None
     if args.group:
-        kind, order = args.group.split(":")
-        group = _build_group({"kind": kind, "order": int(order)})
+        kind, _, order = args.group.partition(":")
+        group = _build_group({"kind": kind, "order": (
+            int(order) if order.isdecimal() else order)})
+        _realize(field.grid, group)
     try:
-        out = _morse_report(field, float(p), group, args.k)
+        out = _morse_report(field, p, group, args.k)
     except spectrum.NotSteadyError as exc:
         print(f"lef spectrum: {exc}", file=sys.stderr)
         return 4
@@ -524,7 +571,7 @@ def main(argv=None) -> int:
 
     p_spec = sub.add_parser("spectrum", help="Morse report for a field dump")
     p_spec.add_argument("--field", required=True)
-    p_spec.add_argument("--p", type=float, default=None)
+    p_spec.add_argument("--p", default=None)
     p_spec.add_argument("--k", type=int, default=12,
                         help="number of lowest eigenvalues to print; the "
                              "Morse index is an inertia count, not capped "

@@ -6,9 +6,14 @@ finite-volume grid on disks/annuli and a masked cartesian grid for general
 level-set domains.  Both expose the same surface: node coordinates, cell
 weights, a symmetric stiffness matrix (discrete Dirichlet form), adjacency
 for flood fill and, when the discretization conforms to the group, exact
-node permutations for every group element.  ``grid.quotient(G)`` is the
-grid of G-orbits of those nodes: the same surface in orbit coordinates,
-on which the G-invariant fields live with one unknown per orbit.
+node permutations for every group element.  Each grid lists its faces as
+arrays (node pairs with conductances, plus a Dirichlet conductance per
+node) and one assembly turns them into the stiffness, the adjacency and
+the boundary-adjacent nodes.  ``grid.to_config()`` is the config ``grid``
+section that, with ``grid.domain.to_config()``, rebuilds the grid.
+``grid.quotient(G)`` is the grid of G-orbits of those nodes: the same
+surface in orbit coordinates, on which the G-invariant fields live with
+one unknown per orbit.
 
 All objects here are immutable after construction, apart from the caches
 a grid fills on demand (group permutations, orbit grids, the Perron pair
@@ -307,6 +312,28 @@ def _group_key(G: SymmetryGroup) -> tuple:
     return (G.kind, G.order_h, round(G.axis_angle, 12))
 
 
+def _assemble(n: int, a: np.ndarray, b: np.ndarray, c: np.ndarray,
+              dirichlet: np.ndarray) -> tuple[sp.csr_matrix, tuple]:
+    """Finite-volume stiffness of n nodes: face k joins nodes a[k] and
+    b[k] with conductance c[k], and dirichlet[i] is the conductance of
+    node i's faces to the zero boundary value.  Returns K (csr) and the
+    face list (a, b).
+
+    The diagonal sums each node's face conductances in face order, a
+    before b, and then adds its Dirichlet conductance: another summation
+    order can change K in the last bit.
+    """
+    diag = np.zeros(n)
+    np.add.at(diag, np.column_stack([a, b]).ravel(), np.repeat(c, 2))
+    diag += dirichlet
+    nodes = np.arange(n)
+    stiffness = sp.csr_matrix(
+        (np.concatenate([-c, -c, diag]),
+         (np.concatenate([a, b, nodes]), np.concatenate([b, a, nodes]))),
+        shape=(n, n))
+    return stiffness, (a, b)
+
+
 class _GridBase:
     """Shared helpers; concrete grids define nodes, weights and stiffness."""
 
@@ -329,6 +356,11 @@ class _GridBase:
     @property
     def n_nodes(self) -> int:
         return self.xy.shape[0]
+
+    def to_config(self) -> dict:
+        """The config ``grid`` section that, with ``domain.to_config()``,
+        rebuilds this grid."""
+        raise TypeError(f"{type(self).__name__} has no config recipe")
 
     def laplacian_apply(self, v: np.ndarray) -> np.ndarray:
         """Discrete Dirichlet Laplacian: weights * (-lap v) = stiffness @ v."""
@@ -365,8 +397,13 @@ class _GridBase:
 
         ``new_values = values[perm]`` gives the transformed field, i.e.
         ``perm[a]`` is the node index of the preimage of node ``a``.
+        Cached per group; GridSymmetryError if the grid does not realize
+        the group.
         """
-        raise NotImplementedError
+        key = _group_key(G)
+        if key not in self._perm_cache:
+            self._perm_cache[key] = self._permutations(G)
+        return self._perm_cache[key]
 
     def symmetrize(self, values: np.ndarray, G: SymmetryGroup) -> np.ndarray:
         perms = self.group_permutations(G)
@@ -409,10 +446,8 @@ class PolarGrid(_GridBase):
     ``dtheta/2`` act as exact node permutations.
     """
 
-    kind = "polar"
-
     def __init__(self, n_r: int, n_theta: int, r_out: float = 1.0,
-                 r_in: float = 0.0, domain: DomainSpec | None = None):
+                 r_in: float = 0.0):
         if n_r < 2 or n_theta < 4:
             raise ValueError("need n_r >= 2 and n_theta >= 4")
         if not 0 <= r_in < r_out:
@@ -420,86 +455,43 @@ class PolarGrid(_GridBase):
         super().__init__()
         self.n_r, self.n_theta = n_r, n_theta
         self.r_in, self.r_out = r_in, r_out
-        self.dr = (r_out - r_in) / n_r
-        self.dtheta = 2.0 * math.pi / n_theta
-        if domain is None:
-            domain = (DomainSpec.disk(r_out) if r_in == 0.0
-                      else DomainSpec.annulus(r_in, r_out))
-        self.domain = domain
+        self.dr = dr = (r_out - r_in) / n_r
+        self.dtheta = dth = 2.0 * math.pi / n_theta
+        self.domain = (DomainSpec.disk(r_out) if r_in == 0.0
+                       else DomainSpec.annulus(r_in, r_out))
 
-        j = np.arange(n_r)
-        self.r_nodes = r_in + (j + 0.5) * self.dr
-        theta = np.arange(n_theta) * self.dtheta
+        self.r_nodes = r_in + (np.arange(n_r) + 0.5) * dr
         rr = np.repeat(self.r_nodes, n_theta)
-        tt = np.tile(theta, n_r)
-        self.node_r = rr
-        self.node_theta = tt
+        tt = np.tile(np.arange(n_theta) * dth, n_r)
         self.xy = np.column_stack([rr * np.cos(tt), rr * np.sin(tt)])
-        self.weights = rr * self.dr * self.dtheta
+        self.weights = rr * dr * dth
 
-        self._build_stiffness()
-
-        ba = np.zeros(self.n_nodes, dtype=bool)
-        ba[self._idx(n_r - 1, np.arange(n_theta))] = True
+        # faces: radial between rings j-1 and j, then angular within each
+        # ring (periodic); Dirichlet faces at half-cell distance dr/2
+        ring = np.arange(self.n_nodes).reshape(n_r, n_theta)
+        r_face = r_in + np.arange(1, n_r) * dr
+        a = np.concatenate([ring[:-1].ravel(), ring.ravel()])
+        b = np.concatenate([ring[1:].ravel(),
+                            np.roll(ring, -1, axis=1).ravel()])
+        c = np.repeat(np.concatenate([r_face * dth / dr,
+                                      dr / (self.r_nodes * dth)]), n_theta)
+        dirichlet = np.zeros(self.n_nodes)
+        dirichlet[ring[-1]] = r_out * dth / (dr / 2.0)
         if r_in > 0.0:
-            ba[self._idx(0, np.arange(n_theta))] = True
-        self.boundary_adjacent = ba
+            dirichlet[ring[0]] = r_in * dth / (dr / 2.0)
+        self.stiffness, self._edges = _assemble(self.n_nodes, a, b, c,
+                                                dirichlet)
+        self.boundary_adjacent = dirichlet > 0.0
 
-    def _idx(self, j, i):
-        return j * self.n_theta + i
-
-    def _build_stiffness(self):
-        n_r, n_t = self.n_r, self.n_theta
-        dr, dth = self.dr, self.dtheta
-        rows, cols, vals = [], [], []
-        diag = np.zeros(self.n_nodes)
-        ea, eb = [], []
-
-        def add_edge(a, b, c):
-            rows.extend([a, b])
-            cols.extend([b, a])
-            vals.extend([-c, -c])
-            diag[a] += c
-            diag[b] += c
-            ea.append(a)
-            eb.append(b)
-
-        i_all = np.arange(n_t)
-        # radial faces between rings j and j+1
-        for jface in range(1, n_r):
-            r_face = self.r_in + jface * dr
-            c = r_face * dth / dr
-            a = self._idx(jface - 1, i_all)
-            b = self._idx(jface, i_all)
-            for aa, bb in zip(a, b):
-                add_edge(aa, bb, c)
-        # angular faces within each ring (periodic)
-        for jring in range(n_r):
-            c = dr / (self.r_nodes[jring] * dth)
-            a = self._idx(jring, i_all)
-            b = self._idx(jring, (i_all + 1) % n_t)
-            for aa, bb in zip(a, b):
-                add_edge(aa, bb, c)
-        # Dirichlet faces (half-cell distance)
-        c_out = self.r_out * dth / (dr / 2.0)
-        diag[self._idx(n_r - 1, i_all)] += c_out
-        if self.r_in > 0.0:
-            c_in = self.r_in * dth / (dr / 2.0)
-            diag[self._idx(0, i_all)] += c_in
-
-        rows.extend(range(self.n_nodes))
-        cols.extend(range(self.n_nodes))
-        vals.extend(diag)
-        self.stiffness = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(self.n_nodes, self.n_nodes))
-        self._edges = (np.array(ea), np.array(eb))
+    def to_config(self) -> dict:
+        return {"type": "polar", "n_r": self.n_r, "n_theta": self.n_theta}
 
     @property
     def origin_ring(self) -> np.ndarray | None:
         """Indices of the innermost ring (proxy for the origin node)."""
         if self.r_in > 0.0:
             return None
-        return self._idx(0, np.arange(self.n_theta))
+        return np.arange(self.n_theta)
 
     # -- group action ---------------------------------------------------------
 
@@ -511,10 +503,7 @@ class PolarGrid(_GridBase):
                 f"angle {angle} is not a multiple of dtheta={self.dtheta}")
         return si % self.n_theta
 
-    def group_permutations(self, G: SymmetryGroup) -> list[np.ndarray]:
-        key = _group_key(G)
-        if key in self._perm_cache:
-            return self._perm_cache[key]
+    def _permutations(self, G: SymmetryGroup) -> list[np.ndarray]:
         if self.n_theta % G.order_h != 0:
             raise GridSymmetryError(
                 f"n_theta={self.n_theta} not a multiple of h={G.order_h}")
@@ -534,7 +523,6 @@ class PolarGrid(_GridBase):
                 s2 = self._theta_steps(2.0 * axis)
                 ring_perm = (s2 - i) % n_t
                 perms.append((j[:, None] * n_t + ring_perm[None, :]).ravel())
-        self._perm_cache[key] = perms
         return perms
 
 
@@ -547,8 +535,6 @@ class CartesianMaskedGrid(_GridBase):
     node permutations for h in {1, 2, 4} with reflection axes at multiples
     of pi/4.
     """
-
-    kind = "cartesian"
 
     def __init__(self, domain: DomainSpec, n: int, extent: float | None = None):
         if n < 4:
@@ -564,59 +550,31 @@ class CartesianMaskedGrid(_GridBase):
         X, Y = np.meshgrid(coords, coords, indexing="ij")
         pts = np.column_stack([X.ravel(), Y.ravel()])
         inside = domain.inside(pts)
-        self._inside_flat = inside
         self._interior_of_flat = -np.ones(n * n, dtype=np.int64)
         self._interior_of_flat[inside] = np.arange(int(inside.sum()))
-        self._flat_of_interior = np.flatnonzero(inside)
         self.xy = pts[inside]
         self.weights = np.full(self.xy.shape[0], self.h ** 2)
-        self._build_stiffness()
 
-    def _build_stiffness(self):
-        n = self.n
-        inside = self._inside_flat.reshape(n, n)
-        interior = self._interior_of_flat.reshape(n, n)
-        rows, cols, vals = [], [], []
-        diag = np.zeros(self.n_nodes)
-        ea, eb = [], []
-        bnd = np.zeros(self.n_nodes, dtype=bool)
+        # faces: x- then y-neighbour pairs of inside cells, conductance 1;
+        # every 4-neighbour outside or off the grid is a Dirichlet face at
+        # half-cell distance, conductance 2
+        mask = inside.reshape(n, n)
+        index = self._interior_of_flat.reshape(n, n)
+        x_pair = mask[:-1] & mask[1:]
+        y_pair = mask[:, :-1] & mask[:, 1:]
+        a = np.concatenate([index[:-1][x_pair], index[:, :-1][y_pair]])
+        b = np.concatenate([index[1:][x_pair], index[:, 1:][y_pair]])
+        padded = np.pad(mask, 1)
+        neighbours_inside = (padded[2:, 1:-1].astype(np.int64)
+                             + padded[:-2, 1:-1] + padded[1:-1, 2:]
+                             + padded[1:-1, :-2])
+        dirichlet = 2.0 * (4 - neighbours_inside[mask])
+        self.stiffness, self._edges = _assemble(
+            self.n_nodes, a, b, np.ones(a.size), dirichlet)
+        self.boundary_adjacent = dirichlet > 0.0
 
-        def neighbors(ix, iy):
-            for dx, dy in ((1, 0), (0, 1)):
-                jx, jy = ix + dx, iy + dy
-                if jx < n and jy < n:
-                    yield jx, jy
-
-        for ix in range(n):
-            for iy in range(n):
-                if not inside[ix, iy]:
-                    continue
-                a = interior[ix, iy]
-                for jx, jy in neighbors(ix, iy):
-                    if inside[jx, jy]:
-                        b = interior[jx, jy]
-                        rows.extend([a, b])
-                        cols.extend([b, a])
-                        vals.extend([-1.0, -1.0])
-                        diag[a] += 1.0
-                        diag[b] += 1.0
-                        ea.append(a)
-                        eb.append(b)
-                # Dirichlet faces: any 4-neighbor outside (or off-grid)
-                for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    jx, jy = ix + dx, iy + dy
-                    if (jx < 0 or jx >= n or jy < 0 or jy >= n
-                            or not inside[jx, jy]):
-                        diag[a] += 2.0  # zero value at half-cell distance
-                        bnd[a] = True
-
-        rows.extend(range(self.n_nodes))
-        cols.extend(range(self.n_nodes))
-        vals.extend(diag)
-        self.stiffness = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(self.n_nodes, self.n_nodes))
-        self._edges = (np.array(ea, dtype=np.int64), np.array(eb, dtype=np.int64))
-        self.boundary_adjacent = bnd
+    def to_config(self) -> dict:
+        return {"type": "cartesian", "n": self.n, "extent": self.extent}
 
     @property
     def origin_ring(self) -> np.ndarray | None:
@@ -628,31 +586,22 @@ class CartesianMaskedGrid(_GridBase):
 
     def _index_map(self, mat: np.ndarray) -> np.ndarray:
         """Permutation for an orthogonal map that permutes cell centers."""
-        n = self.n
         src = self.xy @ mat  # mat is orthogonal: inverse = transpose
-        ix = np.rint((src[:, 0] + self.extent) / self.h - 0.5).astype(np.int64)
-        iy = np.rint((src[:, 1] + self.extent) / self.h - 0.5).astype(np.int64)
-        err = np.max(np.abs(src[:, 0] - ((ix + 0.5) * self.h - self.extent)))
-        err = max(err, np.max(np.abs(src[:, 1] - ((iy + 0.5) * self.h - self.extent))))
+        cell = np.rint((src + self.extent) / self.h - 0.5).astype(np.int64)
+        err = np.max(np.abs(src - ((cell + 0.5) * self.h - self.extent)))
         if err > 1e-9 * self.h:
             raise GridSymmetryError("group element does not map cell centers "
                                     "to cell centers")
-        flat = ix * n + iy
-        perm = self._interior_of_flat[flat]
+        perm = self._interior_of_flat[cell[:, 0] * self.n + cell[:, 1]]
         if np.any(perm < 0):
             raise GridSymmetryError("domain mask is not invariant on the grid")
         return perm
 
-    def group_permutations(self, G: SymmetryGroup) -> list[np.ndarray]:
-        key = _group_key(G)
-        if key in self._perm_cache:
-            return self._perm_cache[key]
+    def _permutations(self, G: SymmetryGroup) -> list[np.ndarray]:
         if G.order_h not in (1, 2, 4):
             raise GridSymmetryError(
                 "cartesian grids support h in {1, 2, 4} only")
-        perms = [self._index_map(m) for m in G.elements()]
-        self._perm_cache[key] = perms
-        return perms
+        return [self._index_map(m) for m in G.elements()]
 
 
 class OrbitGrid(_GridBase):
@@ -666,8 +615,6 @@ class OrbitGrid(_GridBase):
     Laplacians and linear solves here equal their lifted counterparts on
     the parent grid, with one unknown per orbit.
     """
-
-    kind = "orbit"
 
     def __init__(self, parent: _GridBase, G: SymmetryGroup):
         super().__init__()

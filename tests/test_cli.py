@@ -8,9 +8,19 @@ import scipy.sparse.linalg as spla
 from lef import cli, flow, geometry, radial, spectrum
 
 
+def _rewrite_header(path, edit) -> None:
+    """Apply ``edit`` to a dump's JSON header in place."""
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline().decode("utf-8"))
+        payload = fh.read()
+    edit(header)
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+
+
 class TestDumpFormat:
-    def test_polar_round_trip(self, tmp_path, disk_grid_small):
-        g = disk_grid_small
+    @pytest.mark.parametrize("r_in", [0.0, 0.3], ids=["disk", "annulus"])
+    def test_polar_round_trip(self, tmp_path, r_in):
+        g = geometry.PolarGrid(24, 16, r_in=r_in)
         rng = np.random.default_rng(0)
         v = flow.ScalarField(g, rng.standard_normal(g.n_nodes))
         path = tmp_path / "f.bin"
@@ -19,9 +29,11 @@ class TestDumpFormat:
         assert header["p"] == 5.0
         assert header["dtype"] == "<f8"
         assert header["count"] == g.n_nodes
+        assert header["grid"] == {"type": "polar", "n_r": 24, "n_theta": 16}
+        assert header["domain"] == g.domain.to_config()
         assert np.array_equal(loaded.values, v.values)
-        assert loaded.grid.n_nodes == g.n_nodes
-        assert np.allclose(loaded.grid.xy, g.xy)
+        assert np.array_equal(loaded.grid.xy, g.xy)
+        assert (loaded.grid.stiffness != g.stiffness).nnz == 0
 
     @pytest.mark.parametrize("domain", [
         geometry.squircle_mask(1.0, 4.0),
@@ -34,10 +46,13 @@ class TestDumpFormat:
         path = tmp_path / "g.bin"
         cli.dump_field(path, v, p=8.0)
         loaded, header = cli.load_field(path)
-        assert header["grid"]["domain"] == domain.to_config()
+        assert header["grid"] == {"type": "cartesian", "n": 24,
+                                  "extent": 1.0}
+        assert header["domain"] == domain.to_config()
         assert loaded.grid.domain.to_config() == domain.to_config()
         assert np.array_equal(loaded.values, v.values)
-        assert np.allclose(loaded.grid.xy, g.xy)
+        assert np.array_equal(loaded.grid.xy, g.xy)
+        assert (loaded.grid.stiffness != g.stiffness).nnz == 0
 
     def test_mask_without_recipe_cannot_be_dumped(self, tmp_path):
         dom = geometry.DomainSpec.symmetric_mask(
@@ -245,6 +260,49 @@ class TestFlowCommand:
         assert shots == []
 
 
+class TestDumpDatum:
+    def _dump(self, tmp_path, grid):
+        path = tmp_path / "v.bin"
+        v = flow.field_from_radial(grid, radial.solve_ball(5.0)).scaled(0.5)
+        cli.dump_field(path, v, p=5.0)
+        return path
+
+    def test_runs_on_the_config_grid(self, tmp_path, monkeypatch):
+        path = self._dump(tmp_path, geometry.PolarGrid(32, 16))
+        built, evolved = [], []
+        build_grid, evolve = cli._build_grid, flow.evolve
+        monkeypatch.setattr(cli, "_build_grid", lambda *a: (
+            built.append(build_grid(*a)), built[-1])[1])
+        monkeypatch.setattr(flow, "evolve", lambda v0, *a, **kw: (
+            evolved.append(v0.grid), evolve(v0, *a, **kw))[1])
+        cfg_path = _ball_flow_config(
+            tmp_path, initial={"type": "dump", "path": str(path)})
+        assert cli.main(["flow", "--config", str(cfg_path)]) == 0
+        rep = json.loads((tmp_path / "out" / "flow_report.json").read_text())
+        assert rep["classification"] == "DecayToZero"
+        # the config's grid, built first; the dump's grid only checks it
+        assert len(built) == 2 and evolved == [built[0]]
+
+    @pytest.mark.parametrize("grid, initial, message", [
+        (geometry.PolarGrid(24, 16), None,
+         "the dump's grid {'type': 'polar', 'n_r': 24"),
+        (geometry.PolarGrid(32, 16, r_in=0.3), None,
+         "on {'type': 'annulus'"),
+        (geometry.PolarGrid(32, 16), {"type": "dump"},
+         "initial dump needs a 'path'"),
+    ], ids=["other-grid", "other-domain", "no-path"])
+    def test_other_grid_exits_2(self, tmp_path, capsys, grid, initial,
+                                message):
+        path = self._dump(tmp_path, grid)
+        cfg_path = _ball_flow_config(
+            tmp_path, initial=initial or {"type": "dump", "path": str(path)})
+        assert cli.main(["flow", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("lef flow: ") and message in err[0]
+        assert not (tmp_path / "out" / "flow_report.json").exists()
+
+
 @pytest.fixture(scope="module")
 def polished_ball():
     g = geometry.PolarGrid(48, 16)
@@ -300,6 +358,49 @@ class TestSpectrumCommand:
         assert cli.main(["spectrum", "--field", str(path), "--k", "0"]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["lef spectrum: --k must be >= 1, got 0"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--group", "cyclic"], "group order must be an integer >= 1, "
+                                "got ''"),
+        (["--group", "cyclic:x"], "group order must be an integer >= 1, "
+                                  "got 'x'"),
+        (["--group", "cyclic:5"], "does not realize the group cyclic:5"),
+        (["--p", "abc"], "p must be a finite number > 1, got 'abc'"),
+        (["--p", "1"], "p must be a finite number > 1, got '1'"),
+    ], ids=["group-without-order", "group-order-not-a-number",
+            "group-not-realized", "p-not-a-number", "p-one"])
+    def test_bad_arguments_exit_2(self, tmp_path, capsys, polished_ball,
+                                  argv, message):
+        path = tmp_path / "ball.bin"
+        cli.dump_field(path, polished_ball, p=5.0)
+        assert cli.main(["spectrum", "--field", str(path), *argv]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("lef spectrum: ") and message in err[0]
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h.pop("grid"), "dump header has no key 'grid'"),
+        (lambda h: h.pop("domain"), "dump header has no key 'domain'"),
+        (lambda h: h["grid"].pop("n_r"), "dump header has no key 'n_r'"),
+        (lambda h: h.pop("count"), "dump header has no key 'count'"),
+        (lambda h: h["grid"].update(n_r=24), "grid of 384 nodes"),
+        (lambda h: h.update(count=10), "header count 10"),
+        (lambda h: h.update(p="x"), "p must be a finite number > 1, "
+                                    "got 'x'"),
+        (lambda h: h.update(p=0.5), "p must be a finite number > 1, "
+                                    "got 0.5"),
+        (lambda h: h.pop("p"), "p not in dump header; pass --p"),
+    ], ids=["no-grid", "no-domain", "no-n_r", "no-count", "grid-not-count",
+            "count-not-values", "p-not-a-number", "p-below-one", "no-p"])
+    def test_bad_header_exits_2(self, tmp_path, capsys, polished_ball, edit,
+                                message):
+        path = tmp_path / "ball.bin"
+        cli.dump_field(path, polished_ball, p=5.0)
+        _rewrite_header(path, edit)
+        assert cli.main(["spectrum", "--field", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("lef spectrum: ") and message in err[0]
 
     def test_non_steady_dump_exits_4(self, tmp_path, capsys, polished_ball):
         path = tmp_path / "scaled.bin"
@@ -381,6 +482,64 @@ class TestConfigValidation:
             err = capsys.readouterr().err.strip().splitlines()
             assert len(err) == 1
             assert repr(value.get("type", value.get("kind"))) in err[0]
+        assert shots == []
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"grid": {"type": "polar", "n_r": 16, "n_theta": 8},
+          "group": {"kind": "cyclic", "order": 6}},
+         "does not realize the group cyclic:6"),
+        ({"grid": {"type": "cartesian", "n": 16},
+          "group": {"kind": "cyclic", "order": 8}},
+         "does not realize the group cyclic:8"),
+        ({"grid": {"type": "polar", "n_r": 16, "n_theta": 8},
+          "domain": {"type": "squircle"}},
+         "polar grid needs a disk or annulus domain, got 'squircle'"),
+        ({"group": {"kind": "cyclic", "order": "4"}},
+         "group order must be an integer >= 1, got '4'"),
+        ({"group": {"kind": "dihedral", "order": 0}},
+         "group order must be an integer >= 1, got 0"),
+        ({"group": {"kind": "dihedral", "order": 4, "axis_angle": "x"}},
+         "group axis_angle must be a number, got 'x'"),
+        ({"grid": {"type": "polar", "n_r": 1, "n_theta": 8}},
+         "grid n_r must be an integer >= 2, got 1"),
+        ({"grid": {"type": "cartesian", "n": 16, "extent": "x"}},
+         "grid extent must be a number > 0, got 'x'"),
+    ], ids=["c6-on-polar-8", "c8-on-cartesian", "squircle-on-polar",
+            "order-string", "order-zero", "axis-angle-string", "n_r-one",
+            "extent-string"])
+    @pytest.mark.parametrize("command", ["flow", "pipeline"])
+    def test_group_and_grid_exit_2_before_any_shot(self, tmp_path, capsys,
+                                                   monkeypatch, command,
+                                                   extra, message):
+        shots = []
+        monkeypatch.setattr(radial, "solve_ivp",
+                            lambda *a, **kw: shots.append(a))
+        config = {"p": 8.0, "grid": {"type": "polar", "n_r": 16,
+                                     "n_theta": 8},
+                  "outdir": str(tmp_path / "out"), **extra}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main([command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"lef {command}: ") and message in err[0]
+        assert shots == []
+
+    def test_pipeline_without_group_is_inadmissible(self, tmp_path, capsys,
+                                                    monkeypatch):
+        shots = []
+        monkeypatch.setattr(radial, "solve_ivp",
+                            lambda *a, **kw: shots.append(a))
+        config = {"p": 8.0, "group": None,
+                  "grid": {"type": "polar", "n_r": 16, "n_theta": 8},
+                  "outdir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["pipeline", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["admissible"] is False
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and "the group None is not admissible" in err[0]
         assert shots == []
 
     @pytest.mark.parametrize("scan", [{"refine": 30}, {"ratio": [0.5]}],

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from lef import geometry
 from lef.geometry import (CartesianMaskedGrid, DomainSpec, GridSymmetryError,
@@ -137,3 +138,131 @@ class TestCartesianMaskedGrid:
         g = CartesianMaskedGrid(DomainSpec.disk(1.0), 24)
         with pytest.raises(GridSymmetryError):
             g.group_permutations(cyclic(3))
+
+
+# -- stiffness oracle: the per-edge loop assembly the face-list assembly
+# -- replaced, kept to pin K, the face set and the boundary nodes --------
+
+def _loop_polar(g):
+    n_r, n_t = g.n_r, g.n_theta
+    dr, dth = g.dr, g.dtheta
+    rows, cols, vals = [], [], []
+    diag = np.zeros(g.n_nodes)
+    ea, eb = [], []
+
+    def idx(j, i):
+        return j * n_t + i
+
+    def add_edge(a, b, c):
+        rows.extend([a, b])
+        cols.extend([b, a])
+        vals.extend([-c, -c])
+        diag[a] += c
+        diag[b] += c
+        ea.append(a)
+        eb.append(b)
+
+    i_all = np.arange(n_t)
+    for jface in range(1, n_r):
+        c = (g.r_in + jface * dr) * dth / dr
+        for aa, bb in zip(idx(jface - 1, i_all), idx(jface, i_all)):
+            add_edge(aa, bb, c)
+    for jring in range(n_r):
+        c = dr / (g.r_nodes[jring] * dth)
+        for aa, bb in zip(idx(jring, i_all), idx(jring, (i_all + 1) % n_t)):
+            add_edge(aa, bb, c)
+    diag[idx(n_r - 1, i_all)] += g.r_out * dth / (dr / 2.0)
+    bnd = np.zeros(g.n_nodes, dtype=bool)
+    bnd[idx(n_r - 1, i_all)] = True
+    if g.r_in > 0.0:
+        diag[idx(0, i_all)] += g.r_in * dth / (dr / 2.0)
+        bnd[idx(0, i_all)] = True
+    rows.extend(range(g.n_nodes))
+    cols.extend(range(g.n_nodes))
+    vals.extend(diag)
+    K = sp.csr_matrix((vals, (rows, cols)), shape=(g.n_nodes, g.n_nodes))
+    return K, (ea, eb), bnd
+
+
+def _loop_cartesian(g):
+    n = g.n
+    coords = (np.arange(n) + 0.5) * g.h - g.extent
+    X, Y = np.meshgrid(coords, coords, indexing="ij")
+    inside = g.domain.inside(np.column_stack([X.ravel(), Y.ravel()]))
+    interior = -np.ones(n * n, dtype=np.int64)
+    interior[inside] = np.arange(int(inside.sum()))
+    inside, interior = inside.reshape(n, n), interior.reshape(n, n)
+    rows, cols, vals = [], [], []
+    diag = np.zeros(g.n_nodes)
+    ea, eb = [], []
+    bnd = np.zeros(g.n_nodes, dtype=bool)
+    for ix in range(n):
+        for iy in range(n):
+            if not inside[ix, iy]:
+                continue
+            a = interior[ix, iy]
+            for jx, jy in ((ix + 1, iy), (ix, iy + 1)):
+                if jx < n and jy < n and inside[jx, jy]:
+                    b = interior[jx, jy]
+                    rows.extend([a, b])
+                    cols.extend([b, a])
+                    vals.extend([-1.0, -1.0])
+                    diag[a] += 1.0
+                    diag[b] += 1.0
+                    ea.append(a)
+                    eb.append(b)
+            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                jx, jy = ix + dx, iy + dy
+                if (jx < 0 or jx >= n or jy < 0 or jy >= n
+                        or not inside[jx, jy]):
+                    diag[a] += 2.0
+                    bnd[a] = True
+    rows.extend(range(g.n_nodes))
+    cols.extend(range(g.n_nodes))
+    vals.extend(diag)
+    K = sp.csr_matrix((vals, (rows, cols)), shape=(g.n_nodes, g.n_nodes))
+    return K, (ea, eb), bnd
+
+
+def bitwise_equal(A, B) -> bool:
+    """Same csr structure and the same float64 bits in every entry."""
+    return (A.shape == B.shape and np.array_equal(A.indptr, B.indptr)
+            and np.array_equal(A.indices, B.indices)
+            and A.data.tobytes() == B.data.tobytes())
+
+
+class TestFaceListAssembly:
+    @pytest.mark.parametrize("make, oracle", [
+        (lambda: PolarGrid(96, 32), _loop_polar),
+        (lambda: PolarGrid(24, 16, r_in=0.3), _loop_polar),
+        (lambda: CartesianMaskedGrid(squircle_mask(1.0, 4.0), 64),
+         _loop_cartesian),
+        (lambda: CartesianMaskedGrid(DomainSpec.disk(1.0), 32),
+         _loop_cartesian),
+        (lambda: CartesianMaskedGrid(DomainSpec.annulus(0.3, 1.0), 24),
+         _loop_cartesian),
+    ], ids=["polar-disk", "polar-annulus", "cartesian-squircle",
+            "cartesian-disk", "cartesian-annulus"])
+    def test_matches_loop_assembly_bitwise(self, make, oracle):
+        g = make()
+        K, (ea, eb), bnd = oracle(g)
+        assert bitwise_equal(g.stiffness, K)
+        a, b = g._edges
+        assert sorted(zip(a.tolist(), b.tolist())) == sorted(zip(ea, eb))
+        assert np.array_equal(g.boundary_adjacent, bnd)
+
+    def test_grid_clipping_the_domain_has_off_grid_dirichlet_faces(self):
+        # extent below the squircle's radius: the grid's edge cells are
+        # inside, and their off-grid neighbours are Dirichlet faces
+        g = CartesianMaskedGrid(squircle_mask(1.0, 4.0), 16, extent=0.9)
+        K, _, bnd = _loop_cartesian(g)
+        assert bitwise_equal(g.stiffness, K)
+        assert np.array_equal(g.boundary_adjacent, bnd)
+
+    def test_to_config(self):
+        assert PolarGrid(24, 16, r_in=0.3).to_config() == {
+            "type": "polar", "n_r": 24, "n_theta": 16}
+        assert CartesianMaskedGrid(DomainSpec.disk(1.0), 24).to_config() == {
+            "type": "cartesian", "n": 24, "extent": 1.0}
+        with pytest.raises(TypeError, match="no config recipe"):
+            PolarGrid(16, 8).quotient(cyclic(4)).to_config()
