@@ -29,10 +29,10 @@ from .geometry import (CartesianMaskedGrid, ConfigError, DomainSpec,
 
 
 def _np_default(obj):
-    if hasattr(obj, "item"):
-        return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
+    if hasattr(obj, "item"):
+        return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
@@ -85,6 +85,30 @@ def load_field(path) -> tuple[flow.ScalarField, dict]:
 # ---------------------------------------------------------------------------
 # config plumbing
 # ---------------------------------------------------------------------------
+
+# config sections that are JSON objects; "group": null means no group
+_SECTIONS = ("grid", "domain", "group", "flow", "scan", "initial")
+
+
+def _read_config(path) -> dict:
+    """The config of a JSON file; ConfigError unless the file reads as a
+    JSON object whose sections are objects."""
+    try:
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: not a readable JSON config: "
+                          f"{exc}") from None
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path}: a config is a JSON object, got "
+                          f"{type(config).__name__}")
+    for name in _SECTIONS:
+        section = config.get(name, {})
+        if not (isinstance(section, dict)
+                or (name == "group" and section is None)):
+            raise ConfigError(f"config section {name!r} must be a JSON "
+                              f"object, got {section!r}")
+    return config
+
 
 def _config_int(value, name: str, least: int) -> int:
     """An integer config value; ConfigError unless it is one >= least."""
@@ -321,7 +345,7 @@ def _initial_field(spec: dict, grid, p: float, alpha):
 
 
 def run_flow(args) -> int:
-    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    config = _read_config(args.config)
     cfg, p, group, grid = _run_setup(config, None, None)
     v0 = _initial_field(config.get("initial", {"type": "ball"}), grid, p,
                         config.get("alpha"))
@@ -382,7 +406,7 @@ def _stage_failure(report: dict, outdir: Path, message: str) -> int:
 
 
 def run_pipeline(args) -> int:
-    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    config = _read_config(args.config)
     cfg, p, group, grid = _run_setup(
         config, {"t_max": 120.0}, {"kind": "cyclic", "order": 4})
     domain = grid.domain
@@ -573,9 +597,10 @@ def main(argv=None) -> int:
     p_spec.add_argument("--field", required=True)
     p_spec.add_argument("--p", default=None)
     p_spec.add_argument("--k", type=int, default=12,
-                        help="number of lowest eigenvalues to print; the "
-                             "Morse index is an inertia count, not capped "
-                             "by k")
+                        help="number of eigenvalues nearest the Morse "
+                             "shift -1e-8*|lambda_1| to print per space; "
+                             "the Morse index is an inertia count, not "
+                             "capped by k")
     p_spec.add_argument("--group", default=None,
                         help="kind:order, e.g. cyclic:4")
 

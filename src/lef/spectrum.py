@@ -13,7 +13,10 @@ the restriction is an exact congruence, not an approximation.
 Morse indices are inertia counts (Sylvester's law): W is positive
 diagonal, so the number of eigenvalues below a shift sigma equals the
 number of negative pivots of a symmetric factorization of A - sigma W.
-``eigsh`` computes only the eigenvalues a report prints.
+A Morse record fixes sigma_0 = -NEGATIVE_EIG_REL_TOL |lambda_1| and
+factors A - sigma_0 W once per space.  That one factor gives the index by
+its pivots and is the shift-invert operator of the ``eigsh`` that finds
+the eigenvalues nearest sigma_0, the ones nondegeneracy turns on.
 """
 
 from __future__ import annotations
@@ -41,11 +44,14 @@ class NotSteadyError(ValueError):
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    eigenvalues: tuple[float, ...]
+    """lambda_1 of L on u's grid, and per space (the grid, then the
+    G-symmetric orbit grid if a group is given) the Morse index and the
+    eigenvalues nearest sigma_0 = -NEGATIVE_EIG_REL_TOL |lambda_1|."""
+    lambda_1: float
     morse_index: int
+    eigenvalues: tuple[float, ...]
     symmetric_morse_index: int | None = None
     symmetric_eigenvalues: tuple[float, ...] | None = None
-    half_domain_mu: float | None = None
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -58,29 +64,19 @@ def assemble_linearized(u, p: float) -> sp.csr_matrix:
     return (grid.stiffness - sp.diags(grid.weights * pot)).tocsr()
 
 
-def _mass(grid) -> sp.dia_matrix:
-    return sp.diags(grid.weights)
-
-
 # Bound at import: the inertia count reads the factor's permutations and
 # pivots, which only SuperLU's own factor object exposes.
 _superlu = spla.splu
 
-# sigma_2 placement: halvings of sigma_2 - lambda_1 before giving up on
-# separating lambda_1 from lambda_2, then bisection steps toward lambda_2
-_SHIFT_HALVINGS = 40
-_SHIFT_BISECTIONS = 3
 
+def _shifted_factor(A: sp.spmatrix, weights: np.ndarray, sigma: float):
+    """(number of eigenvalues below sigma, SuperLU factor of A - sigma W).
 
-def inertia_below(A: sp.spmatrix, weights: np.ndarray, sigma: float) -> int:
-    """Number of eigenvalues of the pencil (A, diag(weights)) below sigma.
-
-    Sylvester's law of inertia: W = diag(weights) is positive, so this is
-    the number of negative pivots of a symmetric factorization
-    P (A - sigma W) P^T = L D L^T.  SuperLU in symmetric mode with a zero
-    pivot threshold keeps every pivot on the diagonal, so D is the
-    diagonal of its U factor; a factorization that pivots off the diagonal
-    or meets a zero pivot (sigma is an eigenvalue) raises EigenSolveError.
+    SuperLU in symmetric mode with a zero pivot threshold keeps every pivot
+    on the diagonal, so the factor is P (A - sigma W) P^T = L D L^T with D
+    the diagonal of its U factor; a factorization that pivots off the
+    diagonal or meets a zero pivot (sigma is an eigenvalue) raises
+    EigenSolveError.
     """
     S = (A - sigma * sp.diags(weights)).tocsc()
     try:
@@ -92,13 +88,32 @@ def inertia_below(A: sp.spmatrix, weights: np.ndarray, sigma: float) -> int:
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise EigenSolveError(f"inertia count at sigma = {sigma:.6g}: SuperLU "
                               f"pivoted off the diagonal (perm_r != perm_c)")
-    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0)), lu
 
 
-def _eigsh(A, k: int, M, sigma: float, which: str):
-    """Shift-invert eigsh with solver failures raised as EigenSolveError."""
+def inertia_below(A: sp.spmatrix, weights: np.ndarray, sigma: float) -> int:
+    """Number of eigenvalues of the pencil (A, diag(weights)) below sigma.
+
+    Sylvester's law of inertia: W = diag(weights) is positive, so this is
+    the number of negative pivots of a symmetric factorization of
+    A - sigma W.
+    """
+    return _shifted_factor(A, weights, sigma)[0]
+
+
+def _eigsh(A, k: int, weights: np.ndarray, sigma: float, OPinv=None):
+    """Shift-invert eigsh of the pencil (A, diag(weights)) at sigma.
+
+    ARPACK starts from a fixed pseudo-random vector, so the same problem
+    gives bitwise the same eigenpairs in every run.  A symmetric start
+    such as all ones would not do: for a G-invariant operator its Krylov
+    space stays G-invariant, and the other eigenvectors would enter only
+    through roundoff.  Solver failures raise EigenSolveError.
+    """
+    v0 = np.random.default_rng(0).standard_normal(A.shape[0])
     try:
-        return spla.eigsh(A, k=k, M=M, sigma=sigma, which=which)
+        return spla.eigsh(A, k=k, M=sp.diags(weights), sigma=sigma,
+                          OPinv=OPinv, v0=v0)
     except RuntimeError as exc:  # ArpackError, singular shift
         raise EigenSolveError(f"shift-invert eigensolve at sigma = "
                               f"{sigma:.6g} failed: {exc}") from exc
@@ -112,65 +127,38 @@ def _spectrum_floor(A, weights: np.ndarray) -> float:
     return float(np.min((diag - radius) / weights)) - 1.0
 
 
-def _shift_above_first(A, weights: np.ndarray, lam1: float) -> float:
-    """A shift sigma_2 in (lambda_1, lambda_2), placed by inertia counts.
-
-    The distance above lambda_1 is halved until exactly one eigenvalue lies
-    below the shift, then a few bisection steps move it toward lambda_2.
-    """
-    d = max(abs(lam1), 1.0)
-    above = None  # lowest tried shift with two or more eigenvalues below
-    for _ in range(_SHIFT_HALVINGS):
-        count = inertia_below(A, weights, lam1 + d)
-        if count == 1:
-            break
-        if count == 0:
-            raise EigenSolveError(f"no eigenvalue below {lam1 + d:.6g}: "
-                                  f"{lam1:.6g} is not the lowest eigenvalue")
-        above = lam1 + d
-        d *= 0.5
-    else:
-        raise EigenSolveError(f"no shift above lambda_1 = {lam1:.6g} has "
-                              f"exactly one eigenvalue below it")
-    sigma = lam1 + d
-    for _ in range(_SHIFT_BISECTIONS if above is not None else 0):
-        mid = 0.5 * (sigma + above)
-        if inertia_below(A, weights, mid) == 1:
-            sigma = mid
-        else:
-            above = mid
-    return sigma
+def lowest_eigenpair(A, weights: np.ndarray):
+    """(lambda_1, eigenvector) of the pencil (A, diag(weights)), from
+    shift-invert eigsh below the spectrum."""
+    vals, vecs = _eigsh(A, 1, weights, _spectrum_floor(A, weights))
+    return float(vals[0]), vecs[:, 0]
 
 
-def lowest_eigenpairs(operator: sp.csr_matrix, grid, k: int,
+def spectrum_at_shift(A, weights: np.ndarray, sigma: float, k: int,
                       residual_tol: float = 1e-8):
-    """k smallest eigenvalues (and vectors) with residual verification.
+    """(inertia below sigma, k eigenvalues nearest sigma in ascending
+    order, their eigenvectors), all from one factorization of A - sigma W.
 
-    lambda_1 comes from shift-invert eigsh below the spectrum; the next
-    k - 1 from one shift-invert eigsh for the eigenvalues just above a
-    shift sigma_2 in (lambda_1, lambda_2) placed by inertia counts.
+    The factor's negative pivots are the inertia, and the factor is the
+    shift-invert operator of the eigsh; every eigenpair is checked by its
+    residual.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    k = min(k, grid.n_nodes - 2)
-    M = _mass(grid)
-    vals, vecs = _eigsh(operator, 1, M,
-                        _spectrum_floor(operator, grid.weights), "LM")
-    if k > 1:
-        sigma2 = _shift_above_first(operator, grid.weights, float(vals[0]))
-        more, more_vecs = _eigsh(operator, k - 1, M, sigma2, "LA")
-        vals = np.concatenate([vals, more])
-        vecs = np.hstack([vecs, more_vecs])
+    k = min(k, A.shape[0] - 2)
+    count, lu = _shifted_factor(A, weights, sigma)
+    vals, vecs = _eigsh(A, k, weights, sigma, spla.LinearOperator(
+        A.shape, matvec=lu.solve, dtype=float))
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     for lam, phi in zip(vals, vecs.T):
-        r = operator @ phi - lam * (grid.weights * phi)
-        rel = np.linalg.norm(r / grid.weights) / (
+        r = A @ phi - lam * (weights * phi)
+        rel = np.linalg.norm(r / weights) / (
             np.linalg.norm(phi) * max(1.0, abs(lam)))
         if rel > residual_tol:
             raise EigenSolveError(
                 f"eigenpair residual {rel:.2e} exceeds {residual_tol}")
-    return vals, vecs
+    return count, vals, vecs
 
 
 def elliptic_residual(u, p: float) -> float:
@@ -183,36 +171,38 @@ def elliptic_residual(u, p: float) -> float:
     return grid.weighted_norm(res) / nrm
 
 
-def _index_and_eigenvalues(u, p: float, k: int):
-    """(Morse index, k lowest eigenvalues) of L at u on u's grid.
-
-    The index counts eigenvalues lambda < -NEGATIVE_EIG_REL_TOL |lambda_1|
-    by inertia, so it does not depend on k.
-    """
-    A = assemble_linearized(u, p)
-    vals, _ = lowest_eigenpairs(A, u.grid, k)
-    sigma = -NEGATIVE_EIG_REL_TOL * max(abs(float(vals[0])), 1e-30)
-    return (inertia_below(A, u.grid.weights, sigma),
-            tuple(float(x) for x in vals))
+def _index_and_eigenvalues(A, weights: np.ndarray, sigma: float, k: int):
+    """(inertia below sigma, k eigenvalues nearest sigma) of one space."""
+    index, vals, _ = spectrum_at_shift(A, weights, sigma, k)
+    return index, tuple(float(x) for x in vals)
 
 
 def morse_index(u, p: float, G: SymmetryGroup | None = None, k: int = 12,
                 residual_check: float = 1e-6) -> SpectrumReport:
-    """Morse index of a converged steady state, optionally also restricted
-    to the G-symmetric subspace.  ``k`` is only the number of lowest
-    eigenvalues reported per space."""
+    """Morse record of a converged steady state, optionally also
+    restricted to the G-symmetric subspace.
+
+    The index counts eigenvalues lambda < sigma_0 = -NEGATIVE_EIG_REL_TOL
+    |lambda_1| by inertia, with lambda_1 taken on u's grid, so it does not
+    depend on ``k``; ``k`` is only the number of eigenvalues nearest
+    sigma_0 reported per space.
+    """
     res = elliptic_residual(u, p)
     if res > residual_check:
         raise NotSteadyError(f"not a converged steady state: elliptic "
                              f"residual {res:.2e} > {residual_check}")
-    index, vals = _index_and_eigenvalues(u, p, k)
+    A = assemble_linearized(u, p)
+    lam1, _ = lowest_eigenpair(A, u.grid.weights)
+    sigma = -NEGATIVE_EIG_REL_TOL * max(abs(lam1), 1e-30)
+    index, vals = _index_and_eigenvalues(A, u.grid.weights, sigma, k)
     sym_idx = sym_vals = None
     if G is not None:
         orbits = u.grid.quotient(G)
         u_sym = dataclasses.replace(u, grid=orbits,
                                     values=orbits.restrict(u.values))
-        sym_idx, sym_vals = _index_and_eigenvalues(u_sym, p, k)
-    return SpectrumReport(vals, index, sym_idx, sym_vals)
+        sym_idx, sym_vals = _index_and_eigenvalues(
+            assemble_linearized(u_sym, p), orbits.weights, sigma, k)
+    return SpectrumReport(lam1, index, vals, sym_idx, sym_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +250,7 @@ def half_domain_mu(u, p: float, axis_angle: float = math.pi / 2.0,
     cross[perm[idx] == idx] = 0.0
     if np.any(cross):
         A_half = A_half - sp.diags(cross)
-    w_half = grid.weights[idx]
-    vals, vecs = _eigsh(A_half, 1, sp.diags(w_half),
-                        _spectrum_floor(A_half, w_half), "LM")
-    mu = float(vals[0])
-    psi = vecs[:, 0]
+    mu, psi = lowest_eigenpair(A_half, grid.weights[idx])
 
     # odd extension across the axis
     tilde = np.zeros(grid.n_nodes)

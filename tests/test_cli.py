@@ -73,6 +73,11 @@ class TestDumpFormat:
         assert len(payload) == 8 * header["count"]
 
 
+def test_report_json_takes_numpy_arrays_and_scalars():
+    assert json.loads(cli._json({"a": np.zeros(3), "b": np.float64(1.5)})) \
+        == {"a": [0.0, 0.0, 0.0], "b": 1.5}
+
+
 class TestConstantsCommand:
     def test_exit_zero_and_report(self, capsys):
         assert cli.main(["constants"]) == 0
@@ -568,6 +573,28 @@ class TestConfigValidation:
         assert cli.main(["pipeline", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"lef pipeline: missing config key {key!r}"]
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "not a readable JSON config"),
+        ('{"p": 8.0,', "not a readable JSON config"),
+        ("[1, 2]", "a config is a JSON object, got list"),
+        ('{"p": 8.0, "grid": 5}', "section 'grid' must be a JSON object"),
+        ('{"p": 8.0, "domain": "disk"}',
+         "section 'domain' must be a JSON object"),
+        ('{"p": 8.0, "group": "cyclic:4"}',
+         "section 'group' must be a JSON object"),
+    ], ids=["missing-file", "not-json", "top-level-list", "grid-number",
+            "domain-string", "group-string"])
+    @pytest.mark.parametrize("command", ["flow", "pipeline"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, command,
+                                       text, message):
+        cfg_path = tmp_path / "run.json"
+        if text is not None:
+            cfg_path.write_text(text, encoding="utf-8")
+        assert cli.main([command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"lef {command}: ") and message in err[0]
 
     @pytest.mark.parametrize("p", [1.0, "abc"])
     def test_bad_exponent_exits_2(self, tmp_path, capsys, p):

@@ -22,23 +22,25 @@ def polished_ball_p5():
 
 class TestLinearEigenOracles:
     def test_disk_laplacian_spectrum(self):
-        # zero state: L = -Delta; first eigenvalues are squared Bessel zeros
+        # zero state: L = -Delta has no eigenvalue below the shift, so the
+        # eigenvalues nearest it are the lowest, squared Bessel zeros
         g = geometry.PolarGrid(96, 32)
         z = flow.ScalarField(g, np.zeros(g.n_nodes))
-        A = spectrum.assemble_linearized(z, 5.0)
-        vals, vecs = spectrum.lowest_eigenpairs(A, g, 4)
+        rep = spectrum.morse_index(z, 5.0, k=4)
         # j_{0,1}^2, j_{1,1}^2 (double), j_{2,1}^2
         oracle = [5.7832, 14.6820, 14.6820, 26.3746]
-        assert np.allclose(vals[:4], oracle, rtol=1e-2)
+        assert rep.morse_index == 0
+        assert np.allclose(rep.lambda_1, oracle[0], rtol=1e-2)
+        assert np.allclose(rep.eigenvalues, oracle, rtol=1e-2)
 
     def test_eigenvector_normalization(self):
         g = geometry.PolarGrid(48, 16)
         z = flow.ScalarField(g, np.zeros(g.n_nodes))
         A = spectrum.assemble_linearized(z, 3.0)
-        vals, vecs = spectrum.lowest_eigenpairs(A, g, 2)
-        for j in range(2):
-            nrm = g.weighted_norm(vecs[:, j])
-            assert nrm == pytest.approx(1.0, rel=1e-8)
+        _, phi_1 = spectrum.lowest_eigenpair(A, g.weights)
+        _, _, vecs = spectrum.spectrum_at_shift(A, g.weights, 0.0, 2)
+        for phi in (phi_1, vecs[:, 0], vecs[:, 1]):
+            assert g.weighted_norm(phi) == pytest.approx(1.0, rel=1e-8)
 
 
 def _bump_operator(case: str, reduced: bool, p: float = 5.0):
@@ -78,11 +80,18 @@ class TestInertiaAgainstDenseEigh:
                 np.count_nonzero(dense < sigma), sigma
 
     def test_lowest_eigenpairs_match_dense(self, case, reduced):
+        # lambda_1, then the k eigenvalues nearest the Morse shift sigma_0
         A, grid = _bump_operator(case, reduced)
         dense = scipy.linalg.eigh(A.toarray(), np.diag(grid.weights),
                                   eigvals_only=True)
-        vals, vecs = spectrum.lowest_eigenpairs(A, grid, 6)
-        assert np.allclose(vals, dense[:6], rtol=1e-9,
+        lam1, _ = spectrum.lowest_eigenpair(A, grid.weights)
+        assert np.allclose(lam1, dense[0], rtol=1e-9,
+                           atol=1e-9 * abs(dense[0]))
+        sigma = -spectrum.NEGATIVE_EIG_REL_TOL * abs(lam1)
+        index, vals, _ = spectrum.spectrum_at_shift(A, grid.weights, sigma, 6)
+        nearest = np.sort(dense[np.argsort(np.abs(dense - sigma))[:6]])
+        assert index == np.count_nonzero(dense < sigma)
+        assert np.allclose(vals, nearest, rtol=1e-9,
                            atol=1e-9 * abs(dense[0]))
 
 
@@ -119,7 +128,7 @@ class TestMorseIndex:
     def test_positive_solution_has_index_one(self, polished_ball_p5):
         rep = spectrum.morse_index(polished_ball_p5, 5.0)
         assert rep.morse_index == 1
-        assert rep.eigenvalues[0] < 0 < rep.eigenvalues[1]
+        assert rep.lambda_1 < 0
 
     def test_symmetric_index_of_radial_state(self, polished_ball_p5):
         rep = spectrum.morse_index(polished_ball_p5, 5.0,
@@ -131,6 +140,14 @@ class TestMorseIndex:
         junk = polished_ball_p5.scaled(1.5)
         with pytest.raises(ValueError):
             spectrum.morse_index(junk, 5.0)
+
+    def test_repeated_eigensolves_are_bitwise_equal(self, polished_ball_p5):
+        # ARPACK starts from a fixed vector, so a report repeats every digit
+        u, G = polished_ball_p5, geometry.cyclic(4)
+        assert (spectrum.morse_index(u, 5.0, G, k=4)
+                == spectrum.morse_index(u, 5.0, G, k=4))
+        assert (spectrum.half_domain_mu(u, 5.0)
+                == spectrum.half_domain_mu(u, 5.0))
 
 
 class TestHalfDomainMu:
