@@ -450,10 +450,6 @@ def run_pipeline(args) -> int:
 
     scan = flow.ray_scan(u1, u2, p, ratios=scan_spec.get("ratios"),
                          config=cfg, group=group)
-    # energy-consistent datum: the transition angle's threshold point; the
-    # refinement's rays join the scan's rays
-    trans = (flow.refine_transition(u1, u2, p, scan, cfg, group)
-             if scan.success else None)
     n_rays = len(scan.all_results)
     report["scan"] = {
         "n_rays": n_rays,
@@ -468,8 +464,8 @@ def run_pipeline(args) -> int:
             f"scan stage: no sign-changing candidate on any of {n_rays} "
             f"rays")
 
-    chosen_res, chosen_theta = (trans if trans is not None
-                                else (scan.best, scan.best_theta))
+    # the energy-consistent datum v0: the transition angle's threshold point
+    chosen_res, chosen_theta = scan.chosen
     lam = chosen_res.lambda_star
     v0 = chosen_res.v0
     report["chosen"] = {"theta": chosen_theta,
@@ -477,8 +473,9 @@ def run_pipeline(args) -> int:
                         "t2": lam * math.sin(chosen_theta),
                         "lambda_star": lam,
                         "bisection_width": chosen_res.bisection_width}
+    report["candidate"] = scan.provenance()
 
-    candidate = scan.best_candidate
+    candidate = scan.candidate
     stages = [("v0", p * energy.field_energy(v0, p).energy),
               ("candidate", p * energy.field_energy(candidate, p).energy)]
     audit, dec = _audit_candidate(candidate, p, group, grid)
@@ -492,8 +489,9 @@ def run_pipeline(args) -> int:
         if not rescan.success:
             restarts.append(entry)
             break
-        candidate = rescan.best_candidate
+        candidate = rescan.candidate
         audit, dec = _audit_candidate(candidate, p, group, grid)
+        entry["candidate"] = rescan.provenance()
         entry["audit"] = audit
         stages.append((f"restart_{len(restarts) + 1}",
                        p * energy.field_energy(candidate, p).energy))

@@ -23,16 +23,15 @@ M = max |v| / psi has M^{p-1} < mu every later step shrinks M by the factor
 inverse) and v -> v + dt |v|^{p-1} v is odd and increasing.
 
 Threshold initial data on the boundary of the attraction domain of zero
-are located by bisection along rays of initial data, with an outer scan
-over the mixing angle in the 2D space spanned by two disjointly supported
-profiles.
+are located by bisection along rays of initial data, with an outer fan and
+one bisection over the mixing angle in the 2D space spanned by two
+disjointly supported profiles.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -85,11 +84,13 @@ class FlowConfig:
     c_stab: float = 0.2            # dt <= c_stab / (p sup^{p-1}), for accuracy
     t_max: float = 50.0
     decay_factor: float = 1e-6     # decay threshold, relative to initial sup
-    blowup_factor: float = 1e4     # blow-up threshold, relative to initial sup
     residual_tol: float = 1e-6     # ConvergedSteady elliptic residual
-    dt_min: float = 1e-12
-    residual_every: int = 20       # elliptic-residual check cadence (steps)
     record_nodal_every: int = 0    # 0: off; else nodal count cadence (steps)
+
+
+BLOWUP_FACTOR = 1e4     # blow-up threshold, relative to the initial sup
+DT_MIN = 1e-12          # a step below it is a step-size underflow: blow-up
+RESIDUAL_EVERY = 20     # elliptic-residual check cadence (steps)
 
 
 @dataclass
@@ -173,7 +174,7 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
                           np.array([]), np.array([]), Classification.STEADY,
                           lifted(v, 0.0), 0.0)
     decay_at = config.decay_factor * sup0
-    blowup_at = config.blowup_factor * sup0
+    blowup_at = BLOWUP_FACTOR * sup0
     # decay certificate level for M (sup <= M, so sup is tested first)
     perron = grid.perron if certify_decay else None
     certify_at = 0.0 if perron is None else perron.mu ** (1.0 / (p - 1.0))
@@ -194,7 +195,7 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
         dt_target = min(config.dt_max,
                         config.c_stab / max(p * sup ** (p - 1.0), 1e-300))
         dt = _quantized_dt(config.dt_max, dt_target)
-        if dt < config.dt_min:
+        if dt < DT_MIN:
             cls = Classification.BLOWUP  # step-size underflow
             break
         nxt = step(ScalarField(grid, v), p, dt).values
@@ -228,7 +229,7 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
             cls = Classification.BLOWUP
         elif E < negative_at:
             cls = Classification.BLOWUP
-        elif n_step % config.residual_every == 0:
+        elif n_step % RESIDUAL_EVERY == 0:
             residual = residual_of(v)
             if residual < best_residual and sup > 10.0 * decay_at:
                 best_residual = residual
@@ -281,16 +282,20 @@ class ThresholdResult:
     datum_candidate: ScalarField | None = None
     datum_residual: float = math.inf
 
-    def best_sign_changing(self) -> tuple[ScalarField | None, float]:
-        """The converged sign-changing candidate of least residual, or
-        (None, inf)."""
-        out, res = None, math.inf
-        for cand, r in ((self.omega_candidate, self.residual),
-                        (self.datum_candidate, self.datum_residual)):
-            if (cand is not None and r <= CONVERGED_RESIDUAL and r < res
+    def best_sign_changing(self) -> tuple[ScalarField | None, float,
+                                          str | None]:
+        """(field, residual, source) of the converged sign-changing
+        candidate of least residual, or (None, inf, None); the source is
+        "snapshot" (the polished hovering snapshot) or "datum" (the
+        polished threshold datum)."""
+        out = (None, math.inf, None)
+        for cand, r, source in (
+                (self.omega_candidate, self.residual, "snapshot"),
+                (self.datum_candidate, self.datum_residual, "datum")):
+            if (cand is not None and r <= CONVERGED_RESIDUAL and r < out[1]
                     and _is_sign_changing(cand.values)):
-                out, res = cand, r
-        return out, res
+                out = (cand, r, source)
+        return out
 
     def to_dict(self) -> dict:
         return {"lambda_star": self.lambda_star,
@@ -423,47 +428,35 @@ def threshold_bisect(direction: ScalarField, p: float,
 
 @dataclass
 class RayScanResult:
-    best: ThresholdResult | None
-    best_theta: float | None
-    best_candidate: ScalarField | None
-    best_residual: float
+    # v0's ray: the angle bisection's last signed ray, else the candidate's
+    chosen: tuple[ThresholdResult, float] | None
+    candidate: ScalarField | None
+    candidate_theta: float | None
+    candidate_source: str | None   # "snapshot" or "datum"
+    candidate_residual: float
     all_results: list  # (theta, ThresholdResult | error string)
 
     @property
     def success(self) -> bool:
-        return self.best_candidate is not None
+        return self.candidate is not None
 
-
-def _candidate_sign(res: ThresholdResult) -> int:
-    """+1 / -1 for converged one-signed candidates, else 0.
-
-    Unconverged snapshots (left over from a run that simply decayed) carry
-    no usable sign information and must not steer the angle refinement.
-    """
-    if (res.omega_candidate is None or res.omega_candidate.sup == 0.0
-            or res.sign_changing or res.residual > CONVERGED_RESIDUAL):
-        return 0
-    return 1 if float(np.max(res.omega_candidate.values)) > 0 else -1
-
-
-def _transition_sign(res: ThresholdResult) -> int:
-    """Which sign wins just past the threshold of this ray.
-
-    A converged one-signed omega-candidate carries the sign directly;
-    otherwise the sign of the blow-up closest to the threshold is used.
-    """
-    return _candidate_sign(res) or res.blowup_sign
+    def provenance(self) -> dict:
+        """The candidate's ray angle, source and elliptic residual."""
+        return {"theta": self.candidate_theta,
+                "source": self.candidate_source,
+                "residual": self.candidate_residual}
 
 
 def _ray_runner(u1: ScalarField, u2: ScalarField, p: float,
                 config: FlowConfig, group: SymmetryGroup | None,
-                results: list, polish: bool = True):
-    """theta -> threshold result on the ray cos(theta) u1 + sin(theta) u2.
+                results: list):
+    """(theta, polish) -> threshold result on the ray
+    cos(theta) u1 + sin(theta) u2.
 
     Every ray is appended to ``results`` as (theta, ThresholdResult or the
     BracketError message); an unbracketable ray returns None.
     """
-    def run(theta: float) -> ThresholdResult | None:
+    def run(theta: float, polish: bool) -> ThresholdResult | None:
         direction = ScalarField(u1.grid, math.cos(theta) * u1.values
                                 + math.sin(theta) * u2.values)
         try:
@@ -475,19 +468,30 @@ def _ray_runner(u1: ScalarField, u2: ScalarField, p: float,
     return run
 
 
-def _bisect_angle(run, results: list, sign,
-                  stop=None) -> tuple[ThresholdResult, float] | None:
-    """Bisect the mixing angle on ``sign`` from the first flip between
-    angle-adjacent signed rays of ``results`` until the bracket is no wider
-    than WIDTH_TOL rad.
+def _has_candidate(res) -> bool:
+    return (isinstance(res, ThresholdResult)
+            and res.best_sign_changing()[0] is not None)
 
-    An unbracketable ray, a ray of sign 0 or one that satisfies ``stop``
-    ends the loop.  Returns the last signed (threshold result, angle) it
-    ran, or None, also when no two rays differ in sign or their bracket is
-    already no wider than WIDTH_TOL.
+
+def refine_transition(run, results: list
+                      ) -> tuple[ThresholdResult, float] | None:
+    """Bisect the mixing angle on the blow-up sign, from the first flip
+    between angle-adjacent signed rays of ``results`` until the bracket is
+    no wider than WIDTH_TOL rad.
+
+    The sign of the blow-up nearest the threshold flips where the
+    threshold family passes the sign-changing saddle.  The threshold datum
+    there is the energy-consistent initial condition: it sits above the
+    saddle in energy, while data on rays away from the transition may not.
+    A ray is Newton-polished only while no ray of ``results`` has a
+    converged sign-changing candidate.  An unbracketable ray or one of
+    blow-up sign 0 ends the bisection.  Returns the last signed (threshold
+    result, angle) it ran, or None, also when no two rays differ in sign
+    or their bracket is already no wider than WIDTH_TOL.
     """
-    signed = [(th, sign(r)) for th, r in sorted(results, key=lambda x: x[0])
-              if isinstance(r, ThresholdResult) and sign(r) != 0]
+    signed = [(th, r.blowup_sign)
+              for th, r in sorted(results, key=lambda x: x[0])
+              if isinstance(r, ThresholdResult) and r.blowup_sign != 0]
     flips = [(t1, t2, s1) for (t1, s1), (t2, s2) in zip(signed, signed[1:])
              if s1 != s2]
     if not flips:
@@ -496,31 +500,26 @@ def _bisect_angle(run, results: list, sign,
     last = None
     while hi - lo > WIDTH_TOL:
         mid = 0.5 * (lo + hi)
-        r = run(mid)
-        s = 0 if r is None or (stop is not None and stop(r)) else sign(r)
-        if s == 0:
+        r = run(mid, polish=not any(_has_candidate(x) for _, x in results))
+        if r is None or r.blowup_sign == 0:
             break
         last = (r, mid)
-        lo, hi = (mid, hi) if s == s_lo else (lo, mid)
+        lo, hi = (mid, hi) if r.blowup_sign == s_lo else (lo, mid)
     return last
-
-
-def _has_candidate(res) -> bool:
-    return (isinstance(res, ThresholdResult)
-            and res.best_sign_changing()[0] is not None)
 
 
 def ray_scan(u1: ScalarField, u2: ScalarField, p: float,
              ratios=None, config: FlowConfig = FlowConfig(),
              group: SymmetryGroup | None = None) -> RayScanResult:
-    """Threshold-bisect along cos(theta) u1 + sin(theta) u2 per ratio.
+    """Threshold-bisect along cos(theta) u1 + sin(theta) u2 per ratio (the
+    fan, every ray Newton-polished), then bisect the mixing angle on the
+    blow-up sign (`refine_transition`) in the same pass.
 
-    The sign-changing saddle separates angles whose threshold dynamics end
-    up positive from those that end up negative, so the scan bisects the
-    mixing angle on that sign until a sign-changing candidate appears,
-    either as a hovering snapshot or by polishing the threshold datum.
-    Returns the sign-changing candidate with the smallest elliptic
-    residual; an empty scan is a labeled outcome, not an error.
+    The candidate is the converged sign-changing candidate of least
+    elliptic residual over all rays, a polished hovering snapshot or a
+    polished threshold datum; v0's ray is the bisection's last signed ray,
+    else the candidate's.  An empty scan is a labeled outcome, not an
+    error.
     """
     overlap = (u1.values != 0.0) & (u2.values != 0.0)
     if np.any(overlap):
@@ -531,37 +530,16 @@ def ray_scan(u1: ScalarField, u2: ScalarField, p: float,
     results: list = []
     run = _ray_runner(u1, u2, p, config, group, results)
     for theta in ratios:
-        run(theta)
-    if not any(_has_candidate(r) for _, r in results):
-        _bisect_angle(run, results, _transition_sign, stop=_has_candidate)
+        run(theta, polish=True)
+    chosen = refine_transition(run, results)
 
     found = [(r.best_sign_changing(), th, r) for th, r in results
              if _has_candidate(r)]
     if not found:
-        return RayScanResult(None, None, None, math.inf, results)
-    (cand, res), theta, best = min(found, key=lambda x: x[0][1])
-    return RayScanResult(best, theta, cand, res, results)
-
-
-def refine_transition(u1: ScalarField, u2: ScalarField, p: float,
-                      scan: RayScanResult,
-                      config: FlowConfig = FlowConfig(),
-                      group: SymmetryGroup | None = None
-                      ) -> tuple[ThresholdResult, float] | None:
-    """Shrink the scan's sign-flip bracket onto the transition angle.
-
-    Homes in on the flip of the supercritical blow-up sign, whose crossing
-    marks where the threshold family passes the sign-changing saddle.  The
-    threshold datum there is the energy-consistent initial condition: it
-    sits above the saddle in energy, while data on rays away from the
-    transition may not.  The refinement rays join ``scan.all_results``.
-    Returns (threshold result, angle) at the refined transition, or None
-    when it ran no signed ray, e.g. when the scan shows no flip.
-    """
-    run = _ray_runner(u1, u2, p, config, group, scan.all_results,
-                      polish=False)
-    return _bisect_angle(run, scan.all_results,
-                         operator.attrgetter("blowup_sign"))
+        return RayScanResult(chosen, None, None, None, math.inf, results)
+    (cand, res, source), theta, ray = min(found, key=lambda x: x[0][1])
+    return RayScanResult(chosen or (ray, theta), cand, theta, source, res,
+                         results)
 
 
 def select_restart_pair(u: ScalarField,
@@ -576,17 +554,14 @@ def select_restart_pair(u: ScalarField,
     if decomposition.n_domains < 3:
         raise ValueError("nothing to restart: need >= 3 nodal domains")
 
-    a, b = decomposition.grid.adjacency().nonzero()
+    adj = decomposition.grid.adjacency()
+    a, b = adj.nonzero()
     lab = decomposition.labels
-    zl = decomposition.zero_labels
     signs = decomposition.signs
 
     candidates = set()
-    zmap: dict[int, set] = {}
-    mask = (zl[a] > 0) & (lab[b] > 0)
-    for zc, dom in zip(zl[a][mask], lab[b][mask]):
-        zmap.setdefault(int(zc), set()).add(int(dom))
-    for doms in zmap.values():
+    zero_bands, _ = nodal_mod.zero_component_table(decomposition, adj)
+    for doms in zero_bands:
         for d1 in doms:
             for d2 in doms:
                 if d1 < d2 and signs[d1 - 1] != signs[d2 - 1]:

@@ -104,7 +104,7 @@ def decompose(v, tau: float | None = None) -> NodalDecomposition:
     return decomp
 
 
-def _zero_component_table(decomp: NodalDecomposition, adj: sp.csr_matrix):
+def zero_component_table(decomp: NodalDecomposition, adj: sp.csr_matrix):
     """Per zero-band component: adjacent domain ids, boundary contact."""
     a, b = adj.nonzero()
     labels, zl = decomp.labels, decomp.zero_labels
@@ -124,7 +124,7 @@ def _zero_component_table(decomp: NodalDecomposition, adj: sp.csr_matrix):
 
 
 def _compute_flags(decomp: NodalDecomposition, adj: sp.csr_matrix):
-    adj_doms, hits_bnd = _zero_component_table(decomp, adj)
+    adj_doms, hits_bnd = zero_component_table(decomp, adj)
     signs = decomp.signs
     for zc in range(1, len(adj_doms)):
         doms = adj_doms[zc]

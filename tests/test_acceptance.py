@@ -251,6 +251,18 @@ def test_criterion_09_morse_bound_on_convex_domain(pipeline_run):
             f"{info['odd_extension_residual']:.1e} < 1e-6)")
 
 
+def test_candidate_provenance(pipeline_run):
+    """The report names the candidate's ray, its source (a polished
+    hovering snapshot or a polished threshold datum) and its residual, as
+    that ray's threshold result records them."""
+    _, report, _ = pipeline_run
+    prov = report["candidate"]
+    assert set(prov) == {"theta", "source", "residual"}
+    ray = dict(report["scan"]["rays"])[prov["theta"]]
+    slot = {"snapshot": "residual", "datum": "datum_residual"}
+    assert ray[slot[prov["source"]]] == prov["residual"] <= 1e-6
+
+
 def test_morse_index_oracle_two_nodal_disk(pipeline_run):
     """De Marchis-Ianni-Pacella (Ann. Mat. Pura Appl. 2016) give Morse
     index 12 for the two-nodal radial solution in the disk; 4 is the

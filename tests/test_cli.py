@@ -449,14 +449,15 @@ class TestConfigValidation:
         shots = []
         monkeypatch.setattr(radial, "solve_ivp",
                             lambda *a, **kw: shots.append(a))
-        config = {"p": 8.0, "flow": {"project_every": 10},
-                  "outdir": str(tmp_path / "out")}
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(config), encoding="utf-8")
-        assert cli.main(["pipeline", "--config", str(cfg_path)]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        assert "'project_every'" in err[0] and "t_max" in err[0]
+        for key in ("project_every", "dt_min"):
+            config = {"p": 8.0, "flow": {key: 10},
+                      "outdir": str(tmp_path / "out")}
+            cfg_path = tmp_path / "run.json"
+            cfg_path.write_text(json.dumps(config), encoding="utf-8")
+            assert cli.main(["pipeline", "--config", str(cfg_path)]) == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1
+            assert f"'{key}'" in err[0] and "t_max" in err[0]
         assert shots == []
 
     @pytest.mark.parametrize("key, value", [
@@ -681,3 +682,43 @@ class TestLabelledFailures:
         assert rc == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("lef radial: radial stage")
+
+
+_POLAR_C4 = {"grid": {"type": "polar", "n_r": 32, "n_theta": 16},
+             "group": {"kind": "cyclic", "order": 4}}
+_SQUIRCLE_D4 = {"domain": {"type": "squircle", "radius": 1.0, "power": 4.0},
+                "grid": {"type": "cartesian", "n": 24},
+                "group": {"kind": "dihedral", "order": 4}}
+
+
+class TestScenarioMatrix:
+    """The edge-tracking scenarios on small grids, default fan and t_max:
+    every row ends in a labelled exit, never in a traceback."""
+
+    @pytest.mark.parametrize("p, spec", [
+        (5.0, dict(_POLAR_C4, domain={"type": "disk"})),
+        (8.0, dict(_POLAR_C4, domain={"type": "disk"})),
+        (16.0, dict(_POLAR_C4, domain={"type": "disk"})),
+        (5.0, _SQUIRCLE_D4),
+        (8.0, _SQUIRCLE_D4),
+        (8.0, dict(_POLAR_C4, domain={"type": "annulus", "a": 0.05})),
+        (8.0, dict(_POLAR_C4, domain={"type": "annulus", "a": 0.3})),
+    ], ids=["disk-p5", "disk-p8", "disk-p16", "squircle-p5", "squircle-p8",
+            "annulus-0.05", "annulus-0.3"])
+    def test_row_ends_in_a_labelled_exit(self, tmp_path, capsys, p, spec):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(dict(spec, p=p,
+                                            outdir=str(tmp_path / "out"))),
+                            encoding="utf-8")
+        rc = cli.main(["pipeline", "--config", str(cfg_path)])
+        assert rc in (0, 3, 4)
+        report = json.loads((tmp_path / "out" / "pipeline_report.json")
+                            .read_text(encoding="utf-8"))
+        if rc == 3:
+            err = capsys.readouterr().err.strip().splitlines()
+            stage = report["failure"]["stage"]
+            assert len(err) == 1 and f"{stage} stage" in err[0]
+        else:
+            assert "failure" not in report
+            assert set(report["candidate"]) == {"theta", "source",
+                                                "residual"}

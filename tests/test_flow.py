@@ -195,10 +195,26 @@ class TestOrbitGrid:
 
 THETA_STAR = 0.77
 FAN = np.linspace(0.1, math.pi / 2 - 0.1, 7)   # the default scan angles
+N_HALVINGS = 8   # ceil(log2((FAN[1] - FAN[0]) / WIDTH_TOL))
 
 
 def _angle_sign(theta):
     return int(np.sign(theta - THETA_STAR))
+
+
+def _fan_index(theta):
+    """Index of the fan angle that theta (an atan2 angle) is, or None."""
+    hits = np.flatnonzero(np.abs(FAN - theta) < 1e-12)
+    return int(hits[0]) if hits.size else None
+
+
+def _ray(direction, sign, omega=None, residual=math.inf, datum=None):
+    """A fake ray's ThresholdResult: blow-up sign, omega candidate and
+    its residual, and a converged datum polish."""
+    return flow.ThresholdResult(
+        1.0, direction, omega, flow.WIDTH_TOL, residual,
+        omega is not None and flow._is_sign_changing(omega.values), [],
+        sign, datum, 1e-9 if datum is not None else math.inf)
 
 
 @pytest.fixture
@@ -207,34 +223,28 @@ def fake_rays(monkeypatch):
 
     u1 and u2 are the unit vectors, so a ray's angle is the polar angle of
     its direction; ``rule(theta)`` gives the blow-up sign of the ray, a
-    ThresholdResult, or raises.  Returns (u1, u2, probed angles, install).
+    ThresholdResult, or raises.  Returns (u1, u2, probes, install); each
+    probe is (angle, polish flag).
     """
     grid = object()
     u1 = flow.ScalarField(grid, np.array([1.0, 0.0]))
     u2 = flow.ScalarField(grid, np.array([0.0, 1.0]))
-    probed = []
+    probes = []
 
     def install(rule=_angle_sign):
         def fake(direction, p, config, group, polish=True):
             theta = math.atan2(direction.values[1], direction.values[0])
-            probed.append(theta)
+            probes.append((theta, polish))
             out = rule(theta)
             if isinstance(out, flow.ThresholdResult):
                 return out
-            return flow.ThresholdResult(1.0, direction, None, flow.WIDTH_TOL,
-                                        math.inf, False, [], out)
+            return _ray(direction, out)
         monkeypatch.setattr(flow, "threshold_bisect", fake)
 
-    return u1, u2, probed, install
+    return u1, u2, probes, install
 
 
-def _fan_scan(u1, u2):
-    """The scan's fan rays, without its own refinement."""
-    results = [(th, flow.threshold_bisect(
-        flow.ScalarField(u1.grid, math.cos(th) * u1.values
-                         + math.sin(th) * u2.values), 8.0, None, None))
-        for th in FAN]
-    return flow.RayScanResult(None, None, None, math.inf, results)
+SIGN_CHANGING = np.array([1.0, -1.0])
 
 
 def _final_bracket(results):
@@ -245,51 +255,99 @@ def _final_bracket(results):
                 if s1 != s2)
 
 
+def _assert_at_width_tol(scan):
+    lo, hi = _final_bracket(scan.all_results)
+    assert lo < THETA_STAR < hi and hi - lo <= flow.WIDTH_TOL
+
+
 class TestAngleBisection:
     def test_transition_stops_at_width_tol(self, fake_rays):
-        u1, u2, probed, install = fake_rays
+        u1, u2, probes, install = fake_rays
         install()
-        scan = _fan_scan(u1, u2)
-        probed.clear()
-        res, theta = flow.refine_transition(u1, u2, 8.0, scan)
-        lo, hi = _final_bracket(scan.all_results)
-        assert lo < THETA_STAR < hi
-        assert hi - lo <= flow.WIDTH_TOL
+        scan = flow.ray_scan(u1, u2, 8.0)
+        _assert_at_width_tol(scan)
         w0 = FAN[1] - FAN[0]
-        assert len(probed) == math.ceil(math.log2(w0 / flow.WIDTH_TOL)) == 8
-        assert len(scan.all_results) == len(FAN) + len(probed)
-        # the result is the last signed ray
-        assert scan.all_results[-1] == (theta, res)
+        assert math.ceil(math.log2(w0 / flow.WIDTH_TOL)) == N_HALVINGS
+        assert len(scan.all_results) == len(probes) == len(FAN) + N_HALVINGS
+        # v0's ray is the last signed ray
+        theta, res = scan.all_results[-1]
+        assert scan.chosen == (res, theta)
         assert res.blowup_sign == _angle_sign(theta)
 
     def test_scan_refines_to_the_same_width(self, fake_rays):
-        u1, u2, probed, install = fake_rays
+        # no ray has a candidate, so every ray is polished
+        u1, u2, probes, install = fake_rays
         install()
         scan = flow.ray_scan(u1, u2, 8.0)
         assert not scan.success
-        assert len(scan.all_results) == len(probed) == len(FAN) + 8
-        lo, hi = _final_bracket(scan.all_results)
-        assert lo < THETA_STAR < hi and hi - lo <= flow.WIDTH_TOL
+        assert len(scan.all_results) == len(probes) == len(FAN) + N_HALVINGS
+        assert all(polish for _, polish in probes)
+        _assert_at_width_tol(scan)
 
-    def test_scan_stops_at_a_sign_changing_candidate(self, fake_rays):
-        u1, u2, probed, install = fake_rays
-        field = flow.ScalarField(u1.grid, np.array([1.0, -1.0]))
+    def test_pass_continues_past_a_candidate_ray(self, fake_rays):
+        u1, u2, probes, install = fake_rays
 
         def rule(theta):
             if abs(theta - THETA_STAR) > 0.01:
                 return _angle_sign(theta)
-            return flow.ThresholdResult(1.0, field, field, flow.WIDTH_TOL,
-                                        1e-9, True, [], 0)
+            field = flow.ScalarField(u1.grid, SIGN_CHANGING)
+            return _ray(field, _angle_sign(theta), field, 1e-9)
 
         install(rule)
         scan = flow.ray_scan(u1, u2, 8.0)
-        # the fourth halving is the first ray within 0.01 of THETA_STAR
-        assert len(scan.all_results) == len(probed) == len(FAN) + 4
-        assert scan.success and scan.best_theta == scan.all_results[-1][0]
+        assert len(scan.all_results) == len(probes) == len(FAN) + N_HALVINGS
+        _assert_at_width_tol(scan)
+        # the fourth halving is the first ray within 0.01 of THETA_STAR:
+        # it and every ray before it are polished, the later rays are not
+        first = len(FAN) + 3
+        assert [polish for _, polish in probes] == (
+            [True] * (first + 1) + [False] * (N_HALVINGS - 4))
+        assert scan.success
+        assert scan.candidate_theta == scan.all_results[first][0]
+        assert scan.candidate_source == "snapshot"
+        theta, res = scan.all_results[-1]
+        assert scan.chosen == (res, theta)
+
+    def test_fan_candidate_leaves_the_bisection_unpolished(self, fake_rays):
+        u1, u2, probes, install = fake_rays
+
+        def rule(theta):
+            if _fan_index(theta) != 3:
+                return _angle_sign(theta)
+            datum = flow.ScalarField(u1.grid, SIGN_CHANGING)
+            return _ray(datum, _angle_sign(theta), datum=datum)
+
+        install(rule)
+        scan = flow.ray_scan(u1, u2, 8.0)
+        assert [polish for _, polish in probes] == (
+            [True] * len(FAN) + [False] * N_HALVINGS)
+        assert (scan.candidate_theta, scan.candidate_source) == (FAN[3],
+                                                                 "datum")
+        assert scan.provenance() == {"theta": FAN[3], "source": "datum",
+                                     "residual": 1e-9}
+        _assert_at_width_tol(scan)
+
+    def test_blowup_sign_steers_past_a_disagreeing_candidate(self,
+                                                             fake_rays):
+        # bisection rays below THETA_STAR blow up negative, but their
+        # converged omega-limit is positive: the blow-up sign steers
+        u1, u2, probes, install = fake_rays
+
+        def rule(theta):
+            if _fan_index(theta) is not None or theta > THETA_STAR:
+                return _angle_sign(theta)
+            positive = flow.ScalarField(u1.grid, np.array([1.0, 0.0]))
+            return _ray(positive, -1, positive, 1e-9)
+
+        install(rule)
+        scan = flow.ray_scan(u1, u2, 8.0)
+        assert len(probes) == len(FAN) + N_HALVINGS
+        assert not scan.success
+        _assert_at_width_tol(scan)
 
     @pytest.mark.parametrize("ending", ["sign 0", "no bracket"])
     def test_unsigned_ray_ends_the_loop(self, fake_rays, ending):
-        u1, u2, probed, install = fake_rays
+        u1, u2, probes, install = fake_rays
 
         def rule(theta):
             if abs(theta - THETA_STAR) > 0.01:
@@ -299,14 +357,12 @@ class TestAngleBisection:
             raise flow.BracketError("no decay/blow-up bracket")
 
         install(rule)
-        scan = _fan_scan(u1, u2)
-        probed.clear()
-        res, theta = flow.refine_transition(u1, u2, 8.0, scan)
+        scan = flow.ray_scan(u1, u2, 8.0)
         # halvings 1-3 land 0.099, 0.042 and 0.013 rad from THETA_STAR,
         # the fourth within 0.01
-        assert len(probed) == 4
-        assert len(scan.all_results) == len(FAN) + 4
-        assert scan.all_results[-2] == (theta, res)
+        assert len(scan.all_results) == len(probes) == len(FAN) + 4
+        theta, res = scan.all_results[-2]
+        assert scan.chosen == (res, theta)
         assert res.blowup_sign == _angle_sign(theta)
         last = scan.all_results[-1][1]
         if ending == "sign 0":
@@ -317,32 +373,47 @@ class TestAngleBisection:
     def test_unconverged_candidate_does_not_end_the_scan(self, fake_rays):
         # the only sign-changing candidate, on the third fan ray, is
         # unconverged (residual 26.6): the scan still bisects the angle
-        u1, u2, probed, install = fake_rays
-        field = flow.ScalarField(u1.grid, np.array([1.0, -1.0]))
+        u1, u2, probes, install = fake_rays
+        field = flow.ScalarField(u1.grid, SIGN_CHANGING)
 
         def rule(theta):
-            if abs(theta - FAN[2]) > 1e-12:
+            if _fan_index(theta) != 2:
                 return _angle_sign(theta)
-            return flow.ThresholdResult(1.0, field, field, flow.WIDTH_TOL,
-                                        26.6, True, [], _angle_sign(theta))
+            return _ray(field, _angle_sign(theta), field, 26.6)
 
         install(rule)
         scan = flow.ray_scan(u1, u2, 8.0)
         unconverged = dict(scan.all_results)[FAN[2]]
         assert unconverged.omega_candidate is field
-        assert unconverged.best_sign_changing() == (None, math.inf)
+        assert unconverged.best_sign_changing() == (None, math.inf, None)
         assert not scan.success
-        assert len(scan.all_results) == len(probed) == len(FAN) + 8
-        lo, hi = _final_bracket(scan.all_results)
-        assert lo < THETA_STAR < hi and hi - lo <= flow.WIDTH_TOL
+        assert len(scan.all_results) == len(probes) == len(FAN) + N_HALVINGS
+        _assert_at_width_tol(scan)
 
     def test_no_flip_returns_none(self, fake_rays):
-        u1, u2, probed, install = fake_rays
+        u1, u2, probes, install = fake_rays
         install(lambda theta: 1)
-        scan = _fan_scan(u1, u2)
-        probed.clear()
-        assert flow.refine_transition(u1, u2, 8.0, scan) is None
-        assert probed == []
+        scan = flow.ray_scan(u1, u2, 8.0)
+        assert [theta for theta, _ in scan.all_results] == list(FAN)
+        assert scan.chosen is None and not scan.success
+
+    def test_no_flip_chooses_the_best_candidate_ray(self, fake_rays):
+        u1, u2, probes, install = fake_rays
+        field = flow.ScalarField(u1.grid, SIGN_CHANGING)
+        residuals = {1: 1e-8, 4: 1e-10}   # by fan index
+
+        def rule(theta):
+            if _fan_index(theta) not in residuals:
+                return 1
+            return _ray(field, 1, field, residuals[_fan_index(theta)])
+
+        install(rule)
+        scan = flow.ray_scan(u1, u2, 8.0)
+        assert [theta for theta, _ in scan.all_results] == list(FAN)
+        res, theta = scan.chosen
+        assert theta == scan.candidate_theta == FAN[4]
+        assert res is dict(scan.all_results)[FAN[4]]
+        assert scan.candidate_residual == 1e-10
 
 
 def _certificate_grid(name):
