@@ -178,11 +178,51 @@ def _check_keys(section: str, spec: dict, allowed: list) -> None:
                           f"allowed: {', '.join(allowed)}")
 
 
+def _config_real(value, name: str, low: float, high: float) -> float:
+    """A number config value in the open interval (low, high); ConfigError
+    unless it is one.  Booleans and strings are not numbers."""
+    number = (config_number(value) if isinstance(value, (int, float))
+              and not isinstance(value, bool) else math.nan)
+    if not low < number < high:
+        raise ConfigError(f"{name} must be a number in ({low:g}, {high:g}), "
+                          f"got {value!r}")
+    return number
+
+
+# the open interval each float field of the flow section must lie in
+_FLOW_RANGES = {"dt_max": (0.0, math.inf), "c_stab": (0.0, math.inf),
+                "t_max": (0.0, math.inf), "residual_tol": (0.0, math.inf),
+                "decay_factor": (0.0, 1.0)}
+
+
 def _flow_config(spec: dict | None) -> flow.FlowConfig:
+    """The flow section as a FlowConfig; ConfigError on an unknown key or
+    a value out of its range (``_FLOW_RANGES``; record_nodal_every is an
+    integer >= 0)."""
     spec = spec or {}
     _check_keys("flow", spec,
                 [f.name for f in dataclasses.fields(flow.FlowConfig)])
-    return flow.FlowConfig(**spec)
+    values = {}
+    for name, value in spec.items():
+        if name == "record_nodal_every":
+            values[name] = _config_int(value, f"flow {name}", 0)
+        else:
+            values[name] = _config_real(value, f"flow {name}",
+                                        *_FLOW_RANGES[name])
+    return flow.FlowConfig(**values)
+
+
+def _scan_ratios(spec: dict) -> list | None:
+    """The scan section's mixing angles, or None for the default fan;
+    ConfigError unless ``ratios`` is a nonempty list of finite numbers."""
+    if "ratios" not in spec:
+        return None
+    ratios = spec["ratios"]
+    if not isinstance(ratios, list) or not ratios:
+        raise ConfigError(f"scan ratios must be a nonempty list of angles, "
+                          f"got {ratios!r}")
+    return [_config_real(theta, "scan ratios entry", -math.inf, math.inf)
+            for theta in ratios]
 
 
 def _run_setup(config: dict, flow_default, group_default):
@@ -412,6 +452,7 @@ def run_pipeline(args) -> int:
     domain = grid.domain
     scan_spec = config.get("scan", {})
     _check_keys("scan", scan_spec, ["ratios"])
+    ratios = _scan_ratios(scan_spec)
     outdir = Path(config.get("outdir", "pipeline_out"))
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -448,7 +489,7 @@ def run_pipeline(args) -> int:
     pE2 = p * energy.field_energy(u2, p).energy
     report["component_pE"] = {"ball": pE1, "annulus": pE2, "sum": pE1 + pE2}
 
-    scan = flow.ray_scan(u1, u2, p, ratios=scan_spec.get("ratios"),
+    scan = flow.ray_scan(u1, u2, p, ratios=ratios,
                          config=cfg, group=group)
     n_rays = len(scan.all_results)
     report["scan"] = {

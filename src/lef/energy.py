@@ -18,6 +18,9 @@ from scipy.special import logsumexp
 
 FOUR_PI_E = 4.0 * math.pi * math.e          # limit of inf_{N_p} p E_p
 UPPER_BOUND_CONST = 4.97 * FOUR_PI_E        # sharp upper-bound constant
+# |v|^{p+1} is summed directly while (p+1) log max|v| is below this bound,
+# and in the log domain above it, where a power could overflow
+DIRECT_POWER_LOG_MAX = 600.0
 
 
 @dataclass(frozen=True)
@@ -81,13 +84,19 @@ def minimize_f() -> AlphaOptimum:
 # 2D field energies
 # ---------------------------------------------------------------------------
 
+def direct_power(m: float, p: float) -> bool:
+    """Whether powers up to |v|^{p+1} of a field with max |v| = m > 0 are
+    taken directly (no overflow) rather than in the log domain."""
+    return (p + 1.0) * math.log(m) < DIRECT_POWER_LOG_MAX
+
+
 def lp1_norm_pow(grid, values: np.ndarray, p: float) -> float:
     """Quadrature of |v|^{p+1}; log-domain accumulation avoids overflow."""
     av = np.abs(values)
     m = float(av.max(initial=0.0))
     if m == 0.0:
         return 0.0
-    if (p + 1.0) * math.log(m) < 600.0:
+    if direct_power(m, p):
         return float(grid.weights @ av ** (p + 1.0))
     nz = av > 0
     logs = (p + 1.0) * np.log(av[nz]) + np.log(grid.weights[nz])

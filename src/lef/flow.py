@@ -123,15 +123,21 @@ def _lu_for(grid, dt: float):
     return grid.step_factors[key]
 
 
-def step(v: ScalarField, p: float, dt: float, *,
-         reaction: bool = True) -> ScalarField:
-    """One IMEX step; ``reaction=False`` gives the pure heat step."""
+def step(v: ScalarField, p: float, dt: float, *, reaction: bool = True,
+         power: np.ndarray | None = None) -> ScalarField:
+    """One IMEX step; ``reaction=False`` gives the pure heat step.
+
+    ``power`` is |v|^{p-1} when the caller already has it; the step
+    computes it otherwise.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = v.grid
     rhs = v.values
     if reaction:
-        rhs = rhs + dt * np.abs(v.values) ** (p - 1.0) * v.values
+        if power is None:
+            power = np.abs(v.values) ** (p - 1.0)
+        rhs = rhs + dt * power * v.values
     out = _lu_for(grid, dt).solve(grid.weights * rhs)
     return ScalarField(grid, out, v.time_stamp + dt)
 
@@ -140,6 +146,21 @@ def _energy_of(grid, values: np.ndarray, p: float) -> float:
     grad = grid.dirichlet_form(values)
     lp1 = energy_mod.lp1_norm_pow(grid, values, p)
     return 0.5 * grad - lp1 / (p + 1.0)
+
+
+def _energy_and_power(grid, values: np.ndarray, abs_v: np.ndarray,
+                      sup: float, p: float):
+    """(E(v), |v|^{p-1}) with abs_v = |v| and sup = max |v|.
+
+    Where |v|^{p+1} is summed directly the power g = |v|^{p-1} is computed
+    once, for sum w g |v| |v| here and for the next step's reaction.  On
+    the log-domain branch the power is None and the step takes its own.
+    """
+    if sup > 0.0 and not energy_mod.direct_power(sup, p):
+        return _energy_of(grid, values, p), None
+    power = abs_v ** (p - 1.0)
+    lp1 = float(grid.weights @ (power * abs_v * abs_v))
+    return 0.5 * grid.dirichlet_form(values) - lp1 / (p + 1.0), power
 
 
 def _quantized_dt(dt_max: float, dt_target: float) -> float:
@@ -168,7 +189,8 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
     def lifted(values, t):
         return ScalarField(full, grid.lift(values), v0.time_stamp + t)
 
-    sup = sup0 = float(np.max(np.abs(v)))
+    abs_v = np.abs(v)
+    sup = sup0 = float(np.max(abs_v))
     if sup0 == 0.0:
         return Trajectory(np.array([0.0]), np.array([0.0]), np.array([0.0]),
                           np.array([]), np.array([]), Classification.STEADY,
@@ -179,7 +201,7 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
     perron = grid.perron if certify_decay else None
     certify_at = 0.0 if perron is None else perron.mu ** (1.0 / (p - 1.0))
 
-    E = _energy_of(grid, v, p)
+    E, power = _energy_and_power(grid, v, abs_v, sup0, p)
     energy_scale = max(abs(E), grid.dirichlet_form(v))
     times, energies, sups = [0.0], [E], [sup0]
     vdots, dts, nodal_counts = [], [], []
@@ -198,13 +220,13 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
         if dt < DT_MIN:
             cls = Classification.BLOWUP  # step-size underflow
             break
-        nxt = step(ScalarField(grid, v), p, dt).values
+        nxt = step(ScalarField(grid, v), p, dt, power=power).values
         abs_v = np.abs(nxt)
-        sup = float(np.max(abs_v))  # nan or inf unless nxt is all finite
+        sup = float(abs_v.max())  # nan or inf unless nxt is all finite
         if not math.isfinite(sup):
             cls = Classification.BLOWUP
             break
-        E_new = _energy_of(grid, nxt, p)
+        E_new, power = _energy_and_power(grid, nxt, abs_v, sup, p)
         if E_new - E > 1e-10 * max(abs(E), 1.0):
             defects += 1
 
@@ -223,7 +245,7 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
             nodal_counts.append((t, dec.n_domains))
 
         if sup < decay_at or (sup < certify_at
-                              and np.max(abs_v / perron.psi) < certify_at):
+                              and (abs_v / perron.psi).max() < certify_at):
             cls = Classification.DECAY
         elif sup > blowup_at:
             cls = Classification.BLOWUP

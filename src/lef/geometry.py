@@ -16,9 +16,11 @@ surface in orbit coordinates, on which the G-invariant fields live with
 one unknown per orbit.
 
 All objects here are immutable after construction, apart from the caches
-a grid fills on demand (group permutations, orbit grids, the Perron pair
-``grid.perron`` and the step factorizations that the flow module stores in
-``step_factors``).
+a grid fills on demand: group permutations, orbit grids, K's columns in
+the column order of its SuperLU factor ``grid.ordered_stiffness`` (the
+pattern Newton's Jacobians are written into), the Perron pair
+``grid.perron`` and the step factorizations that the flow module stores
+in ``step_factors``.
 """
 
 from __future__ import annotations
@@ -105,17 +107,28 @@ def dihedral(h: int, axis_angle: float = 0.0) -> SymmetryGroup:
     return SymmetryGroup("dihedral", h, axis_angle)
 
 
+def orbit_cardinalities(G: SymmetryGroup, pts) -> np.ndarray:
+    """Number of distinct images of each row of ``pts`` under the group
+    action, for all points in one array pass.
+
+    Images are taken in group-element order, and one counts unless it lies
+    within COINCIDENCE_TOL of an image counted before it.
+    """
+    pts = np.reshape(np.asarray(pts, dtype=float), (-1, 2))
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
+    images = np.stack([pts @ m.T for m in G.elements()], axis=1)
+    diff = images[:, :, None, :] - images[:, None, :, :]
+    close = np.sqrt(np.einsum("nabi,nabi->nab", diff, diff)) <= COINCIDENCE_TOL
+    counted = np.zeros(images.shape[:2], dtype=bool)
+    for k in range(images.shape[1]):
+        counted[:, k] = ~np.any(counted[:, :k] & close[:, k, :k], axis=1)
+    return np.count_nonzero(counted, axis=1)
+
+
 def orbit_cardinality(G: SymmetryGroup, x) -> int:
-    """Number of distinct images of ``x`` under the group action."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("point must be finite")
-    images = np.array([m @ x for m in G.elements()])
-    distinct: list[np.ndarray] = []
-    for img in images:
-        if all(np.linalg.norm(img - d) > COINCIDENCE_TOL for d in distinct):
-            distinct.append(img)
-    return len(distinct)
+    """Number of distinct images of the point ``x`` under the group action."""
+    return int(orbit_cardinalities(G, x)[0])
 
 
 def apply_group_element(G: SymmetryGroup, index: int, obj):
@@ -237,11 +250,14 @@ class DomainSpec:
 
 
 def config_number(value) -> float:
-    """A config or command-line value as a float; nan if it is no number."""
+    """A config or command-line value as a float; nan if it is no number,
+    and an infinity for an integer beyond the float range."""
     try:
         return float(value)
     except (TypeError, ValueError):
         return math.nan
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def check_admissible(G: SymmetryGroup, domain: DomainSpec,
@@ -260,12 +276,9 @@ def check_admissible(G: SymmetryGroup, domain: DomainSpec,
         mapped = domain.inside(pts @ mat.T)
         if np.any(mapped != inside):
             return False
-    for x in pts[inside]:
-        if np.linalg.norm(x) < COINCIDENCE_TOL:
-            continue
-        if orbit_cardinality(G, x) < 4:
-            return False
-    return True
+    away = pts[inside]
+    away = away[np.linalg.norm(away, axis=1) >= COINCIDENCE_TOL]
+    return bool(np.all(orbit_cardinalities(G, away) >= 4))
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +293,23 @@ class PerronPair:
 
     psi: np.ndarray
     mu: float
+
+
+@dataclass(frozen=True)
+class OrderedStiffness:
+    """K in csc form with its columns in the column order of K's SuperLU
+    factor: column j is K's column ``order[j]``, and ``diagonal[j]`` is the
+    index in ``matrix.data`` of K's diagonal entry in that column.
+
+    The COLAMD ordering reads only the sparsity pattern, so this order is
+    also the one SuperLU picks for every K - diag(d) with K's pattern; a
+    matrix written into a copy of ``matrix`` can be factored in its natural
+    column order with the same result.
+    """
+
+    matrix: sp.csc_matrix
+    order: np.ndarray
+    diagonal: np.ndarray
 
 
 def _perron_pair(stiffness: sp.csr_matrix,
@@ -372,6 +402,19 @@ class _GridBase:
 
     def weighted_norm(self, v: np.ndarray) -> float:
         return math.sqrt(float(self.weights @ (v * v)))
+
+    @cached_property
+    def ordered_stiffness(self) -> OrderedStiffness:
+        """K's csc columns in the column order of K's SuperLU factor in
+        SuperLU's default (COLAMD) ordering (cached): the pattern and order
+        of every K - diag(d).  Only the order is kept, not the factor,
+        whose memory pool would outweigh it."""
+        stiffness = self.stiffness.tocsc()
+        order = np.argsort(splu(stiffness).perm_c)
+        matrix = stiffness[:, order]
+        column = np.repeat(np.arange(order.size), np.diff(matrix.indptr))
+        diagonal = np.flatnonzero(matrix.indices == order[column])
+        return OrderedStiffness(matrix, order, diagonal)
 
     @cached_property
     def perron(self) -> PerronPair | None:

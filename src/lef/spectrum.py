@@ -295,36 +295,50 @@ def newton_polish(u, p: float, tol: float = 1e-10, max_iter: int = 40):
     Returns (polished field, residual).  The iteration stops early and
     returns the best iterate if it stalls; callers should check the
     residual.
+
+    Each Jacobian K - W diag(p |v|^{p-1}) is written into the grid's cached
+    copy of K's pattern, whose columns are already in the order SuperLU
+    picks for K (``grid.ordered_stiffness``), and factored in that natural
+    order: no pattern is rebuilt and no ordering rerun per iteration.
     """
     grid = u.grid
     K, w = grid.stiffness, grid.weights
+    ordered = grid.ordered_stiffness
+    order, diagonal = ordered.order, ordered.diagonal
+    J = ordered.matrix.copy()
+    k_diagonal = J.data[diagonal]
+    w_ordered = w[order]
     v = u.values.copy()
 
     def F(x):
         return K @ x - w * np.abs(x) ** (p - 1.0) * x
 
-    def res_of(x):
+    def res_of(x, fx):
         nrm = grid.weighted_norm(x)
-        return np.inf if nrm == 0 else grid.weighted_norm(F(x) / w) / nrm
+        return np.inf if nrm == 0 else grid.weighted_norm(fx / w) / nrm
 
-    best_v, best_res = v.copy(), res_of(v)
+    fv = F(v)
+    cur = res_of(v, fv)
+    best_v, best_res = v.copy(), cur
     for _ in range(max_iter):
-        J = (K - sp.diags(w * p * np.abs(v) ** (p - 1.0))).tocsc()
+        J.data[diagonal] = k_diagonal - (w_ordered * p
+                                         * np.abs(v[order]) ** (p - 1.0))
+        dv = np.empty_like(v)
         try:
-            dv = spla.splu(J).solve(F(v))
+            dv[order] = spla.splu(J, permc_spec="NATURAL").solve(fv)
         except RuntimeError:
             break
         step = 1.0
-        cur = res_of(v)
         while step > 1e-6:
             cand = v - step * dv
-            if res_of(cand) < cur:
+            f_cand = F(cand)
+            r = res_of(cand, f_cand)
+            if r < cur:
                 break
             step *= 0.5
         else:
             break
-        v = v - step * dv
-        r = res_of(v)
+        v, fv, cur = cand, f_cand, r
         if r < best_res:
             best_v, best_res = v.copy(), r
         if r < tol:

@@ -564,6 +564,72 @@ class TestConfigValidation:
                        f"{next(iter(scan))!r}; allowed: ratios"]
         assert shots == []
 
+    @pytest.mark.parametrize("ratios, message", [
+        (["a"], "scan ratios entry must be a number in (-inf, inf), "
+                "got 'a'"),
+        (5, "scan ratios must be a nonempty list of angles, got 5"),
+        ([None], "scan ratios entry must be a number in (-inf, inf), "
+                 "got None"),
+        ([0.5, True], "scan ratios entry must be a number in (-inf, inf), "
+                      "got True"),
+        ([1e400], "scan ratios entry must be a number in (-inf, inf), "
+                  "got inf"),
+        ([], "scan ratios must be a nonempty list of angles, got []"),
+    ], ids=["string", "number", "null", "boolean", "overflow", "empty"])
+    def test_bad_scan_ratios_exit_2_before_any_work(self, tmp_path, capsys,
+                                                    monkeypatch, ratios,
+                                                    message):
+        shots = []
+        monkeypatch.setattr(radial, "solve_ivp",
+                            lambda *a, **kw: shots.append(a))
+        config = {"p": 8.0, "scan": {"ratios": ratios},
+                  "grid": {"type": "polar", "n_r": 16, "n_theta": 8},
+                  "outdir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["pipeline", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"lef pipeline: {message}"]
+        assert shots == []
+
+    @pytest.mark.parametrize("key, value, message", [
+        *[(key, value, f"flow {key} must be a number in (0, inf), "
+                       f"got {value!r}")
+          for key in ("dt_max", "c_stab", "t_max", "residual_tol")
+          for value in ("x", True, 0, -1.0, math.inf, math.nan)],
+        *[("decay_factor", value, f"flow decay_factor must be a number in "
+                                  f"(0, 1), got {value!r}")
+          for value in ("x", False, 0.0, 1, 1.5, -1e-6)],
+        *[("record_nodal_every", value, f"flow record_nodal_every must be "
+                                        f"an integer >= 0, got {value!r}")
+          for value in ("5", True, -1, 2.5)],
+    ])
+    @pytest.mark.parametrize("command", ["flow", "pipeline"])
+    def test_bad_flow_value_exits_2_before_any_work(self, tmp_path, capsys,
+                                                    monkeypatch, command,
+                                                    key, value, message):
+        shots, runs = [], []
+        monkeypatch.setattr(radial, "solve_ivp",
+                            lambda *a, **kw: shots.append(a))
+        monkeypatch.setattr(flow, "evolve", lambda *a, **kw: runs.append(a))
+        config = {"p": 8.0, "flow": {key: value},
+                  "grid": {"type": "polar", "n_r": 16, "n_theta": 8},
+                  "outdir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main([command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"lef {command}: {message}"]
+        assert shots == [] and runs == []
+
+    def test_flow_values_in_range_are_accepted(self):
+        cfg = cli._flow_config({"dt_max": 1, "c_stab": 0.5, "t_max": 7,
+                                "residual_tol": 1e-8, "decay_factor": 0.5,
+                                "record_nodal_every": 0})
+        assert cfg == flow.FlowConfig(dt_max=1.0, c_stab=0.5, t_max=7.0,
+                                      residual_tol=1e-8, decay_factor=0.5,
+                                      record_nodal_every=0)
+
     @pytest.mark.parametrize("config, key", [
         ({}, "p"),
         ({"p": 8.0, "grid": {"type": "polar", "n_theta": 16}}, "n_r"),

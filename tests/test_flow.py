@@ -514,3 +514,50 @@ class TestDecayCertificate:
             assert len(certified.dts) == len(plain.dts)
             assert np.array_equal(certified.final.values, plain.final.values)
 
+
+
+
+class TestOnePowerPerStep:
+    """evolve computes |v|^{p-1} once per accepted step and hands it to
+    ``step``; the iterates are those of plain ``step`` calls, bit for bit,
+    and the energies those of ``_energy_of`` up to roundoff."""
+
+    CASES = {
+        "decay": (5.0, 1.0, None),
+        "blowup": (5.0, 2.4, None),
+        "near-threshold-c4": (5.0, 2.33, geometry.cyclic(4)),
+        # (p + 1) log sup0 > DIRECT_POWER_LOG_MAX: the energy takes the
+        # log-domain branch, and E < 0 certifies the blow-up at t = 0
+        "log-domain-p200": (200.0, 25.0, None),
+    }
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", CASES)
+    def test_iterates_energies_and_step_calls(self, grid, ball_field,
+                                              monkeypatch, case):
+        p, sup0, G = self.CASES[case]
+        v0 = ball_field.scaled(sup0 / ball_field.sup)
+        calls, plain_step = [], flow.step
+
+        def counted(v, p, dt, **kwargs):
+            calls.append(kwargs["power"] is not None)
+            return plain_step(v, p, dt, **kwargs)
+
+        monkeypatch.setattr(flow, "step", counted)
+        if p == 200.0:
+            # the elliptic residual of so large a field overflows in its
+            # norm whatever the flow does; only the flow's powers count here
+            monkeypatch.setattr(spectrum, "elliptic_residual",
+                                lambda u, p: math.inf)
+        traj = flow.evolve(v0, p, FlowConfig(t_max=50.0), G)
+        assert len(calls) == len(traj.dts) and all(calls)
+        assert (len(calls) == 0) == (p == 200.0)
+
+        g = grid if G is None else grid.quotient(G)
+        v = g.restrict(v0.values)
+        energies = [flow._energy_of(g, v, p)]
+        for dt in traj.dts:
+            v = plain_step(flow.ScalarField(g, v), p, dt).values
+            energies.append(flow._energy_of(g, v, p))
+        assert np.array_equal(g.lift(v), traj.final.values)
+        assert np.allclose(traj.energies, energies, rtol=1e-13, atol=0.0)

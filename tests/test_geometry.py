@@ -6,8 +6,8 @@ import scipy.sparse as sp
 
 from lef import geometry
 from lef.geometry import (CartesianMaskedGrid, DomainSpec, GridSymmetryError,
-                          PolarGrid, check_admissible, cyclic, dihedral,
-                          squircle_mask)
+                          PolarGrid, SymmetryGroup, check_admissible, cyclic,
+                          dihedral, squircle_mask)
 
 
 class TestGroups:
@@ -34,6 +34,71 @@ class TestGroups:
         assert any(np.allclose(img, [-1.0, 0.0]) for img in images)
         with pytest.raises(IndexError):
             geometry.apply_group_element(G, 4, np.array([1.0, 0.0]))
+
+
+def _greedy_orbit_cardinality(G, x):
+    """Point-by-point orbit count: an image counts unless it lies within
+    COINCIDENCE_TOL of an image counted before it.  The oracle of
+    ``orbit_cardinalities``."""
+    distinct = []
+    for img in (m @ x for m in G.elements()):
+        if all(np.linalg.norm(img - d) > geometry.COINCIDENCE_TOL
+               for d in distinct):
+            distinct.append(img)
+    return len(distinct)
+
+
+def _point_by_point_admissible(G, domain, samples=512, seed=0):
+    """``check_admissible`` with the point-by-point orbit count."""
+    if G.order_h < 4:
+        return False
+    R = domain.bounding_radius
+    pts = np.random.default_rng(seed).uniform(-R, R, size=(samples, 2))
+    inside = domain.inside(pts)
+    for mat in G.elements():
+        if np.any(domain.inside(pts @ mat.T) != inside):
+            return False
+    return all(_greedy_orbit_cardinality(G, x) >= 4 for x in pts[inside]
+               if np.linalg.norm(x) >= geometry.COINCIDENCE_TOL)
+
+
+ORBIT_GROUPS = [SymmetryGroup(kind, h, axis)
+                for kind in ("cyclic", "dihedral") for h in range(1, 9)
+                for axis in (0.0, math.pi / 8, 0.3)]
+
+
+class TestOrbitCardinalities:
+    @pytest.mark.parametrize("G", ORBIT_GROUPS, ids=str)
+    def test_array_count_equals_the_greedy_count(self, G):
+        rng = np.random.default_rng(G.order_h)
+        axes = [G.axis_angle + math.pi * k / G.order_h
+                for k in range(G.order_h)]
+        pts = np.concatenate([
+            rng.uniform(-1.0, 1.0, size=(24, 2)),
+            # on every reflection axis, and on the x-axis
+            [[r * math.cos(a), r * math.sin(a)] for a in axes + [0.0]
+             for r in (0.3, -0.7)],
+            # near the origin: all images coincide, or none do
+            [[1e-14, 2e-14], [-3e-13, 1e-13], [4e-12, -2e-12],
+             [1e-10, 3e-10], [0.0, 0.0]],
+        ])
+        got = geometry.orbit_cardinalities(G, pts)
+        assert got.tolist() == [_greedy_orbit_cardinality(G, x)
+                                for x in pts]
+        assert geometry.orbit_cardinality(G, pts[0]) == got[0]
+
+    @pytest.mark.parametrize("domain", [
+        DomainSpec.disk(1.0), DomainSpec.annulus(0.3, 1.0),
+        squircle_mask(1.0, 4.0)], ids=["disk", "annulus", "squircle"])
+    def test_admissibility_equals_the_point_by_point_check(self, domain):
+        for G in ORBIT_GROUPS[::3] + ORBIT_GROUPS[2::6]:
+            for seed in (0, 1):
+                assert check_admissible(G, domain, 64, seed) == \
+                    _point_by_point_admissible(G, domain, 64, seed), G
+
+    def test_non_finite_point_raises(self):
+        with pytest.raises(ValueError, match="finite"):
+            geometry.orbit_cardinality(cyclic(4), np.array([np.nan, 0.0]))
 
 
 class TestAdmissibility:

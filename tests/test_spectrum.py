@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from lef import energy, flow, geometry, radial, spectrum
 from tests.conftest import angular_bump
@@ -179,3 +180,98 @@ class TestConvexity:
     def test_annulus_not_convex(self):
         assert spectrum.convex_in_direction(
             geometry.DomainSpec.annulus(0.3, 1.0), 0.0) is False
+
+
+def _fresh_jacobian_polish(u, p, tol=1e-10, max_iter=40):
+    """Newton polish that assembles K - W diag(p |v|^{p-1}) and lets SuperLU
+    order it afresh on every iteration: the oracle of ``newton_polish``."""
+    grid = u.grid
+    K, w = grid.stiffness, grid.weights
+    v = u.values.copy()
+
+    def F(x):
+        return K @ x - w * np.abs(x) ** (p - 1.0) * x
+
+    def res_of(x):
+        nrm = grid.weighted_norm(x)
+        return np.inf if nrm == 0 else grid.weighted_norm(F(x) / w) / nrm
+
+    best_v, best_res = v.copy(), res_of(v)
+    for _ in range(max_iter):
+        J = (K - sp.diags(w * p * np.abs(v) ** (p - 1.0))).tocsc()
+        try:
+            dv = spla.splu(J).solve(F(v))
+        except RuntimeError:
+            break
+        step = 1.0
+        cur = res_of(v)
+        while step > 1e-6:
+            if res_of(v - step * dv) < cur:
+                break
+            step *= 0.5
+        else:
+            break
+        v = v - step * dv
+        r = res_of(v)
+        if r < best_res:
+            best_v, best_res = v.copy(), r
+        if r < tol:
+            break
+    return best_v, best_res
+
+
+def _jacobian_case(name):
+    """(grid, field) on each grid kind Newton runs on; the field is the
+    p = 5 ball sampled on the grid (restricted to orbits on an orbit
+    grid)."""
+    grids = {
+        "polar": lambda: geometry.PolarGrid(24, 16),
+        "annulus-polar": lambda: geometry.PolarGrid(24, 16, r_in=0.2),
+        "cartesian": lambda: geometry.CartesianMaskedGrid(
+            geometry.squircle_mask(), 24),
+        "orbit-c4": lambda: geometry.PolarGrid(24, 16).quotient(
+            geometry.cyclic(4)),
+        "orbit-d4": lambda: geometry.CartesianMaskedGrid(
+            geometry.squircle_mask(), 24).quotient(geometry.dihedral(4)),
+    }
+    grid = grids[name]()
+    full = getattr(grid, "parent", grid)
+    ball = flow.field_from_radial(full, radial.solve_ball(5.0)).values
+    return grid, flow.ScalarField(grid, grid.restrict(ball))
+
+
+JACOBIAN_GRIDS = ["polar", "annulus-polar", "cartesian", "orbit-c4",
+                  "orbit-d4"]
+
+
+class TestJacobianInCachedPattern:
+    @pytest.mark.parametrize("name", JACOBIAN_GRIDS)
+    def test_factor_and_solve_equal_a_fresh_factorization(self, name):
+        grid, u = _jacobian_case(name)
+        rng = np.random.default_rng(7)
+        d = grid.weights * 5.0 * np.abs(
+            u.values * (1.0 + 0.1 * rng.standard_normal(grid.n_nodes))) ** 4
+        J = (grid.stiffness - sp.diags(d)).tocsc()
+        ordered = grid.ordered_stiffness
+        # COLAMD reads only the pattern: K's column order is J's
+        assert np.array_equal(spla.splu(grid.stiffness.tocsc()).perm_c,
+                              spla.splu(J).perm_c)
+        written = ordered.matrix.copy()
+        written.data[ordered.diagonal] -= d[ordered.order]
+        assert (written != J[:, ordered.order]).nnz == 0
+        F = rng.standard_normal(grid.n_nodes)
+        x = np.empty(grid.n_nodes)
+        x[ordered.order] = spla.splu(written, permc_spec="NATURAL").solve(F)
+        assert np.array_equal(x, spla.splu(J).solve(F))
+
+    @pytest.mark.parametrize("name", JACOBIAN_GRIDS)
+    def test_polish_equals_the_fresh_factorization_loop(self, name):
+        grid, u = _jacobian_case(name)
+        polished, res = spectrum.newton_polish(u, 5.0)
+        values, oracle_res = _fresh_jacobian_polish(u, 5.0)
+        assert res == oracle_res
+        assert np.array_equal(polished.values, values)
+
+    def test_pattern_is_cached_per_grid(self):
+        grid, _ = _jacobian_case("orbit-c4")
+        assert grid.ordered_stiffness is grid.ordered_stiffness
