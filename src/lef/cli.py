@@ -14,6 +14,7 @@ followed by the node values as row-major little-endian float64.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -23,16 +24,25 @@ from pathlib import Path
 import numpy as np
 
 from . import energy, flow, nodal, radial, spectrum
-from .geometry import (CartesianMaskedGrid, ConfigError, DomainSpec,
-                       GridSymmetryError, PolarGrid, SymmetryGroup,
-                       check_admissible, config_number, cyclic, dihedral)
+from .geometry import (CartesianMaskedGrid, DomainSpec, GridSymmetryError,
+                       PolarGrid, SymmetryGroup, check_admissible, cyclic,
+                       dihedral, squircle_mask)
+
+
+class ConfigError(ValueError):
+    """A config, dump header or argument the program does not accept."""
+
+
+class MissingKeyError(ConfigError, KeyError):
+    """A config section or dump header lacks the key ``args[0]``."""
+
+    def __str__(self):
+        return f"missing config key {self.args[0]!r}"
 
 
 def _np_default(obj):
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if hasattr(obj, "item"):
-        return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
@@ -60,19 +70,22 @@ def dump_field(path, field: flow.ScalarField,
 
 
 def load_field(path) -> tuple[flow.ScalarField, dict]:
-    """The field of a dump and its header; ConfigError unless the file
-    reads as a header whose grid has ``count`` nodes and ``count``
-    values."""
+    """The field of a dump and its header; ConfigError unless the file reads
+    as a header whose grid has ``count`` nodes and ``count`` values."""
     try:
         with open(path, "rb") as fh:
             header = json.loads(fh.readline().decode("utf-8"))
             data = np.frombuffer(fh.read(), dtype="<f8")
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{path}: not a field dump: {exc}") from None
+    if not isinstance(header, dict) or not all(
+            isinstance(header.get(k, {}), dict) for k in ("grid", "domain")):
+        raise ConfigError(f"{path}: not a field dump: its header, grid or "
+                          f"domain is not a JSON object")
     try:
         grid = _build_grid(header["grid"], header["domain"])
         count = header["count"]
-    except KeyError as exc:
+    except KeyError as exc:  # a MissingKeyError from the sections too
         raise ConfigError(f"{path}: dump header has no key "
                           f"{exc.args[0]!r}") from None
     if not grid.n_nodes == count == data.size:
@@ -86,10 +99,6 @@ def load_field(path) -> tuple[flow.ScalarField, dict]:
 # config plumbing
 # ---------------------------------------------------------------------------
 
-# config sections that are JSON objects; "group": null means no group
-_SECTIONS = ("grid", "domain", "group", "flow", "scan", "initial")
-
-
 def _read_config(path) -> dict:
     """The config of a JSON file; ConfigError unless the file reads as a
     JSON object whose sections are objects."""
@@ -101,8 +110,8 @@ def _read_config(path) -> dict:
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: a config is a JSON object, got "
                           f"{type(config).__name__}")
-    for name in _SECTIONS:
-        section = config.get(name, {})
+    for name in ("grid", "domain", "group", "flow", "scan", "initial"):
+        section = config.get(name, {})  # "group": null means no group
         if not (isinstance(section, dict)
                 or (name == "group" and section is None)):
             raise ConfigError(f"config section {name!r} must be a JSON "
@@ -110,65 +119,45 @@ def _read_config(path) -> dict:
     return config
 
 
-def _config_int(value, name: str, least: int) -> int:
-    """An integer config value; ConfigError unless it is one >= least."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ConfigError(f"{name} must be an integer >= {least}, "
-                          f"got {value!r}")
+def _read(spec: dict, key: str, name: str | None = None, *, least=None,
+          low=-math.inf, high=math.inf, default=None, what=None, text=False):
+    """``spec[key]``, the one reader of config, dump-header and command-line
+    numbers: ``default`` for a missing key, or MissingKeyError without one,
+    else a JSON number (not a bool or a string; with ``text`` a string is
+    command-line text, read as a float, or an int where it is one) that is
+    an integer >= ``least`` if given, else in the open interval (low,
+    high), an integer beyond the float range reading as an infinity;
+    otherwise ConfigError "<name> must be <what>, got <value as written>"."""
+    if key not in spec:
+        if default is None:
+            raise MissingKeyError(key)
+        return default
+    value = written = spec[key]
+    if text and isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            value = float(value)
+            value = int(written)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if least is not None:
+        ok = number and isinstance(value, int) and value >= least
+        what = what or f"an integer >= {least}"
+    else:
+        try:
+            value = float(value) if number else math.nan
+        except OverflowError:
+            value = math.inf if value > 0 else -math.inf
+        ok = low < value < high
+        what = what or f"a number in ({low:g}, {high:g})"
+    if not ok:
+        raise ConfigError(f"{name or key} must be {what}, got {written!r}")
     return value
 
 
-def _build_grid(gspec: dict, domain_spec: dict):
-    """The grid of a config's (or a dump header's) ``grid`` and ``domain``
-    sections; a polar grid takes a disk or an annulus."""
-    domain = DomainSpec.from_config(domain_spec)
-    kind = gspec.get("type")
-    if kind == "polar":
-        if domain.shape not in ("disk", "annulus"):
-            raise ConfigError(f"a polar grid needs a disk or annulus domain, "
-                              f"got {domain_spec.get('type')!r}")
-        return PolarGrid(_config_int(gspec["n_r"], "grid n_r", 2),
-                         _config_int(gspec["n_theta"], "grid n_theta", 4),
-                         r_out=domain.radius, r_in=domain.inner_radius)
-    if kind == "cartesian":
-        n = _config_int(gspec["n"], "grid n", 4)
-        extent = config_number(gspec.get("extent", domain.bounding_radius))
-        if not 0.0 < extent < math.inf:
-            raise ConfigError(f"grid extent must be a number > 0, "
-                              f"got {gspec['extent']!r}")
-        return CartesianMaskedGrid(domain, n, extent=extent)
-    raise ConfigError(f"unknown grid type {kind!r}; "
-                      "allowed: polar, cartesian")
-
-
-def _build_group(spec: dict | None) -> SymmetryGroup | None:
-    if spec is None:
-        return None
-    kind = spec.get("kind")
-    if kind not in ("cyclic", "dihedral"):
-        raise ConfigError(f"unknown group kind {kind!r}; "
-                          "allowed: cyclic, dihedral")
-    order = _config_int(spec["order"], "group order", 1)
-    if kind == "cyclic":
-        return cyclic(order)
-    axis = config_number(spec.get("axis_angle", 0.0))
-    if not math.isfinite(axis):
-        raise ConfigError(f"group axis_angle must be a number, "
-                          f"got {spec['axis_angle']!r}")
-    return dihedral(order, axis)
-
-
-def _realize(grid, group: SymmetryGroup | None) -> None:
-    """Build the grid's orbit grid of the group (cached for the flow);
-    ConfigError if the grid does not realize the group."""
-    if group is None:
-        return
-    try:
-        grid.quotient(group)
-    except GridSymmetryError as exc:
-        raise ConfigError(f"grid {grid.to_config()} does not realize the "
-                          f"group {group.kind}:{group.order_h}: "
-                          f"{exc}") from None
+def _string(spec: dict, key: str, name: str) -> str:
+    """``spec[key]``, a path; ConfigError unless it is a string."""
+    if not isinstance(spec[key], str):
+        raise ConfigError(f"{name} must be a string, got {spec[key]!r}")
+    return spec[key]
 
 
 def _check_keys(section: str, spec: dict, allowed: list) -> None:
@@ -178,88 +167,152 @@ def _check_keys(section: str, spec: dict, allowed: list) -> None:
                           f"allowed: {', '.join(allowed)}")
 
 
-def _config_real(value, name: str, low: float, high: float) -> float:
-    """A number config value in the open interval (low, high); ConfigError
-    unless it is one.  Booleans and strings are not numbers."""
-    number = (config_number(value) if isinstance(value, (int, float))
-              and not isinstance(value, bool) else math.nan)
-    if not low < number < high:
-        raise ConfigError(f"{name} must be a number in ({low:g}, {high:g}), "
-                          f"got {value!r}")
-    return number
+# the keys that each type of a typed section takes besides its type
+_KEYS = {"grid": {"polar": ("n_r", "n_theta"), "cartesian": ("n", "extent")},
+         "domain": {"disk": ("radius",), "annulus": ("a", "b"),
+                    "squircle": ("radius", "power")},
+         "group": {"cyclic": ("order",), "dihedral": ("order", "axis_angle")},
+         "initial datum": {"ball": ("scale",), "scaled-ball": ("scale",),
+                           "annulus": ("scale", "a", "b"),
+                           "dump": ("scale", "path")}}
+# radii and extents: their squares, and so the cell weights, stay normal
+_LENGTH = {"low": 1e-100, "high": 1e100}
 
 
-# the open interval each float field of the flow section must lie in
-_FLOW_RANGES = {"dt_max": (0.0, math.inf), "c_stab": (0.0, math.inf),
-                "t_max": (0.0, math.inf), "residual_tol": (0.0, math.inf),
-                "decay_factor": (0.0, 1.0)}
+def _typed(section: str, spec: dict, tag: str = "type", default=None) -> str:
+    """The section's type (its ``tag``); ConfigError unless it is one of
+    ``_KEYS[section]`` and the section has no key this type does not take."""
+    keys, kind = _KEYS[section], spec.get(tag, default)
+    if not (isinstance(kind, str) and kind in keys):
+        raise ConfigError(f"unknown {section} {tag} {kind!r}; "
+                          f"allowed: {', '.join(keys)}")
+    _check_keys(section, spec, [tag, *keys[kind]])
+    return kind
 
 
-def _flow_config(spec: dict | None) -> flow.FlowConfig:
-    """The flow section as a FlowConfig; ConfigError on an unknown key or
-    a value out of its range (``_FLOW_RANGES``; record_nodal_every is an
-    integer >= 0)."""
-    spec = spec or {}
+def _radii(spec: dict, name: str) -> tuple[float, float]:
+    """The radii 0 < a < b (b = 1 by default) of an annulus section."""
+    a = _read(spec, "a", f"{name} a", **_LENGTH)
+    b = _read(spec, "b", f"{name} b", default=1.0, **_LENGTH)
+    if not a < b:
+        raise ConfigError(f"{name} needs numbers 0 < a < b, got a = "
+                          f"{spec['a']!r}, b = {spec.get('b', 1.0)!r}")
+    return a, b
+
+
+def _build_domain(spec: dict) -> DomainSpec:
+    """The domain of a config's (or a dump header's) ``domain`` section."""
+    kind = _typed("domain", spec, default="disk")
+    name = f"domain {kind!r}"
+    if kind == "annulus":
+        return DomainSpec.annulus(*_radii(spec, name))
+    radius = _read(spec, "radius", f"{name} radius", default=1.0, **_LENGTH)
+    if kind == "disk":
+        return DomainSpec.disk(radius)
+    return squircle_mask(radius, _read(spec, "power", f"{name} power",
+                                       low=0.0, default=4.0))
+
+
+def _build_grid(gspec: dict, domain_spec: dict):
+    """The grid of a config's (or a dump header's) ``grid`` and ``domain``
+    sections; a polar grid takes a disk or an annulus."""
+    domain = _build_domain(domain_spec)
+    if _typed("grid", gspec) == "cartesian":
+        grid = CartesianMaskedGrid(
+            domain, _read(gspec, "n", "grid n", least=4),
+            extent=_read(gspec, "extent", "grid extent",
+                         default=domain.bounding_radius, **_LENGTH))
+        if grid.n_nodes == 0:
+            raise ConfigError(f"grid {gspec} has no node in the domain")
+        return grid
+    if domain.shape not in ("disk", "annulus"):
+        raise ConfigError(f"a polar grid needs a disk or annulus domain, "
+                          f"got {domain_spec.get('type')!r}")
+    return PolarGrid(_read(gspec, "n_r", "grid n_r", least=2),
+                     _read(gspec, "n_theta", "grid n_theta", least=4),
+                     r_out=domain.radius, r_in=domain.inner_radius)
+
+
+def _build_group(spec: dict | None, grid,
+                 text: bool = False) -> SymmetryGroup | None:
+    """The group of a config's ``group`` section (None for null), or with
+    ``text`` of ``--group kind:order``; its orbit grid of ``grid`` is built
+    (and cached for the flow), or ConfigError if the grid does not realize
+    it."""
+    if spec is None:
+        return None
+    kind = _typed("group", spec, tag="kind")
+    order = _read(spec, "order", "group order", least=1, text=text)
+    group = cyclic(order) if kind == "cyclic" else dihedral(
+        order, _read(spec, "axis_angle", "group axis_angle", default=0.0))
+    try:
+        grid.quotient(group)
+    except GridSymmetryError as exc:
+        raise ConfigError(f"grid {grid.to_config()} does not realize the "
+                          f"group {kind}:{order}: {exc}") from None
+    return group
+
+
+def _flow_config(spec: dict) -> flow.FlowConfig:
+    """The flow section: record_nodal_every is an integer >= 0,
+    decay_factor a number in (0, 1), every other field a number > 0."""
     _check_keys("flow", spec,
                 [f.name for f in dataclasses.fields(flow.FlowConfig)])
-    values = {}
-    for name, value in spec.items():
-        if name == "record_nodal_every":
-            values[name] = _config_int(value, f"flow {name}", 0)
-        else:
-            values[name] = _config_real(value, f"flow {name}",
-                                        *_FLOW_RANGES[name])
-    return flow.FlowConfig(**values)
+    return flow.FlowConfig(**{
+        key: _read(spec, key, f"flow {key}", least=0)
+        if key == "record_nodal_every" else
+        _read(spec, key, f"flow {key}", low=0.0,
+              high=1.0 if key == "decay_factor" else math.inf)
+        for key in spec})
 
 
 def _scan_ratios(spec: dict) -> list | None:
-    """The scan section's mixing angles, or None for the default fan;
-    ConfigError unless ``ratios`` is a nonempty list of finite numbers."""
+    """The scan section's mixing angles (a nonempty list of finite numbers),
+    or None for the default fan."""
+    _check_keys("scan", spec, ["ratios"])
     if "ratios" not in spec:
         return None
     ratios = spec["ratios"]
     if not isinstance(ratios, list) or not ratios:
         raise ConfigError(f"scan ratios must be a nonempty list of angles, "
                           f"got {ratios!r}")
-    return [_config_real(theta, "scan ratios entry", -math.inf, math.inf)
+    return [_read({"entry": theta}, "entry", "scan ratios entry")
             for theta in ratios]
 
 
-def _run_setup(config: dict, flow_default, group_default):
-    """(flow config, p, group, grid) of a flow or pipeline config; the
-    grid defaults to polar 96x32 on the unit disk.
+_ALPHA_RULE = "a number > 0, 'optimal' or 'asymptotic'"
 
-    An unknown or missing key, or a group the grid does not realize,
-    raises ConfigError before any work starts.
-    """
+
+def _run_setup(config: dict, **defaults):
+    """(flow config, p, alpha, group, grid, outdir) of a flow or pipeline
+    config, ``defaults`` (flow, group, outdir) and a polar 96x32 grid on the
+    unit disk filling in what it leaves out.  Every value is read, and the
+    outdir made, before any work starts; ConfigError on an unknown or
+    missing key, a value out of its range or a group the grid does not
+    realize."""
+    spec = {"grid": {"type": "polar", "n_r": 96, "n_theta": 32},
+            "domain": {"type": "disk"}, "alpha": "optimal",
+            **defaults, **config}
+    cfg = _flow_config(spec["flow"])
+    p = _read(spec, "p", low=1.0)
+    alpha = (spec["alpha"] if spec["alpha"] in ("optimal", "asymptotic")
+             else _read(spec, "alpha", low=0.0, what=_ALPHA_RULE))
+    grid = _build_grid(spec["grid"], spec["domain"])
+    group = _build_group(spec["group"], grid)
+    outdir = Path(_string(spec, "outdir", "outdir"))
     try:
-        cfg = _flow_config(config.get("flow", flow_default))
-        p = _exponent(config["p"])
-        group = _build_group(config.get("group", group_default))
-        grid = _build_grid(
-            config.get("grid", {"type": "polar", "n_r": 96, "n_theta": 32}),
-            config.get("domain", {"type": "disk"}))
-    except KeyError as exc:
-        raise ConfigError(f"missing config key {exc.args[0]!r}") from None
-    _realize(grid, group)
-    return cfg, p, group, grid
-
-
-def _exponent(value) -> float:
-    """The exponent p from a config or the command line; ConfigError
-    unless it is a finite number > 1."""
-    p = config_number(value)
-    if not 1.0 < p < math.inf:
-        raise ConfigError(f"p must be a finite number > 1, got {value!r}")
-    return p
+        outdir.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"outdir {str(outdir)!r}: {exc}") from None
+    return cfg, p, alpha, group, grid, outdir
 
 
 def _alpha_policy(alpha, p: float):
-    """'optimal', or the number alpha names ('asymptotic' is the limit
-    optimizer); ConfigError unless every alpha it can use at this p has
-    0 < alpha and alpha*p <= AMPLITUDE_EXPONENT_GUARD."""
+    """'optimal', or the number alpha names ('asymptotic': the limit
+    optimizer; other text: a command-line number); ConfigError unless each
+    alpha it can use at this p has 0 < alpha, alpha*p <= the guard."""
     guard = radial.AMPLITUDE_EXPONENT_GUARD
-    if alpha in (None, "optimal"):
+    if alpha == "optimal":
         top = radial.ALPHA_BOUNDS[1]
         if top * p > guard:
             raise ConfigError(
@@ -268,10 +321,8 @@ def _alpha_policy(alpha, p: float):
                 f"guard {guard:g}")
         return "optimal"
     value = (energy.minimize_f().alpha_bar if alpha == "asymptotic"
-             else config_number(alpha))
-    if not value > 0.0:
-        raise ConfigError(f"alpha must be a number > 0, 'optimal' or "
-                          f"'asymptotic', got {alpha!r}")
+             else _read({"alpha": alpha}, "alpha", low=0.0,
+                        what=_ALPHA_RULE, text=True))
     if value * p > guard:
         raise ConfigError(f"alpha*p = {value * p:g} at p = {p:g} exceeds "
                           f"the amplitude guard {guard:g}")
@@ -279,9 +330,8 @@ def _alpha_policy(alpha, p: float):
 
 
 def _resolve_alpha(alpha, p: float) -> radial.AlphaChoice:
-    """The two profiles at a numeric alpha, or at a named policy's:
-    'optimal' minimizes the measured two-profile sum at this p,
-    'asymptotic' uses the limit optimizer."""
+    """The two profiles at a numeric alpha, or at a named policy's ('optimal'
+    minimizes the two-profile sum at this p)."""
     policy = _alpha_policy(alpha, p)
     if policy == "optimal":
         return radial.optimal_alpha(p)
@@ -322,7 +372,8 @@ def run_constants(args) -> int:
 # ---------------------------------------------------------------------------
 
 def run_radial_sweep(args) -> int:
-    p_list = [_exponent(tok) for tok in args.p.split(",")]
+    p_list = [_read({"p": tok}, "p", low=1.0, text=True)
+              for tok in args.p.split(",")]
     for p in p_list:  # every argument is checked before the first shot
         _alpha_policy(args.alpha, p)
     lines = ["p,alpha,pE_annulus,pE_ball,total,bound,delta"]
@@ -345,15 +396,24 @@ def run_radial_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _initial_field(spec: dict, grid, p: float, alpha):
-    """The configured initial datum; ``alpha`` is the unresolved config
-    value, resolved only by the datum that uses it (a numeric alpha needs
-    no annulus)."""
-    kind = spec.get("type", "ball")
-    scale = spec.get("scale", 1.0)
-    if kind == "ball":
-        prof = radial.solve_ball(p)
-        return flow.field_from_radial(grid, prof).scaled(scale)
-    if kind == "scaled-ball":
+    """The configured initial datum; ``alpha`` ('optimal' or a number) is
+    resolved only by the datum that uses it (a numeric alpha needs no
+    annulus)."""
+    kind = _typed("initial datum", spec, default="ball")
+    scale = _read(spec, "scale", "initial scale", default=1.0)
+    if kind == "dump":
+        if "path" not in spec:
+            raise ConfigError("initial dump needs a 'path'")
+        field, _ = load_field(_string(spec, "path", "initial path"))
+        recipe = (field.grid.to_config(), field.grid.domain.to_config())
+        if recipe != (grid.to_config(), grid.domain.to_config()):
+            raise ConfigError(f"the dump's grid {recipe[0]} on {recipe[1]} "
+                              f"is not the config's grid {grid.to_config()} "
+                              f"on {grid.domain.to_config()}")
+        return flow.ScalarField(grid, field.values).scaled(scale)
+    if kind == "annulus":
+        prof = radial.solve_annulus(p, *_radii(spec, "initial annulus"))
+    elif kind == "scaled-ball":
         alpha = _alpha_policy(alpha, p)
         if alpha == "optimal":
             choice = radial.optimal_alpha(p)
@@ -361,37 +421,17 @@ def _initial_field(spec: dict, grid, p: float, alpha):
         else:
             ball = radial.solve_ball(p)
         prof = radial.build_ball_solution_scaled(p, alpha, ball)
-        return flow.field_from_radial(grid, prof).scaled(scale)
-    if kind == "annulus":
-        a, b = config_number(spec.get("a")), config_number(spec.get("b", 1.0))
-        if not 0.0 < a < b:
-            raise ConfigError(f"initial annulus needs numbers 0 < a < b, got "
-                              f"a = {spec.get('a')!r}, b = "
-                              f"{spec.get('b', 1.0)!r}")
-        prof = radial.solve_annulus(p, a, b)
-        return flow.field_from_radial(grid, prof).scaled(scale)
-    if kind == "dump":
-        if "path" not in spec:
-            raise ConfigError("initial dump needs a 'path'")
-        field, _ = load_field(spec["path"])
-        recipe = (field.grid.to_config(), field.grid.domain.to_config())
-        if recipe != (grid.to_config(), grid.domain.to_config()):
-            raise ConfigError(f"the dump's grid {recipe[0]} on {recipe[1]} "
-                              f"is not the config's grid {grid.to_config()} "
-                              f"on {grid.domain.to_config()}")
-        return flow.ScalarField(grid, field.values).scaled(scale)
-    raise ConfigError(f"unknown initial datum type {kind!r}; allowed: "
-                      "ball, scaled-ball, annulus, dump")
+    else:
+        prof = radial.solve_ball(p)
+    return flow.field_from_radial(grid, prof).scaled(scale)
 
 
 def run_flow(args) -> int:
     config = _read_config(args.config)
-    cfg, p, group, grid = _run_setup(config, None, None)
-    v0 = _initial_field(config.get("initial", {"type": "ball"}), grid, p,
-                        config.get("alpha"))
+    cfg, p, alpha, group, grid, outdir = _run_setup(
+        config, flow={}, group=None, outdir=".")
+    v0 = _initial_field(config.get("initial", {}), grid, p, alpha)
     traj = flow.evolve(v0, p, cfg, group)
-    outdir = Path(config.get("outdir", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
     rows = ["t,energy,sup"]
     rows += [f"{t:.10g},{e:.10g},{s:.10g}"
              for t, e, s in zip(traj.times, traj.energies, traj.sup_norms)]
@@ -406,10 +446,7 @@ def run_flow(args) -> int:
               "energy_final": float(traj.energies[-1]),
               "energy_defects": traj.energy_defects,
               "nodal_counts": traj.nodal_counts}
-    (outdir / "flow_report.json").write_text(_json(report),
-                                             encoding="utf-8")
-    print(_json(report))
-    return 0
+    return _report(report, outdir / "flow_report.json", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -435,37 +472,33 @@ def _audit_candidate(cand: flow.ScalarField, p: float, group, grid) -> dict:
     return audit, dec
 
 
-def _stage_failure(report: dict, outdir: Path, message: str) -> int:
-    """Write and print the report of a failed pipeline stage, and one
-    stderr line; exit code 3."""
-    (outdir / "pipeline_report.json").write_text(_json(report),
-                                                 encoding="utf-8")
+def _report(report: dict, path: Path, code: int, failure: str = "") -> int:
+    """Write and print a run's report, and one stderr line for a failed
+    pipeline stage; returns the exit code."""
+    path.write_text(_json(report), encoding="utf-8")
     print(_json(report))
-    print(f"lef pipeline: {message}", file=sys.stderr)
-    return 3
+    if failure:
+        print(f"lef pipeline: {failure}", file=sys.stderr)
+    return code
 
 
 def run_pipeline(args) -> int:
     config = _read_config(args.config)
-    cfg, p, group, grid = _run_setup(
-        config, {"t_max": 120.0}, {"kind": "cyclic", "order": 4})
+    cfg, p, alpha, group, grid, outdir = _run_setup(
+        config, flow={"t_max": 120.0}, group={"kind": "cyclic", "order": 4},
+        outdir="pipeline_out")
     domain = grid.domain
-    scan_spec = config.get("scan", {})
-    _check_keys("scan", scan_spec, ["ratios"])
-    ratios = _scan_ratios(scan_spec)
-    outdir = Path(config.get("outdir", "pipeline_out"))
-    outdir.mkdir(parents=True, exist_ok=True)
+    ratios = _scan_ratios(config.get("scan", {}))
 
-    report: dict = {"p": p, "config": config}
-    admissible = group is not None and check_admissible(group, domain)
-    report["admissible"] = bool(admissible)
-    if not admissible:
+    report: dict = {"p": p, "config": config, "admissible": (
+        group is not None and check_admissible(group, domain))}
+    if not report["admissible"]:
         print(_json(report))
         print(f"lef pipeline: the group {group} is not admissible on the "
               f"domain {domain.to_config()}", file=sys.stderr)
         return 2
 
-    choice = _resolve_alpha(config.get("alpha", "optimal"), p)
+    choice = _resolve_alpha(alpha, p)
     alpha = report["alpha"] = choice.alpha
     inner = radial.build_ball_solution_scaled(p, alpha, choice.ball)
     f1 = flow.field_from_radial(grid, inner)
@@ -477,8 +510,8 @@ def run_pipeline(args) -> int:
                              "annulus_radii": [rho, 1.0],
                              "domain_radii": [domain.inner_radius,
                                               domain.bounding_radius]}
-        return _stage_failure(
-            report, outdir,
+        return _report(
+            report, outdir / "pipeline_report.json", 3,
             f"profiles stage: the ball profile on r < {rho:.4g} or the "
             f"annulus profile on ({rho:.4g}, 1) is zero on every node of the "
             f"domain {domain.inner_radius:g} <= r <= "
@@ -492,23 +525,19 @@ def run_pipeline(args) -> int:
     scan = flow.ray_scan(u1, u2, p, ratios=ratios,
                          config=cfg, group=group)
     n_rays = len(scan.all_results)
-    report["scan"] = {
-        "n_rays": n_rays,
-        "success": scan.success,
-        "rays": [(th, r if isinstance(r, str) else r.to_dict())
-                 for th, r in scan.all_results],
-    }
+    report["scan"] = {"n_rays": n_rays, "success": scan.success,
+                      "rays": [(th, r if isinstance(r, str) else r.to_dict())
+                               for th, r in scan.all_results]}
     if not scan.success:
         report["failure"] = {"stage": "scan", "n_rays": n_rays}
-        return _stage_failure(
-            report, outdir,
+        return _report(
+            report, outdir / "pipeline_report.json", 3,
             f"scan stage: no sign-changing candidate on any of {n_rays} "
             f"rays")
 
     # the energy-consistent datum v0: the transition angle's threshold point
     chosen_res, chosen_theta = scan.chosen
-    lam = chosen_res.lambda_star
-    v0 = chosen_res.v0
+    lam, v0 = chosen_res.lambda_star, chosen_res.v0
     report["chosen"] = {"theta": chosen_theta,
                         "t1": lam * math.cos(chosen_theta),
                         "t2": lam * math.sin(chosen_theta),
@@ -527,26 +556,22 @@ def run_pipeline(args) -> int:
         rescan = flow.restart_from_nodal_pair(candidate, dec, p, config=cfg,
                                               group=group)
         entry = {"success": rescan.success}
+        restarts.append(entry)
         if not rescan.success:
-            restarts.append(entry)
             break
         candidate = rescan.candidate
         audit, dec = _audit_candidate(candidate, p, group, grid)
-        entry["candidate"] = rescan.provenance()
-        entry["audit"] = audit
-        stages.append((f"restart_{len(restarts) + 1}",
+        entry.update(candidate=rescan.provenance(), audit=audit)
+        stages.append((f"restart_{len(restarts)}",
                        p * energy.field_energy(candidate, p).energy))
-        restarts.append(entry)
         report["audit"] = audit
     report["restarts"] = restarts
     report["restart_count"] = len(restarts)
 
     report["energy_ledger"] = {
-        "stages": stages,
-        "bound": energy.UPPER_BOUND_CONST,
+        "stages": stages, "bound": energy.UPPER_BOUND_CONST,
         "nonincreasing": all(a >= b - 1e-9 for (_, a), (_, b)
-                             in zip(stages, stages[1:])),
-    }
+                             in zip(stages, stages[1:]))}
 
     dump_field(outdir / "candidate.bin", candidate, p=p)
     dump_field(outdir / "v0.bin", v0, p=p)
@@ -557,16 +582,13 @@ def run_pipeline(args) -> int:
         report["morse"] = _morse_report(candidate, p, group)
     except (spectrum.EigenSolveError, spectrum.NotSteadyError) as exc:
         report["failure"] = {"stage": "spectrum", "error": str(exc)}
-        return _stage_failure(report, outdir, f"spectrum stage: {exc}")
-
-    (outdir / "pipeline_report.json").write_text(
-        _json(report), encoding="utf-8")
-    print(_json(report))
+        return _report(report, outdir / "pipeline_report.json", 3,
+                       f"spectrum stage: {exc}")
 
     ok = (audit["elliptic_residual"] < cfg.residual_tol
           and not audit["boundary_contact"]
           and report["energy_ledger"]["nonincreasing"])
-    return 0 if ok else 4
+    return _report(report, outdir / "pipeline_report.json", 0 if ok else 4)
 
 
 # ---------------------------------------------------------------------------
@@ -579,24 +601,22 @@ def _morse_report(field: flow.ScalarField, p: float, group,
     and the residual of its odd extension."""
     out = spectrum.morse_index(field, p, group, k=k).to_dict()
     mu, info = spectrum.half_domain_mu(field, p)
-    out["half_domain_mu"] = mu
-    out["odd_extension_residual"] = info["odd_extension_residual"]
-    return out
+    return dict(out, half_domain_mu=mu,
+                odd_extension_residual=info["odd_extension_residual"])
 
 
 def run_spectrum(args) -> int:
-    if args.k < 1:
-        raise ConfigError(f"--k must be >= 1, got {args.k}")
+    _read(vars(args), "k", "--k", least=1, what=">= 1")
     field, header = load_field(args.field)
     if args.p is None and "p" not in header:
         raise ConfigError("p not in dump header; pass --p")
-    p = _exponent(args.p if args.p is not None else header["p"])
+    p = (_read(header, "p", low=1.0) if args.p is None
+         else _read(vars(args), "p", low=1.0, text=True))
     group = None
     if args.group:
         kind, _, order = args.group.partition(":")
-        group = _build_group({"kind": kind, "order": (
-            int(order) if order.isdecimal() else order)})
-        _realize(field.grid, group)
+        group = _build_group({"kind": kind, "order": order}, field.grid,
+                             text=True)
     try:
         out = _morse_report(field, p, group, args.k)
     except spectrum.NotSteadyError as exc:
@@ -652,11 +672,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"lef {args.command}: {exc}", file=sys.stderr)
         return 2
-    except radial.RadialSolveError as exc:
-        print(f"lef {args.command}: radial stage: {exc}", file=sys.stderr)
-        return 3
-    except spectrum.EigenSolveError as exc:
-        print(f"lef {args.command}: spectrum stage: {exc}", file=sys.stderr)
+    except (radial.RadialSolveError, spectrum.EigenSolveError) as exc:
+        stage = ("radial" if isinstance(exc, radial.RadialSolveError)
+                 else "spectrum")
+        print(f"lef {args.command}: {stage} stage: {exc}", file=sys.stderr)
         return 3
 
 

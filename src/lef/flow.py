@@ -178,16 +178,19 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
     to the invariant subspace (their W-orthogonal orbit average) at t = 0,
     and the flow then stays exactly invariant.  Only the returned fields
     (final, best snapshot, nodal samples) are lifted back to ``v0.grid``.
+    Without a group the loop runs on ``v0.grid``, an orbit grid included.
 
     DECAY means sup < decay_factor * sup0; with ``certify_decay`` also the
     decay certificate (module docstring) on a grid with a Perron pair.
     """
     full = v0.grid
     grid = full if group is None else full.quotient(group)
-    v = np.array(grid.restrict(v0.values), dtype=float)
+    lift = (lambda x: x) if group is None else grid.lift
+    v = np.array(v0.values if group is None else grid.restrict(v0.values),
+                 dtype=float)
 
     def lifted(values, t):
-        return ScalarField(full, grid.lift(values), v0.time_stamp + t)
+        return ScalarField(full, lift(values), v0.time_stamp + t)
 
     abs_v = np.abs(v)
     sup = sup0 = float(np.max(abs_v))
@@ -418,7 +421,9 @@ def threshold_bisect(direction: ScalarField, p: float,
              if lam_hi is not None and lam_hi > lam_lo else width_tol)
 
     def _polish(fld: ScalarField) -> tuple[ScalarField, float]:
-        grid = fld.grid if group is None else fld.grid.quotient(group)
+        if group is None:
+            return spectrum_mod.newton_polish(fld, p)
+        grid = fld.grid.quotient(group)
         polished, pres = spectrum_mod.newton_polish(
             ScalarField(grid, grid.restrict(fld.values)), p)
         values = grid.lift(polished.values)

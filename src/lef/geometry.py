@@ -44,10 +44,6 @@ PERRON_MAX_ITER = 500
 PERRON_SAFETY = 1e-6
 
 
-class ConfigError(ValueError):
-    """A config names a key or value the program does not accept."""
-
-
 class GridSymmetryError(ValueError):
     """The grid does not realize a group element as a node permutation."""
 
@@ -170,37 +166,8 @@ class DomainSpec:
     bounding_radius: float = 0.0
     recipe: dict | None = field(default=None, compare=False)
 
-    @staticmethod
-    def from_config(spec: dict) -> "DomainSpec":
-        """Build a domain from its config dict (type disk, annulus or
-        squircle); an unknown type, or radii or a squircle power that are
-        not numbers with 0 < radius, 0 < power and 0 < a < b, raise
-        ConfigError."""
-        kind = spec.get("type", "disk")
-        if kind in ("disk", "squircle"):
-            radius = config_number(spec.get("radius", 1.0))
-            if not 0.0 < radius < math.inf:
-                raise ConfigError(f"domain {kind!r} needs a number radius "
-                                  f"> 0, got {spec['radius']!r}")
-            if kind == "disk":
-                return DomainSpec.disk(radius)
-            power = config_number(spec.get("power", 4.0))
-            if not 0.0 < power < math.inf:
-                raise ConfigError(f"domain 'squircle' needs a number power "
-                                  f"> 0, got {spec['power']!r}")
-            return squircle_mask(radius, power)
-        if kind == "annulus":
-            a, b = config_number(spec["a"]), config_number(spec.get("b", 1.0))
-            if not 0.0 < a < b < math.inf:
-                raise ConfigError(f"domain 'annulus' needs numbers 0 < a < b, "
-                                  f"got a = {spec['a']!r}, b = "
-                                  f"{spec.get('b', 1.0)!r}")
-            return DomainSpec.annulus(a, b)
-        raise ConfigError(f"unknown domain type {kind!r}; "
-                          "allowed: disk, annulus, squircle")
-
     def to_config(self) -> dict:
-        """The config dict that ``from_config`` rebuilds this domain from."""
+        """The config ``domain`` section that rebuilds this domain."""
         if self.shape == "disk":
             return {"type": "disk", "radius": self.radius}
         if self.shape == "annulus":
@@ -247,17 +214,6 @@ class DomainSpec:
         if self.shape == "annulus":
             return (r > self.inner_radius) & (r < self.radius)
         return np.asarray(self.mask_fn(pts), dtype=bool)
-
-
-def config_number(value) -> float:
-    """A config or command-line value as a float; nan if it is no number,
-    and an infinity for an integer beyond the float range."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        return math.nan
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
 
 
 def check_admissible(G: SymmetryGroup, domain: DomainSpec,

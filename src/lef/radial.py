@@ -41,7 +41,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
-from .energy import EnergyReport
+from .energy import EnergyReport, direct_power
 
 ENDPOINT_TOL = 1e-10
 AMPLITUDE_EXPONENT_GUARD = 600.0  # reject alpha * p beyond this
@@ -133,20 +133,18 @@ def radial_energy(profile: RadialProfile, p: float | None = None) -> EnergyRepor
     """Energy report from 1D quadrature (Simpson per smooth segment)."""
     if p is None:
         p = profile.p
-    grad = 0.0
-    lp1_direct = 0.0
-    overflow = False
     sup = profile.sup
+    direct = sup > 0 and direct_power(sup, p)
+    grad = lp1 = 0.0
     for a, b in profile.segments:
         r, u, du = profile.r[a:b], profile.u[a:b], profile.du[a:b]
         if len(r) < 3:
             continue
         grad += 2.0 * math.pi * simpson(du * du * r, x=r)
-        if sup > 0 and (p + 1.0) * math.log(max(sup, 1e-300)) < 600.0:
-            lp1_direct += 2.0 * math.pi * simpson(np.abs(u) ** (p + 1.0) * r, x=r)
-        else:
-            overflow = True
-    lp1 = _log_quadrature_lp1(profile, p) if overflow else lp1_direct
+        if direct:
+            lp1 += 2.0 * math.pi * simpson(np.abs(u) ** (p + 1.0) * r, x=r)
+    if not direct:
+        lp1 = _log_quadrature_lp1(profile, p)
     return EnergyReport.from_norms(grad, lp1, p)
 
 

@@ -29,6 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .energy import DIRECT_POWER_LOG_MAX, direct_power
 from .geometry import SymmetryGroup
 
 NEGATIVE_EIG_REL_TOL = 1e-8  # lambda < -tol * |lambda_1| counts as negative
@@ -162,13 +163,27 @@ def spectrum_at_shift(A, weights: np.ndarray, sigma: float, k: int,
 
 
 def elliptic_residual(u, p: float) -> float:
-    """|| Delta_h u + |u|^{p-1} u ||_2 / ||u||_2 in the weighted norm."""
+    """|| Delta_h u + |u|^{p-1} u ||_2 / ||u||_2 in the weighted norm.
+
+    Past the direct-power bound of |u|^{2p} (the squared residual's power)
+    u and the residual are scaled to max 1 before their norms, and once
+    sup^{p-1} passes e^DIRECT_POWER_LOG_MAX the residual is inf."""
     grid = u.grid
     nrm = grid.weighted_norm(u.values)
     if nrm == 0.0:
         return 0.0
-    res = grid.laplacian_apply(u.values) + np.abs(u.values) ** (p - 1.0) * u.values
-    return grid.weighted_norm(res) / nrm
+    abs_u = np.abs(u.values)
+    sup = float(abs_u.max())
+    if direct_power(sup, 2.0 * p - 1.0):
+        res = grid.laplacian_apply(u.values) + abs_u ** (p - 1.0) * u.values
+        return grid.weighted_norm(res) / nrm
+    if (p - 1.0) * math.log(sup) >= DIRECT_POWER_LOG_MAX:
+        return math.inf
+    hat = u.values / sup
+    power = sup ** (p - 1.0) * np.abs(hat) ** (p - 1.0)
+    res = grid.laplacian_apply(hat) + power * hat
+    top = float(np.max(np.abs(res))) or 1.0
+    return top * (grid.weighted_norm(res / top) / grid.weighted_norm(hat))
 
 
 def _index_and_eigenvalues(A, weights: np.ndarray, sigma: float, k: int):
@@ -183,25 +198,32 @@ def morse_index(u, p: float, G: SymmetryGroup | None = None, k: int = 12,
     restricted to the G-symmetric subspace.
 
     The index counts eigenvalues lambda < sigma_0 = -NEGATIVE_EIG_REL_TOL
-    |lambda_1| by inertia, with lambda_1 taken on u's grid, so it does not
-    depend on ``k``; ``k`` is only the number of eigenvalues nearest
-    sigma_0 reported per space.
+    |lambda_1| by inertia, so it does not depend on ``k``; ``k`` is only
+    the number of eigenvalues nearest sigma_0 reported per space.
+
+    For a G-invariant u lambda_1 is found on the orbit grid: L = K -
+    pW|u|^{p-1} has nonpositive off-diagonals, so below lambda_1 L - sigma
+    W is an M-matrix with nonnegative inverse and lambda_1 has a
+    nonnegative eigenvector (Berman & Plemmons, SIAM 1994), connected grid
+    or not, whose G-average is a nonzero G-invariant one.
     """
     res = elliptic_residual(u, p)
     if res > residual_check:
         raise NotSteadyError(f"not a converged steady state: elliptic "
                              f"residual {res:.2e} > {residual_check}")
-    A = assemble_linearized(u, p)
-    lam1, _ = lowest_eigenpair(A, u.grid.weights)
-    sigma = -NEGATIVE_EIG_REL_TOL * max(abs(lam1), 1e-30)
-    index, vals = _index_and_eigenvalues(A, u.grid.weights, sigma, k)
-    sym_idx = sym_vals = None
+    full = assemble_linearized(u, p), u.grid.weights
+    sym = None
     if G is not None:
         orbits = u.grid.quotient(G)
         u_sym = dataclasses.replace(u, grid=orbits,
                                     values=orbits.restrict(u.values))
-        sym_idx, sym_vals = _index_and_eigenvalues(
-            assemble_linearized(u_sym, p), orbits.weights, sigma, k)
+        sym = assemble_linearized(u_sym, p), orbits.weights
+    invariant = sym is not None and u.grid.symmetry_defect(u.values, G) == 0
+    lam1, _ = lowest_eigenpair(*(sym if invariant else full))
+    sigma = -NEGATIVE_EIG_REL_TOL * max(abs(lam1), 1e-30)
+    index, vals = _index_and_eigenvalues(*full, sigma, k)
+    sym_idx, sym_vals = ((None, None) if sym is None
+                         else _index_and_eigenvalues(*sym, sigma, k))
     return SpectrumReport(lam1, index, vals, sym_idx, sym_vals)
 
 

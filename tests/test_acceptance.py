@@ -276,6 +276,15 @@ def test_morse_index_oracle_two_nodal_disk(pipeline_run):
     assert len(rep.eigenvalues) == len(rep.symmetric_eigenvalues) == 2
 
 
+def test_lambda_1_on_the_orbit_grid_is_the_full_grid_one(pipeline_run):
+    """The report's lambda_1 is found on the C4 orbit grid; the full
+    grid's lowest eigenvalue is the same (spectrum.morse_index)."""
+    _, report, candidate = pipeline_run
+    A = spectrum.assemble_linearized(candidate, 8.0)
+    lam1, _ = spectrum.lowest_eigenpair(A, candidate.grid.weights)
+    assert report["morse"]["lambda_1"] == pytest.approx(lam1, rel=1e-10)
+
+
 def test_criterion_10_equivariance_and_symmetry(disk_grid_small):
     g = disk_grid_small
     p = 3.0

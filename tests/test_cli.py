@@ -162,8 +162,8 @@ class TestRadialCommand:
                          "--out", str(tmp_path / "s.csv")]) == 0
 
     @pytest.mark.parametrize("argv, message", [
-        (["--p", "abc"], "p must be a finite number > 1, got 'abc'"),
-        (["--p", "1.0"], "p must be a finite number > 1, got '1.0'"),
+        (["--p", "abc"], "p must be a number in (1, inf), got 'abc'"),
+        (["--p", "1.0"], "p must be a number in (1, inf), got '1.0'"),
         (["--p", "20", "--alpha", "-1"],
          "alpha must be a number > 0, 'optimal' or 'asymptotic', got '-1'"),
         (["--p", "20,1000", "--alpha", "0.7"],
@@ -370,8 +370,8 @@ class TestSpectrumCommand:
         (["--group", "cyclic:x"], "group order must be an integer >= 1, "
                                   "got 'x'"),
         (["--group", "cyclic:5"], "does not realize the group cyclic:5"),
-        (["--p", "abc"], "p must be a finite number > 1, got 'abc'"),
-        (["--p", "1"], "p must be a finite number > 1, got '1'"),
+        (["--p", "abc"], "p must be a number in (1, inf), got 'abc'"),
+        (["--p", "1"], "p must be a number in (1, inf), got '1'"),
     ], ids=["group-without-order", "group-order-not-a-number",
             "group-not-realized", "p-not-a-number", "p-one"])
     def test_bad_arguments_exit_2(self, tmp_path, capsys, polished_ball,
@@ -390,9 +390,9 @@ class TestSpectrumCommand:
         (lambda h: h.pop("count"), "dump header has no key 'count'"),
         (lambda h: h["grid"].update(n_r=24), "grid of 384 nodes"),
         (lambda h: h.update(count=10), "header count 10"),
-        (lambda h: h.update(p="x"), "p must be a finite number > 1, "
+        (lambda h: h.update(p="x"), "p must be a number in (1, inf), "
                                     "got 'x'"),
-        (lambda h: h.update(p=0.5), "p must be a finite number > 1, "
+        (lambda h: h.update(p=0.5), "p must be a number in (1, inf), "
                                     "got 0.5"),
         (lambda h: h.pop("p"), "p not in dump header; pass --p"),
     ], ids=["no-grid", "no-domain", "no-n_r", "no-count", "grid-not-count",
@@ -505,11 +505,11 @@ class TestConfigValidation:
         ({"group": {"kind": "dihedral", "order": 0}},
          "group order must be an integer >= 1, got 0"),
         ({"group": {"kind": "dihedral", "order": 4, "axis_angle": "x"}},
-         "group axis_angle must be a number, got 'x'"),
+         "group axis_angle must be a number in (-inf, inf), got 'x'"),
         ({"grid": {"type": "polar", "n_r": 1, "n_theta": 8}},
          "grid n_r must be an integer >= 2, got 1"),
         ({"grid": {"type": "cartesian", "n": 16, "extent": "x"}},
-         "grid extent must be a number > 0, got 'x'"),
+         "grid extent must be a number in (1e-100, 1e+100), got 'x'"),
     ], ids=["c6-on-polar-8", "c8-on-cartesian", "squircle-on-polar",
             "order-string", "order-zero", "axis-angle-string", "n_r-one",
             "extent-string"])
@@ -669,7 +669,7 @@ class TestConfigValidation:
         cfg_path.write_text(json.dumps({"p": p}), encoding="utf-8")
         assert cli.main(["pipeline", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"lef pipeline: p must be a finite number > 1, "
+        assert err == [f"lef pipeline: p must be a number in (1, inf), "
                        f"got {p!r}"]
 
 
@@ -788,3 +788,11 @@ class TestScenarioMatrix:
             assert "failure" not in report
             assert set(report["candidate"]) == {"theta", "source",
                                                 "residual"}
+        if "morse" in report:
+            # lambda_1 is found on the orbit grid: the full grid's is equal
+            candidate, _ = cli.load_field(tmp_path / "out" / "candidate.bin")
+            lam1, _ = spectrum.lowest_eigenpair(
+                spectrum.assemble_linearized(candidate, p),
+                candidate.grid.weights)
+            assert report["morse"]["lambda_1"] == pytest.approx(lam1,
+                                                                rel=1e-10)

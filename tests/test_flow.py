@@ -192,6 +192,39 @@ class TestOrbitGrid:
         dev = np.max(np.abs(reduced.final.values - full.final.values))
         assert dev <= 1e-10 * full.final.sup
 
+    @pytest.mark.parametrize("scale", [0.5, 4.0])
+    def test_orbit_grid_field_flows_without_a_group(self, grid_and_group,
+                                                   scale):
+        # a field that already lives on the orbit grid flows there with no
+        # group, as its lift flows with the group
+        g, G = grid_and_group
+        orbits = g.quotient(G)
+        c = orbits.restrict(_invariant_datum(g, G).scaled(scale).values)
+        cfg = FlowConfig(t_max=20.0)
+        on_orbits = flow.evolve(flow.ScalarField(orbits, c), 3.0, cfg)
+        lifted = flow.evolve(flow.ScalarField(g, orbits.lift(c)), 3.0, cfg, G)
+        assert on_orbits.final.grid is orbits
+        assert on_orbits.classification == lifted.classification
+        assert len(on_orbits.dts) == len(lifted.dts)
+        dev = np.max(np.abs(on_orbits.final.values
+                            - orbits.restrict(lifted.final.values)))
+        assert dev <= 1e-12 * lifted.final.sup
+
+    def test_orbit_grid_threshold_polishes_without_a_group(self):
+        g, G = geometry.PolarGrid(24, 16), geometry.cyclic(4)
+        orbits = g.quotient(G)
+        c = orbits.restrict(_invariant_datum(g, G).values)
+        cfg = FlowConfig(t_max=20.0)
+        on_orbits = flow.threshold_bisect(flow.ScalarField(orbits, c), 3.0,
+                                          cfg, width_tol=1e-2)
+        lifted = flow.threshold_bisect(flow.ScalarField(g, orbits.lift(c)),
+                                       3.0, cfg, G, width_tol=1e-2)
+        assert on_orbits.v0.grid is orbits
+        assert on_orbits.lambda_star == pytest.approx(lifted.lambda_star,
+                                                      rel=1e-12)
+        assert on_orbits.residual == pytest.approx(lifted.residual,
+                                                   rel=1e-6, abs=1e-12)
+
 
 THETA_STAR = 0.77
 FAN = np.linspace(0.1, math.pi / 2 - 0.1, 7)   # the default scan angles

@@ -45,6 +45,17 @@ class TestBall:
         with pytest.raises((ValueError, RadialSolveError)):
             radial.solve_ball(1.0)
 
+    def test_energy_takes_the_energy_modules_overflow_bound(
+            self, monkeypatch):
+        # below energy.DIRECT_POWER_LOG_MAX the L^(p+1) quadrature is
+        # Simpson's, above it the log-domain sum
+        from lef import energy
+        prof = radial.solve_ball(8.0)
+        log_domain = radial._log_quadrature_lp1(prof, 8.0)
+        assert radial.radial_energy(prof, 8.0).lp1_norm_pow != log_domain
+        monkeypatch.setattr(energy, "DIRECT_POWER_LOG_MAX", 0.0)
+        assert radial.radial_energy(prof, 8.0).lp1_norm_pow == log_domain
+
     def test_scaled_ball_consistency(self):
         p, alpha = 8.0, 0.25
         ball = radial.solve_ball(p)

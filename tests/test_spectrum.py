@@ -96,6 +96,47 @@ class TestInertiaAgainstDenseEigh:
                            atol=1e-9 * abs(dense[0]))
 
 
+@pytest.mark.parametrize("case", ["disk-c4", "squircle-d4"])
+def test_lowest_eigenvalue_of_the_orbit_grid_is_the_full_one(case):
+    # L has nonpositive off-diagonals, so its ground state can be taken
+    # G-invariant (spectrum.morse_index)
+    (A, grid), (A_orbit, orbits) = (_bump_operator(case, reduced)
+                                    for reduced in (False, True))
+    lam_full, _ = spectrum.lowest_eigenpair(A, grid.weights)
+    lam_orbit, _ = spectrum.lowest_eigenpair(A_orbit, orbits.weights)
+    assert lam_orbit == pytest.approx(lam_full, rel=1e-10)
+
+
+class TestResidualOverflowGuard:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_field_gives_inf_without_a_warning(self):
+        # (p + 1) log 25 > DIRECT_POWER_LOG_MAX: |u|^{p-1} u overflows
+        g = geometry.PolarGrid(48, 24)
+        u = flow.ScalarField(g, 25.0 * (1.0 - np.hypot(*g.xy.T) ** 2))
+        assert spectrum.elliptic_residual(u, 200.0) == math.inf
+        assert flow.evolve(u, 200.0).final_residual == math.inf
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scaled_norm_continues_the_direct_one(self):
+        # 4.45 is below the direct-power bound of |u|^{2p}, 4.5 above it;
+        # the residual of c (1 - r^2) at p = 200 scales as c^199
+        g = geometry.PolarGrid(48, 24)
+        shape = 1.0 - np.hypot(*g.xy.T) ** 2
+        res = [spectrum.elliptic_residual(flow.ScalarField(g, c * shape),
+                                          200.0) for c in (4.45, 4.5)]
+        assert energy.direct_power(4.45, 399.0)
+        assert not energy.direct_power(4.5, 399.0)
+        assert res[1] / res[0] == pytest.approx((4.5 / 4.45) ** 199,
+                                                rel=1e-10)
+
+    def test_direct_residual_is_the_plain_formula(self, polished_ball_p5):
+        u = polished_ball_p5.scaled(1.5)
+        g = u.grid
+        plain = g.laplacian_apply(u.values) + np.abs(u.values) ** 4.0 * u.values
+        assert spectrum.elliptic_residual(u, 5.0) == (
+            g.weighted_norm(plain) / g.weighted_norm(u.values))
+
+
 class TestInertiaGuards:
     def test_zero_pivot_raises(self):
         # sigma = 2 is an eigenvalue: A - sigma W is singular
