@@ -431,13 +431,15 @@ def run_flow(args) -> int:
     cfg, p, alpha, group, grid, outdir = _run_setup(
         config, flow={}, group=None, outdir=".")
     v0 = _initial_field(config.get("initial", {}), grid, p, alpha)
-    traj = flow.evolve(v0, p, cfg, group)
+    if group is not None:  # the G-invariant flow runs on the orbit grid
+        v0 = v0.on(grid.quotient(group))
+    traj = flow.evolve(v0, p, cfg)
     rows = ["t,energy,sup"]
     rows += [f"{t:.10g},{e:.10g},{s:.10g}"
              for t, e, s in zip(traj.times, traj.energies, traj.sup_norms)]
     (outdir / "trajectory.csv").write_text("\n".join(rows) + "\n",
                                            encoding="utf-8")
-    dump_field(outdir / "final.bin", traj.final, p=p)
+    dump_field(outdir / "final.bin", traj.final.lifted(), p=p)
     report = {"classification": traj.classification.value,
               "t_final": traj.t_final,
               "final_residual": traj.final_residual,
@@ -522,8 +524,10 @@ def run_pipeline(args) -> int:
     pE2 = p * energy.field_energy(u2, p).energy
     report["component_pE"] = {"ball": pE1, "annulus": pE2, "sum": pE1 + pE2}
 
-    scan = flow.ray_scan(u1, u2, p, ratios=ratios,
-                         config=cfg, group=group)
+    # the scan runs on the orbit grid; v0 and candidates are lifted back
+    orbits = grid.quotient(group)
+    scan = flow.ray_scan(u1.on(orbits), u2.on(orbits), p, ratios=ratios,
+                         config=cfg)
     n_rays = len(scan.all_results)
     report["scan"] = {"n_rays": n_rays, "success": scan.success,
                       "rays": [(th, r if isinstance(r, str) else r.to_dict())
@@ -537,7 +541,7 @@ def run_pipeline(args) -> int:
 
     # the energy-consistent datum v0: the transition angle's threshold point
     chosen_res, chosen_theta = scan.chosen
-    lam, v0 = chosen_res.lambda_star, chosen_res.v0
+    lam, v0 = chosen_res.lambda_star, chosen_res.v0.lifted()
     report["chosen"] = {"theta": chosen_theta,
                         "t1": lam * math.cos(chosen_theta),
                         "t2": lam * math.sin(chosen_theta),
@@ -545,7 +549,7 @@ def run_pipeline(args) -> int:
                         "bisection_width": chosen_res.bisection_width}
     report["candidate"] = scan.provenance()
 
-    candidate = scan.candidate
+    candidate = scan.candidate.lifted()
     stages = [("v0", p * energy.field_energy(v0, p).energy),
               ("candidate", p * energy.field_energy(candidate, p).energy)]
     audit, dec = _audit_candidate(candidate, p, group, grid)
@@ -553,13 +557,13 @@ def run_pipeline(args) -> int:
 
     restarts = []
     while dec.n_domains > 2 and len(restarts) < 2:
-        rescan = flow.restart_from_nodal_pair(candidate, dec, p, config=cfg,
-                                              group=group)
+        rescan = flow.restart_from_nodal_pair(candidate, dec, p, orbits,
+                                              config=cfg)
         entry = {"success": rescan.success}
         restarts.append(entry)
         if not rescan.success:
             break
-        candidate = rescan.candidate
+        candidate = rescan.candidate.lifted()
         audit, dec = _audit_candidate(candidate, p, group, grid)
         entry.update(candidate=rescan.provenance(), audit=audit)
         stages.append((f"restart_{len(restarts)}",
@@ -630,8 +634,15 @@ def run_spectrum(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error is one stderr line and exit 2, like a config's."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lef",
         description="Sign-changing steady states of -Lap u = |u|^(p-1) u "
                     "via the semilinear heat flow")

@@ -7,10 +7,11 @@ energy, so E(v_{n+1}) <= E(v_n) - dt ||(v_{n+1} - v_n)/dt||_W^2 at any dt:
 no step is rejected, an energy rise beyond roundoff is counted as a defect,
 and ``c_stab`` bounds dt where |v| is large for accuracy, not stability.
 
-With a symmetry group G the flow runs on the orbit grid
-``grid.quotient(G)``.  Group elements are node permutations commuting with
-K and W and the reaction acts node by node, so the reduced flow is exactly
-the G-invariant flow, with one unknown per orbit instead of per node.
+The flow runs on the grid of its field.  On the orbit grid
+``grid.quotient(G)`` (a field goes there by ``field.on(orbits)`` and comes
+back by ``field.lifted()``) it is exactly the G-invariant flow, with one
+unknown per orbit instead of per node: group elements are node
+permutations commuting with K and W, and the reaction acts node by node.
 
 Trajectories are classified as decay to zero, blow-up, convergence to a
 steady state (small elliptic residual) or time-out.  Negative energy is
@@ -42,7 +43,6 @@ import scipy.sparse.linalg as spla
 from . import energy as energy_mod
 from . import nodal as nodal_mod
 from . import spectrum as spectrum_mod
-from .geometry import SymmetryGroup
 
 
 class Classification(str, Enum):
@@ -58,7 +58,6 @@ class ScalarField:
 
     grid: object
     values: np.ndarray
-    time_stamp: float = 0.0
 
     @property
     def sup(self) -> float:
@@ -70,12 +69,31 @@ class ScalarField:
     def scaled(self, lam: float) -> "ScalarField":
         return dataclasses.replace(self, values=lam * self.values)
 
+    def on(self, grid) -> "ScalarField":
+        """This field on ``grid``: itself on its own grid, its W-orthogonal
+        orbit average (lifted: ``symmetrize``) on an orbit grid of it."""
+        if grid is self.grid:
+            return self
+        if getattr(grid, "parent", None) is not self.grid:
+            raise ValueError("a field goes only onto its own grid or an "
+                             "orbit grid of it")
+        return ScalarField(grid, np.bincount(
+            grid.orbit_id, weights=self.grid.weights * self.values,
+            minlength=grid.n_nodes) / grid.weights)
 
-def field_from_radial(grid, profile, sign: float = 1.0,
-                      time_stamp: float = 0.0) -> ScalarField:
+    def lifted(self) -> "ScalarField":
+        """This field on the full grid: itself on a full grid; on an orbit
+        grid, the parent field that is constant on orbits."""
+        parent = getattr(self.grid, "parent", None)
+        if parent is None:
+            return self
+        return ScalarField(parent, self.values[self.grid.orbit_id])
+
+
+def field_from_radial(grid, profile, sign: float = 1.0) -> ScalarField:
     """Sample a radial profile onto a grid (zero outside its support)."""
     r = np.hypot(grid.xy[:, 0], grid.xy[:, 1])
-    return ScalarField(grid, sign * profile(r), time_stamp)
+    return ScalarField(grid, sign * profile(r))
 
 
 @dataclass(frozen=True)
@@ -139,7 +157,7 @@ def step(v: ScalarField, p: float, dt: float, *, reaction: bool = True,
             power = np.abs(v.values) ** (p - 1.0)
         rhs = rhs + dt * power * v.values
     out = _lu_for(grid, dt).solve(grid.weights * rhs)
-    return ScalarField(grid, out, v.time_stamp + dt)
+    return ScalarField(grid, out)
 
 
 def _energy_of(grid, values: np.ndarray, p: float) -> float:
@@ -169,35 +187,21 @@ def _quantized_dt(dt_max: float, dt_target: float) -> float:
 
 
 def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
-           group: SymmetryGroup | None = None, *,
-           certify_decay: bool = False) -> Trajectory:
-    """Time-step the flow from v0 until classification or t_max.
-
-    With a group G the whole loop runs on the orbit grid
-    ``v0.grid.quotient(G)``: data that are not G-invariant are restricted
-    to the invariant subspace (their W-orthogonal orbit average) at t = 0,
-    and the flow then stays exactly invariant.  Only the returned fields
-    (final, best snapshot, nodal samples) are lifted back to ``v0.grid``.
-    Without a group the loop runs on ``v0.grid``, an orbit grid included.
+           *, certify_decay: bool = False) -> Trajectory:
+    """Time-step the flow from v0 on v0's grid until classification or
+    t_max; nodal samples (``record_nodal_every``) decompose the lifted field.
 
     DECAY means sup < decay_factor * sup0; with ``certify_decay`` also the
     decay certificate (module docstring) on a grid with a Perron pair.
     """
-    full = v0.grid
-    grid = full if group is None else full.quotient(group)
-    lift = (lambda x: x) if group is None else grid.lift
-    v = np.array(v0.values if group is None else grid.restrict(v0.values),
-                 dtype=float)
-
-    def lifted(values, t):
-        return ScalarField(full, lift(values), v0.time_stamp + t)
-
+    grid = v0.grid
+    v = np.array(v0.values, dtype=float)
     abs_v = np.abs(v)
     sup = sup0 = float(np.max(abs_v))
     if sup0 == 0.0:
         return Trajectory(np.array([0.0]), np.array([0.0]), np.array([0.0]),
                           np.array([]), np.array([]), Classification.STEADY,
-                          lifted(v, 0.0), 0.0)
+                          ScalarField(grid, v), 0.0)
     decay_at = config.decay_factor * sup0
     blowup_at = BLOWUP_FACTOR * sup0
     # decay certificate level for M (sup <= M, so sup is tested first)
@@ -217,8 +221,11 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
     negative_at = -1e-9 * max(energy_scale, 1.0)  # blow-up certificate
     cls = Classification.BLOWUP if E < negative_at else None
     while cls is None:
-        dt_target = min(config.dt_max,
-                        config.c_stab / max(p * sup ** (p - 1.0), 1e-300))
+        try:
+            rate = p * sup ** (p - 1.0)
+        except OverflowError:  # past the float range: dt underflows below
+            rate = math.inf
+        dt_target = min(config.dt_max, config.c_stab / max(rate, 1e-300))
         dt = _quantized_dt(config.dt_max, dt_target)
         if dt < DT_MIN:
             cls = Classification.BLOWUP  # step-size underflow
@@ -244,7 +251,7 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
         sups.append(sup)
 
         if config.record_nodal_every and n_step % config.record_nodal_every == 0:
-            dec = nodal_mod.decompose(lifted(v, t))
+            dec = nodal_mod.decompose(ScalarField(grid, v).lifted())
             nodal_counts.append((t, dec.n_domains))
 
         if sup < decay_at or (sup < certify_at
@@ -258,7 +265,7 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
             residual = residual_of(v)
             if residual < best_residual and sup > 10.0 * decay_at:
                 best_residual = residual
-                best_snapshot = lifted(v.copy(), t)
+                best_snapshot = ScalarField(grid, v.copy())
             if residual < config.residual_tol and sup > 10.0 * decay_at:
                 cls = Classification.STEADY
         if cls is None and t >= config.t_max:
@@ -266,7 +273,7 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
 
     if not math.isfinite(residual):
         residual = residual_of(v) if np.all(np.isfinite(v)) else math.inf
-    final = lifted(v, t)
+    final = ScalarField(grid, v)
     if cls == Classification.STEADY and residual < best_residual:
         best_snapshot, best_residual = final, residual
     return Trajectory(np.array(times), np.array(energies), np.array(sups),
@@ -342,7 +349,6 @@ def _is_sign_changing(values: np.ndarray, rel_tol: float = 1e-3) -> bool:
 
 def threshold_bisect(direction: ScalarField, p: float,
                      config: FlowConfig = FlowConfig(),
-                     group: SymmetryGroup | None = None,
                      lambda_init: float = 1.0,
                      width_tol: float = WIDTH_TOL,
                      polish: bool = True,
@@ -362,8 +368,7 @@ def threshold_bisect(direction: ScalarField, p: float,
     blow = {"lam": math.inf, "sign": 0}
 
     def classify(lam: float) -> str:
-        traj = evolve(direction.scaled(lam), p, config, group,
-                      certify_decay=True)
+        traj = evolve(direction.scaled(lam), p, config, certify_decay=True)
         probes.append((lam, traj.classification))
         if traj.best_snapshot is not None and traj.best_residual < best["res"]:
             best["field"], best["res"] = traj.best_snapshot, traj.best_residual
@@ -420,25 +425,16 @@ def threshold_bisect(direction: ScalarField, p: float,
     width = ((lam_hi - lam_lo) / (2.0 * lam_star)
              if lam_hi is not None and lam_hi > lam_lo else width_tol)
 
-    def _polish(fld: ScalarField) -> tuple[ScalarField, float]:
-        if group is None:
-            return spectrum_mod.newton_polish(fld, p)
-        grid = fld.grid.quotient(group)
-        polished, pres = spectrum_mod.newton_polish(
-            ScalarField(grid, grid.restrict(fld.values)), p)
-        values = grid.lift(polished.values)
-        return dataclasses.replace(fld, values=values), pres
-
     v0 = direction.scaled(lam_star)
     candidate, residual = best["field"], best["res"]
     if polish and candidate is not None and candidate.sup > 0:
-        polished, pres = _polish(candidate)
+        polished, pres = spectrum_mod.newton_polish(candidate, p)
         if pres < residual:
             candidate, residual = polished, pres
 
     datum_candidate, datum_residual = None, math.inf
     if polish:
-        polished, pres = _polish(v0)
+        polished, pres = spectrum_mod.newton_polish(v0, p)
         if pres < CONVERGED_RESIDUAL and polished.sup > 0:
             datum_candidate, datum_residual = polished, pres
 
@@ -475,8 +471,7 @@ class RayScanResult:
 
 
 def _ray_runner(u1: ScalarField, u2: ScalarField, p: float,
-                config: FlowConfig, group: SymmetryGroup | None,
-                results: list):
+                config: FlowConfig, results: list):
     """(theta, polish) -> threshold result on the ray
     cos(theta) u1 + sin(theta) u2.
 
@@ -487,7 +482,7 @@ def _ray_runner(u1: ScalarField, u2: ScalarField, p: float,
         direction = ScalarField(u1.grid, math.cos(theta) * u1.values
                                 + math.sin(theta) * u2.values)
         try:
-            res = threshold_bisect(direction, p, config, group, polish=polish)
+            res = threshold_bisect(direction, p, config, polish=polish)
         except BracketError as exc:
             res = str(exc)
         results.append((theta, res))
@@ -536,8 +531,7 @@ def refine_transition(run, results: list
 
 
 def ray_scan(u1: ScalarField, u2: ScalarField, p: float,
-             ratios=None, config: FlowConfig = FlowConfig(),
-             group: SymmetryGroup | None = None) -> RayScanResult:
+             ratios=None, config: FlowConfig = FlowConfig()) -> RayScanResult:
     """Threshold-bisect along cos(theta) u1 + sin(theta) u2 per ratio (the
     fan, every ray Newton-polished), then bisect the mixing angle on the
     blow-up sign (`refine_transition`) in the same pass.
@@ -555,7 +549,7 @@ def ray_scan(u1: ScalarField, u2: ScalarField, p: float,
         ratios = np.linspace(0.1, math.pi / 2.0 - 0.1, 7)
 
     results: list = []
-    run = _ray_runner(u1, u2, p, config, group, results)
+    run = _ray_runner(u1, u2, p, config, results)
     for theta in ratios:
         run(theta, polish=True)
     chosen = refine_transition(run, results)
@@ -617,13 +611,13 @@ def select_restart_pair(u: ScalarField,
 
 def restart_from_nodal_pair(u: ScalarField,
                             decomposition: "nodal_mod.NodalDecomposition",
-                            p: float, config: FlowConfig = FlowConfig(),
-                            group: SymmetryGroup | None = None
+                            p: float, grid, config: FlowConfig = FlowConfig()
                             ) -> RayScanResult:
     """Restart the threshold search from two opposite-sign nodal domains.
 
     Restricts u to two adjacent nodal domains of opposite sign, projects
-    each restriction onto the Nehari manifold and reruns the ray scan.
+    each restriction onto the Nehari manifold and reruns the ray scan on
+    ``grid``, u's grid or an orbit grid of it.
     """
     u1, u2 = select_restart_pair(u, decomposition, p)
-    return ray_scan(u1, u2, p, config=config, group=group)
+    return ray_scan(u1.on(grid), u2.on(grid), p, config=config)

@@ -426,14 +426,6 @@ class _GridBase:
             self._quotients[key] = OrbitGrid(self, G)
         return self._quotients[key]
 
-    def restrict(self, values: np.ndarray) -> np.ndarray:
-        """Field in this grid's coordinates; the identity on a full grid."""
-        return values
-
-    def lift(self, values: np.ndarray) -> np.ndarray:
-        """Field on the full grid; the identity on a full grid."""
-        return values
-
 
 class PolarGrid(_GridBase):
     """Cell-centered finite-volume grid in polar coordinates.
@@ -612,7 +604,8 @@ class OrbitGrid(_GridBase):
     matrix.  In orbit coordinates c the weights are B^T w (orbit weight
     sums) and the stiffness is B^T K B: quadratures, Dirichlet forms,
     Laplacians and linear solves here equal their lifted counterparts on
-    the parent grid, with one unknown per orbit.
+    the parent grid, with one unknown per orbit.  ``flow.ScalarField.on``
+    and ``lifted`` move fields between the grids by ``orbit_id``.
     """
 
     def __init__(self, parent: _GridBase, G: SymmetryGroup):
@@ -629,16 +622,6 @@ class OrbitGrid(_GridBase):
         self.xy = parent.xy[reps]   # one representative node per orbit
         self.weights = np.bincount(self.orbit_id, weights=parent.weights)
         self.stiffness = (basis.T @ parent.stiffness @ basis).tocsr()
-
-    def restrict(self, values: np.ndarray) -> np.ndarray:
-        """W-orthogonal orbit average of a parent field, in orbit
-        coordinates; lifted back it equals ``parent.symmetrize``."""
-        return np.bincount(self.orbit_id, weights=self.parent.weights * values,
-                           minlength=self.n_nodes) / self.weights
-
-    def lift(self, values: np.ndarray) -> np.ndarray:
-        """The parent field that is constant on orbits."""
-        return values[self.orbit_id]
 
 
 def squircle_mask(radius: float = 1.0, power: float = 4.0) -> DomainSpec:

@@ -99,10 +99,21 @@ class RadialProfile:
 
     def scaled(self, lam: float) -> "RadialProfile":
         """Similarity rescaling u_lam(r) = lam^{2/(p-1)} u(lam r)."""
-        amp = lam ** (2.0 / (self.p - 1.0))
+        amp = _amplitude(lam, self.p)
         return RadialProfile(self.r / lam, amp * self.u, amp * lam * self.du,
                              self.r_in / lam, self.r_out / lam, self.p,
                              self.segments)
+
+
+def _amplitude(lam: float, p: float) -> float:
+    """lam^{2/(p-1)}, the amplitude factor of the similarity rescaling."""
+    try:
+        return lam ** (2.0 / (p - 1.0))
+    except OverflowError:  # p near 1
+        raise RadialSolveError(
+            f"the rescaled amplitude lambda^(2/(p-1)) = exp("
+            f"{2.0 * math.log(lam) / (p - 1.0):.4g}) at p = {p:g} passes "
+            f"the float range") from None
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +435,8 @@ def solve_ball(p: float) -> RadialProfile:
     if p <= 1:
         raise ValueError("need p > 1")
     sol, t_start, t_zero = _integrate_ball_log(p)
-    lam = math.exp(t_zero)  # can be huge; amplitude below stays finite
-    amp = lam ** (2.0 / (p - 1.0))
+    lam = math.exp(t_zero)
+    amp = _amplitude(lam, p)
 
     t_s = np.linspace(t_start, t_zero, N_SAMPLES - 1)
     y = sol.sol(t_s)

@@ -6,9 +6,10 @@ The discrete eigenproblem is the generalized symmetric pencil
 
 with K the grid stiffness matrix and W the diagonal cell-weight (mass)
 matrix.  Restriction to the G-symmetric subspace is the same pencil on the
-orbit grid ``grid.quotient(G)``: group elements act as node permutations,
-so symmetric fields are exactly the fields constant on node orbits and
-the restriction is an exact congruence, not an approximation.
+orbit grid ``grid.quotient(G)``, at the field ``u.on(grid.quotient(G))``:
+group elements act as node permutations, so symmetric fields are exactly
+the fields constant on node orbits and the restriction is an exact
+congruence, not an approximation.
 
 Morse indices are inertia counts (Sylvester's law): W is positive
 diagonal, so the number of eigenvalues below a shift sigma equals the
@@ -214,10 +215,8 @@ def morse_index(u, p: float, G: SymmetryGroup | None = None, k: int = 12,
     full = assemble_linearized(u, p), u.grid.weights
     sym = None
     if G is not None:
-        orbits = u.grid.quotient(G)
-        u_sym = dataclasses.replace(u, grid=orbits,
-                                    values=orbits.restrict(u.values))
-        sym = assemble_linearized(u_sym, p), orbits.weights
+        u_sym = u.on(u.grid.quotient(G))
+        sym = assemble_linearized(u_sym, p), u_sym.grid.weights
     invariant = sym is not None and u.grid.symmetry_defect(u.values, G) == 0
     lam1, _ = lowest_eigenpair(*(sym if invariant else full))
     sigma = -NEGATIVE_EIG_REL_TOL * max(abs(lam1), 1e-30)

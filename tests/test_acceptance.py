@@ -296,11 +296,12 @@ def test_criterion_10_equivariance_and_symmetry(disk_grid_small):
         g, 0.8 * base.values * (1.0 + 0.2 * np.cos(4 * th)
                                 * np.sin(np.pi * r)))
     G = geometry.cyclic(4)
+    orbits = g.quotient(G)
 
     cfg = flow.FlowConfig(dt_max=0.02, t_max=2.0, decay_factor=0.0,
                           residual_tol=1e-14)
-    tp = flow.evolve(v0, p, cfg, group=G)
-    tm = flow.evolve(-v0, p, cfg, group=G)
+    tp = flow.evolve(v0.on(orbits), p, cfg)
+    tm = flow.evolve((-v0).on(orbits), p, cfg)
     odd_dev = float(np.max(np.abs(tp.final.values + tm.final.values)))
     odd_ok = odd_dev <= 1e-13 * tp.final.sup
 
@@ -308,9 +309,9 @@ def test_criterion_10_equivariance_and_symmetry(disk_grid_small):
     long_cfg = flow.FlowConfig(dt_max=dt, t_max=dt * 10_000,
                                decay_factor=0.0, residual_tol=0.0,
                                c_stab=1e9)
-    tr = flow.evolve(v0, p, long_cfg, group=G)
+    tr = flow.evolve(v0.on(orbits), p, long_cfg)
     steps = len(tr.dts)
-    defect = g.symmetry_defect(tr.final.values, G) / tr.final.sup
+    defect = g.symmetry_defect(tr.final.lifted().values, G) / tr.final.sup
     sym_ok = steps >= 10_000 and defect < 1e-8
     verdict(10, odd_ok and sym_ok,
             f"evolve(-v0) = -evolve(v0) to {odd_dev:.1e}; symmetry defect "

@@ -243,6 +243,50 @@ class TestFlowCommand:
         rep = json.loads((tmp_path / "out" / "flow_report.json").read_text())
         assert rep["energy_defects"] == 0
 
+    def test_group_run_is_the_invariant_full_grid_flow(self, tmp_path):
+        # a datum that is not C4-invariant is put on the orbit grid once;
+        # the full-grid flow of its C4 average is the oracle, nodal samples
+        # included
+        g, G = geometry.PolarGrid(32, 16), geometry.cyclic(4)
+        r, th = np.hypot(*g.xy.T), np.arctan2(g.xy[:, 1], g.xy[:, 0])
+        datum = flow.ScalarField(g, 6.0 * np.cos(np.pi * r) * np.cos(4 * th)
+                                 * (1.0 + 0.3 * np.cos(4 * th)
+                                    + 0.2 * np.sin(th)))
+        cli.dump_field(tmp_path / "datum.bin", datum)
+        cfg_path = _ball_flow_config(
+            tmp_path, p=3.0, group={"kind": "cyclic", "order": 4},
+            initial={"type": "dump", "path": str(tmp_path / "datum.bin")},
+            flow={"t_max": 2.0, "record_nodal_every": 10})
+        assert cli.main(["flow", "--config", str(cfg_path)]) == 0
+        rep = json.loads((tmp_path / "out" / "flow_report.json").read_text())
+        final, header = cli.load_field(tmp_path / "out" / "final.bin")
+        assert header["grid"] == g.to_config() and header["p"] == 3.0
+
+        oracle = flow.evolve(
+            flow.ScalarField(g, g.symmetrize(datum.values, G)), 3.0,
+            flow.FlowConfig(t_max=2.0, record_nodal_every=10))
+        assert rep["classification"] == oracle.classification.value
+        assert rep["steps"] == len(oracle.dts) > 10
+        assert rep["t_final"] == pytest.approx(oracle.t_final, rel=1e-14)
+        assert [count for _, count in rep["nodal_counts"]] == [
+            count for _, count in oracle.nodal_counts]
+        assert max(count for _, count in rep["nodal_counts"]) > 2
+        assert rep["energy_final"] == pytest.approx(oracle.energies[-1],
+                                                    rel=1e-10)
+        assert g.symmetry_defect(final.values, G) == 0.0
+        assert np.max(np.abs(final.values - oracle.final.values)) <= (
+            1e-10 * oracle.final.sup)
+
+    def test_overflowing_step_rate_is_a_blowup(self, tmp_path, recwarn):
+        # sup^(p-1) passes the float range: the step size underflows at
+        # t = 0 (the energy's own overflow warnings are not the point here)
+        cfg_path = _ball_flow_config(
+            tmp_path, initial={"type": "ball", "scale": 1e300})
+        assert cli.main(["flow", "--config", str(cfg_path)]) == 0
+        rep = json.loads((tmp_path / "out" / "flow_report.json").read_text())
+        assert rep["classification"] == "Blowup"
+        assert rep["steps"] == 0 and rep["t_final"] == 0.0
+
     @pytest.mark.parametrize("initial, message", [
         ({"type": "hexagon"}, "unknown initial datum type 'hexagon'"),
         ({"type": "annulus", "a": 1.2},
@@ -739,6 +783,29 @@ class TestLabelledFailures:
                          .read_text(encoding="utf-8"))
         assert rep["failure"]["stage"] == "spectrum"
         assert "morse" not in rep
+
+    @pytest.mark.parametrize("argv, extra", [
+        (["radial", "--p", "1.0001"], None),
+        (["flow"], {"p": 1.0001}),
+        (["flow"], {"p": 1.01, "alpha": 5,
+                    "initial": {"type": "scaled-ball"}}),
+    ], ids=["radial-p-near-1", "flow-ball-p-near-1",
+            "flow-scaled-ball-alpha-5"])
+    def test_amplitude_past_the_float_range_exits_3(self, tmp_path, capsys,
+                                                   argv, extra):
+        # the rescaled amplitude lambda^(2/(p-1)) of the ball overflows
+        if extra is not None:
+            cfg_path = tmp_path / "run.json"
+            cfg_path.write_text(json.dumps(dict(
+                extra, grid={"type": "polar", "n_r": 16, "n_theta": 8},
+                outdir=str(tmp_path / "out"))), encoding="utf-8")
+            argv = argv + ["--config", str(cfg_path)]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"lef {argv[0]}: radial stage: the "
+                                 f"rescaled amplitude")
+        assert "passes the float range" in err[0]
 
     def test_radial_solve_error_exits_3(self, tmp_path, capsys,
                                         monkeypatch):

@@ -118,7 +118,8 @@ def _cases():
                   ("radial", ["--p", "8", "--alpha", value], None)]
     cases += [("spectrum", ["--group", group], header) for group in
               ("cyclic", "cyclic:", ":4", "dihedral:4", "hex:4", "cyclic:4:4")]
-    cases += [("spectrum", ["--k", k], header) for k in ("0", "-3", "1")]
+    cases += [("spectrum", ["--k", k], header)
+              for k in ("0", "-3", "1", "abc", "1.5", "")]
     cases += [("radial", ["--p", p], None) for p in ("8,", ",", "8,abc")]
     return cases
 
@@ -166,6 +167,8 @@ def _run(argv, capsys):
         code = cli.main(argv)
     except Reached:
         code = "reached"
+    except SystemExit as exc:  # an argument error
+        code = exc.code
     err = capsys.readouterr().err.strip().splitlines()
     assert code in (0, 2, 3, 4, "reached")
     if code in (2, 3):
@@ -198,3 +201,28 @@ def test_known_holes_exit_2_before_any_work(tmp_path, capsys, stubbed,
                                                      str(tmp_path / "out"))}),
                     encoding="utf-8")
     assert _run([name.split("-")[0], "--config", str(path)], capsys) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--field", "x", "--k", "abc"],
+     "lef spectrum: argument --k: invalid int value: 'abc'"),
+    (["flow"], "lef flow: the following arguments are required: --config"),
+    (["pipeline", "--config"],
+     "lef pipeline: argument --config: expected one argument"),
+    (["spectrum"], "lef spectrum: the following arguments are required: "
+                   "--field"),
+    (["radial", "--p", "8", "--beta", "1"],
+     "lef: unrecognized arguments: --beta 1"),
+    ([], "lef: the following arguments are required: command"),
+    (["hexagon"], "lef: argument command: invalid choice: 'hexagon'"),
+], ids=["k-not-an-int", "flow-without-config", "config-without-path",
+        "spectrum-without-field", "unknown-option", "no-command",
+        "unknown-command"])
+def test_argument_errors_print_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(message), err
+    assert captured.out == ""

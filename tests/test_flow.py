@@ -46,6 +46,14 @@ class TestEvolve:
         tr = flow.evolve(ball_field.scaled(1.8), 5.0, FlowConfig(t_max=50.0))
         assert tr.classification == Classification.BLOWUP
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_step_rate_past_the_float_range_is_a_blowup(self, ball_field):
+        # p sup^(p-1) overflows a float: the step size underflows at t = 0
+        # (the energy of so large a datum overflows too, with warnings)
+        tr = flow.evolve(ball_field.scaled(1e300 / ball_field.sup), 5.0)
+        assert tr.classification == Classification.BLOWUP
+        assert len(tr.dts) == 0 and tr.t_final == 0.0
+
     def test_steady_state_detected(self, ball_field):
         u, res = spectrum.newton_polish(ball_field, 5.0)
         assert res < 1e-10
@@ -130,15 +138,17 @@ class TestRestartSelection:
         monkeypatch.setattr(flow, "ray_scan",
                             lambda *args, **kwargs: calls.append(
                                 (args, kwargs)) or "scanned")
-        cfg, G = FlowConfig(t_max=7.0), geometry.cyclic(4)
-        assert flow.restart_from_nodal_pair(v, dec, 5.0, config=cfg,
-                                            group=G) == "scanned"
+        cfg, orbits = FlowConfig(t_max=7.0), g.quotient(geometry.cyclic(4))
+        assert flow.restart_from_nodal_pair(v, dec, 5.0, orbits,
+                                            config=cfg) == "scanned"
         (args, kwargs), = calls
+        # the pair is selected on u's grid, then put on the scan's grid
         u_pos, u_neg = flow.select_restart_pair(v, dec, 5.0)
-        assert np.array_equal(args[0].values, u_pos.values)
-        assert np.array_equal(args[1].values, u_neg.values)
+        assert args[0].grid is args[1].grid is orbits
+        assert np.array_equal(args[0].values, u_pos.on(orbits).values)
+        assert np.array_equal(args[1].values, u_neg.on(orbits).values)
         assert args[2] == 5.0
-        assert kwargs["config"] is cfg and kwargs["group"] is G
+        assert kwargs == {"config": cfg}
 
 
 @pytest.fixture(scope="module", params=["disk-c4", "squircle-d4"])
@@ -153,8 +163,7 @@ def _invariant_datum(grid, G):
     """A G-invariant, non-radial bump (exactly constant on orbits)."""
     th = np.arctan2(grid.xy[:, 1], grid.xy[:, 0])
     vals = ring_bump(grid, 0.1, 0.9).values * (1.0 + 0.3 * np.cos(4 * th))
-    orbits = grid.quotient(G)
-    return flow.ScalarField(grid, orbits.lift(orbits.restrict(vals)))
+    return flow.ScalarField(grid, vals).on(grid.quotient(G)).lifted()
 
 
 class TestOrbitGrid:
@@ -163,67 +172,59 @@ class TestOrbitGrid:
         orbits = g.quotient(G)
         assert g.quotient(G) is orbits
         assert orbits.n_nodes < g.n_nodes
-        v = np.random.default_rng(5).standard_normal(g.n_nodes)
-        lifted = orbits.lift(orbits.restrict(v))
-        assert np.max(np.abs(lifted - g.symmetrize(v, G))) <= 1e-14
+        v = flow.ScalarField(g, np.random.default_rng(5).standard_normal(
+            g.n_nodes))
+        on = v.on(orbits)
+        assert on.grid is orbits and on.lifted().grid is g
+        assert np.max(np.abs(on.lifted().values
+                             - g.symmetrize(v.values, G))) <= 1e-14
+
+    def test_on_and_lifted_are_identities_on_their_own_grid(
+            self, grid_and_group):
+        g, G = grid_and_group
+        v = _invariant_datum(g, G)
+        c = v.on(g.quotient(G))
+        assert v.on(g) is v and v.lifted() is v
+        assert c.on(c.grid) is c
+        with pytest.raises(ValueError, match="orbit grid of it"):
+            c.on(g)
+        with pytest.raises(ValueError, match="orbit grid of it"):
+            v.on(geometry.PolarGrid(8, 8).quotient(G))
 
     def test_energy_and_residual_match_the_lifted_field(self, grid_and_group):
         g, G = grid_and_group
-        orbits = g.quotient(G)
-        c = orbits.restrict(_invariant_datum(g, G).values)
-        v = orbits.lift(c)
-        assert flow._energy_of(orbits, c, 3.0) == pytest.approx(
-            flow._energy_of(g, v, 3.0), rel=1e-12)
-        assert spectrum.elliptic_residual(
-            flow.ScalarField(orbits, c), 3.0) == pytest.approx(
-            spectrum.elliptic_residual(flow.ScalarField(g, v), 3.0),
-            rel=1e-12)
+        c = _invariant_datum(g, G).on(g.quotient(G))
+        v = c.lifted()
+        assert flow._energy_of(c.grid, c.values, 3.0) == pytest.approx(
+            flow._energy_of(g, v.values, 3.0), rel=1e-12)
+        assert spectrum.elliptic_residual(c, 3.0) == pytest.approx(
+            spectrum.elliptic_residual(v, 3.0), rel=1e-12)
 
-    @pytest.mark.parametrize("scale", [0.5, 4.0])
-    def test_reduced_flow_matches_full_flow(self, grid_and_group, scale):
-        g, G = grid_and_group
-        v0 = _invariant_datum(g, G).scaled(scale)
-        cfg = FlowConfig(t_max=20.0)
-        reduced = flow.evolve(v0, 3.0, cfg, G)
-        full = flow.evolve(v0, 3.0, cfg)
-        assert reduced.classification == full.classification
-        assert len(reduced.dts) == len(full.dts)
-        assert reduced.final.grid is g
-        dev = np.max(np.abs(reduced.final.values - full.final.values))
-        assert dev <= 1e-10 * full.final.sup
-
-    @pytest.mark.parametrize("scale", [0.5, 4.0])
-    def test_orbit_grid_field_flows_without_a_group(self, grid_and_group,
-                                                   scale):
-        # a field that already lives on the orbit grid flows there with no
-        # group, as its lift flows with the group
+    def test_orbit_grid_runs_match_the_full_grid(self, grid_and_group):
+        # the full-grid runs of an invariant datum are the oracle of the
+        # orbit-grid flow and threshold bisection, lifted
         g, G = grid_and_group
         orbits = g.quotient(G)
-        c = orbits.restrict(_invariant_datum(g, G).scaled(scale).values)
         cfg = FlowConfig(t_max=20.0)
-        on_orbits = flow.evolve(flow.ScalarField(orbits, c), 3.0, cfg)
-        lifted = flow.evolve(flow.ScalarField(g, orbits.lift(c)), 3.0, cfg, G)
-        assert on_orbits.final.grid is orbits
-        assert on_orbits.classification == lifted.classification
-        assert len(on_orbits.dts) == len(lifted.dts)
-        dev = np.max(np.abs(on_orbits.final.values
-                            - orbits.restrict(lifted.final.values)))
-        assert dev <= 1e-12 * lifted.final.sup
-
-    def test_orbit_grid_threshold_polishes_without_a_group(self):
-        g, G = geometry.PolarGrid(24, 16), geometry.cyclic(4)
-        orbits = g.quotient(G)
-        c = orbits.restrict(_invariant_datum(g, G).values)
-        cfg = FlowConfig(t_max=20.0)
-        on_orbits = flow.threshold_bisect(flow.ScalarField(orbits, c), 3.0,
-                                          cfg, width_tol=1e-2)
-        lifted = flow.threshold_bisect(flow.ScalarField(g, orbits.lift(c)),
-                                       3.0, cfg, G, width_tol=1e-2)
-        assert on_orbits.v0.grid is orbits
-        assert on_orbits.lambda_star == pytest.approx(lifted.lambda_star,
-                                                      rel=1e-12)
-        assert on_orbits.residual == pytest.approx(lifted.residual,
-                                                   rel=1e-6, abs=1e-12)
+        for scale in (0.5, 4.0):
+            v0 = _invariant_datum(g, G).scaled(scale)
+            reduced = flow.evolve(v0.on(orbits), 3.0, cfg)
+            full = flow.evolve(v0, 3.0, cfg)
+            assert reduced.final.grid is orbits
+            assert reduced.classification == full.classification
+            assert len(reduced.dts) == len(full.dts)
+            dev = np.max(np.abs(reduced.final.lifted().values
+                                - full.final.values))
+            assert dev <= 1e-10 * full.final.sup
+        direction = _invariant_datum(g, G)
+        reduced = flow.threshold_bisect(direction.on(orbits), 3.0, cfg,
+                                        width_tol=1e-2)
+        full = flow.threshold_bisect(direction, 3.0, cfg, width_tol=1e-2)
+        assert reduced.v0.grid is orbits
+        assert reduced.probes == full.probes
+        assert reduced.lambda_star == full.lambda_star
+        assert reduced.residual == pytest.approx(full.residual, rel=1e-6,
+                                                 abs=1e-12)
 
 
 THETA_STAR = 0.77
@@ -265,7 +266,7 @@ def fake_rays(monkeypatch):
     probes = []
 
     def install(rule=_angle_sign):
-        def fake(direction, p, config, group, polish=True):
+        def fake(direction, p, config, polish=True):
             theta = math.atan2(direction.values[1], direction.values[0])
             probes.append((theta, polish))
             out = rule(theta)
@@ -450,18 +451,18 @@ class TestAngleBisection:
 
 
 def _certificate_grid(name):
-    """(grid the flow runs on, full grid, group) for the certificate tests."""
+    """(grid the flow runs on, full grid) for the certificate tests."""
     if name == "disk":
         g = geometry.PolarGrid(24, 16)
-        return g, g, None
+        return g, g
     if name == "disk-c4":
         g = geometry.PolarGrid(24, 16)
-        return g.quotient(geometry.cyclic(4)), g, geometry.cyclic(4)
+        return g.quotient(geometry.cyclic(4)), g
     if name == "squircle-d4":
         g = geometry.CartesianMaskedGrid(geometry.squircle_mask(), 24)
-        return g.quotient(geometry.dihedral(4)), g, geometry.dihedral(4)
+        return g.quotient(geometry.dihedral(4)), g
     g = geometry.PolarGrid(24, 16, r_in=0.3)
-    return g, g, None
+    return g, g
 
 
 CERTIFICATE_GRIDS = ["disk", "disk-c4", "squircle-d4", "annulus"]
@@ -476,7 +477,7 @@ def _m_of(grid, values):
 class TestDecayCertificate:
     @pytest.mark.parametrize("name", CERTIFICATE_GRIDS)
     def test_perron_pair_bounds_lambda_1(self, name):
-        grid, _, _ = _certificate_grid(name)
+        grid, _ = _certificate_grid(name)
         pair = grid.perron
         assert grid.perron is pair  # cached
         assert np.all(pair.psi > 0) and np.max(pair.psi) == 1.0
@@ -490,21 +491,21 @@ class TestDecayCertificate:
 
     @pytest.mark.parametrize("name", CERTIFICATE_GRIDS)
     def test_certified_state_keeps_decaying(self, name):
-        grid, full, G = _certificate_grid(name)
+        grid, full = _certificate_grid(name)
         p = 3.0
         r_in = getattr(full, "r_in", 0.0)
         th = np.arctan2(full.xy[:, 1], full.xy[:, 0])
         vals = (ring_bump(full, r_in + 0.05, 0.95).values
                 * (1.0 + 0.3 * np.cos(4 * th)))
-        v0 = flow.ScalarField(full, 0.5 * vals)
+        v0 = flow.ScalarField(full, 0.5 * vals).on(grid)
         cfg = FlowConfig(t_max=50.0)
-        tr = flow.evolve(v0, p, cfg, G, certify_decay=True)
+        tr = flow.evolve(v0, p, cfg, certify_decay=True)
         assert tr.classification == Classification.DECAY
         # the certificate fired before the sup test would have
         decay_at = cfg.decay_factor * tr.sup_norms[0]
         assert tr.sup_norms[-1] > decay_at
-        assert len(tr.dts) < len(flow.evolve(v0, p, cfg, G).dts)
-        v = grid.restrict(tr.final.values)
+        assert len(tr.dts) < len(flow.evolve(v0, p, cfg).dts)
+        v = tr.final.values
         m = _m_of(grid, v)
         assert m ** (p - 1.0) < grid.perron.mu
         for _ in range(10_000):
@@ -518,14 +519,14 @@ class TestDecayCertificate:
 
     @pytest.mark.parametrize("name", ["disk", "disk-c4"])
     def test_never_fires_on_a_steady_state(self, name):
-        grid, full, G = _certificate_grid(name)
+        grid, full = _certificate_grid(name)
         u, res = spectrum.newton_polish(
             flow.field_from_radial(full, radial.solve_ball(5.0)), 5.0)
         assert res < 1e-10
-        m = _m_of(grid, grid.restrict(u.values))
+        u = u.on(grid)
+        m = _m_of(grid, u.values)
         assert m ** 4.0 >= grid.perron.mu
-        tr = flow.evolve(u, 5.0, FlowConfig(t_max=5.0), G,
-                         certify_decay=True)
+        tr = flow.evolve(u, 5.0, FlowConfig(t_max=5.0), certify_decay=True)
         assert tr.classification == Classification.STEADY
 
     def test_no_m_matrix_keeps_the_sup_test(self):
@@ -569,7 +570,8 @@ class TestOnePowerPerStep:
     def test_iterates_energies_and_step_calls(self, grid, ball_field,
                                               monkeypatch, case):
         p, sup0, G = self.CASES[case]
-        v0 = ball_field.scaled(sup0 / ball_field.sup)
+        g = grid if G is None else grid.quotient(G)
+        v0 = ball_field.scaled(sup0 / ball_field.sup).on(g)
         calls, plain_step = [], flow.step
 
         def counted(v, p, dt, **kwargs):
@@ -582,15 +584,14 @@ class TestOnePowerPerStep:
             # norm whatever the flow does; only the flow's powers count here
             monkeypatch.setattr(spectrum, "elliptic_residual",
                                 lambda u, p: math.inf)
-        traj = flow.evolve(v0, p, FlowConfig(t_max=50.0), G)
+        traj = flow.evolve(v0, p, FlowConfig(t_max=50.0))
         assert len(calls) == len(traj.dts) and all(calls)
         assert (len(calls) == 0) == (p == 200.0)
 
-        g = grid if G is None else grid.quotient(G)
-        v = g.restrict(v0.values)
+        v = v0.values
         energies = [flow._energy_of(g, v, p)]
         for dt in traj.dts:
             v = plain_step(flow.ScalarField(g, v), p, dt).values
             energies.append(flow._energy_of(g, v, p))
-        assert np.array_equal(g.lift(v), traj.final.values)
+        assert np.array_equal(v, traj.final.values)
         assert np.allclose(traj.energies, energies, rtol=1e-13, atol=0.0)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -56,9 +55,7 @@ def _bump_operator(case: str, reduced: bool, p: float = 5.0):
         G = geometry.dihedral(4)
     u = angular_bump(grid, 4).scaled(3.0)
     if reduced:
-        orbits = grid.quotient(G)
-        u = dataclasses.replace(u, grid=orbits,
-                                values=orbits.restrict(u.values))
+        u = u.on(grid.quotient(G))
     return spectrum.assemble_linearized(u, p), u.grid
 
 
@@ -278,7 +275,7 @@ def _jacobian_case(name):
     grid = grids[name]()
     full = getattr(grid, "parent", grid)
     ball = flow.field_from_radial(full, radial.solve_ball(5.0)).values
-    return grid, flow.ScalarField(grid, grid.restrict(ball))
+    return grid, flow.ScalarField(full, ball).on(grid)
 
 
 JACOBIAN_GRIDS = ["polar", "annulus-polar", "cartesian", "orbit-c4",
