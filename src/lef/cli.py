@@ -40,14 +40,20 @@ class MissingKeyError(ConfigError, KeyError):
         return f"missing config key {self.args[0]!r}"
 
 
-def _np_default(obj):
+def _plain(obj):
+    """obj with numpy values as Python ones and non-finite floats as None."""
     if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def _json(obj) -> str:
-    return json.dumps(obj, indent=2, default=_np_default)
+    """Strict JSON: a non-finite number is written as null."""
+    return json.dumps(_plain(obj), indent=2, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -471,14 +477,15 @@ def _audit_candidate(cand: flow.ScalarField, p: float, group, grid) -> dict:
     if group is not None:
         audit["symmetry_defect"] = float(
             grid.symmetry_defect(cand.values, group))
-    return audit, dec
+    return audit
 
 
 def _report(report: dict, path: Path, code: int, failure: str = "") -> int:
     """Write and print a run's report, and one stderr line for a failed
     pipeline stage; returns the exit code."""
-    path.write_text(_json(report), encoding="utf-8")
-    print(_json(report))
+    text = _json(report)
+    path.write_text(text, encoding="utf-8")
+    print(text)
     if failure:
         print(f"lef pipeline: {failure}", file=sys.stderr)
     return code
@@ -552,25 +559,7 @@ def run_pipeline(args) -> int:
     candidate = scan.candidate.lifted()
     stages = [("v0", p * energy.field_energy(v0, p).energy),
               ("candidate", p * energy.field_energy(candidate, p).energy)]
-    audit, dec = _audit_candidate(candidate, p, group, grid)
-    report["audit"] = audit
-
-    restarts = []
-    while dec.n_domains > 2 and len(restarts) < 2:
-        rescan = flow.restart_from_nodal_pair(candidate, dec, p, orbits,
-                                              config=cfg)
-        entry = {"success": rescan.success}
-        restarts.append(entry)
-        if not rescan.success:
-            break
-        candidate = rescan.candidate.lifted()
-        audit, dec = _audit_candidate(candidate, p, group, grid)
-        entry.update(candidate=rescan.provenance(), audit=audit)
-        stages.append((f"restart_{len(restarts)}",
-                       p * energy.field_energy(candidate, p).energy))
-        report["audit"] = audit
-    report["restarts"] = restarts
-    report["restart_count"] = len(restarts)
+    audit = report["audit"] = _audit_candidate(candidate, p, group, grid)
 
     report["energy_ledger"] = {
         "stages": stages, "bound": energy.UPPER_BOUND_CONST,
@@ -589,10 +578,18 @@ def run_pipeline(args) -> int:
         return _report(report, outdir / "pipeline_report.json", 3,
                        f"spectrum stage: {exc}")
 
-    ok = (audit["elliptic_residual"] < cfg.residual_tol
-          and not audit["boundary_contact"]
-          and report["energy_ledger"]["nonincreasing"])
-    return _report(report, outdir / "pipeline_report.json", 0 if ok else 4)
+    failed = [name for name, ok in (
+        ("residual", audit["elliptic_residual"] < cfg.residual_tol),
+        ("boundary contact", not audit["boundary_contact"]),
+        ("ledger", report["energy_ledger"]["nonincreasing"]),
+        ("nodal count", audit["nodal_count"] == 2)) if not ok]
+    if not failed:
+        return _report(report, outdir / "pipeline_report.json", 0)
+    report["failure"] = {"stage": "audit", "failed": failed}
+    return _report(
+        report, outdir / "pipeline_report.json", 4,
+        f"audit stage: {', '.join(failed)} failed ({audit['nodal_count']} "
+        f"nodal domains, elliptic residual {audit['elliptic_residual']:.3g})")
 
 
 # ---------------------------------------------------------------------------

@@ -201,8 +201,3 @@ def per_domain_energy(v, decomp: NodalDecomposition,
         reports.append(field_energy(dataclasses.replace(v, values=masked), p))
     return reports
 
-
-def restricted_field(v, decomp: NodalDecomposition, domain_id: int):
-    """v * chi_D as a new field."""
-    masked = np.where(decomp.domain_mask(domain_id), v.values, 0.0)
-    return dataclasses.replace(v, values=masked)

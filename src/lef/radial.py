@@ -52,6 +52,8 @@ DENSE_RATIO = 1e-4  # |u(b)| / sup below which Newton is about to converge
 N_SAMPLES = 4096  # samples of every solved or explicit profile
 RTOL = 1e-11  # relative tolerance of every radial integration
 ATOL = 1e-14  # absolute tolerance on (u, u_t) of every radial integration
+# log of the largest rescaled amplitude: twice it, squared, is still a float
+_LOG_AMPLITUDE_MAX = 0.5 * math.log(np.finfo(float).max) - math.log(2.0)
 
 
 class RadialSolveError(RuntimeError):
@@ -106,14 +108,14 @@ class RadialProfile:
 
 
 def _amplitude(lam: float, p: float) -> float:
-    """lam^{2/(p-1)}, the amplitude factor of the similarity rescaling."""
-    try:
-        return lam ** (2.0 / (p - 1.0))
-    except OverflowError:  # p near 1
+    """lam^{2/(p-1)}, the amplitude factor of the similarity rescaling; the
+    energy squares the slope, which reaches about 1.4 times the amplitude."""
+    log_amp = 2.0 * math.log(lam) / (p - 1.0)
+    if log_amp > _LOG_AMPLITUDE_MAX:  # p near 1
         raise RadialSolveError(
-            f"the rescaled amplitude lambda^(2/(p-1)) = exp("
-            f"{2.0 * math.log(lam) / (p - 1.0):.4g}) at p = {p:g} passes "
-            f"the float range") from None
+            f"the rescaled amplitude lambda^(2/(p-1)) = exp({log_amp:.4g}) "
+            f"at p = {p:g} passes the float range")
+    return lam ** (2.0 / (p - 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from lef import cli, energy, flow, geometry, nodal, radial, spectrum
 from tests.conftest import ring_bump
 
 EIGHT_PI_E = 8.0 * math.pi * math.e
-FOUR_PI_E = 4.0 * math.pi * math.e
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -196,19 +195,13 @@ def test_criterion_08_pipeline_property_suite(pipeline_run):
 
     checks = {
         "exit 0": exit_code == 0,
-        "sign-changing (2 domains expected)": audit["nodal_count"] >= 2,
+        "sign-changing (2 domains expected)": audit["nodal_count"] == 2,
         "elliptic residual < 1e-6": audit["elliptic_residual"] < 1e-6,
         "symmetry defect < 1e-8": audit["symmetry_defect"] < 1e-8,
         "no boundary contact": audit["boundary_contact"] is False,
         "origin interior to one domain": audit["origin_interior"] is True,
         "ledger chain": p_e_candidate <= p_e_v0 + 1e-9 and p_e_v0 <= cap,
     }
-    if audit["nodal_count"] > 2:
-        ledger = [e for _, e in report["energy_ledger"]["stages"]]
-        drops = [a - b for a, b in zip(ledger[1:], ledger[2:])]
-        checks["restart drops >= 0.85 * 4 pi e"] = (
-            report["restart_count"] > 0
-            and all(d >= 0.85 * FOUR_PI_E for d in drops))
     ok = all(checks.values())
     failed = [k for k, v in checks.items() if not v]
     verdict(8, ok, f"disk C4 p=8 pipeline: {audit['nodal_count']} domains, "

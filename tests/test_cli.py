@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from lef import cli, flow, geometry, radial, spectrum
+from lef import cli, flow, geometry, nodal, radial, spectrum
 
 
 def _rewrite_header(path, edit) -> None:
@@ -283,7 +283,12 @@ class TestFlowCommand:
         cfg_path = _ball_flow_config(
             tmp_path, initial={"type": "ball", "scale": 1e300})
         assert cli.main(["flow", "--config", str(cfg_path)]) == 0
-        rep = json.loads((tmp_path / "out" / "flow_report.json").read_text())
+
+        def strict(name):
+            raise ValueError(f"{name} is not JSON")
+
+        rep = json.loads((tmp_path / "out" / "flow_report.json").read_text(),
+                         parse_constant=strict)
         assert rep["classification"] == "Blowup"
         assert rep["steps"] == 0 and rep["t_final"] == 0.0
 
@@ -784,16 +789,51 @@ class TestLabelledFailures:
         assert rep["failure"]["stage"] == "spectrum"
         assert "morse" not in rep
 
+    def test_three_nodal_domains_exit_4_naming_the_check(
+            self, tmp_path, capsys, monkeypatch):
+        # the candidate is audited on the nodal domains of a +/-/+ field
+        # with nodal circles at r = 0.2 and 0.6
+        decompose = nodal.decompose
+
+        def three_domains(v):
+            r = np.hypot(v.grid.xy[:, 0], v.grid.xy[:, 1])
+            return decompose(flow.ScalarField(v.grid,
+                                              np.cos(2.5 * np.pi * r)))
+
+        monkeypatch.setattr(nodal, "decompose", three_domains)
+        config = {
+            "p": 8.0, "alpha": 0.28,
+            "grid": {"type": "polar", "n_r": 24, "n_theta": 16},
+            "group": {"kind": "cyclic", "order": 4},
+            "outdir": str(tmp_path / "out"),
+        }
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["pipeline", "--config", str(cfg_path)]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("lef pipeline: audit stage:")
+        assert "nodal count" in err[0]
+        rep = json.loads((tmp_path / "out" / "pipeline_report.json")
+                         .read_text(encoding="utf-8"))
+        assert rep["audit"]["nodal_count"] == 3
+        assert rep["failure"] == {"stage": "audit", "failed": ["nodal count"]}
+        assert [name for name, _ in rep["energy_ledger"]["stages"]] == [
+            "v0", "candidate"]
+
     @pytest.mark.parametrize("argv, extra", [
         (["radial", "--p", "1.0001"], None),
+        (["radial", "--p", "1.003"], None),
         (["flow"], {"p": 1.0001}),
+        (["flow"], {"p": 1.003}),
         (["flow"], {"p": 1.01, "alpha": 5,
                     "initial": {"type": "scaled-ball"}}),
-    ], ids=["radial-p-near-1", "flow-ball-p-near-1",
-            "flow-scaled-ball-alpha-5"])
+    ], ids=["radial-p-near-1", "radial-p-1.003", "flow-ball-p-near-1",
+            "flow-ball-p-1.003", "flow-scaled-ball-alpha-5"])
     def test_amplitude_past_the_float_range_exits_3(self, tmp_path, capsys,
                                                    argv, extra):
-        # the rescaled amplitude lambda^(2/(p-1)) of the ball overflows
+        # the rescaled amplitude lambda^(2/(p-1)) of the ball, or its
+        # square in the energy, overflows
         if extra is not None:
             cfg_path = tmp_path / "run.json"
             cfg_path.write_text(json.dumps(dict(
@@ -847,7 +887,7 @@ class TestScenarioMatrix:
         assert rc in (0, 3, 4)
         report = json.loads((tmp_path / "out" / "pipeline_report.json")
                             .read_text(encoding="utf-8"))
-        if rc == 3:
+        if rc in (3, 4):
             err = capsys.readouterr().err.strip().splitlines()
             stage = report["failure"]["stage"]
             assert len(err) == 1 and f"{stage} stage" in err[0]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lef import energy, flow, geometry, nodal, radial, spectrum
+from lef import energy, flow, geometry, radial, spectrum
 from lef.flow import Classification, FlowConfig
 from tests.conftest import ring_bump
 
@@ -104,51 +104,6 @@ class TestThresholdBisect:
         cfg = FlowConfig(t_max=0.5)
         with pytest.raises(flow.BracketError):
             flow.threshold_bisect(v, 5.0, cfg, max_bracket=2)
-
-
-class TestRestartSelection:
-    def test_needs_at_least_three_domains(self, grid):
-        v = ring_bump(grid, 0.1, 0.9)
-        dec = nodal.decompose(v)
-        with pytest.raises(ValueError):
-            flow.select_restart_pair(v, dec, 5.0)
-
-    def test_picks_opposite_sign_pair(self, grid):
-        r = np.hypot(grid.xy[:, 0], grid.xy[:, 1])
-        vals = np.where(r < 0.3, np.cos(r * np.pi / 0.6),
-                        np.where(r < 0.6, -np.sin((r - 0.3) * np.pi / 0.3),
-                                 np.sin((r - 0.6) * np.pi / 0.4)))
-        v = flow.ScalarField(grid, vals)
-        dec = nodal.decompose(v)
-        assert dec.n_domains == 3
-        u_pos, u_neg = flow.select_restart_pair(v, dec, 5.0)
-        assert u_pos.values.max() > 0 and u_pos.values.min() >= 0
-        assert u_neg.values.min() < 0 and u_neg.values.max() <= 0
-        for u in (u_pos, u_neg):
-            assert energy.field_energy(u, 5.0).nehari_residual < 1e-10
-
-    def test_restart_scans_the_selected_pair(self, monkeypatch):
-        # +/-/+ rings with nodal circles at r = 0.2 and 0.6
-        g = geometry.PolarGrid(24, 16)
-        r = np.hypot(g.xy[:, 0], g.xy[:, 1])
-        v = flow.ScalarField(g, np.cos(2.5 * np.pi * r))
-        dec = nodal.decompose(v)
-        assert dec.n_domains == 3
-        calls = []
-        monkeypatch.setattr(flow, "ray_scan",
-                            lambda *args, **kwargs: calls.append(
-                                (args, kwargs)) or "scanned")
-        cfg, orbits = FlowConfig(t_max=7.0), g.quotient(geometry.cyclic(4))
-        assert flow.restart_from_nodal_pair(v, dec, 5.0, orbits,
-                                            config=cfg) == "scanned"
-        (args, kwargs), = calls
-        # the pair is selected on u's grid, then put on the scan's grid
-        u_pos, u_neg = flow.select_restart_pair(v, dec, 5.0)
-        assert args[0].grid is args[1].grid is orbits
-        assert np.array_equal(args[0].values, u_pos.on(orbits).values)
-        assert np.array_equal(args[1].values, u_neg.on(orbits).values)
-        assert args[2] == 5.0
-        assert kwargs == {"config": cfg}
 
 
 @pytest.fixture(scope="module", params=["disk-c4", "squircle-d4"])

@@ -86,14 +86,6 @@ class TestOrigin:
 
 
 class TestRestrictionAndEnergy:
-    def test_restricted_field_support(self, grid):
-        v = angular_bump(grid, 2)
-        dec = nodal.decompose(v)
-        w = nodal.restricted_field(v, dec, 1)
-        inside = dec.labels == 1
-        assert np.array_equal(w.values[inside], v.values[inside])
-        assert np.all(w.values[~inside] == 0.0)
-
     def test_per_domain_energies_sum(self, grid):
         p = 5.0
         v = angular_bump(grid, 2)
