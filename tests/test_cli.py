@@ -78,6 +78,17 @@ def test_report_json_takes_numpy_arrays_and_scalars():
         == {"a": [0.0, 0.0, 0.0], "b": 1.5}
 
 
+def test_report_json_writes_non_finite_numbers_as_null():
+    def strict(name):
+        raise ValueError(f"{name} is not JSON")
+
+    obj = {"a": np.array([1.0, np.nan]), "b": np.float64(np.inf),
+           "c": [(-math.inf, 2.0)], "d": {"e": math.nan, "f": 3}}
+    assert json.loads(cli._json(obj), parse_constant=strict) == {
+        "a": [1.0, None], "b": None, "c": [[None, 2.0]],
+        "d": {"e": None, "f": 3}}
+
+
 class TestConstantsCommand:
     def test_exit_zero_and_report(self, capsys):
         assert cli.main(["constants"]) == 0
