@@ -337,7 +337,7 @@ def _alpha_policy(alpha, p: float):
 
 def _resolve_alpha(alpha, p: float) -> radial.AlphaChoice:
     """The two profiles at a numeric alpha, or at a named policy's ('optimal'
-    minimizes the two-profile sum at this p)."""
+    is the zero of the budget's alpha-derivative at this p)."""
     policy = _alpha_policy(alpha, p)
     if policy == "optimal":
         return radial.optimal_alpha(p)
@@ -453,6 +453,7 @@ def run_flow(args) -> int:
               "energy_initial": float(traj.energies[0]),
               "energy_final": float(traj.energies[-1]),
               "energy_defects": traj.energy_defects,
+              "energy_overflow": not np.all(np.isfinite(traj.energies)),
               "nodal_counts": traj.nodal_counts}
     return _report(report, outdir / "flow_report.json", 0)
 
@@ -509,6 +510,8 @@ def run_pipeline(args) -> int:
 
     choice = _resolve_alpha(alpha, p)
     alpha = report["alpha"] = choice.alpha
+    report["alpha_search"] = {"solves": choice.solves,
+                              "derivative": choice.derivative}
     inner = radial.build_ball_solution_scaled(p, alpha, choice.ball)
     f1 = flow.field_from_radial(grid, inner)
     f2 = flow.field_from_radial(grid, choice.annulus, sign=-1.0)

@@ -21,6 +21,7 @@ UPPER_BOUND_CONST = 4.97 * FOUR_PI_E        # sharp upper-bound constant
 # |v|^{p+1} is summed directly while (p+1) log max|v| is below this bound,
 # and in the log domain above it, where a power could overflow
 DIRECT_POWER_LOG_MAX = 600.0
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -100,12 +101,26 @@ def lp1_norm_pow(grid, values: np.ndarray, p: float) -> float:
         return float(grid.weights @ av ** (p + 1.0))
     nz = av > 0
     logs = (p + 1.0) * np.log(av[nz]) + np.log(grid.weights[nz])
-    return float(np.exp(logsumexp(logs)))
+    log_sum = float(logsumexp(logs))
+    return math.inf if log_sum >= _LOG_FLOAT_MAX else float(np.exp(log_sum))
+
+
+def dirichlet_form(grid, values: np.ndarray) -> float:
+    """grid.dirichlet_form(values), or inf once it passes the float range.
+
+    Past the direct-power bound of max |v|^2 the field is scaled to max 1
+    first and the square of the max multiplies the form as a Python float,
+    which overflows to inf without a numpy warning."""
+    m = float(np.max(np.abs(values), initial=0.0))
+    if m == 0.0 or direct_power(m, 1.0):
+        return grid.dirichlet_form(values)
+    return m * m * grid.dirichlet_form(values / m)
 
 
 def field_energy(v, p: float) -> EnergyReport:
-    """Energy report of a grid field (object with .grid and .values)."""
-    grad_sq = v.grid.dirichlet_form(v.values)
+    """Energy report of a grid field (object with .grid and .values); a
+    norm past the float range is inf, and E_p then inf, -inf or nan."""
+    grad_sq = dirichlet_form(v.grid, v.values)
     lp1 = lp1_norm_pow(v.grid, v.values, p)
     return EnergyReport.from_norms(grad_sq, lp1, p)
 

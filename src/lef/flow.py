@@ -161,9 +161,7 @@ def step(v: ScalarField, p: float, dt: float, *, reaction: bool = True,
 
 
 def _energy_of(grid, values: np.ndarray, p: float) -> float:
-    grad = grid.dirichlet_form(values)
-    lp1 = energy_mod.lp1_norm_pow(grid, values, p)
-    return 0.5 * grad - lp1 / (p + 1.0)
+    return energy_mod.field_energy(ScalarField(grid, values), p).energy
 
 
 def _energy_and_power(grid, values: np.ndarray, abs_v: np.ndarray,
@@ -209,7 +207,7 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
     certify_at = 0.0 if perron is None else perron.mu ** (1.0 / (p - 1.0))
 
     E, power = _energy_and_power(grid, v, abs_v, sup0, p)
-    energy_scale = max(abs(E), grid.dirichlet_form(v))
+    energy_scale = max(abs(E), energy_mod.dirichlet_form(grid, v))
     times, energies, sups = [0.0], [E], [sup0]
     vdots, dts, nodal_counts = [], [], []
     t, n_step, defects = 0.0, 0, 0

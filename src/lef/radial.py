@@ -16,8 +16,18 @@ Annulus solutions are found by Newton's method on the initial slope s of
 the shot from u(log a) = 0: each shot integrates the slope's variational
 equation beside the solution, so F(s) = u(log b; s) and F'(s) come from
 one integration.  A [lo, hi] slope bracket with bisection guards the
-iteration, and optimal_alpha warm-starts each solve from the slopes it
-has already found.
+iteration.
+
+optimal_alpha chooses the alpha of the two-profile energy budget
+T(alpha) = p (E_p(annulus on (e^{-alpha p}, 1)) + E_p(ball on
+B_{e^{-alpha p}})) as the zero of T'(alpha).  Hadamard's formula for the
+moving inner circle gives T' exactly from the annulus solution's initial
+slope s = u_t(log e^{-alpha p}):
+
+    T'(alpha) = p (-pi p s^2 + 4p/(p-1) E_p(ball on B_{e^{-alpha p}})),
+
+so each annulus solve of the search brings its derivative with it.  The
+search warm-starts each solve from the slopes it has already found.
 
 Every shot, of the ball or of an annulus, is one call of solve_ivp below:
 scipy's DOP853 method (the tableau of scipy.integrate.DOP853, its step
@@ -32,6 +42,7 @@ differs), but its profiles agree with scipy's to roundoff.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -41,12 +52,16 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
-from .energy import EnergyReport, direct_power
+from .energy import EnergyReport, direct_power, minimize_f
 
 ENDPOINT_TOL = 1e-10
 AMPLITUDE_EXPONENT_GUARD = 600.0  # reject alpha * p beyond this
 ALPHA_BOUNDS = (0.05, 0.9)  # the interval optimal_alpha searches
 ALPHA_XATOL = 1e-5  # optimal_alpha's absolute tolerance in alpha
+# optimal_alpha starts at alpha_bar + ALPHA_START / p: p (alpha* - alpha_bar)
+# is 0.64 to 0.74 for 1.5 <= p <= 20, and grows slowly beyond
+ALPHA_START = 0.65
+ALPHA_STEP = 0.01  # optimal_alpha's first bracketing step, then doubled
 MAX_SHOTS = 100  # per annulus solve
 DENSE_RATIO = 1e-4  # |u(b)| / sup below which Newton is about to converge
 N_SAMPLES = 4096  # samples of every solved or explicit profile
@@ -641,12 +656,42 @@ class AlphaChoice:
 
     ``ball`` is the solution solve_ball(p), and ``annulus`` the solution
     on (e^{-alpha p}, 1); its ``slope`` can start a solve on a nearby
-    annulus.
+    annulus.  ``derivative`` is the budget's alpha-derivative T'(alpha)
+    there (see budget_derivative): at the alpha optimal_alpha returns it
+    is the stationarity residual.  ``solves`` counts the alphas at which
+    profiles were solved to make this choice.
     """
 
     alpha: float
     ball: RadialProfile
     annulus: RadialProfile
+    derivative: float
+    solves: int = 1
+
+
+def budget_derivative(p: float, alpha: float, slope: float,
+                      ball_energy: EnergyReport) -> float:
+    """T'(alpha) of the budget T = p (E_p(annulus) + E_p(scaled ball)).
+
+    The annulus is the solution on (a, 1), a = e^{-alpha p}, with initial
+    slope ``slope`` = u_t(log a), and the scaled ball the solution on
+    B_a, whose energy is ``ball_energy`` (the ball solution's report)
+    times e^{4 alpha p/(p-1)}.  By Hadamard's formula for the moving
+    inner circle, dE_p(annulus)/da = pi a u_r(a)^2 = pi slope^2 / a, and
+    da/dalpha = -p a, so
+
+        T'(alpha) = p (-pi p slope^2 + 4p/(p-1) E_p(scaled ball)).
+    """
+    e_ball = _rescaled_energy(ball_energy, p, alpha).energy
+    return p * (-math.pi * p * slope * slope + 4.0 * p / (p - 1.0) * e_ball)
+
+
+def _profiles(p: float, alpha: float, ball: RadialProfile,
+              ball_energy: EnergyReport, slope: float | None) -> AlphaChoice:
+    """profiles_at with the ball solution's energy report given."""
+    annulus = solve_annulus(p, math.exp(-alpha * p), 1.0, slope)
+    return AlphaChoice(alpha, ball, annulus, budget_derivative(
+        p, alpha, annulus.slope, ball_energy))
 
 
 def profiles_at(p: float, alpha: float, ball: RadialProfile | None = None,
@@ -658,8 +703,7 @@ def profiles_at(p: float, alpha: float, ball: RadialProfile | None = None,
     """
     if ball is None:
         ball = solve_ball(p)
-    return AlphaChoice(alpha, ball,
-                       solve_annulus(p, math.exp(-alpha * p), 1.0, slope))
+    return _profiles(p, alpha, ball, radial_energy(ball, p), slope)
 
 
 def _predict_slope(choices: dict, alpha: float) -> float | None:
@@ -675,33 +719,51 @@ def _predict_slope(choices: dict, alpha: float) -> float | None:
 
 
 def optimal_alpha(p: float) -> AlphaChoice:
-    """Alpha minimizing the measured two-profile energy sum at this p,
-    with the profiles solved there.
+    """The zero of the budget's alpha-derivative at this p, with the
+    profiles solved there.
 
-    Minimizes p E_p(annulus solution on (e^{-alpha p}, 1)) plus
-    p E_p(scaled ball solution on B_{e^{-alpha p}}).  As p grows the
-    minimizer approaches the stationary point of the limit profile
-    e^{2 alpha - 1}/alpha + e^{4 alpha}; at moderate p the two differ
-    enough to matter for energy budgets.  Each annulus solve starts from
-    the slope predicted by the alphas already solved.
+    The budget is T(alpha) = p E_p(annulus solution on (e^{-alpha p}, 1))
+    + p E_p(scaled ball solution on B_{e^{-alpha p}}), and its exact
+    derivative comes with each annulus solve (Hadamard's formula, see
+    budget_derivative):
+
+        T'(alpha) = p (-pi p s^2 + 4p/(p-1) E_p(scaled ball)),
+
+    s the annulus's initial slope u_t(log e^{-alpha p}).  The search
+    starts at alpha_bar + ALPHA_START / p (alpha_bar the minimizer of the
+    limit profile e^{2 alpha - 1}/alpha + e^{4 alpha}, which the zero
+    approaches as p grows), steps downhill by ALPHA_STEP, doubling, until
+    T' changes sign inside ALPHA_BOUNDS, and closes the bracket by brentq
+    to ALPHA_XATOL.  Each annulus solve starts from the slope predicted by
+    the alphas already solved.
     """
-    from scipy.optimize import minimize_scalar
-
     ball = solve_ball(p)
-    ball_rep = radial_energy(ball, p)
-    choices = {}  # every evaluated alpha -> its AlphaChoice
+    ball_energy = radial_energy(ball, p)
+    choices = {}  # every solved alpha -> its AlphaChoice
 
-    def total(alpha):
-        choice = choices[alpha] = profiles_at(
-            p, float(alpha), ball, _predict_slope(choices, alpha))
-        return p * (radial_energy(choice.annulus, p).energy
-                    + _rescaled_energy(ball_rep, p, alpha).energy)
+    def derivative(alpha: float) -> float:
+        if alpha not in choices:
+            choices[alpha] = _profiles(p, alpha, ball, ball_energy,
+                                       _predict_slope(choices, alpha))
+        return choices[alpha].derivative
 
-    res = minimize_scalar(total, bounds=ALPHA_BOUNDS, method="bounded",
-                          options={"xatol": ALPHA_XATOL})
-    if not res.success:
-        raise RadialSolveError(f"alpha optimization failed: {res.message}")
-    return choices[res.x]
+    lo, hi = ALPHA_BOUNDS
+    a = min(max(minimize_f().alpha_bar + ALPHA_START / p, lo), hi)
+    t_a = derivative(a)
+    step = math.copysign(ALPHA_STEP, -t_a)
+    while True:
+        b = min(max(a + step, lo), hi)
+        if b == a:
+            raise RadialSolveError(
+                f"the budget's alpha-derivative keeps its sign ({t_a:.3e} "
+                f"at alpha = {a:g}) up to the end of ALPHA_BOUNDS = "
+                f"{ALPHA_BOUNDS} at p = {p:g}")
+        t_b = derivative(b)
+        if t_a * t_b <= 0.0:
+            break
+        a, t_a, step = b, t_b, 2.0 * step
+    alpha = brentq(derivative, min(a, b), max(a, b), xtol=ALPHA_XATOL)
+    return dataclasses.replace(choices[alpha], solves=len(choices))
 
 
 def omega_energy_closed_form(p: float, alpha: float, b: float) -> float:

@@ -170,12 +170,14 @@ def elliptic_residual(u, p: float) -> float:
     u and the residual are scaled to max 1 before their norms, and once
     sup^{p-1} passes e^DIRECT_POWER_LOG_MAX the residual is inf."""
     grid = u.grid
-    nrm = grid.weighted_norm(u.values)
-    if nrm == 0.0:
-        return 0.0
     abs_u = np.abs(u.values)
-    sup = float(abs_u.max())
+    sup = float(abs_u.max(initial=0.0))
+    if sup == 0.0:
+        return 0.0
     if direct_power(sup, 2.0 * p - 1.0):
+        nrm = grid.weighted_norm(u.values)
+        if nrm == 0.0:  # u * u underflows
+            return 0.0
         res = grid.laplacian_apply(u.values) + abs_u ** (p - 1.0) * u.values
         return grid.weighted_norm(res) / nrm
     if (p - 1.0) * math.log(sup) >= DIRECT_POWER_LOG_MAX:

@@ -309,3 +309,14 @@ def test_criterion_10_equivariance_and_symmetry(disk_grid_small):
     verdict(10, odd_ok and sym_ok,
             f"evolve(-v0) = -evolve(v0) to {odd_dev:.1e}; symmetry defect "
             f"after {steps} steps {defect:.1e} < 1e-8 * sup")
+
+
+def test_report_records_the_alpha_search(pipeline_run):
+    """With alpha 'optimal' the report gives the number of alphas at which
+    profiles were solved and the budget's derivative T' at the chosen
+    alpha, its zero to ALPHA_XATOL (T'' is about 5.5e3 at p = 8)."""
+    _, report, _ = pipeline_run
+    search = report["alpha_search"]
+    assert set(search) == {"solves", "derivative"}
+    assert search["solves"] >= 2
+    assert abs(search["derivative"]) < 1e4 * radial.ALPHA_XATOL

@@ -217,6 +217,7 @@ class TestFlowCommand:
         assert cli.main(["flow", "--config", str(cfg_path)]) == 0
         rep = json.loads((tmp_path / "out" / "flow_report.json").read_text())
         assert rep["classification"] == "DecayToZero"
+        assert rep["energy_overflow"] is False
         csv_lines = (tmp_path / "out" / "trajectory.csv").read_text(
             encoding="utf-8").strip().splitlines()
         assert csv_lines[0] == "t,energy,sup"
@@ -288,9 +289,9 @@ class TestFlowCommand:
         assert np.max(np.abs(final.values - oracle.final.values)) <= (
             1e-10 * oracle.final.sup)
 
-    def test_overflowing_step_rate_is_a_blowup(self, tmp_path, recwarn):
+    def test_overflowing_step_rate_is_a_blowup(self, tmp_path):
         # sup^(p-1) passes the float range: the step size underflows at
-        # t = 0 (the energy's own overflow warnings are not the point here)
+        # t = 0
         cfg_path = _ball_flow_config(
             tmp_path, initial={"type": "ball", "scale": 1e300})
         assert cli.main(["flow", "--config", str(cfg_path)]) == 0
@@ -302,6 +303,23 @@ class TestFlowCommand:
                          parse_constant=strict)
         assert rep["classification"] == "Blowup"
         assert rep["steps"] == 0 and rep["t_final"] == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_energy_past_the_float_range_is_null_without_warnings(
+            self, tmp_path):
+        # the norms of a datum of sup 1e300 pass the float range: the
+        # energies are written null and labelled, with no numpy warning
+        config = {"p": 5.0, "grid": {"type": "polar", "n_r": 16, "n_theta": 8},
+                  "initial": {"type": "ball", "scale": 1e300},
+                  "flow": {"t_max": 0.5}, "outdir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["flow", "--config", str(cfg_path)]) == 0
+        rep = json.loads((tmp_path / "out" / "flow_report.json").read_text())
+        assert rep["energy_initial"] is None and rep["energy_final"] is None
+        assert rep["energy_overflow"] is True
+        assert rep["final_residual"] is None
+        assert rep["classification"] == "Blowup"
 
     @pytest.mark.parametrize("initial, message", [
         ({"type": "hexagon"}, "unknown initial datum type 'hexagon'"),
@@ -345,6 +363,7 @@ class TestDumpDatum:
         assert cli.main(["flow", "--config", str(cfg_path)]) == 0
         rep = json.loads((tmp_path / "out" / "flow_report.json").read_text())
         assert rep["classification"] == "DecayToZero"
+        assert rep["energy_overflow"] is False
         # the config's grid, built first; the dump's grid only checks it
         assert len(built) == 2 and evolved == [built[0]]
 

@@ -60,6 +60,29 @@ class TestLp1Norm:
             (p + 1.0) * math.log(c), rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestFloatRange:
+    """Norms past the float range are inf without a numpy warning; below
+    it the Dirichlet form is the grid's: bit for bit within the
+    direct-power bound, to roundoff past it."""
+
+    def test_dirichlet_form_is_the_grids_in_range(self, disk_grid_small):
+        g = disk_grid_small
+        v = 1.0 - np.hypot(g.xy[:, 0], g.xy[:, 1]) ** 2
+        assert energy.dirichlet_form(g, v) == g.dirichlet_form(v)
+        big = 1e150 * v  # past the direct-power bound, still a float
+        assert energy.dirichlet_form(g, big) == pytest.approx(
+            1e300 * g.dirichlet_form(v), rel=1e-12)
+
+    def test_norms_past_the_float_range_are_inf(self, disk_grid_small):
+        g = disk_grid_small
+        v = 1e300 * (1.0 - np.hypot(g.xy[:, 0], g.xy[:, 1]) ** 2)
+        assert energy.dirichlet_form(g, v) == math.inf
+        assert energy.lp1_norm_pow(g, v, 5.0) == math.inf
+        rep = energy.field_energy(flow.ScalarField(g, v), 5.0)
+        assert math.isnan(rep.energy)
+
+
 class TestNehariProjection:
     def test_projection_lands_on_manifold(self, ball_field_p5):
         u, t = energy.nehari_project(ball_field_p5.scaled(3.0), 5.0)

@@ -137,9 +137,10 @@ class TestAnnulusShooting:
         assert again.slope == prof.slope
         assert np.array_equal(again.u, prof.u)
 
-    def test_optimal_alpha_warm_starts(self, shots):
-        radial.optimal_alpha(200.0)
-        assert len(shots) <= 80
+    @pytest.mark.parametrize("p", [8.0, 200.0])
+    def test_optimal_alpha_warm_starts(self, shots, p):
+        radial.optimal_alpha(p)
+        assert len(shots) <= 25
 
 
 def scipy_shot(p, t_span, y0, rtol, first_step=None, dense_output=False):
@@ -226,7 +227,76 @@ class TestOmegaProfile:
             radial.omega_test_function(10.0, 0.1, 0.1)
 
 
+def budget(p, alpha, ball=None, slope=None):
+    """T(alpha) = p (E_p(annulus) + E_p(scaled ball)) by quadrature."""
+    from lef import energy
+    choice = radial.profiles_at(p, alpha, ball, slope)
+    return energy.upper_bound_report(choice).total, choice
+
+
+def minimized_alpha(p):
+    """The minimizer of the quadrature budget by scipy's bounded search,
+    to ALPHA_XATOL: the alpha of a value-only search."""
+    from scipy.optimize import minimize_scalar
+    ball = radial.solve_ball(p)
+    choices = {}
+
+    def total(alpha):
+        value, choices[alpha] = budget(
+            p, alpha, ball, radial._predict_slope(choices, alpha))
+        return value
+
+    res = minimize_scalar(total, bounds=radial.ALPHA_BOUNDS,
+                          method="bounded",
+                          options={"xatol": radial.ALPHA_XATOL})
+    assert res.success
+    return res.x
+
+
 class TestOptimalAlpha:
+    ALPHA_STAR = {8.0: 0.28008, 200.0: 0.20347}  # optimal_alpha, rounded
+
+    @pytest.mark.parametrize("p", [8.0, 200.0])
+    @pytest.mark.parametrize("offset", [-0.05, 0.05])
+    def test_derivative_matches_central_difference(self, p, offset):
+        # Hadamard's formula from the annulus slope against a central
+        # difference of the quadrature budget
+        alpha, h = self.ALPHA_STAR[p] + offset, 1e-4
+        ball = radial.solve_ball(p)
+        _, choice = budget(p, alpha, ball)
+        slope = choice.annulus.slope
+        (t_lo, _), (t_hi, _) = (budget(p, a, ball, slope)
+                                for a in (alpha - h, alpha + h))
+        central = (t_hi - t_lo) / (2.0 * h)
+        assert choice.derivative == pytest.approx(central, rel=1e-5)
+        assert (choice.derivative > 0.0) == (offset > 0.0)
+
+    @pytest.mark.parametrize("p", [1.5, 8.0, 200.0])
+    def test_is_the_budget_minimizer(self, p):
+        assert radial.optimal_alpha(p).alpha == pytest.approx(
+            minimized_alpha(p), abs=1e-5)
+
+    def test_records_its_solves_and_stationarity(self, monkeypatch):
+        solves = []
+        solve_annulus = radial.solve_annulus
+        monkeypatch.setattr(radial, "solve_annulus",
+                            lambda *a: solves.append(a) or solve_annulus(*a))
+        p = 8.0
+        choice = radial.optimal_alpha(p)
+        assert choice.solves == len(solves) >= 2
+        # the zero is found to ALPHA_XATOL in alpha, over which T' changes
+        # by T'' ALPHA_XATOL; T'' is about 5.5e3 here (T' goes from -322
+        # to 230 over alpha* +- 0.05)
+        assert abs(choice.derivative) < 1e4 * radial.ALPHA_XATOL
+        assert choice.derivative == radial.budget_derivative(
+            p, choice.alpha, choice.annulus.slope,
+            radial.radial_energy(choice.ball, p))
+
+    def test_no_sign_change_in_bounds_raises(self, monkeypatch):
+        monkeypatch.setattr(radial, "ALPHA_BOUNDS", (0.05, 0.1))
+        with pytest.raises(RadialSolveError, match="keeps its sign"):
+            radial.optimal_alpha(8.0)
+
     def test_beats_asymptotic_alpha_at_moderate_p(self):
         from lef import energy
         p = 8.0
