@@ -4,6 +4,11 @@ The gradient norm of a 2D field is always computed through the grid's
 stiffness matrix (the same discrete Dirichlet form used by the flow
 module's Laplacian), so that discrete energy identities hold up to time
 discretization error only.
+
+Powers and norms of fields are taken directly, under one float-range
+policy: a value past the float range is inf, without a numpy warning.
+FLOAT_RANGE is that policy as ``np.errstate`` arguments; the flow,
+spectrum and radial modules compute under it too.
 """
 
 from __future__ import annotations
@@ -14,14 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 FOUR_PI_E = 4.0 * math.pi * math.e          # limit of inf_{N_p} p E_p
 UPPER_BOUND_CONST = 4.97 * FOUR_PI_E        # sharp upper-bound constant
-# |v|^{p+1} is summed directly while (p+1) log max|v| is below this bound,
-# and in the log domain above it, where a power could overflow
-DIRECT_POWER_LOG_MAX = 600.0
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+# np.errstate(**FLOAT_RANGE): a power or norm past the float range is inf
+# (or nan where inf meets inf), with no numpy warning
+FLOAT_RANGE = {"over": "ignore", "invalid": "ignore"}
 
 
 @dataclass(frozen=True)
@@ -85,36 +88,18 @@ def minimize_f() -> AlphaOptimum:
 # 2D field energies
 # ---------------------------------------------------------------------------
 
-def direct_power(m: float, p: float) -> bool:
-    """Whether powers up to |v|^{p+1} of a field with max |v| = m > 0 are
-    taken directly (no overflow) rather than in the log domain."""
-    return (p + 1.0) * math.log(m) < DIRECT_POWER_LOG_MAX
-
-
 def lp1_norm_pow(grid, values: np.ndarray, p: float) -> float:
-    """Quadrature of |v|^{p+1}; log-domain accumulation avoids overflow."""
-    av = np.abs(values)
-    m = float(av.max(initial=0.0))
-    if m == 0.0:
-        return 0.0
-    if direct_power(m, p):
-        return float(grid.weights @ av ** (p + 1.0))
-    nz = av > 0
-    logs = (p + 1.0) * np.log(av[nz]) + np.log(grid.weights[nz])
-    log_sum = float(logsumexp(logs))
-    return math.inf if log_sum >= _LOG_FLOAT_MAX else float(np.exp(log_sum))
+    """Quadrature of |v|^{p+1}; inf past the float range."""
+    with np.errstate(**FLOAT_RANGE):
+        return float(grid.weights @ np.abs(values) ** (p + 1.0))
 
 
 def dirichlet_form(grid, values: np.ndarray) -> float:
-    """grid.dirichlet_form(values), or inf once it passes the float range.
-
-    Past the direct-power bound of max |v|^2 the field is scaled to max 1
-    first and the square of the max multiplies the form as a Python float,
-    which overflows to inf without a numpy warning."""
-    m = float(np.max(np.abs(values), initial=0.0))
-    if m == 0.0 or direct_power(m, 1.0):
-        return grid.dirichlet_form(values)
-    return m * m * grid.dirichlet_form(values / m)
+    """grid.dirichlet_form(values), or inf once it passes the float range
+    (the form is nonnegative: a nan there is inf meeting inf)."""
+    with np.errstate(**FLOAT_RANGE):
+        form = grid.dirichlet_form(values)
+    return form if math.isfinite(form) else math.inf
 
 
 def field_energy(v, p: float) -> EnergyReport:

@@ -160,20 +160,14 @@ def step(v: ScalarField, p: float, dt: float, *, reaction: bool = True,
     return ScalarField(grid, out)
 
 
-def _energy_of(grid, values: np.ndarray, p: float) -> float:
-    return energy_mod.field_energy(ScalarField(grid, values), p).energy
+def _energy_and_power(grid, values: np.ndarray, abs_v: np.ndarray, p: float):
+    """(E(v), |v|^{p-1}) with abs_v = |v|, for evolve, which runs under
+    energy.FLOAT_RANGE.
 
-
-def _energy_and_power(grid, values: np.ndarray, abs_v: np.ndarray,
-                      sup: float, p: float):
-    """(E(v), |v|^{p-1}) with abs_v = |v| and sup = max |v|.
-
-    Where |v|^{p+1} is summed directly the power g = |v|^{p-1} is computed
-    once, for sum w g |v| |v| here and for the next step's reaction.  On
-    the log-domain branch the power is None and the step takes its own.
+    The power g = |v|^{p-1} is computed once, for sum w g |v| |v| here and
+    for the next step's reaction.  A norm past the float range is inf, and
+    E then -inf (a blow-up certificate) or nan.
     """
-    if sup > 0.0 and not energy_mod.direct_power(sup, p):
-        return _energy_of(grid, values, p), None
     power = abs_v ** (p - 1.0)
     lp1 = float(grid.weights @ (power * abs_v * abs_v))
     return 0.5 * grid.dirichlet_form(values) - lp1 / (p + 1.0), power
@@ -184,10 +178,12 @@ def _quantized_dt(dt_max: float, dt_target: float) -> float:
     return dt_max / 2.0 ** k
 
 
+@np.errstate(**energy_mod.FLOAT_RANGE)
 def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
            *, certify_decay: bool = False) -> Trajectory:
     """Time-step the flow from v0 on v0's grid until classification or
-    t_max; nodal samples (``record_nodal_every``) decompose the lifted field.
+    t_max, under energy.FLOAT_RANGE; nodal samples (``record_nodal_every``)
+    decompose the lifted field.
 
     DECAY means sup < decay_factor * sup0; with ``certify_decay`` also the
     decay certificate (module docstring) on a grid with a Perron pair.
@@ -206,7 +202,7 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
     perron = grid.perron if certify_decay else None
     certify_at = 0.0 if perron is None else perron.mu ** (1.0 / (p - 1.0))
 
-    E, power = _energy_and_power(grid, v, abs_v, sup0, p)
+    E, power = _energy_and_power(grid, v, abs_v, p)
     energy_scale = max(abs(E), energy_mod.dirichlet_form(grid, v))
     times, energies, sups = [0.0], [E], [sup0]
     vdots, dts, nodal_counts = [], [], []
@@ -234,7 +230,7 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
         if not math.isfinite(sup):
             cls = Classification.BLOWUP
             break
-        E_new, power = _energy_and_power(grid, nxt, abs_v, sup, p)
+        E_new, power = _energy_and_power(grid, nxt, abs_v, p)
         if E_new - E > 1e-10 * max(abs(E), 1.0):
             defects += 1
 

@@ -50,9 +50,8 @@ import numpy as np
 from scipy.integrate import DOP853, simpson
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
-from scipy.special import logsumexp
 
-from .energy import EnergyReport, direct_power, minimize_f
+from .energy import FLOAT_RANGE, EnergyReport, minimize_f
 
 ENDPOINT_TOL = 1e-10
 AMPLITUDE_EXPONENT_GUARD = 600.0  # reject alpha * p beyond this
@@ -137,42 +136,23 @@ def _amplitude(lam: float, p: float) -> float:
 # quadrature
 # ---------------------------------------------------------------------------
 
-def _log_quadrature_lp1(profile: RadialProfile, p: float) -> float:
-    """2 pi * integral |u|^{p+1} r dr, accumulated in the log domain."""
-    total_parts = []
-    for a, b in profile.segments:
-        r, u = profile.r[a:b], np.abs(profile.u[a:b])
-        nz = u > 0.0
-        if nz.sum() < 3:
-            continue
-        # trapezoid weights on the sample grid
-        w = np.zeros_like(r)
-        w[1:] += 0.5 * np.diff(r)
-        w[:-1] += 0.5 * np.diff(r)
-        good = nz & (w > 0) & (r > 0)
-        logs = (p + 1.0) * np.log(u[good]) + np.log(r[good] * w[good])
-        total_parts.append(logsumexp(logs))
-    if not total_parts:
-        return 0.0
-    return float(2.0 * math.pi * np.exp(logsumexp(np.array(total_parts))))
-
-
 def radial_energy(profile: RadialProfile, p: float | None = None) -> EnergyReport:
-    """Energy report from 1D quadrature (Simpson per smooth segment)."""
+    """Energy report from 1D quadrature (Simpson per smooth segment), under
+    FLOAT_RANGE; a norm past the float range raises RadialSolveError."""
     if p is None:
         p = profile.p
-    sup = profile.sup
-    direct = sup > 0 and direct_power(sup, p)
     grad = lp1 = 0.0
-    for a, b in profile.segments:
-        r, u, du = profile.r[a:b], profile.u[a:b], profile.du[a:b]
-        if len(r) < 3:
-            continue
-        grad += 2.0 * math.pi * simpson(du * du * r, x=r)
-        if direct:
+    with np.errstate(**FLOAT_RANGE):
+        for a, b in profile.segments:
+            r, u, du = profile.r[a:b], profile.u[a:b], profile.du[a:b]
+            if len(r) < 3:
+                continue
+            grad += 2.0 * math.pi * simpson(du * du * r, x=r)
             lp1 += 2.0 * math.pi * simpson(np.abs(u) ** (p + 1.0) * r, x=r)
-    if not direct:
-        lp1 = _log_quadrature_lp1(profile, p)
+    if not (math.isfinite(grad) and math.isfinite(lp1)):
+        raise RadialSolveError(
+            f"the energy of the radial profile on ({profile.r_in:.4g}, "
+            f"{profile.r_out:.4g}) at p = {p:g} passes the float range")
     return EnergyReport.from_norms(grad, lp1, p)
 
 
@@ -540,14 +520,16 @@ def _annulus_shot(p: float, a: float, b: float, slope: float, rtol: float):
     an interior zero, and shots that stop before r = b, are upper ends of
     the slope bracket, the others lower ends.  A Newton step that leaves
     the bracket, or follows a shot that stopped early, is replaced by
-    geometric bisection, or by a factor-4 step while one end is missing.
+    geometric bisection, or while one end is missing by a step down by a
+    factor 4 or up by a factor that starts at 4 and squares after each
+    use (a slope can be astronomically large near p = 1).
     Once a shot has come within DENSE_RATIO, shots keep their dense
     output, so that the accepted one is usually not shot again.
     """
     t_a, t_b = math.log(a), math.log(b)
     lo, hi = 0.0, math.inf
     closest = math.inf  # smallest |u(b)| / sup of a shot reaching r = b
-    s = slope
+    s, grow = slope, 4.0
     for _ in range(MAX_SHOTS):
         sol = _shoot_annulus(p, t_a, t_b, s, rtol,
                              dense=closest < DENSE_RATIO)
@@ -573,8 +555,10 @@ def _annulus_shot(p: float, a: float, b: float, slope: float, rtol: float):
             s_next = newton
         elif 0.0 < lo and hi < math.inf:
             s_next = math.sqrt(lo * hi)
+        elif hi == math.inf:
+            s_next, grow = grow * lo, grow * grow
         else:
-            s_next = 4.0 * lo if hi == math.inf else 0.25 * hi
+            s_next = 0.25 * hi
         if not lo < s_next < hi or abs(s_next - s) <= 8e-16 * s:
             break
         s = s_next

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .energy import DIRECT_POWER_LOG_MAX, direct_power
+from .energy import FLOAT_RANGE
 from .geometry import SymmetryGroup
 
 NEGATIVE_EIG_REL_TOL = 1e-8  # lambda < -tol * |lambda_1| counts as negative
@@ -164,29 +164,17 @@ def spectrum_at_shift(A, weights: np.ndarray, sigma: float, k: int,
 
 
 def elliptic_residual(u, p: float) -> float:
-    """|| Delta_h u + |u|^{p-1} u ||_2 / ||u||_2 in the weighted norm.
-
-    Past the direct-power bound of |u|^{2p} (the squared residual's power)
-    u and the residual are scaled to max 1 before their norms, and once
-    sup^{p-1} passes e^DIRECT_POWER_LOG_MAX the residual is inf."""
+    """|| Delta_h u + |u|^{p-1} u ||_2 / ||u||_2 in the weighted norm,
+    under FLOAT_RANGE: inf whenever a norm passes the float range."""
     grid = u.grid
-    abs_u = np.abs(u.values)
-    sup = float(abs_u.max(initial=0.0))
-    if sup == 0.0:
-        return 0.0
-    if direct_power(sup, 2.0 * p - 1.0):
+    with np.errstate(**FLOAT_RANGE):
         nrm = grid.weighted_norm(u.values)
-        if nrm == 0.0:  # u * u underflows
+        if nrm == 0.0:  # u is zero, or u * u underflows
             return 0.0
-        res = grid.laplacian_apply(u.values) + abs_u ** (p - 1.0) * u.values
-        return grid.weighted_norm(res) / nrm
-    if (p - 1.0) * math.log(sup) >= DIRECT_POWER_LOG_MAX:
-        return math.inf
-    hat = u.values / sup
-    power = sup ** (p - 1.0) * np.abs(hat) ** (p - 1.0)
-    res = grid.laplacian_apply(hat) + power * hat
-    top = float(np.max(np.abs(res))) or 1.0
-    return top * (grid.weighted_norm(res / top) / grid.weighted_norm(hat))
+        res = (grid.laplacian_apply(u.values)
+               + np.abs(u.values) ** (p - 1.0) * u.values)
+        out = grid.weighted_norm(res) / nrm
+    return out if math.isfinite(nrm) and math.isfinite(out) else math.inf
 
 
 def _index_and_eigenvalues(A, weights: np.ndarray, sigma: float, k: int):
@@ -312,12 +300,14 @@ def convex_in_direction(domain, direction_angle: float,
 # Newton polishing of steady states
 # ---------------------------------------------------------------------------
 
+@np.errstate(**FLOAT_RANGE)
 def newton_polish(u, p: float, tol: float = 1e-10, max_iter: int = 40):
-    """Newton iteration on K v - W |v|^{p-1} v = 0 with damping.
+    """Newton iteration on K v - W |v|^{p-1} v = 0 with damping, under
+    FLOAT_RANGE.
 
     Returns (polished field, residual).  The iteration stops early and
     returns the best iterate if it stalls; callers should check the
-    residual.
+    residual, which is inf for a field past the float range.
 
     Each Jacobian K - W diag(p |v|^{p-1}) is written into the grid's cached
     copy of K's pattern, whose columns are already in the order SuperLU
@@ -338,7 +328,10 @@ def newton_polish(u, p: float, tol: float = 1e-10, max_iter: int = 40):
 
     def res_of(x, fx):
         nrm = grid.weighted_norm(x)
-        return np.inf if nrm == 0 else grid.weighted_norm(fx / w) / nrm
+        if not 0.0 < nrm < math.inf:
+            return math.inf
+        r = grid.weighted_norm(fx / w) / nrm
+        return r if math.isfinite(r) else math.inf
 
     fv = F(v)
     cur = res_of(v, fv)

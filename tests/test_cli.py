@@ -195,6 +195,21 @@ class TestRadialCommand:
         assert err[0].startswith("lef radial: ") and message in err[0]
         assert shots == []
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p", ["1500", "2500"])
+    def test_budget_past_the_float_range_exits_3(self, tmp_path, capsys, p):
+        # the ball's |u|^(p+1) and u_r^2 pass the float range: no csv
+        # with a row of nan is written
+        out = tmp_path / "s.csv"
+        rc = cli.main(["radial", "--p", p, "--alpha", "0.2", "--out",
+                       str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("lef radial: radial stage: ")
+        assert "float range" in err[0]
+        assert not out.exists()
+
 
 def _ball_flow_config(tmp_path, **extra):
     config = {
@@ -774,6 +789,23 @@ class TestLabelledFailures:
         assert failure["stage"] == "profiles"
         assert failure["ball_radius"] == pytest.approx(math.exp(-2.2))
         assert failure["domain_radii"] == [0.3, 1.0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_budget_past_the_float_range_exits_3_at_the_radial_stage(
+            self, tmp_path, capsys):
+        config = {
+            "p": 1500.0, "alpha": 0.2,
+            "grid": {"type": "polar", "n_r": 16, "n_theta": 8},
+            "group": {"kind": "cyclic", "order": 4},
+            "outdir": str(tmp_path / "out"),
+        }
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["pipeline", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("lef pipeline: radial stage: ")
+        assert "float range" in err[0]
 
     def test_scan_without_candidate_exits_3_with_report(self, tmp_path,
                                                         capsys):

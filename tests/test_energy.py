@@ -62,17 +62,18 @@ class TestLp1Norm:
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestFloatRange:
-    """Norms past the float range are inf without a numpy warning; below
-    it the Dirichlet form is the grid's: bit for bit within the
-    direct-power bound, to roundoff past it."""
+    """Norms are taken directly: within the float range they are the plain
+    formulas bit for bit, past it inf, without a numpy warning."""
 
-    def test_dirichlet_form_is_the_grids_in_range(self, disk_grid_small):
+    def test_norms_are_the_plain_formulas_in_range(self, disk_grid_small):
         g = disk_grid_small
         v = 1.0 - np.hypot(g.xy[:, 0], g.xy[:, 1]) ** 2
-        assert energy.dirichlet_form(g, v) == g.dirichlet_form(v)
-        big = 1e150 * v  # past the direct-power bound, still a float
-        assert energy.dirichlet_form(g, big) == pytest.approx(
-            1e300 * g.dirichlet_form(v), rel=1e-12)
+        for c in (1.0, 1e150):  # the form of 1e150 v is near 1e300
+            assert energy.dirichlet_form(g, c * v) == g.dirichlet_form(c * v)
+        # 1.1^7000 is near e^667: no power passes the float range
+        big = 1.1 * v
+        assert energy.lp1_norm_pow(g, big, 7000.0) == float(
+            g.weights @ np.abs(big) ** 7001.0)
 
     def test_norms_past_the_float_range_are_inf(self, disk_grid_small):
         g = disk_grid_small
@@ -81,6 +82,9 @@ class TestFloatRange:
         assert energy.lp1_norm_pow(g, v, 5.0) == math.inf
         rep = energy.field_energy(flow.ScalarField(g, v), 5.0)
         assert math.isnan(rep.energy)
+        # K v of a rough field meets inf with -inf: the grid's form is nan
+        rough = 1e306 * np.random.default_rng(0).uniform(-1.0, 1.0, v.size)
+        assert energy.dirichlet_form(g, rough) == math.inf
 
 
 class TestNehariProjection:

@@ -150,8 +150,8 @@ class TestOrbitGrid:
         g, G = grid_and_group
         c = _invariant_datum(g, G).on(g.quotient(G))
         v = c.lifted()
-        assert flow._energy_of(c.grid, c.values, 3.0) == pytest.approx(
-            flow._energy_of(g, v.values, 3.0), rel=1e-12)
+        assert energy.field_energy(c, 3.0).energy == pytest.approx(
+            energy.field_energy(v, 3.0).energy, rel=1e-12)
         assert spectrum.elliptic_residual(c, 3.0) == pytest.approx(
             spectrum.elliptic_residual(v, 3.0), rel=1e-12)
 
@@ -509,15 +509,15 @@ class TestDecayCertificate:
 class TestOnePowerPerStep:
     """evolve computes |v|^{p-1} once per accepted step and hands it to
     ``step``; the iterates are those of plain ``step`` calls, bit for bit,
-    and the energies those of ``_energy_of`` up to roundoff."""
+    and the energies those of ``energy.field_energy`` up to roundoff."""
 
     CASES = {
         "decay": (5.0, 1.0, None),
         "blowup": (5.0, 2.4, None),
         "near-threshold-c4": (5.0, 2.33, geometry.cyclic(4)),
-        # (p + 1) log sup0 > DIRECT_POWER_LOG_MAX: the energy takes the
-        # log-domain branch, and E < 0 certifies the blow-up at t = 0
-        "log-domain-p200": (200.0, 25.0, None),
+        # 25^201 passes the float range: the energy is -inf, which
+        # certifies the blow-up at t = 0
+        "overflow-p200": (200.0, 25.0, None),
     }
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -534,19 +534,15 @@ class TestOnePowerPerStep:
             return plain_step(v, p, dt, **kwargs)
 
         monkeypatch.setattr(flow, "step", counted)
-        if p == 200.0:
-            # the elliptic residual of so large a field overflows in its
-            # norm whatever the flow does; only the flow's powers count here
-            monkeypatch.setattr(spectrum, "elliptic_residual",
-                                lambda u, p: math.inf)
         traj = flow.evolve(v0, p, FlowConfig(t_max=50.0))
         assert len(calls) == len(traj.dts) and all(calls)
         assert (len(calls) == 0) == (p == 200.0)
 
         v = v0.values
-        energies = [flow._energy_of(g, v, p)]
+        energies = [energy.field_energy(flow.ScalarField(g, v), p).energy]
         for dt in traj.dts:
             v = plain_step(flow.ScalarField(g, v), p, dt).values
-            energies.append(flow._energy_of(g, v, p))
+            energies.append(
+                energy.field_energy(flow.ScalarField(g, v), p).energy)
         assert np.array_equal(v, traj.final.values)
         assert np.allclose(traj.energies, energies, rtol=1e-13, atol=0.0)

@@ -45,16 +45,20 @@ class TestBall:
         with pytest.raises((ValueError, RadialSolveError)):
             radial.solve_ball(1.0)
 
-    def test_energy_takes_the_energy_modules_overflow_bound(
-            self, monkeypatch):
-        # below energy.DIRECT_POWER_LOG_MAX the L^(p+1) quadrature is
-        # Simpson's, above it the log-domain sum
-        from lef import energy
-        prof = radial.solve_ball(8.0)
-        log_domain = radial._log_quadrature_lp1(prof, 8.0)
-        assert radial.radial_energy(prof, 8.0).lp1_norm_pow != log_domain
-        monkeypatch.setattr(energy, "DIRECT_POWER_LOG_MAX", 0.0)
-        assert radial.radial_energy(prof, 8.0).lp1_norm_pow == log_domain
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p", [1000.0, 1300.0, 1400.0])
+    def test_energy_is_simpsons_up_to_the_float_range(self, p):
+        # |u|^(p+1) of the ball solution (sup near e^(1/2)) nears the float
+        # maximum at p = 1400; the Simpson sums keep it on the Nehari
+        # manifold all the way
+        rep = radial.radial_energy(radial.solve_ball(p), p)
+        assert rep.nehari_residual <= 1e-7
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_energy_past_the_float_range_raises(self):
+        # at p = 1500 the ball's |u|^(p+1) and u_r^2 pass the float range
+        with pytest.raises(RadialSolveError, match="float range"):
+            radial.radial_energy(radial.solve_ball(1500.0), 1500.0)
 
     def test_scaled_ball_consistency(self):
         p, alpha = 8.0, 0.25
@@ -141,6 +145,13 @@ class TestAnnulusShooting:
     def test_optimal_alpha_warm_starts(self, shots, p):
         radial.optimal_alpha(p)
         assert len(shots) <= 25
+
+    def test_slope_bracket_widens_to_astronomical_slopes(self, shots):
+        # near p = 1 the annulus slopes are astronomical: about 1e30 at
+        # p = 1.05 and 4e74 at p = 1.02
+        radial.optimal_alpha(1.05)
+        assert len(shots) <= 40
+        assert radial.optimal_alpha(1.02).annulus.slope > 1e30
 
 
 def scipy_shot(p, t_span, y0, rtol, first_step=None, dense_output=False):

@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from lef import energy, flow, geometry, radial, spectrum
+from lef import flow, geometry, radial, spectrum
 from tests.conftest import angular_bump
 
 
@@ -107,24 +107,33 @@ def test_lowest_eigenvalue_of_the_orbit_grid_is_the_full_one(case):
 class TestResidualOverflowGuard:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_large_field_gives_inf_without_a_warning(self):
-        # (p + 1) log 25 > DIRECT_POWER_LOG_MAX: |u|^{p-1} u overflows
+        # 25^400, the squared norm of |u|^{p-1} u, passes the float range
         g = geometry.PolarGrid(48, 24)
         u = flow.ScalarField(g, 25.0 * (1.0 - np.hypot(*g.xy.T) ** 2))
         assert spectrum.elliptic_residual(u, 200.0) == math.inf
         assert flow.evolve(u, 200.0).final_residual == math.inf
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_scaled_norm_continues_the_direct_one(self):
-        # 4.45 is below the direct-power bound of |u|^{2p}, 4.5 above it;
-        # the residual of c (1 - r^2) at p = 200 scales as c^199
+    def test_residual_is_continuous_up_to_the_float_range(self):
+        # the residual of c (1 - r^2) at p = 200 scales as c^199 while its
+        # squared norm, about c^400 (near e^682 at c = 5.5), is a float
         g = geometry.PolarGrid(48, 24)
         shape = 1.0 - np.hypot(*g.xy.T) ** 2
         res = [spectrum.elliptic_residual(flow.ScalarField(g, c * shape),
-                                          200.0) for c in (4.45, 4.5)]
-        assert energy.direct_power(4.45, 399.0)
-        assert not energy.direct_power(4.5, 399.0)
+                                          200.0) for c in (4.45, 4.5, 5.5)]
         assert res[1] / res[0] == pytest.approx((4.5 / 4.45) ** 199,
                                                 rel=1e-10)
+        assert res[2] / res[0] == pytest.approx((5.5 / 4.45) ** 199,
+                                                rel=1e-10)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_field_past_the_float_range_has_residual_inf(self, scale):
+        # the squared norm of u passes the float range, also at p near 1
+        g = geometry.PolarGrid(16, 8)
+        u = flow.ScalarField(g, scale * (1.0 - np.hypot(*g.xy.T) ** 2))
+        for p in (1.01, 8.0):
+            assert spectrum.elliptic_residual(u, p) == math.inf
 
     def test_direct_residual_is_the_plain_formula(self, polished_ball_p5):
         u = polished_ball_p5.scaled(1.5)
@@ -158,6 +167,18 @@ class TestNewtonPolish:
         polished, res = spectrum.newton_polish(noisy, 5.0)
         assert res < 1e-10
         assert np.max(np.abs(polished.values - u.values)) < 1e-6 * u.sup
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e40, 1e300])
+    def test_field_past_the_float_range_is_returned_with_residual_inf(
+            self, scale):
+        # |u|^7 u passes the float range at 1e40, the norm of u at 1e300:
+        # no Newton step is taken and the residual is inf, never nan
+        g = geometry.PolarGrid(16, 8)
+        u = flow.field_from_radial(g, radial.solve_ball(8.0)).scaled(scale)
+        out, res = spectrum.newton_polish(u, 8.0)
+        assert res == math.inf
+        assert np.array_equal(out.values, u.values)
 
     def test_elliptic_residual_of_solution(self, polished_ball_p5):
         assert spectrum.elliptic_residual(polished_ball_p5, 5.0) < 1e-10
