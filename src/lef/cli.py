@@ -316,7 +316,8 @@ def _run_setup(config: dict, **defaults):
 def _alpha_policy(alpha, p: float):
     """'optimal', or the number alpha names ('asymptotic': the limit
     optimizer; other text: a command-line number); ConfigError unless each
-    alpha it can use at this p has 0 < alpha, alpha*p <= the guard."""
+    alpha it can use at this p has 0 < alpha, alpha*p <= the guard and a
+    ball radius e^(-alpha*p) < 1."""
     guard = radial.AMPLITUDE_EXPONENT_GUARD
     if alpha == "optimal":
         top = radial.ALPHA_BOUNDS[1]
@@ -332,6 +333,9 @@ def _alpha_policy(alpha, p: float):
     if value * p > guard:
         raise ConfigError(f"alpha*p = {value * p:g} at p = {p:g} exceeds "
                           f"the amplitude guard {guard:g}")
+    if math.exp(-value * p) == 1.0:
+        raise ConfigError(f"alpha*p = {value * p:g} at p = {p:g} is too "
+                          f"small: the ball radius e^(-alpha*p) rounds to 1")
     return value
 
 
@@ -557,9 +561,11 @@ def run_pipeline(args) -> int:
                         "t2": lam * math.sin(chosen_theta),
                         "lambda_star": lam,
                         "bisection_width": chosen_res.bisection_width}
-    report["candidate"] = scan.provenance()
+    found, theta = scan.candidate
+    report["candidate"] = {"theta": theta, "source": found.source,
+                           "residual": found.residual}
 
-    candidate = scan.candidate.lifted()
+    candidate = found.field.lifted()
     stages = [("v0", p * energy.field_energy(v0, p).energy),
               ("candidate", p * energy.field_energy(candidate, p).energy)]
     audit = report["audit"] = _audit_candidate(candidate, p, group, grid)

@@ -141,23 +141,20 @@ def _lu_for(grid, dt: float):
     return grid.step_factors[key]
 
 
-def step(v: ScalarField, p: float, dt: float, *, reaction: bool = True,
+def step(v: ScalarField, p: float, dt: float, *,
          power: np.ndarray | None = None) -> ScalarField:
-    """One IMEX step; ``reaction=False`` gives the pure heat step.
+    """One IMEX step.
 
     ``power`` is |v|^{p-1} when the caller already has it; the step
-    computes it otherwise.
+    computes it otherwise (zeros give the pure heat step).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    grid = v.grid
-    rhs = v.values
-    if reaction:
-        if power is None:
-            power = np.abs(v.values) ** (p - 1.0)
-        rhs = rhs + dt * power * v.values
-    out = _lu_for(grid, dt).solve(grid.weights * rhs)
-    return ScalarField(grid, out)
+    if power is None:
+        power = np.abs(v.values) ** (p - 1.0)
+    rhs = v.values + dt * power * v.values
+    out = _lu_for(v.grid, dt).solve(v.grid.weights * rhs)
+    return ScalarField(v.grid, out)
 
 
 def _energy_and_power(grid, values: np.ndarray, abs_v: np.ndarray, p: float):
@@ -292,44 +289,49 @@ class BracketError(RuntimeError):
     """No decay/blow-up bracket exists along the ray."""
 
 
+@dataclass(frozen=True)
+class Candidate:
+    """A steady-state candidate: the field, its elliptic residual, and its
+    source, "snapshot" (a probe's least-residual snapshot, Newton-polished
+    when that lowers the residual) or "datum" (the polished threshold
+    datum)."""
+
+    field: ScalarField
+    residual: float
+    source: str
+
+
 @dataclass
 class ThresholdResult:
     lambda_star: float
     v0: ScalarField
-    omega_candidate: ScalarField | None
     bisection_width: float
-    residual: float
-    sign_changing: bool
     probes: list  # (lambda, classification) log
     # sign of the blow-up closest to the threshold (+1/-1, 0 if none seen)
     blowup_sign: int = 0
-    # Newton applied to the threshold datum itself; near a transition angle
-    # the datum sits close to the stable manifold of the separating saddle
-    datum_candidate: ScalarField | None = None
-    datum_residual: float = math.inf
+    snapshot: Candidate | None = None
+    # Newton applied to the threshold datum itself, kept when converged;
+    # near a transition angle the datum sits close to the stable manifold
+    # of the separating saddle
+    datum: Candidate | None = None
 
-    def best_sign_changing(self) -> tuple[ScalarField | None, float,
-                                          str | None]:
-        """(field, residual, source) of the converged sign-changing
-        candidate of least residual, or (None, inf, None); the source is
-        "snapshot" (the polished hovering snapshot) or "datum" (the
-        polished threshold datum)."""
-        out = (None, math.inf, None)
-        for cand, r, source in (
-                (self.omega_candidate, self.residual, "snapshot"),
-                (self.datum_candidate, self.datum_residual, "datum")):
-            if (cand is not None and r <= CONVERGED_RESIDUAL and r < out[1]
-                    and _is_sign_changing(cand.values)):
-                out = (cand, r, source)
-        return out
+    def accepted(self) -> Candidate | None:
+        """The converged (residual <= CONVERGED_RESIDUAL) sign-changing
+        candidate of least residual, the snapshot on a tie, or None."""
+        ok = [c for c in (self.snapshot, self.datum)
+              if c is not None and c.residual <= CONVERGED_RESIDUAL
+              and _is_sign_changing(c.field.values)]
+        return min(ok, key=lambda c: c.residual, default=None)
 
     def to_dict(self) -> dict:
+        snap, datum = self.snapshot, self.datum
         return {"lambda_star": self.lambda_star,
                 "bisection_width": self.bisection_width,
-                "residual": self.residual,
-                "sign_changing": self.sign_changing,
+                "residual": math.inf if snap is None else snap.residual,
+                "sign_changing": (snap is not None
+                                  and _is_sign_changing(snap.field.values)),
                 "blowup_sign": self.blowup_sign,
-                "datum_residual": self.datum_residual,
+                "datum_residual": math.inf if datum is None else datum.residual,
                 "probes": [(lam, c.value) for lam, c in self.probes]}
 
 
@@ -349,93 +351,62 @@ def threshold_bisect(direction: ScalarField, p: float,
     """Bisect the ray {lam * direction} for the decay/blow-up threshold
     down to a relative bracket width of ``width_tol``.
 
-    MaxTimeReached probes count toward the decay side (their energy stayed
-    nonnegative).  If a probe converges to a steady state the bisection
-    stops there: that field is already the omega-limit candidate.
+    One loop runs the probes on a bracket (lo, hi) = (0, inf) from
+    ``lambda_init``: it doubles lam while no blow-up has been seen and
+    halves it while no decay has been seen, at most ``max_bracket`` times,
+    then bisects.  MaxTimeReached probes count toward the decay side (their
+    energy stayed nonnegative).  A ConvergedSteady probe ends the search at
+    its own lam with bisection width 0: that field is already the
+    omega-limit candidate.
     """
     if direction.sup == 0.0:
         raise ValueError("direction must be nonzero")
 
     probes: list = []
-    best = {"field": None, "res": math.inf}
-    blow = {"lam": math.inf, "sign": 0}
-
-    def classify(lam: float) -> str:
+    snapshot, blowup_sign = None, 0
+    lo, hi, lam, n_bracket = 0.0, math.inf, lambda_init, 0
+    while True:
         traj = evolve(direction.scaled(lam), p, config, certify_decay=True)
-        probes.append((lam, traj.classification))
-        if traj.best_snapshot is not None and traj.best_residual < best["res"]:
-            best["field"], best["res"] = traj.best_snapshot, traj.best_residual
-        if traj.classification == Classification.BLOWUP:
-            if lam < blow["lam"]:
-                v = np.nan_to_num(traj.final.values)
-                blow["lam"] = lam
-                blow["sign"] = int(np.sign(v[np.argmax(np.abs(v))]))
-            return "blow"
-        if traj.classification == Classification.STEADY:
-            return "steady"
-        return "decay"
+        cls = traj.classification
+        probes.append((lam, cls))
+        if traj.best_snapshot is not None and (
+                snapshot is None or traj.best_residual < snapshot.residual):
+            snapshot = Candidate(traj.best_snapshot, traj.best_residual,
+                                 "snapshot")
+        if cls == Classification.STEADY:
+            lo = hi = lam
+            break
+        if cls == Classification.BLOWUP:
+            hi = lam  # every probe lies below hi: the least blow-up so far
+            v = np.nan_to_num(traj.final.values)
+            blowup_sign = int(np.sign(v[np.argmax(np.abs(v))]))
+        else:
+            lo = lam
+        if lo == 0.0 or hi == math.inf:
+            if n_bracket == max_bracket:
+                raise BracketError(
+                    f"no decay/blow-up bracket found along the ray; probes: "
+                    f"{[(l, c.value) for l, c in probes]}")
+            n_bracket += 1
+            lam = 2.0 * lo if hi == math.inf else hi / 2.0
+        elif (hi - lo) / (0.5 * (hi + lo)) > width_tol:
+            lam = 0.5 * (lo + hi)
+        else:
+            break
 
-    lam_lo = lam_hi = None
-    lam = lambda_init
-    out = classify(lam)
-    if out == "blow":
-        lam_hi = lam
-        for _ in range(max_bracket):
-            lam /= 2.0
-            out = classify(lam)
-            if out != "blow":
-                lam_lo = lam
-                break
-            lam_hi = lam
-    else:
-        lam_lo = lam
-        if out != "steady":
-            for _ in range(max_bracket):
-                lam *= 2.0
-                out = classify(lam)
-                if out == "blow":
-                    lam_hi = lam
-                    break
-                lam_lo = lam
-    if out != "steady" and (lam_lo is None or lam_hi is None):
-        raise BracketError(
-            f"no decay/blow-up bracket found along the ray; probes: "
-            f"{[(l, c.value) for l, c in probes]}")
-
-    if out != "steady":
-        while (lam_hi - lam_lo) / (0.5 * (lam_hi + lam_lo)) > width_tol:
-            mid = 0.5 * (lam_lo + lam_hi)
-            res = classify(mid)
-            if res == "steady":
-                lam_lo = lam_hi = mid
-                break
-            if res == "blow":
-                lam_hi = mid
-            else:
-                lam_lo = mid
-
-    lam_star = 0.5 * (lam_lo + lam_hi) if lam_hi is not None else lam_lo
-    width = ((lam_hi - lam_lo) / (2.0 * lam_star)
-             if lam_hi is not None and lam_hi > lam_lo else width_tol)
-
+    lam_star = 0.5 * (lo + hi)
     v0 = direction.scaled(lam_star)
-    candidate, residual = best["field"], best["res"]
-    if polish and candidate is not None and candidate.sup > 0:
-        polished, pres = spectrum_mod.newton_polish(candidate, p)
-        if pres < residual:
-            candidate, residual = polished, pres
-
-    datum_candidate, datum_residual = None, math.inf
+    datum = None
     if polish:
+        if snapshot is not None:
+            polished, pres = spectrum_mod.newton_polish(snapshot.field, p)
+            if pres < snapshot.residual:
+                snapshot = Candidate(polished, pres, "snapshot")
         polished, pres = spectrum_mod.newton_polish(v0, p)
         if pres < CONVERGED_RESIDUAL and polished.sup > 0:
-            datum_candidate, datum_residual = polished, pres
-
-    sign_changing = (candidate is not None
-                     and _is_sign_changing(candidate.values))
-    return ThresholdResult(lam_star, v0, candidate, width, residual,
-                           sign_changing, probes, blow["sign"],
-                           datum_candidate, datum_residual)
+            datum = Candidate(polished, pres, "datum")
+    return ThresholdResult(lam_star, v0, (hi - lo) / (2.0 * lam_star),
+                           probes, blowup_sign, snapshot, datum)
 
 
 # ---------------------------------------------------------------------------
@@ -446,21 +417,13 @@ def threshold_bisect(direction: ScalarField, p: float,
 class RayScanResult:
     # v0's ray: the angle bisection's last signed ray, else the candidate's
     chosen: tuple[ThresholdResult, float] | None
-    candidate: ScalarField | None
-    candidate_theta: float | None
-    candidate_source: str | None   # "snapshot" or "datum"
-    candidate_residual: float
+    # the accepted candidate of least residual over all rays, and its angle
+    candidate: tuple[Candidate, float] | None
     all_results: list  # (theta, ThresholdResult | error string)
 
     @property
     def success(self) -> bool:
         return self.candidate is not None
-
-    def provenance(self) -> dict:
-        """The candidate's ray angle, source and elliptic residual."""
-        return {"theta": self.candidate_theta,
-                "source": self.candidate_source,
-                "residual": self.candidate_residual}
 
 
 def _ray_runner(u1: ScalarField, u2: ScalarField, p: float,
@@ -481,11 +444,6 @@ def _ray_runner(u1: ScalarField, u2: ScalarField, p: float,
         results.append((theta, res))
         return res if isinstance(res, ThresholdResult) else None
     return run
-
-
-def _has_candidate(res) -> bool:
-    return (isinstance(res, ThresholdResult)
-            and res.best_sign_changing()[0] is not None)
 
 
 def refine_transition(run, results: list
@@ -515,7 +473,8 @@ def refine_transition(run, results: list
     last = None
     while hi - lo > WIDTH_TOL:
         mid = 0.5 * (lo + hi)
-        r = run(mid, polish=not any(_has_candidate(x) for _, x in results))
+        r = run(mid, polish=not any(isinstance(x, ThresholdResult)
+                                    and x.accepted() for _, x in results))
         if r is None or r.blowup_sign == 0:
             break
         last = (r, mid)
@@ -547,13 +506,12 @@ def ray_scan(u1: ScalarField, u2: ScalarField, p: float,
         run(theta, polish=True)
     chosen = refine_transition(run, results)
 
-    found = [(r.best_sign_changing(), th, r) for th, r in results
-             if _has_candidate(r)]
+    found = [(c, th, r) for th, r in results
+             if isinstance(r, ThresholdResult) and (c := r.accepted())]
     if not found:
-        return RayScanResult(chosen, None, None, None, math.inf, results)
-    (cand, res, source), theta, ray = min(found, key=lambda x: x[0][1])
-    return RayScanResult(chosen or (ray, theta), cand, theta, source, res,
-                         results)
+        return RayScanResult(chosen, None, results)
+    cand, theta, ray = min(found, key=lambda x: x[0].residual)
+    return RayScanResult(chosen or (ray, theta), (cand, theta), results)
 
 
 # a name only, never called: perfbench/spans.py wraps it until ROADMAP

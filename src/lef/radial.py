@@ -432,7 +432,12 @@ def solve_ball(p: float) -> RadialProfile:
     if p <= 1:
         raise ValueError("need p > 1")
     sol, t_start, t_zero = _integrate_ball_log(p)
-    lam = math.exp(t_zero)
+    try:
+        lam = math.exp(t_zero)
+    except OverflowError:  # p past about 2849
+        raise RadialSolveError(
+            f"the first zero r0 = exp({t_zero:.6g}) of the unit-amplitude "
+            f"ball solution at p = {p:g} passes the float range") from None
     amp = _amplitude(lam, p)
 
     t_s = np.linspace(t_start, t_zero, N_SAMPLES - 1)

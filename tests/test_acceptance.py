@@ -176,7 +176,7 @@ def test_criterion_07_threshold_oracle_equivalence():
     direction, _ = energy.nehari_project(
         flow.ScalarField(g, 1.0 - r ** 2), p)
     res = flow.threshold_bisect(direction, p, flow.FlowConfig(t_max=50.0))
-    cand = res.omega_candidate
+    cand = res.snapshot.field
     exact = radial.solve_ball(p)(r)
     err = float(np.max(np.abs(np.abs(cand.values) - exact)) / exact.max())
     ok = err < 0.02 and res.bisection_width <= 1e-3

@@ -180,8 +180,11 @@ class TestRadialCommand:
         (["--p", "20,1000", "--alpha", "0.7"],
          "alpha*p = 700 at p = 1000 exceeds the amplitude guard 600"),
         (["--p", "20,1000"], "alpha 'optimal' searches alpha up to 0.9"),
+        (["--p", "8", "--alpha", "1e-300"],
+         "alpha*p = 8e-300 at p = 8 is too small: the ball radius "
+         "e^(-alpha*p) rounds to 1"),
     ], ids=["p-not-a-number", "p-one", "alpha-negative", "alpha-p-guard",
-            "optimal-alpha-p-guard"])
+            "optimal-alpha-p-guard", "ball-radius-rounds-to-1"])
     def test_bad_arguments_exit_2_before_any_shot(self, tmp_path, capsys,
                                                   monkeypatch, argv,
                                                   message):
@@ -767,6 +770,17 @@ class TestConfigValidation:
                        f"got {p!r}"]
 
 
+def _tiny_argv(tmp_path, argv, extra):
+    """argv, with a config on polar 16x8 made of ``extra`` if given."""
+    if extra is None:
+        return argv
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(dict(
+        extra, grid={"type": "polar", "n_r": 16, "n_theta": 8},
+        outdir=str(tmp_path / "out"))), encoding="utf-8")
+    return argv + ["--config", str(cfg_path)]
+
+
 class TestLabelledFailures:
     def test_annulus_hole_swallowing_the_ball_exits_3(self, tmp_path,
                                                       capsys):
@@ -896,17 +910,28 @@ class TestLabelledFailures:
                                                    argv, extra):
         # the rescaled amplitude lambda^(2/(p-1)) of the ball, or its
         # square in the energy, overflows
-        if extra is not None:
-            cfg_path = tmp_path / "run.json"
-            cfg_path.write_text(json.dumps(dict(
-                extra, grid={"type": "polar", "n_r": 16, "n_theta": 8},
-                outdir=str(tmp_path / "out"))), encoding="utf-8")
-            argv = argv + ["--config", str(cfg_path)]
-        assert cli.main(argv) == 3
+        assert cli.main(_tiny_argv(tmp_path, argv, extra)) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"lef {argv[0]}: radial stage: the "
                                  f"rescaled amplitude")
+        assert "passes the float range" in err[0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv, extra", [
+        (["radial", "--p", "3000", "--alpha", "0.1"], None),
+        (["flow"], {"p": 3000}),
+        (["flow"], {"p": 2 ** 63}),
+    ], ids=["radial-p-3000", "flow-ball-p-3000", "flow-ball-p-2^63"])
+    def test_ball_zero_past_the_float_range_exits_3(self, tmp_path, capsys,
+                                                    argv, extra):
+        # the unit-amplitude ball solution's first zero exp(t_zero) passes
+        # the float range from p = 2849 on
+        assert cli.main(_tiny_argv(tmp_path, argv, extra)) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"lef {argv[0]}: radial stage: the first "
+                                 f"zero")
         assert "passes the float range" in err[0]
 
     def test_radial_solve_error_exits_3(self, tmp_path, capsys,

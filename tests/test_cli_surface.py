@@ -5,8 +5,10 @@ Small valid inputs for ``lef flow``, ``pipeline``, ``spectrum`` and
 out of range or beyond the float range, missing and extra keys, sections
 that are not objects and paths that are not strings.  Every run must end
 in exit 0, 2, 3 or 4, never in a traceback, and exits 2 and 3 print
-exactly one stderr line.  The shot kernel and the flow are stubbed: a run
-that gets past its inputs stops at its first shot or flow step.
+exactly one stderr line.  In the first tier the shot kernel and the flow
+are stubbed: a run that gets past its inputs stops at its first shot or
+flow step.  The second tier runs the same cases with no stubs, doing the
+real work on their tiny grids.
 """
 import copy
 import json
@@ -140,6 +142,8 @@ _HOLES = [
     # a cell weight beyond the float range, and a grid with no node
     ("pipeline-cartesian", {"domain": {"type": "disk", "radius": 1e300}}),
     ("flow-cartesian", {"domain": {"type": "squircle", "power": 1e-300}}),
+    # a ball radius e^(-alpha p) that rounds to 1
+    ("pipeline-cartesian", {"alpha": 1e-300}),
 ]
 
 
@@ -176,20 +180,38 @@ def _run(argv, capsys):
     return code
 
 
-@pytest.mark.parametrize("command, args, doc", _cases())
-def test_every_input_ends_in_a_labelled_exit(tmp_path, capsys, stubbed,
-                                              command, args, doc):
+def _argv(tmp_path, command, args, doc):
+    """The command line of a case, with its config or dump in tmp_path."""
     if command in ("flow", "pipeline"):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"outdir": str(tmp_path / "out"), **doc}),
                         encoding="utf-8")
-        argv = [command, "--config", str(path)]
-    elif command == "spectrum":
-        argv = ["spectrum", "--field", str(_dump(tmp_path, doc)),
+        return [command, "--config", str(path)]
+    if command == "spectrum":
+        return ["spectrum", "--field", str(_dump(tmp_path, doc)),
                 *(args or [])]
-    else:
-        argv = ["radial", *args, "--out", str(tmp_path / "sweep.csv")]
-    _run(argv, capsys)
+    return ["radial", *args, "--out", str(tmp_path / "sweep.csv")]
+
+
+@pytest.mark.parametrize("command, args, doc", _cases())
+def test_every_input_ends_in_a_labelled_exit(tmp_path, capsys, stubbed,
+                                              command, args, doc):
+    _run(_argv(tmp_path, command, args, doc), capsys)
+
+
+def test_every_input_ends_in_a_labelled_exit_with_real_work(tmp_path,
+                                                             capsys):
+    # no stubs: every accepted input runs its shots and flows to the end
+    # on the tiny grids of its case; one test, as 500 test items would
+    # cost more than the work
+    for i, (command, args, doc) in enumerate(_cases()):
+        case = tmp_path / str(i)
+        case.mkdir()
+        try:
+            code = _run(_argv(case, command, args, doc), capsys)
+        except Exception as exc:  # a traceback, or a failed check of _run
+            raise AssertionError(f"case {i}: {command} {args} {doc}") from exc
+        assert code != "reached"
 
 
 @pytest.mark.parametrize("name, change", _HOLES)

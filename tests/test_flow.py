@@ -26,7 +26,7 @@ class TestStep:
         lam, phi = spectrum.lowest_eigenpair(A, grid.weights)
         v = flow.ScalarField(grid, phi)
         dt = 1e-3
-        out = flow.step(v, 2.0, dt, reaction=False)
+        out = flow.step(v, 2.0, dt, power=np.zeros(grid.n_nodes))
         # implicit Euler: division by (1 + lam dt)
         ratio = out.values / v.values
         assert np.allclose(ratio, 1.0 / (1.0 + lam * dt), rtol=1e-6)
@@ -105,6 +105,38 @@ class TestThresholdBisect:
         with pytest.raises(flow.BracketError):
             flow.threshold_bisect(v, 5.0, cfg, max_bracket=2)
 
+    # (steady lambda, threshold of the other probes, expected probe lambdas)
+    STEADY_CASES = {
+        "first probe": (1.0, 0.3, [1.0]),
+        "halving": (0.5, 0.3, [1.0, 0.5]),
+        "doubling": (2.0, 3.0, [1.0, 2.0]),
+        "bisection": (1.5, 1.7, [1.0, 2.0, 1.5]),
+    }
+
+    @pytest.mark.parametrize("case", STEADY_CASES)
+    def test_a_steady_probe_ends_the_search_at_its_lambda(self, monkeypatch,
+                                                          case):
+        # probes decay below the threshold and blow up above it, except at
+        # the steady lambda
+        steady, threshold, expected = self.STEADY_CASES[case]
+
+        def fake(v0, p, config, certify_decay=False):
+            lam = float(v0.values[0])
+            cls = (Classification.STEADY if lam == steady
+                   else Classification.BLOWUP if lam > threshold
+                   else Classification.DECAY)
+            return flow.Trajectory(np.array([0.0]), np.array([0.0]),
+                                   np.array([lam]), np.array([]),
+                                   np.array([]), cls, v0, math.inf)
+
+        monkeypatch.setattr(flow, "evolve", fake)
+        direction = flow.ScalarField(object(), np.array([1.0]))
+        res = flow.threshold_bisect(direction, 5.0, polish=False)
+        assert [lam for lam, _ in res.probes] == expected
+        assert res.probes[-1][1] == Classification.STEADY
+        assert res.lambda_star == steady
+        assert res.bisection_width == 0.0
+
 
 @pytest.fixture(scope="module", params=["disk-c4", "squircle-d4"])
 def grid_and_group(request):
@@ -178,8 +210,8 @@ class TestOrbitGrid:
         assert reduced.v0.grid is orbits
         assert reduced.probes == full.probes
         assert reduced.lambda_star == full.lambda_star
-        assert reduced.residual == pytest.approx(full.residual, rel=1e-6,
-                                                 abs=1e-12)
+        assert reduced.snapshot.residual == pytest.approx(
+            full.snapshot.residual, rel=1e-6, abs=1e-12)
 
 
 THETA_STAR = 0.77
@@ -201,9 +233,10 @@ def _ray(direction, sign, omega=None, residual=math.inf, datum=None):
     """A fake ray's ThresholdResult: blow-up sign, omega candidate and
     its residual, and a converged datum polish."""
     return flow.ThresholdResult(
-        1.0, direction, omega, flow.WIDTH_TOL, residual,
-        omega is not None and flow._is_sign_changing(omega.values), [],
-        sign, datum, 1e-9 if datum is not None else math.inf)
+        1.0, direction, flow.WIDTH_TOL, [], sign,
+        None if omega is None else flow.Candidate(omega, residual,
+                                                  "snapshot"),
+        None if datum is None else flow.Candidate(datum, 1e-9, "datum"))
 
 
 @pytest.fixture
@@ -234,6 +267,20 @@ def fake_rays(monkeypatch):
 
 
 SIGN_CHANGING = np.array([1.0, -1.0])
+
+
+def test_accepted_is_the_converged_sign_changer_of_least_residual():
+    field = flow.ScalarField(object(), SIGN_CHANGING)
+    ray = _ray(field, 1, field, 1e-9, datum=field)   # a tie: the snapshot
+    assert ray.accepted() is ray.snapshot
+    ray.datum = flow.Candidate(field, 1e-10, "datum")
+    assert ray.accepted() is ray.datum
+    one_signed = flow.ScalarField(field.grid, np.array([1.0, 0.0]))
+    ray.datum = flow.Candidate(one_signed, 1e-12, "datum")
+    assert ray.accepted() is ray.snapshot
+    ray.snapshot = flow.Candidate(field, 2.0 * flow.CONVERGED_RESIDUAL,
+                                  "snapshot")
+    assert ray.accepted() is None
 
 
 def _final_bracket(results):
@@ -292,8 +339,9 @@ class TestAngleBisection:
         assert [polish for _, polish in probes] == (
             [True] * (first + 1) + [False] * (N_HALVINGS - 4))
         assert scan.success
-        assert scan.candidate_theta == scan.all_results[first][0]
-        assert scan.candidate_source == "snapshot"
+        cand, theta = scan.candidate
+        assert theta == scan.all_results[first][0]
+        assert cand.source == "snapshot"
         theta, res = scan.all_results[-1]
         assert scan.chosen == (res, theta)
 
@@ -310,10 +358,9 @@ class TestAngleBisection:
         scan = flow.ray_scan(u1, u2, 8.0)
         assert [polish for _, polish in probes] == (
             [True] * len(FAN) + [False] * N_HALVINGS)
-        assert (scan.candidate_theta, scan.candidate_source) == (FAN[3],
-                                                                 "datum")
-        assert scan.provenance() == {"theta": FAN[3], "source": "datum",
-                                     "residual": 1e-9}
+        cand, theta = scan.candidate
+        assert (theta, cand.source, cand.residual) == (FAN[3], "datum", 1e-9)
+        assert cand.field.values is SIGN_CHANGING
         _assert_at_width_tol(scan)
 
     def test_blowup_sign_steers_past_a_disagreeing_candidate(self,
@@ -373,8 +420,8 @@ class TestAngleBisection:
         install(rule)
         scan = flow.ray_scan(u1, u2, 8.0)
         unconverged = dict(scan.all_results)[FAN[2]]
-        assert unconverged.omega_candidate is field
-        assert unconverged.best_sign_changing() == (None, math.inf, None)
+        assert unconverged.snapshot.field is field
+        assert unconverged.accepted() is None
         assert not scan.success
         assert len(scan.all_results) == len(probes) == len(FAN) + N_HALVINGS
         _assert_at_width_tol(scan)
@@ -400,9 +447,10 @@ class TestAngleBisection:
         scan = flow.ray_scan(u1, u2, 8.0)
         assert [theta for theta, _ in scan.all_results] == list(FAN)
         res, theta = scan.chosen
-        assert theta == scan.candidate_theta == FAN[4]
+        cand, cand_theta = scan.candidate
+        assert theta == cand_theta == FAN[4]
         assert res is dict(scan.all_results)[FAN[4]]
-        assert scan.candidate_residual == 1e-10
+        assert cand.residual == 1e-10
 
 
 def _certificate_grid(name):
