@@ -466,22 +466,20 @@ def run_flow(args) -> int:
 # pipeline
 # ---------------------------------------------------------------------------
 
-def _audit_candidate(cand: flow.ScalarField, p: float, group, grid) -> dict:
+def _audit_candidate(cand: flow.ScalarField, p: float, group) -> dict:
     dec = nodal.decompose(cand)
-    origin = (nodal.contains_origin(dec) if grid.origin_ring is not None
-              else None)
     audit = {
         "elliptic_residual": spectrum.elliptic_residual(cand, p),
         "nodal_count": dec.n_domains,
-        "boundary_contact": bool(nodal.nodal_line_touches_boundary(dec)),
-        "origin_domain": origin,
-        "origin_interior": origin is not None,
+        "boundary_contact": dec.boundary_contact,
+        "origin_domain": dec.origin_domain,
+        "origin_interior": dec.origin_domain is not None,
         "per_domain_pE": [p * r.energy
                           for r in nodal.per_domain_energy(cand, dec, p)],
     }
     if group is not None:
         audit["symmetry_defect"] = float(
-            grid.symmetry_defect(cand.values, group))
+            cand.grid.symmetry_defect(cand.values, group))
     return audit
 
 
@@ -568,7 +566,7 @@ def run_pipeline(args) -> int:
     candidate = found.field.lifted()
     stages = [("v0", p * energy.field_energy(v0, p).energy),
               ("candidate", p * energy.field_energy(candidate, p).energy)]
-    audit = report["audit"] = _audit_candidate(candidate, p, group, grid)
+    audit = report["audit"] = _audit_candidate(candidate, p, group)
 
     report["energy_ledger"] = {
         "stages": stages, "bound": energy.UPPER_BOUND_CONST,
@@ -608,9 +606,13 @@ def run_pipeline(args) -> int:
 def _morse_report(field: flow.ScalarField, p: float, group,
                   k: int = 12) -> dict:
     """The Morse report of a steady field, with the half-domain eigenvalue
-    and the residual of its odd extension."""
+    and the residual of its odd extension; both are None when the field is
+    not symmetric about the x2-axis."""
     out = spectrum.morse_index(field, p, group, k=k).to_dict()
-    mu, info = spectrum.half_domain_mu(field, p)
+    try:
+        mu, info = spectrum.half_domain_mu(field, p)
+    except spectrum.AxisAsymmetryError:
+        return dict(out, half_domain_mu=None, odd_extension_residual=None)
     return dict(out, half_domain_mu=mu,
                 odd_extension_residual=info["odd_extension_residual"])
 

@@ -1,62 +1,49 @@
-"""Nodal domain extraction and the geometric predicates used at audit time.
+"""Nodal domain extraction and the geometric facts audited on a candidate.
 
 Discrete nodal domains are connected components of {v > tau} and
 {v < -tau} under the grid's 4-neighbor-style adjacency; the slab
-{|v| <= tau} is the "zero band".  A nodal line touches the boundary only
-if a zero-band component reaches the boundary AND separates domains of
-opposite sign there -- the thin Dirichlet collar forced by v = 0 on the
-boundary must not count.
+{|v| <= tau} is the "zero band".  The nodal line runs through the zero
+band and across every edge whose ends lie in domains of opposite sign.
+It touches the boundary when a zero-band component that holds a
+boundary-adjacent node borders domains of both signs, or when an
+opposite-sign edge has a boundary-adjacent end.  The thin one-signed
+Dirichlet collar forced by v = 0 on the boundary does not count.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .energy import EnergyReport, field_energy
-from .geometry import SymmetryGroup
 
 DEFAULT_TAU_FACTOR = 1e-3
 
 
-@dataclass
+@dataclass(frozen=True)
 class NodalDecomposition:
     """Labeled nodal domains of a grid field.
 
     ``labels[i]`` is 0 for zero-band nodes and k >= 1 for domain k;
-    ``signs[k-1]`` is the sign of domain k.  ``zero_labels`` carries the
-    analogous component labeling of the zero band (0 outside it).
+    ``signs[k-1]`` is the sign of domain k.  ``boundary_contact`` says the
+    nodal line touches the boundary; ``origin_domain`` is the domain that
+    holds the whole origin ring, None when the ring is split, meets the
+    zero band or the grid has none.  Both arrays are read-only.
     """
 
-    grid: object
-    values: np.ndarray
     tau: float
     labels: np.ndarray
     signs: np.ndarray
-    zero_labels: np.ndarray
-    touches_boundary_flags: np.ndarray
-    contains_origin_flags: np.ndarray
+    boundary_contact: bool
+    origin_domain: int | None
 
     @property
     def n_domains(self) -> int:
         return len(self.signs)
-
-    def domain_mask(self, domain_id: int) -> np.ndarray:
-        return self.labels == domain_id
-
-    def summary(self) -> dict:
-        return {
-            "n_domains": self.n_domains,
-            "signs": self.signs.tolist(),
-            "tau": self.tau,
-            "touches_boundary": self.touches_boundary_flags.tolist(),
-            "contains_origin": self.contains_origin_flags.tolist(),
-        }
 
 
 def _components(adj: sp.csr_matrix, mask: np.ndarray) -> np.ndarray:
@@ -78,113 +65,41 @@ def decompose(v, tau: float | None = None) -> NodalDecomposition:
     domains (a labeled outcome, not an error).
     """
     grid, values = v.grid, v.values
-    sup = float(np.max(np.abs(values)), ) if values.size else 0.0
+    sup = float(np.max(np.abs(values))) if values.size else 0.0
     if tau is None:
         tau = DEFAULT_TAU_FACTOR * sup
     if tau < 0:
         raise ValueError("tau must be >= 0")
     adj = grid.adjacency()
 
-    pos = _components(adj, values > tau)
-    neg = _components(adj, values < -tau)
+    # side: +1 / -1 in the positive / negative domains, 0 in the zero band
+    side = (values > tau).astype(np.int64) - (values < -tau)
+    pos = _components(adj, side > 0)
+    neg = _components(adj, side < 0)
     n_pos = int(pos.max())
-    labels = pos.copy()
-    labels[neg > 0] = neg[neg > 0] + n_pos
-    n_dom = n_pos + int(neg.max())
-    signs = np.array([1] * n_pos + [-1] * (n_dom - n_pos), dtype=np.int64)
+    labels = np.where(neg > 0, neg + n_pos, pos)
+    signs = np.repeat([1, -1], [n_pos, int(neg.max())])
 
-    zero_band = np.abs(values) <= tau
-    zero_labels = _components(adj, zero_band)
+    # per zero-band component k >= 1: holds a boundary-adjacent node,
+    # borders a positive domain, borders a negative domain
+    a, b = adj.nonzero()  # every edge, in both directions
+    boundary = grid.boundary_adjacent
+    zero = _components(adj, side == 0)
+    facts = np.zeros((3, int(zero.max()) + 1), dtype=bool)
+    facts[0, zero[boundary]] = True
+    facts[1, zero[a[side[b] > 0]]] = True
+    facts[2, zero[a[side[b] < 0]]] = True
+    contact = (np.any(facts[:, 1:].all(axis=0))
+               or np.any((side[a] * side[b] < 0) & boundary[a]))
 
-    touches = np.zeros(n_dom, dtype=bool)
-    origin = np.zeros(n_dom, dtype=bool)
-    decomp = NodalDecomposition(grid, values, float(tau), labels, signs,
-                                zero_labels, touches, origin)
-    _compute_flags(decomp, adj)
-    return decomp
-
-
-def zero_component_table(decomp: NodalDecomposition, adj: sp.csr_matrix):
-    """Per zero-band component: adjacent domain ids, boundary contact."""
-    a, b = adj.nonzero()
-    labels, zl = decomp.labels, decomp.zero_labels
-    n_zero = int(zl.max())
-    adjacent_domains: list[set] = [set() for _ in range(n_zero + 1)]
-    hits_boundary = np.zeros(n_zero + 1, dtype=bool)
-    za = zl[a]
-    mask = (za > 0) & (labels[b] > 0)
-    for zc, dom in zip(za[mask], labels[b][mask]):
-        adjacent_domains[zc].add(int(dom))
-    bn = decomp.grid.boundary_adjacent
-    zero_nodes = zl > 0
-    hit = np.unique(zl[zero_nodes & bn])
-    hits_boundary[hit] = True
-    # a nodal domain may itself sit against the boundary with no collar
-    return adjacent_domains, hits_boundary
-
-
-def _compute_flags(decomp: NodalDecomposition, adj: sp.csr_matrix):
-    adj_doms, hits_bnd = zero_component_table(decomp, adj)
-    signs = decomp.signs
-    for zc in range(1, len(adj_doms)):
-        doms = adj_doms[zc]
-        if not doms:
-            continue
-        s = {int(signs[d - 1]) for d in doms}
-        if hits_bnd[zc] and len(s) == 2:
-            # genuine nodal line reaching the boundary
-            for d in doms:
-                decomp.touches_boundary_flags[d - 1] = True
-    ring = decomp.grid.origin_ring
+    origin, ring = None, grid.origin_ring
     if ring is not None:
-        ring_labels = np.unique(decomp.labels[ring])
-        if len(ring_labels) == 1 and ring_labels[0] > 0:
-            decomp.contains_origin_flags[ring_labels[0] - 1] = True
-
-
-def touches_boundary(decomp: NodalDecomposition, domain_id: int) -> bool:
-    """Does the nodal line bordering this domain reach the boundary?"""
-    if not 1 <= domain_id <= decomp.n_domains:
-        raise IndexError(f"no domain {domain_id}")
-    return bool(decomp.touches_boundary_flags[domain_id - 1])
-
-
-def nodal_line_touches_boundary(decomp: NodalDecomposition) -> bool:
-    """Whole-field predicate: any sign-separating zero component at the
-    boundary."""
-    return bool(np.any(decomp.touches_boundary_flags))
-
-
-def contains_origin(decomp: NodalDecomposition) -> int | None:
-    """Id of the domain containing the origin, or None if the origin sits
-    in the zero band (flagged violation).  Undefined on annular domains."""
-    if decomp.grid.origin_ring is None:
-        raise ValueError("origin predicate undefined: the grid does not "
-                         "cover the origin")
-    hits = np.flatnonzero(decomp.contains_origin_flags)
-    if hits.size == 1:
-        return int(hits[0]) + 1
-    return None
-
-
-def domain_symmetry_check(decomp: NodalDecomposition,
-                          G: SymmetryGroup) -> list[dict]:
-    """Per-domain G-invariance of the indicator set.
-
-    Returns one record per domain with the worst mismatched-node fraction
-    over all group elements.
-    """
-    perms = decomp.grid.group_permutations(G)
-    out = []
-    for d in range(1, decomp.n_domains + 1):
-        ind = decomp.labels == d
-        worst = 0.0
-        for perm in perms:
-            mism = np.count_nonzero(ind[perm] != ind)
-            worst = max(worst, mism / max(1, int(ind.sum())))
-        out.append({"domain": d, "is_G_symmetric": worst == 0.0,
-                    "mismatch_fraction": worst})
-    return out
+        held = np.unique(labels[ring])
+        if held.size == 1 and held[0] > 0:
+            origin = int(held[0])
+    labels.flags.writeable = signs.flags.writeable = False
+    return NodalDecomposition(float(tau), labels, signs, bool(contact),
+                              origin)
 
 
 def per_domain_energy(v, decomp: NodalDecomposition,
@@ -197,7 +112,6 @@ def per_domain_energy(v, decomp: NodalDecomposition,
     """
     reports = []
     for d in range(1, decomp.n_domains + 1):
-        masked = np.where(decomp.domain_mask(d), v.values, 0.0)
+        masked = np.where(decomp.labels == d, v.values, 0.0)
         reports.append(field_energy(dataclasses.replace(v, values=masked), p))
     return reports
-

@@ -44,6 +44,11 @@ class NotSteadyError(ValueError):
     """The field is not a converged steady state, so it has no Morse index."""
 
 
+class AxisAsymmetryError(ValueError):
+    """The field is not symmetric about the reflection axis, so it has no
+    half-domain eigenvalue."""
+
+
 @dataclass(frozen=True)
 class SpectrumReport:
     """lambda_1 of L on u's grid, and per space (the grid, then the
@@ -234,15 +239,15 @@ def half_domain_mu(u, p: float, axis_angle: float = math.pi / 2.0,
     half-domain boundary including the axis.  Returns (mu, report) where
     report contains the odd-extension eigen-residual on the full domain.
 
-    Requires u symmetric about the axis.
+    Raises AxisAsymmetryError when u is not symmetric about the axis.
     """
     grid = u.grid
     perm = _reflection_permutation(grid, axis_angle)
     sup = float(np.max(np.abs(u.values))) if u.values.size else 0.0
     defect = float(np.max(np.abs(u.values[perm] - u.values)))
     if sup > 0 and defect > 1e-8 * sup:
-        raise ValueError(f"u is not symmetric about the axis "
-                         f"(defect {defect:.2e})")
+        raise AxisAsymmetryError(f"u is not symmetric about the axis "
+                                 f"(defect {defect:.2e})")
 
     # signed distance of each node to the axis; half domain = negative side
     normal = np.array([math.cos(axis_angle + math.pi / 2.0),

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy import special
 
 from lef import cli, flow, geometry, nodal, radial, spectrum
 
@@ -414,6 +415,21 @@ def polished_ball():
     return u
 
 
+@pytest.fixture(scope="module")
+def polished_dipole():
+    # a two-domain steady state at p = 2 whose nodal diameter passes
+    # between node rays: not symmetric about the x2-axis
+    g = geometry.PolarGrid(32, 16)
+    r = np.hypot(g.xy[:, 0], g.xy[:, 1])
+    th = np.arctan2(g.xy[:, 1], g.xy[:, 0])
+    phi = special.j1(3.8317 * r) * np.cos(th + g.dtheta / 2.0)
+    u, res = spectrum.newton_polish(
+        flow.ScalarField(g, 7.0 * phi / np.max(np.abs(phi))), 2.0)
+    assert res < 1e-10
+    assert nodal.decompose(u).n_domains == 2
+    return u
+
+
 class TestSpectrumCommand:
     def test_morse_report_from_dump(self, tmp_path, capsys, polished_ball):
         path = tmp_path / "ball.bin"
@@ -439,6 +455,22 @@ class TestSpectrumCommand:
         assert out["morse_index"] == 1
         assert out["half_domain_mu"] > 0.0  # the ball's Morse index is 1
         assert out["odd_extension_residual"] < 1e-6
+
+    @pytest.mark.parametrize("roll", [0, 1], ids=["dipole", "rolled"])
+    def test_axis_asymmetric_dump_reports_null_half_domain_mu(
+            self, tmp_path, capsys, polished_dipole, roll):
+        # a steady state not symmetric about the x2-axis keeps its Morse
+        # record; the half-domain figures are null
+        g = polished_dipole.grid
+        values = np.roll(polished_dipole.values.reshape(g.n_r, g.n_theta),
+                         roll, axis=1).ravel()
+        path = tmp_path / "dipole.bin"
+        cli.dump_field(path, flow.ScalarField(g, values), p=2.0)
+        assert cli.main(["spectrum", "--field", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["morse_index"] >= 1
+        assert out["half_domain_mu"] is None
+        assert out["odd_extension_residual"] is None
 
     def test_eigensolve_failure_exits_3(self, tmp_path, capsys, monkeypatch,
                                         polished_ball):
@@ -781,6 +813,27 @@ def _tiny_argv(tmp_path, argv, extra):
     return argv + ["--config", str(cfg_path)]
 
 
+def _audit_on(tmp_path, capsys, monkeypatch, transform):
+    """A small C4 pipeline whose audit decomposes transform(candidate);
+    returns its exit code, stderr lines and report."""
+    decompose = nodal.decompose
+    monkeypatch.setattr(nodal, "decompose",
+                        lambda v: decompose(transform(v)))
+    config = {
+        "p": 8.0, "alpha": 0.28,
+        "grid": {"type": "polar", "n_r": 24, "n_theta": 16},
+        "group": {"kind": "cyclic", "order": 4},
+        "outdir": str(tmp_path / "out"),
+    }
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    rc = cli.main(["pipeline", "--config", str(cfg_path)])
+    err = capsys.readouterr().err.strip().splitlines()
+    rep = json.loads((tmp_path / "out" / "pipeline_report.json")
+                     .read_text(encoding="utf-8"))
+    return rc, err, rep
+
+
 class TestLabelledFailures:
     def test_annulus_hole_swallowing_the_ball_exits_3(self, tmp_path,
                                                       capsys):
@@ -869,33 +922,39 @@ class TestLabelledFailures:
             self, tmp_path, capsys, monkeypatch):
         # the candidate is audited on the nodal domains of a +/-/+ field
         # with nodal circles at r = 0.2 and 0.6
-        decompose = nodal.decompose
-
         def three_domains(v):
             r = np.hypot(v.grid.xy[:, 0], v.grid.xy[:, 1])
-            return decompose(flow.ScalarField(v.grid,
-                                              np.cos(2.5 * np.pi * r)))
+            return flow.ScalarField(v.grid, np.cos(2.5 * np.pi * r))
 
-        monkeypatch.setattr(nodal, "decompose", three_domains)
-        config = {
-            "p": 8.0, "alpha": 0.28,
-            "grid": {"type": "polar", "n_r": 24, "n_theta": 16},
-            "group": {"kind": "cyclic", "order": 4},
-            "outdir": str(tmp_path / "out"),
-        }
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(config), encoding="utf-8")
-        assert cli.main(["pipeline", "--config", str(cfg_path)]) == 4
-        err = capsys.readouterr().err.strip().splitlines()
+        rc, err, rep = _audit_on(tmp_path, capsys, monkeypatch,
+                                 three_domains)
+        assert rc == 4
         assert len(err) == 1
         assert err[0].startswith("lef pipeline: audit stage:")
         assert "nodal count" in err[0]
-        rep = json.loads((tmp_path / "out" / "pipeline_report.json")
-                         .read_text(encoding="utf-8"))
         assert rep["audit"]["nodal_count"] == 3
         assert rep["failure"] == {"stage": "audit", "failed": ["nodal count"]}
         assert [name for name, _ in rep["energy_ledger"]["stages"]] == [
             "v0", "candidate"]
+
+    def test_nodal_line_across_edges_to_the_boundary_exits_4(
+            self, tmp_path, capsys, monkeypatch):
+        # the candidate is audited on its product with the sign of
+        # cos(theta + dtheta/2): a nodal diameter between node rays, with
+        # no zero-band node on it, reaches the boundary
+        def split_by_diameter(v):
+            th = np.arctan2(v.grid.xy[:, 1], v.grid.xy[:, 0])
+            sign = np.sign(np.cos(th + v.grid.dtheta / 2.0))
+            return flow.ScalarField(v.grid, v.values * sign)
+
+        rc, err, rep = _audit_on(tmp_path, capsys, monkeypatch,
+                                 split_by_diameter)
+        assert rc == 4
+        assert len(err) == 1
+        assert err[0].startswith("lef pipeline: audit stage:")
+        assert rep["audit"]["boundary_contact"] is True
+        assert rep["failure"]["stage"] == "audit"
+        assert "boundary contact" in rep["failure"]["failed"]
 
     @pytest.mark.parametrize("argv, extra", [
         (["radial", "--p", "1.0001"], None),
