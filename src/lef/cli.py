@@ -314,28 +314,19 @@ def _run_setup(config: dict, **defaults):
 
 
 def _alpha_policy(alpha, p: float):
-    """'optimal', or the number alpha names ('asymptotic': the limit
-    optimizer; other text: a command-line number); ConfigError unless each
-    alpha it can use at this p has 0 < alpha, alpha*p <= the guard and a
-    ball radius e^(-alpha*p) < 1."""
-    guard = radial.AMPLITUDE_EXPONENT_GUARD
+    """'optimal' (each alpha of its search keeps the float rule itself), or
+    the number alpha names ('asymptotic': the limit optimizer; other text: a
+    command-line number), > 0 and under the float rule (radial.ball_radius)
+    at this p; ConfigError otherwise."""
     if alpha == "optimal":
-        top = radial.ALPHA_BOUNDS[1]
-        if top * p > guard:
-            raise ConfigError(
-                f"alpha 'optimal' searches alpha up to {top:g}, and "
-                f"alpha*p = {top * p:g} at p = {p:g} exceeds the amplitude "
-                f"guard {guard:g}")
         return "optimal"
     value = (energy.minimize_f().alpha_bar if alpha == "asymptotic"
              else _read({"alpha": alpha}, "alpha", low=0.0,
                         what=_ALPHA_RULE, text=True))
-    if value * p > guard:
-        raise ConfigError(f"alpha*p = {value * p:g} at p = {p:g} exceeds "
-                          f"the amplitude guard {guard:g}")
-    if math.exp(-value * p) == 1.0:
-        raise ConfigError(f"alpha*p = {value * p:g} at p = {p:g} is too "
-                          f"small: the ball radius e^(-alpha*p) rounds to 1")
+    try:
+        radial.ball_radius(p, value)
+    except radial.RadialSolveError as exc:
+        raise ConfigError(str(exc)) from None
     return value
 
 
@@ -519,7 +510,7 @@ def run_pipeline(args) -> int:
     f2 = flow.field_from_radial(grid, choice.annulus, sign=-1.0)
     if not (np.any(f1.values) and np.any(f2.values)):
         # e.g. an annulus whose hole swallows the ball of radius e^{-alpha p}
-        rho = math.exp(-alpha * p)
+        rho = radial.ball_radius(p, alpha)
         report["failure"] = {"stage": "profiles", "ball_radius": rho,
                              "annulus_radii": [rho, 1.0],
                              "domain_radii": [domain.inner_radius,

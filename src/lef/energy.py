@@ -25,6 +25,7 @@ UPPER_BOUND_CONST = 4.97 * FOUR_PI_E        # sharp upper-bound constant
 # np.errstate(**FLOAT_RANGE): a power or norm past the float range is inf
 # (or nan where inf meets inf), with no numpy warning
 FLOAT_RANGE = {"over": "ignore", "invalid": "ignore"}
+NEHARI_TOL = 1e-6  # combined_energy checks its bound below this residual
 
 
 @dataclass(frozen=True)
@@ -119,12 +120,12 @@ def nehari_project(v, p: float):
     return dataclasses.replace(v, values=t_star * v.values), t_star
 
 
-def combined_energy(u1, u2, t1: float, t2: float, p: float,
-                    nehari_tol: float = 1e-6) -> EnergyReport:
+def combined_energy(u1, u2, t1: float, t2: float, p: float) -> EnergyReport:
     """Energy of t1*u1 + t2*u2 for disjointly supported u1, u2.
 
-    When both inputs sit on the Nehari manifold the report is checked
-    against the combination bound E(t1 u1 + t2 u2) <= E(u1) + E(u2).
+    When both inputs sit on the Nehari manifold (residual below
+    NEHARI_TOL) the report is checked against the combination bound
+    E(t1 u1 + t2 u2) <= E(u1) + E(u2).
     """
     overlap = (u1.values != 0.0) & (u2.values != 0.0)
     if np.any(overlap):
@@ -133,7 +134,7 @@ def combined_energy(u1, u2, t1: float, t2: float, p: float,
     combo = dataclasses.replace(u1, values=t1 * u1.values + t2 * u2.values)
     rep = field_energy(combo, p)
     r1, r2 = field_energy(u1, p), field_energy(u2, p)
-    if r1.nehari_residual < nehari_tol and r2.nehari_residual < nehari_tol:
+    if r1.nehari_residual < NEHARI_TOL and r2.nehari_residual < NEHARI_TOL:
         bound = r1.energy + r2.energy
         # supports may touch across one cell face; the stiffness matrix then
         # couples them and the combination picks up t1*t2*(u1, K u2), which

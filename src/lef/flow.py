@@ -283,6 +283,7 @@ WIDTH_TOL = 1e-3
 # Elliptic residual up to which a threshold result's candidate counts as
 # converged: only those are scan candidates or carry a sign.
 CONVERGED_RESIDUAL = 1e-6
+SIGN_CHANGE_REL_TOL = 1e-3  # a sign change passes +-this * sup both ways
 
 
 class BracketError(RuntimeError):
@@ -335,10 +336,10 @@ class ThresholdResult:
                 "probes": [(lam, c.value) for lam, c in self.probes]}
 
 
-def _is_sign_changing(values: np.ndarray, rel_tol: float = 1e-3) -> bool:
+def _is_sign_changing(values: np.ndarray) -> bool:
     if not values.size:
         return False
-    t = rel_tol * float(np.max(np.abs(values)))
+    t = SIGN_CHANGE_REL_TOL * float(np.max(np.abs(values)))
     return bool(np.min(values) < -t and np.max(values) > t)
 
 

@@ -1,15 +1,17 @@
 """Planar symmetry groups, domains and discretization grids.
 
 Groups are finite subgroups of O(2): cyclic C_h (h rotations) or dihedral
-D_h (h rotations + h reflections).  Grids come in two flavours, a polar
-finite-volume grid on disks/annuli and a masked cartesian grid for general
-level-set domains.  Both expose the same surface: node coordinates, cell
-weights, a symmetric stiffness matrix (discrete Dirichlet form), adjacency
-for flood fill and, when the discretization conforms to the group, exact
-node permutations for every group element.  Each grid lists its faces as
-arrays (node pairs with conductances, plus a Dirichlet conductance per
-node) and one assembly turns them into the stiffness, the adjacency and
-the boundary-adjacent nodes.  ``grid.to_config()`` is the config ``grid``
+D_h (h rotations + h reflections).  A domain (``DomainSpec``) is the value
+of a config ``domain`` section: a disk, an annulus or a squircle, given by
+its radii and power.  Grids come in two flavours, a polar finite-volume
+grid on disks/annuli and a masked cartesian grid on any of the domains.
+Both expose the same surface: node coordinates, cell weights, a symmetric
+stiffness matrix (discrete Dirichlet form), adjacency for flood fill and,
+when the discretization conforms to the group, exact node permutations
+for every group element.  Each grid lists its faces as arrays (node pairs
+with conductances, plus a Dirichlet conductance per node) and one
+assembly turns them into the stiffness, the adjacency and the
+boundary-adjacent nodes.  ``grid.to_config()`` is the config ``grid``
 section that, with ``grid.domain.to_config()``, rebuilds the grid.
 ``grid.quotient(G)`` is the grid of G-orbits of those nodes: the same
 surface in orbit coordinates, on which the G-invariant fields live with
@@ -26,9 +28,8 @@ in ``step_factors``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -122,49 +123,20 @@ def orbit_cardinalities(G: SymmetryGroup, pts) -> np.ndarray:
     return np.count_nonzero(counted, axis=1)
 
 
-def orbit_cardinality(G: SymmetryGroup, x) -> int:
-    """Number of distinct images of the point ``x`` under the group action."""
-    return int(orbit_cardinalities(G, x)[0])
-
-
-def apply_group_element(G: SymmetryGroup, index: int, obj):
-    """Apply group element ``index`` to a point or a grid field.
-
-    Points are mapped by the orthogonal matrix.  Fields are resampled at the
-    preimage of every node; on conforming grids this is an exact node
-    permutation.
-    """
-    if index >= G.size:
-        raise IndexError(f"group has {G.size} elements, got index {index}")
-    mat = G.elements()[index]
-    if isinstance(obj, np.ndarray) and obj.shape == (2,):
-        return mat @ obj
-    if hasattr(obj, "grid") and hasattr(obj, "values"):
-        perm = obj.grid.group_permutations(G)[index]
-        import dataclasses
-        return dataclasses.replace(obj, values=obj.values[perm])
-    raise TypeError("expected a 2-point or a grid field")
-
-
 # ---------------------------------------------------------------------------
 # domains
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Bounded planar domain: disk, annulus or a level-set mask.
+    """Bounded planar domain, the value of a config ``domain`` section:
+    a disk r < ``radius``, an annulus ``inner_radius`` < r < ``radius`` or
+    a squircle |x|^q + |y|^q < ``radius``^q with q = ``power``."""
 
-    For ``mask`` domains ``mask_fn`` maps an ``(n, 2)`` coordinate array to a
-    boolean "strictly inside" array and ``bounding_radius`` bounds the
-    domain; ``recipe`` is the config dict of a named mask (``to_config``).
-    """
-
-    shape: str  # 'disk' | 'annulus' | 'mask'
-    radius: float = 0.0
+    shape: str  # 'disk' | 'annulus' | 'squircle'
+    radius: float
     inner_radius: float = 0.0
-    mask_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    bounding_radius: float = 0.0
-    recipe: dict | None = field(default=None, compare=False)
+    power: float = 0.0
 
     def to_config(self) -> dict:
         """The config ``domain`` section that rebuilds this domain."""
@@ -173,47 +145,45 @@ class DomainSpec:
         if self.shape == "annulus":
             return {"type": "annulus", "a": self.inner_radius,
                     "b": self.radius}
-        if self.recipe is None:
-            raise TypeError("mask domain carries no serializable recipe; "
-                            "build it from a config dict or a named mask "
-                            "factory")
-        return dict(self.recipe)
+        return {"type": "squircle", "radius": self.radius, "power": self.power}
 
     @staticmethod
     def disk(radius: float) -> "DomainSpec":
         if radius <= 0:
             raise ValueError("disk radius must be positive")
-        return DomainSpec("disk", radius=radius, bounding_radius=radius)
+        return DomainSpec("disk", radius)
 
     @staticmethod
     def annulus(a_in: float, b_out: float) -> "DomainSpec":
         if not 0 < a_in < b_out:
             raise ValueError("need 0 < a_in < b_out")
-        return DomainSpec("annulus", radius=b_out, inner_radius=a_in,
-                          bounding_radius=b_out)
+        return DomainSpec("annulus", b_out, inner_radius=a_in)
 
-    @staticmethod
-    def symmetric_mask(fn: Callable[[np.ndarray], np.ndarray],
-                       bounding_radius: float) -> "DomainSpec":
-        return DomainSpec("mask", mask_fn=fn, bounding_radius=bounding_radius)
+    @property
+    def bounding_radius(self) -> float:
+        """Radius of the disk about the origin that holds the domain."""
+        return self.radius
 
     @property
     def contains_origin(self) -> bool:
-        if self.shape == "disk":
-            return True
-        if self.shape == "annulus":
-            return False
-        return bool(np.all(self.mask_fn(np.zeros((1, 2)))))
+        return bool(self.inside(np.zeros((1, 2)))[0])
 
     def inside(self, pts: np.ndarray) -> np.ndarray:
         """Boolean array: is each point strictly inside the domain."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if self.shape == "squircle":
+            q = self.power
+            return (np.abs(pts[:, 0]) ** q + np.abs(pts[:, 1]) ** q
+                    < self.radius ** q)
         r = np.hypot(pts[:, 0], pts[:, 1])
         if self.shape == "disk":
             return r < self.radius
-        if self.shape == "annulus":
-            return (r > self.inner_radius) & (r < self.radius)
-        return np.asarray(self.mask_fn(pts), dtype=bool)
+        return (r > self.inner_radius) & (r < self.radius)
+
+
+def squircle_mask(radius: float = 1.0, power: float = 4.0) -> DomainSpec:
+    """D4-symmetric convex 'squircle' |x|^q + |y|^q < radius^q."""
+    return DomainSpec("squircle", radius, power=power)
 
 
 def check_admissible(G: SymmetryGroup, domain: DomainSpec,
@@ -622,13 +592,3 @@ class OrbitGrid(_GridBase):
         self.xy = parent.xy[reps]   # one representative node per orbit
         self.weights = np.bincount(self.orbit_id, weights=parent.weights)
         self.stiffness = (basis.T @ parent.stiffness @ basis).tocsr()
-
-
-def squircle_mask(radius: float = 1.0, power: float = 4.0) -> DomainSpec:
-    """D4-symmetric convex 'squircle' |x|^q + |y|^q < radius^q."""
-    def fn(pts):
-        return (np.abs(pts[:, 0]) ** power + np.abs(pts[:, 1]) ** power
-                < radius ** power)
-    return DomainSpec("mask", mask_fn=fn, bounding_radius=radius,
-                      recipe={"type": "squircle", "radius": radius,
-                              "power": power})

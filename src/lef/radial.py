@@ -54,7 +54,6 @@ from scipy.optimize import brentq
 from .energy import FLOAT_RANGE, EnergyReport, minimize_f
 
 ENDPOINT_TOL = 1e-10
-AMPLITUDE_EXPONENT_GUARD = 600.0  # reject alpha * p beyond this
 ALPHA_BOUNDS = (0.05, 0.9)  # the interval optimal_alpha searches
 ALPHA_XATOL = 1e-5  # optimal_alpha's absolute tolerance in alpha
 # optimal_alpha starts at alpha_bar + ALPHA_START / p: p (alpha* - alpha_bar)
@@ -66,8 +65,9 @@ DENSE_RATIO = 1e-4  # |u(b)| / sup below which Newton is about to converge
 N_SAMPLES = 4096  # samples of every solved or explicit profile
 RTOL = 1e-11  # relative tolerance of every radial integration
 ATOL = 1e-14  # absolute tolerance on (u, u_t) of every radial integration
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # e^x is finite up to here
 # log of the largest rescaled amplitude: twice it, squared, is still a float
-_LOG_AMPLITUDE_MAX = 0.5 * math.log(np.finfo(float).max) - math.log(2.0)
+_LOG_AMPLITUDE_MAX = 0.5 * _LOG_FLOAT_MAX - math.log(2.0)
 
 
 class RadialSolveError(RuntimeError):
@@ -462,18 +462,26 @@ def ball_energy(p: float) -> EnergyReport:
     return radial_energy(solve_ball(p), p)
 
 
+def ball_radius(p: float, alpha: float) -> float:
+    """e^{-alpha p}, the radius of the scaled ball and the inner radius of
+    the annulus, under the float rule for alpha: RadialSolveError unless
+    it lies in (0, 1) and the rescaling e^{alpha p} is finite."""
+    if not (0.0 < alpha * p <= _LOG_FLOAT_MAX
+            and math.exp(-alpha * p) < 1.0):
+        raise RadialSolveError(f"alpha*p = {alpha * p:g} at p = {p:g}: the "
+                               f"ball radius e^(-alpha*p) must lie in (0, 1) "
+                               f"and e^(alpha*p) be a finite float")
+    return math.exp(-alpha * p)
+
+
 def build_ball_solution_scaled(p: float, alpha: float,
                                ball: RadialProfile) -> RadialProfile:
     """u_{p,2,alpha}: the ball solution rescaled to radius e^{-alpha p}.
 
     Exact similarity rescaling of ``ball``, the solution solve_ball(p);
-    no re-integration.
+    no re-integration; RadialSolveError past the float rule (ball_radius).
     """
-    if alpha < 0:
-        raise ValueError("need alpha >= 0")
-    if alpha * p > AMPLITUDE_EXPONENT_GUARD:
-        raise ValueError(f"alpha*p = {alpha * p:.1f} too large; the scaled "
-                         "amplitude exceeds the overflow guard")
+    ball_radius(p, alpha)
     return ball.scaled(math.exp(alpha * p))
 
 
@@ -678,7 +686,7 @@ def budget_derivative(p: float, alpha: float, slope: float,
 def _profiles(p: float, alpha: float, ball: RadialProfile,
               ball_energy: EnergyReport, slope: float | None) -> AlphaChoice:
     """profiles_at with the ball solution's energy report given."""
-    annulus = solve_annulus(p, math.exp(-alpha * p), 1.0, slope)
+    annulus = solve_annulus(p, ball_radius(p, alpha), 1.0, slope)
     return AlphaChoice(alpha, ball, annulus, budget_derivative(
         p, alpha, annulus.slope, ball_energy))
 

@@ -31,9 +31,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .energy import FLOAT_RANGE
-from .geometry import SymmetryGroup
+from .geometry import SymmetryGroup, dihedral
 
 NEGATIVE_EIG_REL_TOL = 1e-8  # lambda < -tol * |lambda_1| counts as negative
+EIGENPAIR_RESIDUAL_TOL = 1e-8  # relative residual every eigsh pair must meet
+STEADY_RESIDUAL_TOL = 1e-6  # elliptic residual of a field with a Morse index
+HALF_DOMAIN_AXIS = math.pi / 2.0  # the x2-axis: the half domain is x1 < 0
+ODD_EXTENSION_RESIDUAL_TOL = 1e-6  # eigen-residual of the half-domain mode
 
 
 class EigenSolveError(RuntimeError):
@@ -98,16 +102,6 @@ def _shifted_factor(A: sp.spmatrix, weights: np.ndarray, sigma: float):
     return int(np.count_nonzero(lu.U.diagonal() < 0.0)), lu
 
 
-def inertia_below(A: sp.spmatrix, weights: np.ndarray, sigma: float) -> int:
-    """Number of eigenvalues of the pencil (A, diag(weights)) below sigma.
-
-    Sylvester's law of inertia: W = diag(weights) is positive, so this is
-    the number of negative pivots of a symmetric factorization of
-    A - sigma W.
-    """
-    return _shifted_factor(A, weights, sigma)[0]
-
-
 def _eigsh(A, k: int, weights: np.ndarray, sigma: float, OPinv=None):
     """Shift-invert eigsh of the pencil (A, diag(weights)) at sigma.
 
@@ -141,14 +135,13 @@ def lowest_eigenpair(A, weights: np.ndarray):
     return float(vals[0]), vecs[:, 0]
 
 
-def spectrum_at_shift(A, weights: np.ndarray, sigma: float, k: int,
-                      residual_tol: float = 1e-8):
+def spectrum_at_shift(A, weights: np.ndarray, sigma: float, k: int):
     """(inertia below sigma, k eigenvalues nearest sigma in ascending
     order, their eigenvectors), all from one factorization of A - sigma W.
 
     The factor's negative pivots are the inertia, and the factor is the
     shift-invert operator of the eigsh; every eigenpair is checked by its
-    residual.
+    residual against EIGENPAIR_RESIDUAL_TOL.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -162,9 +155,9 @@ def spectrum_at_shift(A, weights: np.ndarray, sigma: float, k: int,
         r = A @ phi - lam * (weights * phi)
         rel = np.linalg.norm(r / weights) / (
             np.linalg.norm(phi) * max(1.0, abs(lam)))
-        if rel > residual_tol:
-            raise EigenSolveError(
-                f"eigenpair residual {rel:.2e} exceeds {residual_tol}")
+        if rel > EIGENPAIR_RESIDUAL_TOL:
+            raise EigenSolveError(f"eigenpair residual {rel:.2e} exceeds "
+                                  f"{EIGENPAIR_RESIDUAL_TOL}")
     return count, vals, vecs
 
 
@@ -188,8 +181,8 @@ def _index_and_eigenvalues(A, weights: np.ndarray, sigma: float, k: int):
     return index, tuple(float(x) for x in vals)
 
 
-def morse_index(u, p: float, G: SymmetryGroup | None = None, k: int = 12,
-                residual_check: float = 1e-6) -> SpectrumReport:
+def morse_index(u, p: float, G: SymmetryGroup | None = None,
+                k: int = 12) -> SpectrumReport:
     """Morse record of a converged steady state, optionally also
     restricted to the G-symmetric subspace.
 
@@ -204,9 +197,9 @@ def morse_index(u, p: float, G: SymmetryGroup | None = None, k: int = 12,
     or not, whose G-average is a nonzero G-invariant one.
     """
     res = elliptic_residual(u, p)
-    if res > residual_check:
+    if res > STEADY_RESIDUAL_TOL:
         raise NotSteadyError(f"not a converged steady state: elliptic "
-                             f"residual {res:.2e} > {residual_check}")
+                             f"residual {res:.2e} > {STEADY_RESIDUAL_TOL}")
     full = assemble_linearized(u, p), u.grid.weights
     sym = None
     if G is not None:
@@ -225,24 +218,20 @@ def morse_index(u, p: float, G: SymmetryGroup | None = None, k: int = 12,
 # half-domain eigenvalue and odd extension
 # ---------------------------------------------------------------------------
 
-def _reflection_permutation(grid, axis_angle: float) -> np.ndarray:
-    refl = SymmetryGroup("dihedral", 1, axis_angle)
-    return grid.group_permutations(refl)[1]  # identity, then the reflection
-
-
-def half_domain_mu(u, p: float, axis_angle: float = math.pi / 2.0,
-                   residual_tol: float = 1e-6):
+def half_domain_mu(u, p: float):
     """First eigenvalue of L on the half domain left of the reflection axis.
 
-    The axis is the line at ``axis_angle`` through the origin (default: the
+    The axis is the line at HALF_DOMAIN_AXIS through the origin (the
     x2-axis, half domain {x1 < 0}).  Dirichlet conditions hold on the whole
     half-domain boundary including the axis.  Returns (mu, report) where
-    report contains the odd-extension eigen-residual on the full domain.
+    report contains the odd-extension eigen-residual on the full domain;
+    EigenSolveError if it exceeds ODD_EXTENSION_RESIDUAL_TOL.
 
     Raises AxisAsymmetryError when u is not symmetric about the axis.
     """
-    grid = u.grid
-    perm = _reflection_permutation(grid, axis_angle)
+    grid, axis_angle = u.grid, HALF_DOMAIN_AXIS
+    # D_1 about the axis: the identity, then the reflection
+    perm = grid.group_permutations(dihedral(1, axis_angle))[1]
     sup = float(np.max(np.abs(u.values))) if u.values.size else 0.0
     defect = float(np.max(np.abs(u.values[perm] - u.values)))
     if sup > 0 and defect > 1e-8 * sup:
@@ -277,10 +266,10 @@ def half_domain_mu(u, p: float, axis_angle: float = math.pi / 2.0,
     r = A @ tilde - mu * (grid.weights * tilde)
     denom = (np.linalg.norm(tilde) * max(1.0, abs(mu)))
     odd_residual = float(np.linalg.norm(r / grid.weights) / denom)
-    if odd_residual > residual_tol:
+    if odd_residual > ODD_EXTENSION_RESIDUAL_TOL:
         raise EigenSolveError(
             f"odd extension eigen-residual {odd_residual:.2e} exceeds "
-            f"{residual_tol}")
+            f"{ODD_EXTENSION_RESIDUAL_TOL}")
     return mu, {"mu": mu, "odd_extension_residual": odd_residual,
                 "axis_angle": axis_angle}
 

@@ -55,13 +55,17 @@ class TestDumpFormat:
         assert np.array_equal(loaded.grid.xy, g.xy)
         assert (loaded.grid.stiffness != g.stiffness).nnz == 0
 
-    def test_mask_without_recipe_cannot_be_dumped(self, tmp_path):
-        dom = geometry.DomainSpec.symmetric_mask(
-            lambda pts: np.max(np.abs(pts), axis=1) < 1.0, 1.0)
-        g = geometry.CartesianMaskedGrid(dom, 8)
-        with pytest.raises(TypeError, match="no serializable recipe"):
-            cli.dump_field(tmp_path / "m.bin",
-                           flow.ScalarField(g, np.zeros(g.n_nodes)))
+    @pytest.mark.parametrize("domain", [
+        geometry.squircle_mask(0.8, 6.0),
+        geometry.DomainSpec.disk(2.0),
+        geometry.DomainSpec.annulus(0.3, 1.5),
+    ], ids=["squircle", "disk", "annulus"])
+    def test_domain_is_its_config_section(self, domain):
+        config = domain.to_config()
+        assert cli._build_domain(config) == domain
+        # two domains built from one config are equal, and hash alike
+        assert cli._build_domain(config) == cli._build_domain(dict(config))
+        assert len({cli._build_domain(config), domain}) == 1
 
     def test_header_is_one_json_line(self, tmp_path, disk_grid_small):
         g = disk_grid_small
@@ -178,14 +182,14 @@ class TestRadialCommand:
         (["--p", "1.0"], "p must be a number in (1, inf), got '1.0'"),
         (["--p", "20", "--alpha", "-1"],
          "alpha must be a number > 0, 'optimal' or 'asymptotic', got '-1'"),
-        (["--p", "20,1000", "--alpha", "0.7"],
-         "alpha*p = 700 at p = 1000 exceeds the amplitude guard 600"),
-        (["--p", "20,1000"], "alpha 'optimal' searches alpha up to 0.9"),
+        (["--p", "20,1000", "--alpha", "0.8"],
+         "alpha*p = 800 at p = 1000: the ball radius e^(-alpha*p) must lie "
+         "in (0, 1) and e^(alpha*p) be a finite float"),
         (["--p", "8", "--alpha", "1e-300"],
-         "alpha*p = 8e-300 at p = 8 is too small: the ball radius "
-         "e^(-alpha*p) rounds to 1"),
+         "alpha*p = 8e-300 at p = 8: the ball radius e^(-alpha*p) must lie "
+         "in (0, 1)"),
     ], ids=["p-not-a-number", "p-one", "alpha-negative", "alpha-p-guard",
-            "optimal-alpha-p-guard", "ball-radius-rounds-to-1"])
+            "ball-radius-rounds-to-1"])
     def test_bad_arguments_exit_2_before_any_shot(self, tmp_path, capsys,
                                                   monkeypatch, argv,
                                                   message):
@@ -198,6 +202,31 @@ class TestRadialCommand:
         assert len(err) == 1
         assert err[0].startswith("lef radial: ") and message in err[0]
         assert shots == []
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_optimal_alpha_past_p_600(self, tmp_path):
+        # the alpha search stays inside the float range at p = 1000
+        out = tmp_path / "s.csv"
+        assert cli.main(["radial", "--p", "1000", "--alpha", "optimal",
+                         "--out", str(out)]) == 0
+        rows = out.read_text(encoding="utf-8").strip().splitlines()
+        assert len(rows) == 2
+        delta = float(rows[1].split(",")[-1])
+        assert math.isfinite(delta) and 0.96 < delta < 0.98
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_alpha_inside_the_float_rule_runs_to_the_radial_stage(
+            self, tmp_path, capsys):
+        # e^(700) is a float, so alpha = 0.7 at p = 1000 passes the
+        # argument check; the energy of the annulus on (e^(-700), 1) then
+        # passes the float range, a radial-stage exit 3
+        out = tmp_path / "s.csv"
+        assert cli.main(["radial", "--p", "1000", "--alpha", "0.7",
+                         "--out", str(out)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("lef radial: radial stage: ")
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("p", ["1500", "2500"])
