@@ -8,7 +8,10 @@ discretization error only.
 Powers and norms of fields are taken directly, under one float-range
 policy: a value past the float range is inf, without a numpy warning.
 FLOAT_RANGE is that policy as ``np.errstate`` arguments; the flow,
-spectrum and radial modules compute under it too.
+spectrum and radial modules and the squircle mask compute under it too.
+
+brentq is the root finder of the package (minimize_f here, and the event
+roots and the alpha search of the radial module).
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 FOUR_PI_E = 4.0 * math.pi * math.e          # limit of inf_{N_p} p E_p
 UPPER_BOUND_CONST = 4.97 * FOUR_PI_E        # sharp upper-bound constant
@@ -26,6 +28,7 @@ UPPER_BOUND_CONST = 4.97 * FOUR_PI_E        # sharp upper-bound constant
 # (or nan where inf meets inf), with no numpy warning
 FLOAT_RANGE = {"over": "ignore", "invalid": "ignore"}
 NEHARI_TOL = 1e-6  # combined_energy checks its bound below this residual
+BRENT_RTOL = 4.0 * float(np.finfo(float).eps)  # brentq's least rtol
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,77 @@ def minimize_f() -> AlphaOptimum:
         raise RuntimeError(f"minimize_f: f'(alpha_bar) = {slope:.3e} at "
                            f"alpha_bar = {opt.alpha_bar}, not below 1e-8")
     return opt
+
+
+def brentq(f, a: float, b: float, xtol: float, rtol: float = BRENT_RTOL,
+           maxiter: int = 100) -> float:
+    """A zero of f in [a, b], where f(a) and f(b) differ in sign.
+
+    Brent's method (Algorithms for Minimization without Derivatives,
+    1973, ch. 4) with the steps of scipy.optimize.brentq: the same
+    interpolation, bisection and tolerance (xtol + rtol |x|) / 2, so the
+    same calls of f and the same root.  The root is always a point at
+    which f was called.  ValueError when xtol <= 0, rtol < BRENT_RTOL,
+    f(a) and f(b) have the same sign, or f returns nan; RuntimeError when
+    maxiter iterations do not converge.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < BRENT_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {BRENT_RTOL:g})")
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (math.copysign(1.0, fpre)
+                                            != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the better end in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic interpolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:  # an underflowed divisor: bisect,
+                stry = math.inf        # as C's inf or nan step does
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from .energy import FLOAT_RANGE
+
 COINCIDENCE_TOL = 1e-12
 # Perron pair: inverse iteration stops once the Collatz-Wielandt bracket
 # [min, max] of (K psi)_i / (w_i psi_i) is this narrow (relative), or after
@@ -173,8 +175,9 @@ class DomainSpec:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.shape == "squircle":
             q = self.power
-            return (np.abs(pts[:, 0]) ** q + np.abs(pts[:, 1]) ** q
-                    < self.radius ** q)
+            with np.errstate(**FLOAT_RANGE):  # past the range, inf < R^q
+                return (np.abs(pts[:, 0]) ** q + np.abs(pts[:, 1]) ** q
+                        < self.radius ** q)
         r = np.hypot(pts[:, 0], pts[:, 1])
         if self.shape == "disk":
             return r < self.radius

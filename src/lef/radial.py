@@ -30,14 +30,21 @@ so each annulus solve of the search brings its derivative with it.  The
 search warm-starts each solve from the slopes it has already found.
 
 Every shot, of the ball or of an annulus, is one call of solve_ivp below:
-scipy's DOP853 method (the tableau of scipy.integrate.DOP853, its step
-control, event location and dense output) written out on Python floats
-for the four lanes (u, u_t, du/ds, du_t/ds).  It is not
-scipy.integrate.solve_ivp because at four lanes that spends most of each
-step in small-array numpy calls, event bookkeeping and OdeSolution
-rather than in arithmetic; the float kernel takes about a quarter of the
-time per shot.  Its steps are not bitwise scipy's (summation order
-differs), but its profiles agree with scipy's to roundoff.
+scipy's DOP853 method (its tableau, written out here as constants, its
+step control, event location and dense output) on Python floats for the
+four lanes (u, u_t, du/ds, du_t/ds).  It is not scipy.integrate.solve_ivp
+because at four lanes that spends most of each step in small-array numpy
+calls, event bookkeeping and OdeSolution rather than in arithmetic; the
+float kernel takes about a quarter of the time per shot.  Its steps are
+not bitwise scipy's (summation order differs), but its profiles agree
+with scipy's to roundoff.
+
+The rest of the numerics is in the package too, so that the radial layer
+imports numpy only: energy.brentq (Brent's root finder) for the event
+roots and the alpha search, simpson (the composite Simpson rule) for the
+energies and Pchip (the PCHIP interpolant) for profile values.  Each
+takes the steps of its scipy counterpart, and the tests hold them to
+scipy's results bit for bit.
 """
 
 from __future__ import annotations
@@ -47,11 +54,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import DOP853, simpson
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
-from .energy import FLOAT_RANGE, EnergyReport, minimize_f
+from .energy import BRENT_RTOL, FLOAT_RANGE, EnergyReport, brentq, minimize_f
 
 ENDPOINT_TOL = 1e-10
 ALPHA_BOUNDS = (0.05, 0.9)  # the interval optimal_alpha searches
@@ -103,15 +107,12 @@ class RadialProfile:
         return float(np.max(np.abs(self.u)))
 
     def __call__(self, r) -> np.ndarray:
-        """Interpolated values; zero outside [r_in, r_out]."""
+        """PCHIP interpolated values; zero outside [r_in, r_out]."""
         if self._interp is None:
             # piecewise profiles repeat the break radius at segment joints
             keep = np.concatenate([[True], np.diff(self.r) > 0.0])
-            self._interp = PchipInterpolator(self.r[keep], self.u[keep],
-                                             extrapolate=False)
-        r = np.asarray(r, dtype=float)
-        out = self._interp(r)
-        return np.nan_to_num(out, nan=0.0)
+            self._interp = Pchip(self.r[keep], self.u[keep])
+        return self._interp(r)
 
     def scaled(self, lam: float) -> "RadialProfile":
         """Similarity rescaling u_lam(r) = lam^{2/(p-1)} u(lam r)."""
@@ -119,6 +120,55 @@ class RadialProfile:
         return RadialProfile(self.r / lam, amp * self.u, amp * lam * self.du,
                              self.r_in / lam, self.r_out / lam, self.p,
                              self.segments)
+
+
+class Pchip:
+    """The PCHIP interpolant of (x, y), x strictly increasing, at least
+    three points; zero outside [x[0], x[-1]].
+
+    Fritsch & Carlson's monotone piecewise cubic (SIAM J. Numer. Anal. 17
+    (1980) 238): at an interior node the weighted harmonic mean of the
+    two secant slopes, or 0 where they differ in sign or one is 0; at the
+    ends the one-sided three-point slope, made shape-preserving.  The
+    coefficients and their evaluation are those of scipy's
+    PchipInterpolator(x, y, extrapolate=False), term for term.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        h = np.diff(x)
+        m = np.diff(y) / h
+        d = np.zeros_like(y)
+        sign = np.sign(m)
+        flat = (sign[1:] != sign[:-1]) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            d[1:-1] = np.where(flat, 0.0, 1.0 / mean)
+        d[0] = self._end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = self._end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        # the cubic on [x_i, x_i+1] is c0 s^3 + c1 s^2 + c2 s + c3
+        self.x = x
+        self.c = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
+
+    @staticmethod
+    def _end_slope(h0, h1, m0, m1) -> float:
+        d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(d) != np.sign(m0):
+            return 0.0
+        if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+            return 3.0 * m0
+        return d
+
+    def __call__(self, r) -> np.ndarray:
+        x = self.x
+        r = np.asarray(r, dtype=float)
+        inside = (x[0] <= r) & (r <= x[-1])
+        i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, len(x) - 2)
+        s = np.where(inside, r - x[i], 0.0)
+        c0, c1, c2, c3 = (c[i] for c in self.c)
+        s2 = s * s
+        return np.where(inside, c3 + c2 * s + c1 * s2 + c0 * (s2 * s), 0.0)
 
 
 def _amplitude(lam: float, p: float) -> float:
@@ -135,6 +185,39 @@ def _amplitude(lam: float, p: float) -> float:
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
+
+def _divide(a, b):
+    """a / b, and 0 where b is 0."""
+    return np.true_divide(a, b, out=np.zeros_like(b), where=b != 0)
+
+
+def simpson(y: np.ndarray, x: np.ndarray):
+    """Composite Simpson rule for samples y at the points x (at least three).
+
+    Simpson's rule on each pair of intervals, of any widths; with an even
+    number of points the last interval is integrated apart, by the
+    parabola through the last three points (Cartwright's correction).
+    The sums are those of scipy.integrate.simpson(y, x=x) (scipy >= 1.11),
+    term for term.
+    """
+    n = len(y)
+    stop = n - 3 if n % 2 == 0 else n - 2
+    h = np.diff(x)
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum, hprod = h0 + h1, h0 * h1
+    ratio = _divide(h0, h1)
+    result = np.sum(hsum / 6.0 * (
+        y[0:stop:2] * (2.0 - _divide(1.0, ratio))
+        + y[1:stop + 1:2] * (hsum * _divide(hsum, hprod))
+        + y[2:stop + 2:2] * (2.0 - ratio)))
+    if n % 2 == 0:
+        h0, h1 = h[-2:-1].reshape(()), h[-1:].reshape(())
+        alpha = _divide(2 * h1 ** 2 + 3 * h0 * h1, 6 * (h1 + h0))
+        beta = _divide(h1 ** 2 + 3.0 * h0 * h1, 6 * h0)
+        eta = _divide(h1 ** 3, 6 * h0 * (h0 + h1))
+        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return result
+
 
 def radial_energy(profile: RadialProfile, p: float | None = None) -> EnergyReport:
     """Energy report from 1D quadrature (Simpson per smooth segment), under
@@ -160,23 +243,115 @@ def radial_energy(profile: RadialProfile, p: float | None = None) -> EnergyRepor
 # the shot: scipy's DOP853 on Python floats
 # ---------------------------------------------------------------------------
 
-def _nonzero(row) -> tuple[tuple[int, float], ...]:
-    """(index, coefficient) pairs of the nonzero entries of a tableau row."""
-    return tuple((j, a) for j, a in enumerate(row.tolist()) if a != 0.0)
+# DOP853's tableau (Hairer, Norsett & Wanner, Solving Ordinary Differential
+# Equations I, 1993), as scipy.integrate.DOP853 holds it; only the nonzero
+# entries, as (index, coefficient) pairs.  Stage s (1 to 11) is
+# (c_s, the row a_s), and _EXTRA_STAGES the three stages of dense output.
+_STAGES = (
+    (0.05260015195876773, ((0, 0.05260015195876773),)),
+    (0.0789002279381516, ((0, 0.0197250569845379), (1, 0.0591751709536137))),
+    (0.1183503419072274, ((0, 0.02958758547680685), (2, 0.08876275643042054))),
+    (0.2816496580927726, ((0, 0.2413651341592667), (2, -0.8845494793282861),
+                          (3, 0.924834003261792))),
+    (0.3333333333333333, ((0, 0.037037037037037035), (3, 0.17082860872947386),
+                          (4, 0.12546768756682242))),
+    (0.25, ((0, 0.037109375), (3, 0.17025221101954405),
+            (4, 0.06021653898045596), (5, -0.017578125))),
+    (0.3076923076923077, ((0, 0.03709200011850479), (3, 0.17038392571223998),
+                          (4, 0.10726203044637328),
+                          (5, -0.015319437748624402),
+                          (6, 0.008273789163814023))),
+    (0.6512820512820513, ((0, 0.6241109587160757), (3, -3.3608926294469414),
+                          (4, -0.868219346841726), (5, 27.59209969944671),
+                          (6, 20.154067550477894), (7, -43.48988418106996))),
+    (0.6, ((0, 0.47766253643826434), (3, -2.4881146199716677),
+           (4, -0.590290826836843), (5, 21.230051448181193),
+           (6, 15.279233632882423), (7, -33.28821096898486),
+           (8, -0.020331201708508627))),
+    (0.8571428571428571, ((0, -0.9371424300859873), (3, 5.186372428844064),
+                          (4, 1.0914373489967295), (5, -8.149787010746927),
+                          (6, -18.52006565999696), (7, 22.739487099350505),
+                          (8, 2.4936055526796523), (9, -3.0467644718982196))),
+    (1.0, ((0, 2.273310147516538), (3, -10.53449546673725),
+           (4, -2.0008720582248625), (5, -17.9589318631188),
+           (6, 27.94888452941996), (7, -2.8589982771350235),
+           (8, -8.87285693353063), (9, 12.360567175794303),
+           (10, 0.6433927460157636))),
+)
+_EXTRA_STAGES = (
+    (0.1, ((0, 0.056167502283047954), (6, 0.25350021021662483),
+           (7, -0.2462390374708025), (8, -0.12419142326381637),
+           (9, 0.15329179827876568), (10, 0.00820105229563469),
+           (11, 0.007567897660545699), (12, -0.008298))),
+    (0.2, ((0, 0.03183464816350214), (5, 0.028300909672366776),
+           (6, 0.053541988307438566), (7, -0.05492374857139099),
+           (10, -0.00010834732869724932), (11, 0.0003825710908356584),
+           (12, -0.00034046500868740456), (13, 0.1413124436746325))),
+    (0.7777777777777778, ((0, -0.42889630158379194), (5, -4.697621415361164),
+                          (6, 7.683421196062599), (7, 4.06898981839711),
+                          (8, 0.3567271874552811),
+                          (12, -0.0013990241651590145),
+                          (13, 2.9475147891527724), (14, -9.15095847217987))),
+)
+# the weights of the 8th-order solution, and of the 3rd- and 5th-order
+# error estimates (index 12 is f(t + h, y_new))
+_B = ((0, 0.054293734116568765), (5, 4.450312892752409),
+      (6, 1.8915178993145003), (7, -5.801203960010585),
+      (8, 0.3111643669578199), (9, -0.1521609496625161),
+      (10, 0.20136540080403034), (11, 0.04471061572777259))
+_E3 = ((0, -0.18980075407240762), (5, 4.450312892752409),
+       (6, 1.8915178993145003), (7, -5.801203960010585),
+       (8, -0.4226823213237919), (9, -0.1521609496625161),
+       (10, 0.20136540080403034), (11, 0.02265179219836082))
+_E5 = ((0, 0.01312004499419488), (5, -1.2251564463762044),
+       (6, -0.4957589496572502), (7, 1.6643771824549864),
+       (8, -0.35032884874997366), (9, 0.3341791187130175),
+       (10, 0.08192320648511571), (11, -0.022355307863886294))
+# the last four rows of the dense-output coefficients, over all 16 stages
+_D = (
+    ((0, -8.428938276109013), (5, 0.5667149535193777),
+     (6, -3.0689499459498917), (7, 2.38466765651207), (8, 2.117034582445028),
+     (9, -0.871391583777973), (10, 2.2404374302607883),
+     (11, 0.6315787787694688), (12, -0.08899033645133331),
+     (13, 18.148505520854727), (14, -9.194632392478356),
+     (15, -4.436036387594894)),
+    ((0, 10.427508642579134), (5, 242.28349177525817),
+     (6, 165.20045171727028), (7, -374.5467547226902),
+     (8, -22.113666853125306), (9, 7.733432668472264),
+     (10, -30.674084731089398), (11, -9.332130526430229),
+     (12, 15.697238121770845), (13, -31.139403219565178),
+     (14, -9.35292435884448), (15, 35.81684148639408)),
+    ((0, 19.985053242002433), (5, -387.0373087493518),
+     (6, -189.17813819516758), (7, 527.8081592054236),
+     (8, -11.57390253995963), (9, 6.8812326946963), (10, -1.0006050966910838),
+     (11, 0.7777137798053443), (12, -2.778205752353508),
+     (13, -60.19669523126412), (14, 84.32040550667716),
+     (15, 11.99229113618279)),
+    ((0, -25.69393346270375), (5, -154.18974869023643),
+     (6, -231.5293791760455), (7, 357.6391179106141), (8, 93.40532418362432),
+     (9, -37.45832313645163), (10, 104.0996495089623),
+     (11, 29.8402934266605), (12, -43.53345659001114),
+     (13, 96.32455395918828), (14, -39.17726167561544),
+     (15, -149.72683625798564)),
+)
 
 
-# the tableau of scipy.integrate.DOP853, read at import
-_STAGES = tuple((c, _nonzero(a[:s])) for s, (a, c)
-                in enumerate(zip(DOP853.A, DOP853.C.tolist())) if s)
-_EXTRA_STAGES = tuple((c, _nonzero(a)) for a, c
-                      in zip(DOP853.A_EXTRA, DOP853.C_EXTRA.tolist()))
-_B, _E3, _E5 = _nonzero(DOP853.B), _nonzero(DOP853.E3), _nonzero(DOP853.E5)
-_D = tuple(_nonzero(row) for row in DOP853.D)
+def _dense(pairs, n: int) -> list:
+    """The tableau row of length n with the nonzero entries ``pairs``."""
+    row = [0.0] * n
+    for j, a in pairs:
+        row[j] = a
+    return row
+
+
+# _D as the 4 x 16 matrix DenseShot applies to a whole shot's stages
+_D_MATRIX = np.array([_dense(row, 16) for row in _D])
+
 # scipy's step control
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
-_EVENT_TOL = 4.0 * float(np.finfo(float).eps)  # brentq's xtol and rtol
-_FSAL = DOP853.n_stages  # row of f(t + h, y_new) among a step's stages
+_ERROR_EXPONENT = -1.0 / 8.0  # -1 / (error estimator order + 1)
+_EVENT_TOL = BRENT_RTOL  # energy.brentq's xtol and rtol at the event roots
+_FSAL = 12  # row of f(t + h, y_new) among a step's stages
 
 
 def _shot_rhs(p: float):
@@ -264,7 +439,7 @@ class DenseShot:
         self.F = np.concatenate([
             dy[:, None], (hc * K[:, 0] - dy)[:, None],
             (2.0 * dy - hc * (K[:, _FSAL] + K[:, 0]))[:, None],
-            hc[:, None] * (DOP853.D @ K)], axis=1)
+            hc[:, None] * (_D_MATRIX @ K)], axis=1)
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -301,16 +476,16 @@ def solve_ivp(p: float, t_span, y0, rtol: float, first_step=None,
               dense_output: bool = False) -> Shot:
     """Integrate (u, u_t, du/ds, du_t/ds) over t_span from y0 by DOP853.
 
-    scipy's DOP853 (its tableau, step-size control and dense output) on
-    Python floats: at four lanes scipy's small-array numpy calls cost far
+    DOP853 (the tableau above, scipy's step-size control and dense output)
+    on Python floats: at four lanes scipy's small-array numpy calls cost far
     more than the arithmetic.  rtol and ATOL are divided by sqrt(2) and the
     derivative lanes get atol 1e300, so (u, u_t) have exactly the step
     control of a two-lane integration and the derivative does not drive
     it.  Zeros of u (falling) are recorded in ``t_events[0]``; a trough
     (u_t = 0, rising) is recorded in ``t_events[1]`` and ends the shot.
-    Each is located by brentq on the step's interpolant, whose three extra
-    stages are computed only on steps with an event and on dense shots.
-    ``first_step`` defaults to Hairer's rule.
+    Each is located by energy.brentq on the step's interpolant, whose
+    three extra stages are computed only on steps with an event and on
+    dense shots.  ``first_step`` defaults to Hairer's rule.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     rhs = _shot_rhs(p)
@@ -730,9 +905,10 @@ def optimal_alpha(p: float) -> AlphaChoice:
     starts at alpha_bar + ALPHA_START / p (alpha_bar the minimizer of the
     limit profile e^{2 alpha - 1}/alpha + e^{4 alpha}, which the zero
     approaches as p grows), steps downhill by ALPHA_STEP, doubling, until
-    T' changes sign inside ALPHA_BOUNDS, and closes the bracket by brentq
-    to ALPHA_XATOL.  Each annulus solve starts from the slope predicted by
-    the alphas already solved.
+    T' changes sign inside ALPHA_BOUNDS, and closes the bracket by
+    energy.brentq to ALPHA_XATOL; its root is one of the solved alphas.
+    Each annulus solve starts from the slope predicted by the alphas
+    already solved.
     """
     ball = solve_ball(p)
     ball_energy = radial_energy(ball, p)

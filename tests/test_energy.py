@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse as sp
 
 from lef import energy, flow, geometry, radial
@@ -21,6 +22,56 @@ class TestAlphaProfile:
         vals = energy.f_alpha(a)
         assert vals.shape == (3,)
         assert np.all(vals > 0)
+
+
+def logged(f):
+    """f, and the list of the points it is called at."""
+    xs = []
+    return (lambda x: xs.append(x) or f(x)), xs
+
+
+class TestBrent:
+    """energy.brentq against scipy.optimize.brentq, bit for bit."""
+
+    @pytest.mark.parametrize("f, a, b, xtol, rtol", [
+        (energy.f_alpha_prime, 1e-3, 2.0, 1e-14, 8.9e-16),
+        (lambda x: x * x - 2.0, 0.0, 2.0, 1e-12, energy.BRENT_RTOL),
+        (lambda x: math.cos(x) - x, 0.0, 1.0, 1e-15, energy.BRENT_RTOL),
+        (lambda x: x ** 3 - 1e-3, -1.0, 2.0, 1e-15, 8.9e-16),
+        (lambda x: math.exp(x) - 1e-10, -40.0, 5.0, 1e-5, energy.BRENT_RTOL),
+        (lambda x: math.tanh(50.0 * (x - 0.3)), 0.0, 1.0, 1e-14, 1e-10),
+        (lambda x: x - 1.0, 0.0, 1.0, 1e-12, energy.BRENT_RTOL),  # at b
+        (lambda x: x, 0.0, 1.0, 1e-12, energy.BRENT_RTOL),  # at a
+        # subnormal values: an interpolation divisor underflows to 0
+        (lambda x: (x ** 3 - 0.3) * 1e-320, -1e3, 1e3, 1e-12,
+         energy.BRENT_RTOL),
+    ], ids=["f_alpha_prime", "sqrt2", "cos", "cube", "exp", "tanh",
+            "endpoint-b", "endpoint-a", "underflow"])
+    def test_same_root_and_calls_as_scipy(self, f, a, b, xtol, rtol):
+        mine, xs = logged(f)
+        ref, ys = logged(f)
+        root = energy.brentq(mine, a, b, xtol, rtol)
+        assert root.hex() == float(scipy.optimize.brentq(
+            ref, a, b, xtol=xtol, rtol=rtol)).hex()
+        assert xs == ys and root in xs
+
+    @pytest.mark.parametrize("f, a, b, kw, error", [
+        (lambda x: x * x + 1.0, -1.0, 1.0, {}, ValueError),  # one sign
+        (lambda x: x, -1.0, 1.0, {"xtol": 0.0}, ValueError),
+        (lambda x: x, -1.0, 1.0, {"rtol": 1e-16}, ValueError),
+        (lambda x: math.nan if x > 0.5 else x, -1.0, 2.0, {}, ValueError),
+        (lambda x: x ** 3, -1.0, 2.0, {"maxiter": 3}, RuntimeError),
+    ], ids=["same-sign", "xtol", "rtol", "nan", "maxiter"])
+    def test_raises_where_scipy_does(self, f, a, b, kw, error):
+        kw = {"xtol": 1e-12, **kw}
+        with pytest.raises(error):
+            scipy.optimize.brentq(f, a, b, **kw)
+        with pytest.raises(error):
+            energy.brentq(f, a, b, **kw)
+
+    def test_minimize_f_root_is_scipys(self):
+        assert energy.minimize_f().alpha_bar == scipy.optimize.brentq(
+            energy.f_alpha_prime, 1e-3, 2.0, xtol=1e-14, rtol=8.9e-16)
 
 
 class TestEnergyReport:

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
+from scipy.interpolate import PchipInterpolator
 
-from lef import radial
+from lef import energy, radial
 from lef.radial import RadialSolveError
 
 
@@ -174,6 +176,104 @@ def scipy_shot(p, t_span, y0, rtol, first_step=None, dense_output=False):
             rtol=rtol * tol, atol=[radial.ATOL * tol] * 2 + [1e300] * 2,
             events=(hit_zero, trough), dense_output=dense_output,
             first_step=first_step)
+
+
+def bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.fixture(scope="module")
+def profiles():
+    """Ball, annulus and piecewise profiles at a moderate and a large p."""
+    return [prof for p, alpha in ((8.0, 0.28), (200.0, 0.2))
+            for prof in (radial.solve_ball(p),
+                         radial.solve_annulus(p, math.exp(-alpha * p), 1.0),
+                         radial.omega_test_function(p, alpha, 1.0))]
+
+
+class TestScipyOracles:
+    """The tableau, Brent, Simpson and PCHIP against scipy, bit for bit."""
+
+    def test_tableau_is_scipys(self):
+        D = scipy.integrate.DOP853
+        A = [[0.0] * D.n_stages] + [radial._dense(row, D.n_stages)
+                                    for _, row in radial._STAGES]
+        tableau = {
+            "A": (A, D.A),
+            "C": ([0.0] + [c for c, _ in radial._STAGES], D.C),
+            "B": (radial._dense(radial._B, D.n_stages), D.B),
+            "E3": (radial._dense(radial._E3, D.n_stages + 1), D.E3),
+            "E5": (radial._dense(radial._E5, D.n_stages + 1), D.E5),
+            "D": ([radial._dense(row, 16) for row in radial._D], D.D),
+            "A_EXTRA": ([radial._dense(row, 16)
+                         for _, row in radial._EXTRA_STAGES], D.A_EXTRA),
+            "C_EXTRA": ([c for c, _ in radial._EXTRA_STAGES], D.C_EXTRA),
+        }
+        for name, (mine, ref) in tableau.items():
+            assert np.shape(mine) == ref.shape, name
+            assert bits(mine) == bits(ref), name
+        assert bits(radial._D_MATRIX) == bits(D.D)
+        assert radial._D_MATRIX.flags.c_contiguous
+        assert radial._FSAL == D.n_stages
+        assert radial._ERROR_EXPONENT == -1.0 / (D.error_estimator_order + 1)
+
+    def test_brent_event_and_alpha_roots_are_scipys(self, monkeypatch):
+        # every root the shots and the alpha search take, by both
+        calls = []
+        mine = radial.brentq
+
+        def both(f, a, b, xtol, rtol=energy.BRENT_RTOL):
+            xs, ys = [], []
+            root = mine(lambda x: xs.append(x) or f(x), a, b, xtol, rtol)
+            ref = scipy.optimize.brentq(lambda x: ys.append(x) or f(x), a, b,
+                                        xtol=xtol, rtol=rtol)
+            assert root.hex() == float(ref).hex() and xs == ys
+            calls.append(len(xs))
+            return root
+
+        monkeypatch.setattr(radial, "brentq", both)
+        radial.solve_ball(8.0)
+        radial._shoot_annulus(5.0, math.log(0.3), 0.0, 4.29, radial.RTOL)
+        events = len(calls)
+        radial.optimal_alpha(8.0)
+        assert events >= 2 and len(calls) > events + 1
+
+    @pytest.mark.parametrize("n", ["even", "odd"])
+    def test_simpson_is_scipys(self, profiles, n):
+        for prof in profiles:
+            for a, b in prof.segments:
+                if (b - a) % 2 != (n == "even"):
+                    b -= 1
+                r, u, du = prof.r[a:b], prof.u[a:b], prof.du[a:b]
+                for y in (du * du * r, np.abs(u) ** (prof.p + 1.0) * r):
+                    assert bits(radial.simpson(y, r)) == bits(
+                        scipy.integrate.simpson(y, x=r))
+
+    def test_pchip_is_scipys(self, profiles):
+        for prof in profiles:
+            keep = np.concatenate([[True], np.diff(prof.r) > 0.0])
+            ref = PchipInterpolator(prof.r[keep], prof.u[keep],
+                                    extrapolate=False)
+            mid = 0.5 * (prof.r[1:] + prof.r[:-1])
+            outside = np.array([-1.0, np.nextafter(prof.r_in, -1.0),
+                                1.0 + 1e-12, 2.0, np.inf, np.nan])
+            # the breakpoints (with the repeated break radius of a
+            # piecewise profile), the midpoints, points outside
+            for r in (prof.r, mid, outside):
+                want = np.nan_to_num(ref(r), nan=0.0)
+                assert bits(prof(r)) == bits(want)
+            assert not np.any(prof(outside))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pchip_end_slopes_are_scipys(self, seed):
+        # random sign changes reach both branches of the end-slope rule
+        rng = np.random.default_rng(seed)
+        x = np.cumsum(rng.uniform(0.1, 1.0, 8))
+        y = rng.normal(size=8)
+        r = np.linspace(x[0] - 0.5, x[-1] + 0.5, 1001)
+        ref = PchipInterpolator(x, y, extrapolate=False)
+        assert bits(radial.Pchip(x, y)(r)) == bits(
+            np.nan_to_num(ref(r), nan=0.0))
 
 
 class TestShotKernel:

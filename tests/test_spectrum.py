@@ -240,6 +240,13 @@ class TestConvexity:
         assert spectrum.convex_in_direction(
             geometry.DomainSpec.annulus(0.3, 1.0), 0.0) is False
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_power_squircle_within_the_float_range(self):
+        # the diagonal chords reach |x| = 1.41, where |x|^1e4 passes the
+        # float range: inf < 1 is outside, with no numpy warning
+        assert spectrum.convex_in_direction(
+            geometry.squircle_mask(1.0, 1e4), math.pi / 4) is True
+
 
 def _fresh_jacobian_polish(u, p, tol=1e-10, max_iter=40):
     """Newton polish that assembles K - W diag(p |v|^{p-1}) and lets SuperLU
