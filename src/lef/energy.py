@@ -29,6 +29,7 @@ UPPER_BOUND_CONST = 4.97 * FOUR_PI_E        # sharp upper-bound constant
 FLOAT_RANGE = {"over": "ignore", "invalid": "ignore"}
 NEHARI_TOL = 1e-6  # combined_energy checks its bound below this residual
 BRENT_RTOL = 4.0 * float(np.finfo(float).eps)  # brentq's least rtol
+BRENT_MAXITER = 100  # brentq's iteration limit, scipy's default
 
 
 @dataclass(frozen=True)
@@ -88,8 +89,8 @@ def minimize_f() -> AlphaOptimum:
     return opt
 
 
-def brentq(f, a: float, b: float, xtol: float, rtol: float = BRENT_RTOL,
-           maxiter: int = 100) -> float:
+def brentq(f, a: float, b: float, xtol: float,
+           rtol: float = BRENT_RTOL) -> float:
     """A zero of f in [a, b], where f(a) and f(b) differ in sign.
 
     Brent's method (Algorithms for Minimization without Derivatives,
@@ -98,7 +99,7 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float = BRENT_RTOL,
     same calls of f and the same root.  The root is always a point at
     which f was called.  ValueError when xtol <= 0, rtol < BRENT_RTOL,
     f(a) and f(b) have the same sign, or f returns nan; RuntimeError when
-    maxiter iterations do not converge.
+    BRENT_MAXITER iterations do not converge.
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
@@ -121,7 +122,7 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float = BRENT_RTOL,
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(BRENT_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (math.copysign(1.0, fpre)
                                             != math.copysign(1.0, fcur)):
             xblk, fblk = xpre, fpre
@@ -156,7 +157,8 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float = BRENT_RTOL,
         else:
             xcur += delta if sbis > 0.0 else -delta
         fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} "
+                       "iterations.")
 
 
 # ---------------------------------------------------------------------------

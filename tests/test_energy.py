@@ -62,10 +62,12 @@ class TestBrent:
         (lambda x: math.nan if x > 0.5 else x, -1.0, 2.0, {}, ValueError),
         (lambda x: x ** 3, -1.0, 2.0, {"maxiter": 3}, RuntimeError),
     ], ids=["same-sign", "xtol", "rtol", "nan", "maxiter"])
-    def test_raises_where_scipy_does(self, f, a, b, kw, error):
+    def test_raises_where_scipy_does(self, f, a, b, kw, error, monkeypatch):
         kw = {"xtol": 1e-12, **kw}
         with pytest.raises(error):
             scipy.optimize.brentq(f, a, b, **kw)
+        if "maxiter" in kw:  # the package's limit is a module constant
+            monkeypatch.setattr(energy, "BRENT_MAXITER", kw.pop("maxiter"))
         with pytest.raises(error):
             energy.brentq(f, a, b, **kw)
 
