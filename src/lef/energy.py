@@ -249,7 +249,7 @@ def upper_bound_report(choice) -> UpperBoundReport:
     from . import radial  # deferred: radial imports EnergyReport from here
 
     p, alpha = choice.annulus.p, choice.alpha
-    rep1 = radial.radial_energy(choice.annulus, p)
+    rep1 = radial.radial_energy(choice.annulus)
     rep2 = radial.ball_scaled_energy(p, alpha, choice.ball)
     return UpperBoundReport(p, alpha, rep1.scaled_energy, rep2.scaled_energy,
                             rep1.scaled_energy + rep2.scaled_energy,

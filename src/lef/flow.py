@@ -26,7 +26,8 @@ inverse) and v -> v + dt |v|^{p-1} v is odd and increasing.
 Threshold initial data on the boundary of the attraction domain of zero
 are located by bisection along rays of initial data, with an outer fan and
 one bisection over the mixing angle in the 2D space spanned by two
-disjointly supported profiles.
+disjointly supported profiles.  A candidate counts as converged at
+spectrum.STEADY_RESIDUAL_TOL and as sign-changing past nodal's zero band.
 """
 
 from __future__ import annotations
@@ -280,10 +281,10 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
 # width in rad of the mixing-angle bracket.  Past it v0's energy moves less
 # than the lambda bisection resolves.
 WIDTH_TOL = 1e-3
-# Elliptic residual up to which a threshold result's candidate counts as
-# converged: only those are scan candidates or carry a sign.
-CONVERGED_RESIDUAL = 1e-6
-SIGN_CHANGE_REL_TOL = 1e-3  # a sign change passes +-this * sup both ways
+# The first probe's lam, and how many times the bracket search may double
+# or halve lam before the ray counts as unbracketable.
+LAMBDA_INIT = 1.0
+MAX_BRACKET = 60
 
 
 class BracketError(RuntimeError):
@@ -317,10 +318,12 @@ class ThresholdResult:
     datum: Candidate | None = None
 
     def accepted(self) -> Candidate | None:
-        """The converged (residual <= CONVERGED_RESIDUAL) sign-changing
-        candidate of least residual, the snapshot on a tie, or None."""
+        """The converged (residual <= spectrum.STEADY_RESIDUAL_TOL)
+        sign-changing candidate of least residual (the snapshot on a tie),
+        or None."""
         ok = [c for c in (self.snapshot, self.datum)
-              if c is not None and c.residual <= CONVERGED_RESIDUAL
+              if c is not None
+              and c.residual <= spectrum_mod.STEADY_RESIDUAL_TOL
               and _is_sign_changing(c.field.values)]
         return min(ok, key=lambda c: c.residual, default=None)
 
@@ -337,25 +340,25 @@ class ThresholdResult:
 
 
 def _is_sign_changing(values: np.ndarray) -> bool:
+    """The values pass nodal's zero band both ways: the field's nodal
+    decomposition has domains of both signs."""
     if not values.size:
         return False
-    t = SIGN_CHANGE_REL_TOL * float(np.max(np.abs(values)))
+    t = nodal_mod.ZERO_BAND_FACTOR * float(np.max(np.abs(values)))
     return bool(np.min(values) < -t and np.max(values) > t)
 
 
 def threshold_bisect(direction: ScalarField, p: float,
                      config: FlowConfig = FlowConfig(),
-                     lambda_init: float = 1.0,
                      width_tol: float = WIDTH_TOL,
-                     polish: bool = True,
-                     max_bracket: int = 60) -> ThresholdResult:
+                     polish: bool = True) -> ThresholdResult:
     """Bisect the ray {lam * direction} for the decay/blow-up threshold
     down to a relative bracket width of ``width_tol``.
 
     One loop runs the probes on a bracket (lo, hi) = (0, inf) from
-    ``lambda_init``: it doubles lam while no blow-up has been seen and
-    halves it while no decay has been seen, at most ``max_bracket`` times,
-    then bisects.  MaxTimeReached probes count toward the decay side (their
+    LAMBDA_INIT: it doubles lam while no blow-up has been seen and halves
+    it while no decay has been seen, at most MAX_BRACKET times, then
+    bisects.  MaxTimeReached probes count toward the decay side (their
     energy stayed nonnegative).  A ConvergedSteady probe ends the search at
     its own lam with bisection width 0: that field is already the
     omega-limit candidate.
@@ -365,7 +368,7 @@ def threshold_bisect(direction: ScalarField, p: float,
 
     probes: list = []
     snapshot, blowup_sign = None, 0
-    lo, hi, lam, n_bracket = 0.0, math.inf, lambda_init, 0
+    lo, hi, lam, n_bracket = 0.0, math.inf, LAMBDA_INIT, 0
     while True:
         traj = evolve(direction.scaled(lam), p, config, certify_decay=True)
         cls = traj.classification
@@ -384,7 +387,7 @@ def threshold_bisect(direction: ScalarField, p: float,
         else:
             lo = lam
         if lo == 0.0 or hi == math.inf:
-            if n_bracket == max_bracket:
+            if n_bracket == MAX_BRACKET:
                 raise BracketError(
                     f"no decay/blow-up bracket found along the ray; probes: "
                     f"{[(l, c.value) for l, c in probes]}")
@@ -404,7 +407,7 @@ def threshold_bisect(direction: ScalarField, p: float,
             if pres < snapshot.residual:
                 snapshot = Candidate(polished, pres, "snapshot")
         polished, pres = spectrum_mod.newton_polish(v0, p)
-        if pres < CONVERGED_RESIDUAL and polished.sup > 0:
+        if pres < spectrum_mod.STEADY_RESIDUAL_TOL and polished.sup > 0:
             datum = Candidate(polished, pres, "datum")
     return ThresholdResult(lam_star, v0, (hi - lo) / (2.0 * lam_star),
                            probes, blowup_sign, snapshot, datum)

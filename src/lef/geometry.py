@@ -3,7 +3,10 @@
 Groups are finite subgroups of O(2): cyclic C_h (h rotations) or dihedral
 D_h (h rotations + h reflections).  A domain (``DomainSpec``) is the value
 of a config ``domain`` section: a disk, an annulus or a squircle, given by
-its radii and power.  Grids come in two flavours, a polar finite-volume
+its radii and power.  ``check_admissible`` decides the hypothesis on a
+(group, domain) pair exactly, from the group's order and axes and the
+domain's shape: every x != 0 has at least 4 images and the domain is
+G-invariant.  Grids come in two flavours, a polar finite-volume
 grid on disks/annuli and a masked cartesian grid on any of the domains.
 Both expose the same surface: node coordinates, cell weights, a symmetric
 stiffness matrix (discrete Dirichlet form), adjacency for flood fill and,
@@ -37,7 +40,10 @@ from scipy.sparse.linalg import splu
 
 from .energy import FLOAT_RANGE
 
-COINCIDENCE_TOL = 1e-12
+# An angle is a whole number of steps when its step count is this close to
+# an integer: the test of polar-grid rotations and reflections and of a
+# squircle's symmetry axes.
+STEP_TOL = 1e-9
 # Perron pair: inverse iteration stops once the Collatz-Wielandt bracket
 # [min, max] of (K psi)_i / (w_i psi_i) is this narrow (relative), or after
 # PERRON_MAX_ITER solves; mu is the bracket's lower end shrunk by
@@ -106,25 +112,6 @@ def dihedral(h: int, axis_angle: float = 0.0) -> SymmetryGroup:
     return SymmetryGroup("dihedral", h, axis_angle)
 
 
-def orbit_cardinalities(G: SymmetryGroup, pts) -> np.ndarray:
-    """Number of distinct images of each row of ``pts`` under the group
-    action, for all points in one array pass.
-
-    Images are taken in group-element order, and one counts unless it lies
-    within COINCIDENCE_TOL of an image counted before it.
-    """
-    pts = np.reshape(np.asarray(pts, dtype=float), (-1, 2))
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite")
-    images = np.stack([pts @ m.T for m in G.elements()], axis=1)
-    diff = images[:, :, None, :] - images[:, None, :, :]
-    close = np.sqrt(np.einsum("nabi,nabi->nab", diff, diff)) <= COINCIDENCE_TOL
-    counted = np.zeros(images.shape[:2], dtype=bool)
-    for k in range(images.shape[1]):
-        counted[:, k] = ~np.any(counted[:, :k] & close[:, k, :k], axis=1)
-    return np.count_nonzero(counted, axis=1)
-
-
 # ---------------------------------------------------------------------------
 # domains
 # ---------------------------------------------------------------------------
@@ -133,7 +120,8 @@ def orbit_cardinalities(G: SymmetryGroup, pts) -> np.ndarray:
 class DomainSpec:
     """Bounded planar domain, the value of a config ``domain`` section:
     a disk r < ``radius``, an annulus ``inner_radius`` < r < ``radius`` or
-    a squircle |x|^q + |y|^q < ``radius``^q with q = ``power``."""
+    a squircle (|x|/R)^q + (|y|/R)^q < 1 with R = ``radius`` and
+    q = ``power``."""
 
     shape: str  # 'disk' | 'annulus' | 'squircle'
     radius: float
@@ -175,9 +163,9 @@ class DomainSpec:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.shape == "squircle":
             q = self.power
-            with np.errstate(**FLOAT_RANGE):  # past the range, inf < R^q
-                return (np.abs(pts[:, 0]) ** q + np.abs(pts[:, 1]) ** q
-                        < self.radius ** q)
+            with np.errstate(**FLOAT_RANGE):  # past the range, inf < 1
+                scaled = np.abs(pts) / self.radius
+                return scaled[:, 0] ** q + scaled[:, 1] ** q < 1.0
         r = np.hypot(pts[:, 0], pts[:, 1])
         if self.shape == "disk":
             return r < self.radius
@@ -189,25 +177,25 @@ def squircle_mask(radius: float = 1.0, power: float = 4.0) -> DomainSpec:
     return DomainSpec("squircle", radius, power=power)
 
 
-def check_admissible(G: SymmetryGroup, domain: DomainSpec,
-                     samples: int = 512, seed: int = 0) -> bool:
-    """True iff |Gx| >= 4 at every sampled non-origin point and the domain
-    mask is G-invariant at all samples."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+def check_admissible(G: SymmetryGroup, domain: DomainSpec) -> bool:
+    """True iff |Gx| >= 4 for every x != 0 and the domain is G-invariant.
+
+    The orbit condition is ``order_h >= 4``: the h rotations move any
+    x != 0 to h distinct points, and for h < 4 every point of C_h, and
+    every point on an axis of D_h, has fewer than 4 images.  Disks,
+    annuli and squircles of power 2 (disks) are invariant under every
+    group.  Any other squircle is invariant under C4, and under D4 when its
+    axes lie at multiples of pi/4 (to STEP_TOL), and under no other group
+    of order >= 4: each holds a rotation by less than pi/2 or a reflection
+    about another axis.
+    """
     if G.order_h < 4:
         return False
-    rng = np.random.default_rng(seed)
-    R = domain.bounding_radius
-    pts = rng.uniform(-R, R, size=(samples, 2))
-    inside = domain.inside(pts)
-    for mat in G.elements():
-        mapped = domain.inside(pts @ mat.T)
-        if np.any(mapped != inside):
-            return False
-    away = pts[inside]
-    away = away[np.linalg.norm(away, axis=1) >= COINCIDENCE_TOL]
-    return bool(np.all(orbit_cardinalities(G, away) >= 4))
+    if domain.shape != "squircle" or domain.power == 2.0:
+        return True
+    steps = G.axis_angle / (math.pi / 4.0)
+    return G.order_h == 4 and (G.kind == "cyclic"
+                               or abs(steps - round(steps)) <= STEP_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +450,7 @@ class PolarGrid(_GridBase):
     def _theta_steps(self, angle: float) -> int:
         s = angle / self.dtheta
         si = round(s)
-        if abs(s - si) > 1e-9:
+        if abs(s - si) > STEP_TOL:
             raise GridSymmetryError(
                 f"angle {angle} is not a multiple of dtheta={self.dtheta}")
         return si % self.n_theta

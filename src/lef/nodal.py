@@ -1,11 +1,13 @@
 """Nodal domain extraction and the geometric facts audited on a candidate.
 
 Discrete nodal domains are connected components of {v > tau} and
-{v < -tau} under the grid's 4-neighbor-style adjacency; the slab
-{|v| <= tau} is the "zero band".  The nodal line runs through the zero
-band and across every edge whose ends lie in domains of opposite sign.
-It touches the boundary when a zero-band component that holds a
-boundary-adjacent node borders domains of both signs, or when an
+{v < -tau} under the grid's 4-neighbor-style adjacency, with
+tau = ZERO_BAND_FACTOR * ||v||_inf; the slab {|v| <= tau} is the "zero
+band".  A field changes sign when it has domains of both signs; the flow
+module's sign test reads the same factor.  The nodal line runs through
+the zero band and across every edge whose ends lie in domains of
+opposite sign.  It touches the boundary when a zero-band component that
+holds a boundary-adjacent node borders domains of both signs, or when an
 opposite-sign edge has a boundary-adjacent end.  The thin one-signed
 Dirichlet collar forced by v = 0 on the boundary does not count.
 """
@@ -21,7 +23,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .energy import EnergyReport, field_energy
 
-DEFAULT_TAU_FACTOR = 1e-3
+ZERO_BAND_FACTOR = 1e-3  # the zero band is {|v| <= this * ||v||_inf}
 
 
 @dataclass(frozen=True)
@@ -58,18 +60,16 @@ def _components(adj: sp.csr_matrix, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def decompose(v, tau: float | None = None) -> NodalDecomposition:
-    """Flood-fill nodal decomposition of a grid field.
+def decompose(v) -> NodalDecomposition:
+    """Flood-fill nodal decomposition of a grid field, with the zero band
+    {|v| <= tau}, tau = ZERO_BAND_FACTOR * ||v||_inf.
 
-    tau defaults to 1e-3 * ||v||_inf.  An all-zero field yields zero
-    domains (a labeled outcome, not an error).
+    An all-zero field yields zero domains (a labeled outcome, not an
+    error).
     """
     grid, values = v.grid, v.values
     sup = float(np.max(np.abs(values))) if values.size else 0.0
-    if tau is None:
-        tau = DEFAULT_TAU_FACTOR * sup
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    tau = ZERO_BAND_FACTOR * sup
     adj = grid.adjacency()
 
     # side: +1 / -1 in the positive / negative domains, 0 in the zero band

@@ -219,11 +219,11 @@ def simpson(y: np.ndarray, x: np.ndarray):
     return result
 
 
-def radial_energy(profile: RadialProfile, p: float | None = None) -> EnergyReport:
-    """Energy report from 1D quadrature (Simpson per smooth segment), under
-    FLOAT_RANGE; a norm past the float range raises RadialSolveError."""
-    if p is None:
-        p = profile.p
+def radial_energy(profile: RadialProfile) -> EnergyReport:
+    """Energy report at the profile's p from 1D quadrature (Simpson per
+    smooth segment), under FLOAT_RANGE; a norm past the float range raises
+    RadialSolveError."""
+    p = profile.p
     grad = lp1 = 0.0
     with np.errstate(**FLOAT_RANGE):
         for a, b in profile.segments:
@@ -634,7 +634,7 @@ def solve_ball(p: float) -> RadialProfile:
 
 def ball_energy(p: float) -> EnergyReport:
     """Energy report of the positive ball solution."""
-    return radial_energy(solve_ball(p), p)
+    return radial_energy(solve_ball(p))
 
 
 def ball_radius(p: float, alpha: float) -> float:
@@ -669,7 +669,7 @@ def ball_scaled_energy(p: float, alpha: float,
     both norms agree up to the solver's Nehari residual).  ``ball`` is the
     solution solve_ball(p).
     """
-    return _rescaled_energy(radial_energy(ball, p), p, alpha)
+    return _rescaled_energy(radial_energy(ball), p, alpha)
 
 
 def _rescaled_energy(base: EnergyReport, p: float,
@@ -860,22 +860,17 @@ def budget_derivative(p: float, alpha: float, slope: float,
 
 def _profiles(p: float, alpha: float, ball: RadialProfile,
               ball_energy: EnergyReport, slope: float | None) -> AlphaChoice:
-    """profiles_at with the ball solution's energy report given."""
+    """profiles_at from the ball solution ``ball`` and its energy report;
+    ``slope`` starts the annulus shooting (see solve_annulus)."""
     annulus = solve_annulus(p, ball_radius(p, alpha), 1.0, slope)
     return AlphaChoice(alpha, ball, annulus, budget_derivative(
         p, alpha, annulus.slope, ball_energy))
 
 
-def profiles_at(p: float, alpha: float, ball: RadialProfile | None = None,
-                slope: float | None = None) -> AlphaChoice:
-    """The ball and annulus solutions of the energy budget at ``alpha``.
-
-    ``ball`` is the solution solve_ball(p), solved here when not given;
-    ``slope`` starts the annulus shooting (see solve_annulus).
-    """
-    if ball is None:
-        ball = solve_ball(p)
-    return _profiles(p, alpha, ball, radial_energy(ball, p), slope)
+def profiles_at(p: float, alpha: float) -> AlphaChoice:
+    """The ball and annulus solutions of the energy budget at ``alpha``."""
+    ball = solve_ball(p)
+    return _profiles(p, alpha, ball, radial_energy(ball), None)
 
 
 def _predict_slope(choices: dict, alpha: float) -> float | None:
@@ -911,7 +906,7 @@ def optimal_alpha(p: float) -> AlphaChoice:
     already solved.
     """
     ball = solve_ball(p)
-    ball_energy = radial_energy(ball, p)
+    ball_energy = radial_energy(ball)
     choices = {}  # every solved alpha -> its AlphaChoice
 
     def derivative(alpha: float) -> float:

@@ -38,6 +38,8 @@ EIGENPAIR_RESIDUAL_TOL = 1e-8  # relative residual every eigsh pair must meet
 STEADY_RESIDUAL_TOL = 1e-6  # elliptic residual of a field with a Morse index
 HALF_DOMAIN_AXIS = math.pi / 2.0  # the x2-axis: the half domain is x1 < 0
 ODD_EXTENSION_RESIDUAL_TOL = 1e-6  # eigen-residual of the half-domain mode
+NEWTON_TOL = 1e-10  # newton_polish stops once the residual is below this
+CONVEXITY_CHORDS, CONVEXITY_POINTS = 64, 256  # chords, points per chord
 
 
 class EigenSolveError(RuntimeError):
@@ -274,14 +276,14 @@ def half_domain_mu(u, p: float):
                 "axis_angle": axis_angle}
 
 
-def convex_in_direction(domain, direction_angle: float,
-                        n_chords: int = 64, n_pts: int = 256) -> bool:
-    """Sample chords along ``direction_angle``: inside-points form one run."""
+def convex_in_direction(domain, direction_angle: float) -> bool:
+    """Sample CONVEXITY_CHORDS chords along ``direction_angle`` at
+    CONVEXITY_POINTS points each: inside-points form one run."""
     d = np.array([math.cos(direction_angle), math.sin(direction_angle)])
     n = np.array([-d[1], d[0]])
     R = domain.bounding_radius
-    for off in np.linspace(-R, R, n_chords):
-        ts = np.linspace(-R, R, n_pts)
+    for off in np.linspace(-R, R, CONVEXITY_CHORDS):
+        ts = np.linspace(-R, R, CONVEXITY_POINTS)
         pts = off * n[None, :] + ts[:, None] * d[None, :]
         ins = domain.inside(pts)
         runs = np.count_nonzero(np.diff(ins.astype(int)) == 1)
@@ -295,9 +297,10 @@ def convex_in_direction(domain, direction_angle: float,
 # ---------------------------------------------------------------------------
 
 @np.errstate(**FLOAT_RANGE)
-def newton_polish(u, p: float, tol: float = 1e-10, max_iter: int = 40):
+def newton_polish(u, p: float, max_iter: int = 40):
     """Newton iteration on K v - W |v|^{p-1} v = 0 with damping, under
-    FLOAT_RANGE.
+    FLOAT_RANGE, until the residual is below NEWTON_TOL or after
+    ``max_iter`` iterations.
 
     Returns (polished field, residual).  The iteration stops early and
     returns the best iterate if it stalls; callers should check the
@@ -351,6 +354,6 @@ def newton_polish(u, p: float, tol: float = 1e-10, max_iter: int = 40):
         v, fv, cur = cand, f_cand, r
         if r < best_res:
             best_v, best_res = v.copy(), r
-        if r < tol:
+        if r < NEWTON_TOL:
             break
     return dataclasses.replace(u, values=best_v), best_res

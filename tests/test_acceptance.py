@@ -56,7 +56,7 @@ def test_criterion_01_omega_closed_form():
     errs = []
     for p, alpha, b in ((10.0, 1.0, 1.0), (50.0, 0.2, 0.5)):
         prof = radial.omega_test_function(p, alpha, b)
-        got = radial.radial_energy(prof, p).grad_norm_sq
+        got = radial.radial_energy(prof).grad_norm_sq
         exact = radial.omega_energy_closed_form(p, alpha, b)
         errs.append(abs(got - exact) / exact)
     ok = all(e < 1e-6 for e in errs)
@@ -79,7 +79,7 @@ def test_criterion_03_annulus_bound():
     p = 200.0
     a_bar = energy.minimize_f().alpha_bar
     prof = radial.solve_annulus(p, math.exp(-a_bar * p), 1.0)
-    val = p * radial.radial_energy(prof, p).grad_norm_sq
+    val = p * radial.radial_energy(prof).grad_norm_sq
     bound = 8.0 * math.pi * math.exp(2.0 * a_bar) / a_bar * 1.10
     ok = val <= bound
     verdict(3, ok, f"p grad^2 of the annulus solution {val:.3f} <= "

@@ -369,6 +369,21 @@ class TestFlowCommand:
         assert rep["final_residual"] is None
         assert rep["classification"] == "Blowup"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_squircle_whose_radius_power_passes_the_float_range(
+            self, tmp_path, capsys):
+        # 2.0 ** 2000 passes the float range; the mask compares
+        # (|x|/R)^q + (|y|/R)^q < 1 and the run ends in a report
+        config = {"p": 5.0, "grid": {"type": "cartesian", "n": 16},
+                  "domain": {"type": "squircle", "radius": 2.0,
+                             "power": 2000},
+                  "outdir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["flow", "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "out" / "flow_report.json").exists()
+
     @pytest.mark.parametrize("initial, message", [
         ({"type": "hexagon"}, "unknown initial datum type 'hexagon'"),
         ({"type": "annulus", "a": 1.2},

@@ -88,22 +88,24 @@ class TestEvolve:
 
 
 class TestThresholdBisect:
-    def test_ball_direction_threshold_near_one(self, ball_field):
+    def test_ball_direction_threshold_near_one(self, ball_field,
+                                               monkeypatch):
         # the steady state itself separates decay from blow-up along its ray
         u, _ = spectrum.newton_polish(ball_field, 5.0)
         direction, _ = energy.nehari_project(u, 5.0)
         cfg = FlowConfig(t_max=40.0)
-        res = flow.threshold_bisect(direction, 5.0, cfg, polish=False,
-                                    lambda_init=0.7)
+        monkeypatch.setattr(flow, "LAMBDA_INIT", 0.7)
+        res = flow.threshold_bisect(direction, 5.0, cfg, polish=False)
         assert abs(res.lambda_star - 1.0) < 0.01
         assert res.bisection_width <= 1e-3 * res.lambda_star
 
-    def test_unbracketable_direction_raises(self, grid):
+    def test_unbracketable_direction_raises(self, grid, monkeypatch):
         # a tiny bump whose blow-up scale exceeds the bracket budget
         v = ring_bump(grid, 0.45, 0.55).scaled(1e-3)
         cfg = FlowConfig(t_max=0.5)
+        monkeypatch.setattr(flow, "MAX_BRACKET", 2)
         with pytest.raises(flow.BracketError):
-            flow.threshold_bisect(v, 5.0, cfg, max_bracket=2)
+            flow.threshold_bisect(v, 5.0, cfg)
 
     # (steady lambda, threshold of the other probes, expected probe lambdas)
     STEADY_CASES = {
@@ -278,8 +280,8 @@ def test_accepted_is_the_converged_sign_changer_of_least_residual():
     one_signed = flow.ScalarField(field.grid, np.array([1.0, 0.0]))
     ray.datum = flow.Candidate(one_signed, 1e-12, "datum")
     assert ray.accepted() is ray.snapshot
-    ray.snapshot = flow.Candidate(field, 2.0 * flow.CONVERGED_RESIDUAL,
-                                  "snapshot")
+    ray.snapshot = flow.Candidate(
+        field, 2.0 * spectrum.STEADY_RESIDUAL_TOL, "snapshot")
     assert ray.accepted() is None
 
 

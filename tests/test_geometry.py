@@ -1,10 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from lef import geometry
 from lef.geometry import (CartesianMaskedGrid, DomainSpec, GridSymmetryError,
                           PolarGrid, SymmetryGroup, check_admissible, cyclic,
                           dihedral, squircle_mask)
@@ -16,18 +16,6 @@ class TestGroups:
         assert dihedral(4).size == 8
         assert cyclic(1).size == 1
 
-    def test_orbit_cardinality_generic_point(self):
-        pt = np.array([0.3, 0.11])
-        assert geometry.orbit_cardinalities(cyclic(4), pt).tolist() == [4]
-        assert geometry.orbit_cardinalities(dihedral(4), pt).tolist() == [8]
-
-    def test_orbit_cardinality_special_points(self):
-        assert geometry.orbit_cardinalities(cyclic(6),
-                                            np.zeros(2)).tolist() == [1]
-        # a point on a reflection axis has half the dihedral orbit
-        assert geometry.orbit_cardinalities(
-            dihedral(4), np.array([0.5, 0.0])).tolist() == [4]
-
     def test_apply_group_element_rotates(self):
         G = cyclic(4)
         images = [m @ np.array([1.0, 0.0]) for m in G.elements()]
@@ -36,69 +24,54 @@ class TestGroups:
         assert any(np.allclose(img, [-1.0, 0.0]) for img in images)
 
 
-def _greedy_orbit_cardinality(G, x):
-    """Point-by-point orbit count: an image counts unless it lies within
-    COINCIDENCE_TOL of an image counted before it.  The oracle of
-    ``orbit_cardinalities``."""
-    distinct = []
-    for img in (m @ x for m in G.elements()):
-        if all(np.linalg.norm(img - d) > geometry.COINCIDENCE_TOL
-               for d in distinct):
-            distinct.append(img)
-    return len(distinct)
+COINCIDENCE_TOL = 1e-12  # images this close count as one point
 
 
-def _point_by_point_admissible(G, domain, samples=512, seed=0):
-    """``check_admissible`` with the point-by-point orbit count."""
+def _sampled_admissible(G, domain, seed):
+    """The sampled admissibility check, the reference of the exact rule
+    ``check_admissible``: at each of 512 sampled points the domain mask is
+    G-invariant, and at every sampled inside point away from the origin
+    |Gx| >= 4.  Orbits are counted greedily in group-element order, an
+    image counting unless it lies within COINCIDENCE_TOL of an image
+    counted before it, until every point has 4."""
     if G.order_h < 4:
         return False
     R = domain.bounding_radius
-    pts = np.random.default_rng(seed).uniform(-R, R, size=(samples, 2))
+    pts = np.random.default_rng(seed).uniform(-R, R, size=(512, 2))
     inside = domain.inside(pts)
-    for mat in G.elements():
-        if np.any(domain.inside(pts @ mat.T) != inside):
-            return False
-    return all(_greedy_orbit_cardinality(G, x) >= 4 for x in pts[inside]
-               if np.linalg.norm(x) >= geometry.COINCIDENCE_TOL)
+    images = [pts @ m.T for m in G.elements()]
+    if any(np.any(domain.inside(img) != inside) for img in images):
+        return False
+    away = inside & (np.linalg.norm(pts, axis=1) >= COINCIDENCE_TOL)
+    counted, count = [], np.zeros(len(pts), dtype=int)
+    for img in images:
+        new = np.ones(len(pts), dtype=bool)
+        for prev, was_counted in counted:
+            new &= ~was_counted | (np.linalg.norm(img - prev, axis=1)
+                                   > COINCIDENCE_TOL)
+        counted.append((img, new))
+        count += new
+        if np.all(count[away] >= 4):
+            break
+    return bool(np.all(count[away] >= 4))
 
 
-ORBIT_GROUPS = [SymmetryGroup(kind, h, axis)
-                for kind in ("cyclic", "dihedral") for h in range(1, 9)
-                for axis in (0.0, math.pi / 8, 0.3)]
-
-
-class TestOrbitCardinalities:
-    @pytest.mark.parametrize("G", ORBIT_GROUPS, ids=str)
-    def test_array_count_equals_the_greedy_count(self, G):
-        rng = np.random.default_rng(G.order_h)
-        axes = [G.axis_angle + math.pi * k / G.order_h
-                for k in range(G.order_h)]
-        pts = np.concatenate([
-            rng.uniform(-1.0, 1.0, size=(24, 2)),
-            # on every reflection axis, and on the x-axis
-            [[r * math.cos(a), r * math.sin(a)] for a in axes + [0.0]
-             for r in (0.3, -0.7)],
-            # near the origin: all images coincide, or none do
-            [[1e-14, 2e-14], [-3e-13, 1e-13], [4e-12, -2e-12],
-             [1e-10, 3e-10], [0.0, 0.0]],
-        ])
-        got = geometry.orbit_cardinalities(G, pts)
-        assert got.tolist() == [_greedy_orbit_cardinality(G, x)
-                                for x in pts]
-        assert geometry.orbit_cardinalities(G, pts[0]).tolist() == [got[0]]
-
-    @pytest.mark.parametrize("domain", [
-        DomainSpec.disk(1.0), DomainSpec.annulus(0.3, 1.0),
-        squircle_mask(1.0, 4.0)], ids=["disk", "annulus", "squircle"])
-    def test_admissibility_equals_the_point_by_point_check(self, domain):
-        for G in ORBIT_GROUPS[::3] + ORBIT_GROUPS[2::6]:
-            for seed in (0, 1):
-                assert check_admissible(G, domain, 64, seed) == \
-                    _point_by_point_admissible(G, domain, 64, seed), G
-
-    def test_non_finite_point_raises(self):
-        with pytest.raises(ValueError, match="finite"):
-            geometry.orbit_cardinalities(cyclic(4), np.array([np.nan, 0.0]))
+def test_exact_admissibility_equals_the_sampled_check():
+    # C_h and D_h for h = 1..12 at six axis angles, on a disk, an annulus
+    # and five squircles (power 2 is a disk), three sample seeds
+    domains = [DomainSpec.disk(1.0), DomainSpec.annulus(0.3, 1.0)] + [
+        squircle_mask(R, q)
+        for R, q in [(1.0, 4.0), (1.0, 2.0), (0.8, 6.0), (1.0, 0.5),
+                     (2.0, 3.0)]]
+    axes = (0.0, math.pi / 8, 0.3, math.pi / 4, math.pi / 2, 1e-12)
+    cases = [(SymmetryGroup(kind, h, axis), domain, seed)
+             for kind in ("cyclic", "dihedral") for h in range(1, 13)
+             for axis in axes for domain in domains for seed in (0, 1, 2)]
+    assert len(cases) == 3024
+    wrong = [(G, domain, seed) for G, domain, seed in cases
+             if check_admissible(G, domain)
+             != _sampled_admissible(G, domain, seed)]
+    assert wrong == []
 
 
 class TestAdmissibility:
@@ -202,6 +175,25 @@ class TestCartesianMaskedGrid:
         g = CartesianMaskedGrid(DomainSpec.disk(1.0), 24)
         with pytest.raises(GridSymmetryError):
             g.group_permutations(cyclic(3))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("radius", [0.7, 0.8, 1.0, 1.3, 2.0])
+    def test_squircle_mask_is_the_unscaled_one(self, radius):
+        # (|x|/R)^q + (|y|/R)^q < 1 against |x|^q + |y|^q < R^q, on the
+        # cell centres of cartesian grids over the squircle's box and the
+        # unit box: no cell flips where R^q is finite
+        for q, n, extent in itertools.product((2.5, 3.0, 4.0, 6.0),
+                                              (16, 64, 128), (radius, 1.0)):
+            c = (np.arange(n) + 0.5) * (2.0 * extent / n) - extent
+            x, y = (a.ravel() for a in np.meshgrid(c, c, indexing="ij"))
+            unscaled = np.abs(x) ** q + np.abs(y) ** q < radius ** q
+            got = squircle_mask(radius, q).inside(np.column_stack([x, y]))
+            assert np.array_equal(got, unscaled), (q, n, extent)
+        # past the float range of R^q the scaled mask still holds the
+        # points inside: |x|, |y| < R
+        big = squircle_mask(2.0, 2000.0)
+        assert big.inside(np.array([[1.99, -1.99], [1.5, 0.0]])).all()
+        assert not big.inside(np.array([[2.01, 0.0], [0.0, -2.0]])).any()
 
 
 # -- stiffness oracle: the per-edge loop assembly the face-list assembly

@@ -46,11 +46,6 @@ class TestDecompose:
         assert dec.n_domains == 0
         assert dec.boundary_contact is False
 
-    def test_negative_tau_rejected(self, grid):
-        v = ring_bump(grid, 0.2, 0.8)
-        with pytest.raises(ValueError):
-            nodal.decompose(v, tau=-1.0)
-
     def test_record_is_frozen(self, grid):
         dec = nodal.decompose(angular_bump(grid, 2))
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -58,6 +53,36 @@ class TestDecompose:
         for array in (dec.labels, dec.signs):
             with pytest.raises(ValueError):
                 array[0] = 0
+
+
+def _at_the_band_edge(g):
+    """A one-signed bump with one node at -tau: in the zero band."""
+    v = ring_bump(g, 0.4, 0.8)
+    values = v.values.copy()
+    values[0] = -nodal.ZERO_BAND_FACTOR * np.max(values)
+    return flow.ScalarField(g, values)
+
+
+# the fields of these tests, by name
+FIELDS = {
+    "four-petals": lambda g: angular_bump(g, 2, r0=0.5, width=0.25),
+    "two-rings": _two_rings,
+    "collar": lambda g: _two_rings(g, collar=0.05),
+    "zero": lambda g: flow.ScalarField(g, np.zeros(g.n_nodes)),
+    "bump": lambda g: ring_bump(g, 0.4, 0.8),
+    "negative-bump": lambda g: ring_bump(g, 0.2, 0.8, sign=-1.0),
+    "band-edge": _at_the_band_edge,
+    "diameter": lambda g: flow.ScalarField(
+        g, np.cos(np.arctan2(g.xy[:, 1], g.xy[:, 0]) + g.dtheta / 2.0)),
+}
+
+
+@pytest.mark.parametrize("make", FIELDS.values(), ids=FIELDS.keys())
+def test_sign_change_is_domains_of_both_signs(grid, make):
+    # the flow's sign test and the nodal decomposition share one zero band
+    v = make(grid)
+    signs = set(nodal.decompose(v).signs.tolist())
+    assert flow._is_sign_changing(v.values) == (signs == {-1, 1})
 
 
 class TestBoundaryContact:

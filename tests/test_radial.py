@@ -22,7 +22,7 @@ class TestBall:
         assert u[0] == pytest.approx(prof.sup, rel=1e-6)
 
     def test_solution_sits_on_nehari_manifold(self):
-        rep = radial.radial_energy(radial.solve_ball(5.0), 5.0)
+        rep = radial.radial_energy(radial.solve_ball(5.0))
         assert rep.nehari_residual < 1e-8
 
     def test_similarity_rescaling_identities(self):
@@ -30,8 +30,8 @@ class TestBall:
         # lam^{4/(p-1)}, so the Nehari residual is preserved
         p, lam = 5.0, 2.0
         prof = radial.solve_ball(p)
-        r1 = radial.radial_energy(prof, p)
-        r2 = radial.radial_energy(prof.scaled(lam), p)
+        r1 = radial.radial_energy(prof)
+        r2 = radial.radial_energy(prof.scaled(lam))
         factor = lam ** (4.0 / (p - 1.0))
         assert r2.grad_norm_sq == pytest.approx(factor * r1.grad_norm_sq,
                                                 rel=1e-10)
@@ -53,14 +53,14 @@ class TestBall:
         # |u|^(p+1) of the ball solution (sup near e^(1/2)) nears the float
         # maximum at p = 1400; the Simpson sums keep it on the Nehari
         # manifold all the way
-        rep = radial.radial_energy(radial.solve_ball(p), p)
+        rep = radial.radial_energy(radial.solve_ball(p))
         assert rep.nehari_residual <= 1e-7
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_energy_past_the_float_range_raises(self):
         # at p = 1500 the ball's |u|^(p+1) and u_r^2 pass the float range
         with pytest.raises(RadialSolveError, match="float range"):
-            radial.radial_energy(radial.solve_ball(1500.0), 1500.0)
+            radial.radial_energy(radial.solve_ball(1500.0))
 
     def test_scaled_ball_consistency(self):
         p, alpha = 8.0, 0.25
@@ -69,7 +69,7 @@ class TestBall:
         rho = math.exp(-alpha * p)
         assert prof(np.array([rho]))[0] == pytest.approx(0.0, abs=1e-8)
         assert prof(np.array([2.0 * rho]))[0] == 0.0
-        rep_direct = radial.radial_energy(prof, p)
+        rep_direct = radial.radial_energy(prof)
         rep_closed = radial.ball_scaled_energy(p, alpha, ball)
         assert rep_direct.energy == pytest.approx(rep_closed.energy, rel=1e-6)
 
@@ -83,7 +83,7 @@ class TestAnnulus:
         assert np.all(prof(r) > 0.0)
 
     def test_on_nehari_manifold(self):
-        rep = radial.radial_energy(radial.solve_annulus(5.0, 0.3, 1.0), 5.0)
+        rep = radial.radial_energy(radial.solve_annulus(5.0, 0.3, 1.0))
         assert rep.nehari_residual < 1e-7
 
     def test_bad_geometry_raises(self):
@@ -323,7 +323,7 @@ class TestOmegaProfile:
     def test_closed_form_energy(self):
         p, alpha, b = 10.0, 1.0, 1.0
         prof = radial.omega_test_function(p, alpha, b)
-        rep = radial.radial_energy(prof, p)
+        rep = radial.radial_energy(prof)
         exact = radial.omega_energy_closed_form(p, alpha, b)
         assert rep.grad_norm_sq == pytest.approx(exact, rel=1e-6)
 
@@ -338,10 +338,12 @@ class TestOmegaProfile:
             radial.omega_test_function(10.0, 0.1, 0.1)
 
 
-def budget(p, alpha, ball=None, slope=None):
-    """T(alpha) = p (E_p(annulus) + E_p(scaled ball)) by quadrature."""
+def budget(p, alpha, ball, slope=None):
+    """T(alpha) = p (E_p(annulus) + E_p(scaled ball)) by quadrature, from
+    the ball solution ``ball``."""
     from lef import energy
-    choice = radial.profiles_at(p, alpha, ball, slope)
+    choice = radial._profiles(p, alpha, ball, radial.radial_energy(ball),
+                              slope)
     return energy.upper_bound_report(choice).total, choice
 
 
@@ -401,7 +403,7 @@ class TestOptimalAlpha:
         assert abs(choice.derivative) < 1e4 * radial.ALPHA_XATOL
         assert choice.derivative == radial.budget_derivative(
             p, choice.alpha, choice.annulus.slope,
-            radial.radial_energy(choice.ball, p))
+            radial.radial_energy(choice.ball))
 
     def test_no_sign_change_in_bounds_raises(self, monkeypatch):
         monkeypatch.setattr(radial, "ALPHA_BOUNDS", (0.05, 0.1))
@@ -427,7 +429,8 @@ class TestOptimalAlpha:
         ann = choice.annulus
         assert ann.r_in == math.exp(-choice.alpha * p) and ann.r_out == 1.0
         assert len(ann.r) == radial.N_SAMPLES
-        again = radial.profiles_at(p, choice.alpha, choice.ball, ann.slope)
+        again = radial._profiles(p, choice.alpha, choice.ball,
+                                 radial.radial_energy(choice.ball), ann.slope)
         assert again.ball is choice.ball
         assert np.array_equal(again.annulus.u, ann.u)
 
