@@ -16,6 +16,17 @@ class TestGroups:
         assert dihedral(4).size == 8
         assert cyclic(1).size == 1
 
+    def test_orbit_cardinality_generic_point(self):
+        pt = np.array([[0.3, 0.11]])
+        assert _orbit_counts(cyclic(4), pt).tolist() == [4]
+        assert _orbit_counts(dihedral(4), pt).tolist() == [8]
+
+    def test_orbit_cardinality_special_points(self):
+        assert _orbit_counts(cyclic(6), np.zeros((1, 2))).tolist() == [1]
+        # a point on a reflection axis has half the dihedral orbit
+        assert _orbit_counts(dihedral(4),
+                             np.array([[0.5, 0.0]])).tolist() == [4]
+
     def test_apply_group_element_rotates(self):
         G = cyclic(4)
         images = [m @ np.array([1.0, 0.0]) for m in G.elements()]
@@ -27,51 +38,122 @@ class TestGroups:
 COINCIDENCE_TOL = 1e-12  # images this close count as one point
 
 
-def _sampled_admissible(G, domain, seed):
-    """The sampled admissibility check, the reference of the exact rule
-    ``check_admissible``: at each of 512 sampled points the domain mask is
-    G-invariant, and at every sampled inside point away from the origin
-    |Gx| >= 4.  Orbits are counted greedily in group-element order, an
-    image counting unless it lies within COINCIDENCE_TOL of an image
-    counted before it, until every point has 4."""
-    if G.order_h < 4:
-        return False
-    R = domain.bounding_radius
-    pts = np.random.default_rng(seed).uniform(-R, R, size=(512, 2))
-    inside = domain.inside(pts)
-    images = [pts @ m.T for m in G.elements()]
-    if any(np.any(domain.inside(img) != inside) for img in images):
-        return False
-    away = inside & (np.linalg.norm(pts, axis=1) >= COINCIDENCE_TOL)
+def _orbit_counts(G, pts, enough=math.inf):
+    """|Gx| for each row x of ``pts``, counted greedily in group-element
+    order: an image counts unless it lies within COINCIDENCE_TOL of an
+    image counted before it.  Counting stops once every point has
+    ``enough`` images."""
     counted, count = [], np.zeros(len(pts), dtype=int)
-    for img in images:
+    for img in (pts @ m.T for m in G.elements()):
+        if np.all(count >= enough):
+            break
         new = np.ones(len(pts), dtype=bool)
         for prev, was_counted in counted:
             new &= ~was_counted | (np.linalg.norm(img - prev, axis=1)
                                    > COINCIDENCE_TOL)
         counted.append((img, new))
         count += new
-        if np.all(count[away] >= 4):
-            break
-    return bool(np.all(count[away] >= 4))
+    return count
 
 
-def test_exact_admissibility_equals_the_sampled_check():
-    # C_h and D_h for h = 1..12 at six axis angles, on a disk, an annulus
-    # and five squircles (power 2 is a disk), three sample seeds
-    domains = [DomainSpec.disk(1.0), DomainSpec.annulus(0.3, 1.0)] + [
-        squircle_mask(R, q)
-        for R, q in [(1.0, 4.0), (1.0, 2.0), (0.8, 6.0), (1.0, 0.5),
-                     (2.0, 3.0)]]
-    axes = (0.0, math.pi / 8, 0.3, math.pi / 4, math.pi / 2, 1e-12)
+def _sampled_admissible(G, domain, seed):
+    """The sampled admissibility check, the reference of the exact rule
+    ``check_admissible``: at each of 512 sampled points the domain mask is
+    G-invariant, and at every sampled inside point away from the origin
+    |Gx| >= 4."""
+    if G.order_h < 4:
+        return False
+    R = domain.bounding_radius
+    pts = np.random.default_rng(seed).uniform(-R, R, size=(512, 2))
+    inside = domain.inside(pts)
+    if any(np.any(domain.inside(pts @ m.T) != inside)
+           for m in G.elements()):
+        return False
+    away = inside & (np.linalg.norm(pts, axis=1) >= COINCIDENCE_TOL)
+    return bool(np.all(_orbit_counts(G, pts[away], enough=4) >= 4))
+
+
+# the oracle grid: C_h and D_h for h = 1..12 at six axis angles, on a disk,
+# an annulus and five squircles (power 2 is a disk), three sample seeds
+ORACLE_GROUPS = [(kind, h) for kind in ("cyclic", "dihedral")
+                 for h in range(1, 13)]
+ORACLE_AXES = (0.0, math.pi / 8, 0.3, math.pi / 4, math.pi / 2, 1e-12)
+ORACLE_DOMAINS = [DomainSpec.disk(1.0), DomainSpec.annulus(0.3, 1.0)] + [
+    squircle_mask(R, q)
+    for R, q in [(1.0, 4.0), (1.0, 2.0), (0.8, 6.0), (1.0, 0.5), (2.0, 3.0)]]
+ORACLE_SEEDS = (0, 1, 2)
+
+
+def test_oracle_grid_has_3024_cases():
+    assert len(ORACLE_GROUPS) * len(ORACLE_AXES) * len(ORACLE_DOMAINS) \
+        * len(ORACLE_SEEDS) == 3024
+
+
+@pytest.mark.parametrize("kind,h", ORACLE_GROUPS,
+                         ids=[f"{k}-{h}" for k, h in ORACLE_GROUPS])
+def test_exact_admissibility_equals_the_sampled_check(kind, h):
     cases = [(SymmetryGroup(kind, h, axis), domain, seed)
-             for kind in ("cyclic", "dihedral") for h in range(1, 13)
-             for axis in axes for domain in domains for seed in (0, 1, 2)]
-    assert len(cases) == 3024
+             for axis in ORACLE_AXES for domain in ORACLE_DOMAINS
+             for seed in ORACLE_SEEDS]
     wrong = [(G, domain, seed) for G, domain, seed in cases
              if check_admissible(G, domain)
              != _sampled_admissible(G, domain, seed)]
     assert wrong == []
+
+
+# verdicts of the exact rule, each read off the group and the domain
+VERDICTS = [
+    ("C3 disk: orbits of 3", SymmetryGroup("cyclic", 3), DomainSpec.disk(1.0),
+     False),
+    ("D3 disk: orbits of 3 on an axis", SymmetryGroup("dihedral", 3),
+     DomainSpec.disk(1.0), False),
+    ("D1 annulus", SymmetryGroup("dihedral", 1),
+     DomainSpec.annulus(0.3, 1.0), False),
+    ("C5 disk", SymmetryGroup("cyclic", 5), DomainSpec.disk(1.0), True),
+    ("D7 annulus", SymmetryGroup("dihedral", 7, 0.3),
+     DomainSpec.annulus(0.3, 1.0), True),
+    ("C9 power-2 squircle", SymmetryGroup("cyclic", 9),
+     squircle_mask(1.5, 2.0), True),
+    ("D6 power-2 squircle", SymmetryGroup("dihedral", 6, 0.3),
+     squircle_mask(0.8, 2.0), True),
+    ("C3 power-2 squircle", SymmetryGroup("cyclic", 3),
+     squircle_mask(1.0, 2.0), False),
+    ("C4 squircle at any axis", SymmetryGroup("cyclic", 4, 0.3),
+     squircle_mask(1.0, 4.0), True),
+    ("C4 squircle of power 0.5", SymmetryGroup("cyclic", 4),
+     squircle_mask(1.0, 0.5), True),
+    ("D4 squircle on the diagonals", SymmetryGroup("dihedral", 4, math.pi / 4),
+     squircle_mask(2.0, 3.0), True),
+    ("D4 squircle at -pi/2", SymmetryGroup("dihedral", 4, -math.pi / 2),
+     squircle_mask(1.0, 6.0), True),
+    ("D4 squircle within STEP_TOL of pi/4",
+     SymmetryGroup("dihedral", 4, math.pi / 4 + 1e-12),
+     squircle_mask(1.0, 4.0), True),
+    ("D4 squircle at pi/8", SymmetryGroup("dihedral", 4, math.pi / 8),
+     squircle_mask(1.0, 4.0), False),
+    ("D4 squircle at 0.3", SymmetryGroup("dihedral", 4, 0.3),
+     squircle_mask(1.0, 4.0), False),
+    ("C8 squircle: rotation by pi/4", SymmetryGroup("cyclic", 8),
+     squircle_mask(1.0, 4.0), False),
+    ("D8 squircle", SymmetryGroup("dihedral", 8), squircle_mask(1.0, 4.0),
+     False),
+    ("C12 squircle", SymmetryGroup("cyclic", 12), squircle_mask(1.0, 6.0),
+     False),
+    ("C6 squircle: no quarter turn", SymmetryGroup("cyclic", 6),
+     squircle_mask(1.0, 4.0), False),
+    ("C3 squircle", SymmetryGroup("cyclic", 3), squircle_mask(1.0, 4.0),
+     False),
+]
+
+
+def _verdict_id(name):
+    return name.replace(": ", "--").replace(" ", "-").replace("/", "-over-")
+
+
+@pytest.mark.parametrize("G,domain,expected", [case[1:] for case in VERDICTS],
+                         ids=[_verdict_id(case[0]) for case in VERDICTS])
+def test_exact_admissibility_verdict(G, domain, expected):
+    assert check_admissible(G, domain) is expected
 
 
 class TestAdmissibility:
