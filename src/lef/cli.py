@@ -243,8 +243,8 @@ def _build_group(spec: dict | None, grid,
                  text: bool = False) -> SymmetryGroup | None:
     """The group of a config's ``group`` section (None for null), or with
     ``text`` of ``--group kind:order``; its orbit grid of ``grid`` is built
-    (and cached for the flow), or ConfigError if the grid does not realize
-    it."""
+    (and cached for the flow and the symmetric Morse index), or ConfigError
+    if the grid does not realize it."""
     if spec is None:
         return None
     kind = _typed("group", spec, tag="kind")
@@ -527,12 +527,16 @@ def run_pipeline(args) -> int:
     pE2 = p * energy.field_energy(u2, p).energy
     report["component_pE"] = {"ball": pE1, "annulus": pE2, "sum": pE1 + pE2}
 
-    # the scan runs on the orbit grid; v0 and candidates are lifted back
-    orbits = grid.quotient(group)
+    # u1 and u2 are radial and the flow commutes with every node
+    # permutation the grid realizes, so the scan runs on the orbit grid of
+    # the grid's whole symmetry group (G is a subgroup; on a polar grid its
+    # orbits are the rings); v0 and candidates are lifted back
+    orbits = grid.quotient(grid.symmetry_group)
     scan = flow.ray_scan(u1.on(orbits), u2.on(orbits), p, ratios=ratios,
                          config=cfg)
     n_rays = len(scan.all_results)
-    report["scan"] = {"n_rays": n_rays, "success": scan.success,
+    report["scan"] = {"n_rays": n_rays, "unknowns": orbits.n_nodes,
+                      "success": scan.success,
                       "rays": [(th, r if isinstance(r, str) else r.to_dict())
                                for th, r in scan.all_results]}
     if not scan.success:

@@ -9,9 +9,10 @@ domain's shape: every x != 0 has at least 4 images and the domain is
 G-invariant.  Grids come in two flavours, a polar finite-volume
 grid on disks/annuli and a masked cartesian grid on any of the domains.
 Both expose the same surface: node coordinates, cell weights, a symmetric
-stiffness matrix (discrete Dirichlet form), adjacency for flood fill and,
-when the discretization conforms to the group, exact node permutations
-for every group element.  Each grid lists its faces as arrays (node pairs
+stiffness matrix (discrete Dirichlet form), adjacency for flood fill,
+``grid.symmetry_group`` (the largest group the grid realizes) and, when
+the discretization conforms to the group, exact node permutations for
+every group element.  Each grid lists its faces as arrays (node pairs
 with conductances, plus a Dirichlet conductance per node) and one
 assembly turns them into the stiffness, the adjacency and the
 boundary-adjacent nodes.  ``grid.to_config()`` is the config ``grid``
@@ -439,6 +440,12 @@ class PolarGrid(_GridBase):
         return {"type": "polar", "n_r": self.n_r, "n_theta": self.n_theta}
 
     @property
+    def symmetry_group(self) -> SymmetryGroup:
+        """D_{n_theta}, the largest group the grid realizes as node
+        permutations: its orbits are the rings."""
+        return dihedral(self.n_theta)
+
+    @property
     def origin_ring(self) -> np.ndarray | None:
         """Indices of the innermost ring (proxy for the origin node)."""
         if self.r_in > 0.0:
@@ -527,6 +534,14 @@ class CartesianMaskedGrid(_GridBase):
 
     def to_config(self) -> dict:
         return {"type": "cartesian", "n": self.n, "extent": self.extent}
+
+    @property
+    def symmetry_group(self) -> SymmetryGroup:
+        """D4, the symmetry of the cell lattice centred on the origin: the
+        largest group the grid realizes as node permutations.  Every
+        domain kind is D4-invariant; ``_index_map`` raises
+        GridSymmetryError for a mask that is not."""
+        return dihedral(4)
 
     @property
     def origin_ring(self) -> np.ndarray | None:

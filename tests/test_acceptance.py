@@ -256,6 +256,13 @@ def test_candidate_provenance(pipeline_run):
     assert ray[slot[prov["source"]]] == prov["residual"] <= 1e-6
 
 
+def test_scan_runs_on_the_rings(pipeline_run):
+    """The scan's data are radial, so it runs on the orbit grid of the
+    polar grid's symmetry group D_32: one unknown per ring of 96 x 32."""
+    _, report, _ = pipeline_run
+    assert report["scan"]["unknowns"] == 96
+
+
 def test_morse_index_oracle_two_nodal_disk(pipeline_run):
     """De Marchis-Ianni-Pacella (Ann. Mat. Pura Appl. 2016) give Morse
     index 12 for the two-nodal radial solution in the disk; 4 is the

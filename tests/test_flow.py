@@ -216,6 +216,54 @@ class TestOrbitGrid:
             full.snapshot.residual, rel=1e-6, abs=1e-12)
 
 
+@pytest.fixture(scope="module")
+def profiles_p8():
+    return radial.optimal_alpha(8.0)
+
+
+@pytest.mark.parametrize("grid_of", [
+    lambda: geometry.PolarGrid(24, 16),
+    lambda: geometry.CartesianMaskedGrid(geometry.DomainSpec.disk(1.0), 24),
+], ids=["polar-24x16", "cartesian-24-disk"])
+def test_scan_does_not_depend_on_the_orbit_grid_it_runs_on(profiles_p8,
+                                                           grid_of):
+    """The pipeline's radial data u1, u2 are invariant under the grid's
+    whole symmetry group, so the scan on its orbit grid gives the verdicts
+    of the scan on the C4 orbit grid, and the same fields to roundoff."""
+    g, p, choice = grid_of(), 8.0, profiles_p8
+    inner = radial.build_ball_solution_scaled(p, choice.alpha, choice.ball)
+    u1, _ = energy.nehari_project(flow.field_from_radial(g, inner), p)
+    u2, _ = energy.nehari_project(
+        flow.field_from_radial(g, choice.annulus, sign=-1.0), p)
+    c4 = geometry.cyclic(4)
+    scans = [flow.ray_scan(u1.on(orbits), u2.on(orbits), p,
+                           config=FlowConfig(t_max=120.0))
+             for orbits in (g.quotient(c4), g.quotient(g.symmetry_group))]
+    assert g.quotient(g.symmetry_group).n_nodes < g.quotient(c4).n_nodes
+
+    def source(res):
+        cand = res.accepted()
+        return None if cand is None else cand.source
+
+    assert len(scans[0].all_results) == len(scans[1].all_results)
+    for (theta_a, ray_a), (theta_b, ray_b) in zip(*(s.all_results
+                                                    for s in scans)):
+        assert theta_a == theta_b
+        assert isinstance(ray_a, flow.ThresholdResult)
+        assert ray_a.probes == ray_b.probes
+        assert ray_a.lambda_star == ray_b.lambda_star
+        assert ray_a.blowup_sign == ray_b.blowup_sign
+        assert source(ray_a) == source(ray_b)
+    assert scans[0].candidate[0].source == scans[1].candidate[0].source
+    for field_of in (lambda s: s.chosen[0].v0,
+                     lambda s: s.candidate[0].field):
+        va, vb = (field_of(s).lifted().values for s in scans)
+        assert np.max(np.abs(va - vb)) <= 1e-9 * np.max(np.abs(va))
+    for s in scans:
+        assert g.symmetry_defect(s.candidate[0].field.lifted().values,
+                                 c4) == 0.0
+
+
 THETA_STAR = 0.77
 FAN = np.linspace(0.1, math.pi / 2 - 0.1, 7)   # the default scan angles
 N_HALVINGS = 8   # ceil(log2((FAN[1] - FAN[0]) / WIDTH_TOL))

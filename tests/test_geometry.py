@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from lef import cli, flow
 from lef.geometry import (CartesianMaskedGrid, DomainSpec, GridSymmetryError,
                           PolarGrid, SymmetryGroup, check_admissible, cyclic,
                           dihedral, squircle_mask)
@@ -404,3 +405,74 @@ class TestFaceListAssembly:
             "type": "cartesian", "n": 24, "extent": 1.0}
         with pytest.raises(TypeError, match="no config recipe"):
             PolarGrid(16, 8).quotient(cyclic(4)).to_config()
+
+
+SYMMETRY_GRIDS = {
+    "polar-disk-8x8": lambda: PolarGrid(8, 8),
+    "polar-disk-12x12": lambda: PolarGrid(12, 12),
+    "polar-disk-10x16": lambda: PolarGrid(10, 16),
+    "polar-annulus-12x16": lambda: PolarGrid(12, 16, r_in=0.3),
+    "polar-annulus-6x20": lambda: PolarGrid(6, 20, r_out=2.0, r_in=0.5),
+    **{f"cartesian-{name}-{n}": (lambda dom=dom, n=n:
+                                 CartesianMaskedGrid(dom, n))
+       for n in (16, 24)
+       for name, dom in (("disk", DomainSpec.disk(1.0)),
+                         ("annulus", DomainSpec.annulus(0.3, 1.0)),
+                         ("squircle-2", squircle_mask(1.0, 2.0)),
+                         ("squircle-4", squircle_mask(1.0, 4.0)))},
+}
+
+
+def _accepted_groups(g):
+    """Every group of order <= 2 n_theta (polar) or 8 (cartesian) with
+    axes at a few angles, on and off the grid's steps, that
+    ``cli._build_group`` accepts on the grid."""
+    steps = g.n_theta if isinstance(g, PolarGrid) else 4
+    step = math.pi / steps   # the grid's finest reflection-axis spacing
+    specs = [{"kind": "cyclic", "order": h} for h in range(1, 2 * steps + 1)]
+    specs += [{"kind": "dihedral", "order": h, "axis_angle": a}
+              for h in range(1, 2 * steps + 1)
+              for a in (0.0, step, step / 2.0, 3.0 * step, 1.0)]
+    accepted = []
+    for spec in specs:
+        try:
+            accepted.append(cli._build_group(spec, g))
+        except cli.ConfigError:
+            pass
+    return accepted
+
+
+class TestSymmetryGroup:
+    """``grid.symmetry_group`` is the largest group the grid realizes:
+    each accepted group's orbits lie inside its orbits, and it leaves radial
+    fields invariant; a polar grid's orbits under it are the rings."""
+
+    @pytest.mark.parametrize("name", SYMMETRY_GRIDS)
+    def test_every_accepted_group_refines_its_orbits(self, name):
+        g = SYMMETRY_GRIDS[name]()
+        whole = g.quotient(g.symmetry_group).orbit_id
+        groups = _accepted_groups(g)
+        assert any(G.kind == "dihedral" and G.axis_angle != 0.0
+                   for G in groups)
+        assert any(G.order_h == g.symmetry_group.order_h for G in groups)
+        for G in groups:
+            for perm in g.group_permutations(G):
+                assert np.array_equal(whole[perm], whole)
+
+    @pytest.mark.parametrize("name", SYMMETRY_GRIDS)
+    def test_radial_fields_are_invariant(self, name):
+        g = SYMMETRY_GRIDS[name]()
+        for profile in (lambda r: np.cos(3.0 * r) * (4.0 - r * r),
+                        lambda r: np.exp(-r)):
+            v = flow.field_from_radial(g, profile)
+            assert (g.symmetry_defect(v.values, g.symmetry_group)
+                    <= 1e-13 * v.sup)
+
+    @pytest.mark.parametrize("name", [n for n in SYMMETRY_GRIDS
+                                      if n.startswith("polar")])
+    def test_polar_orbits_are_the_rings(self, name):
+        g = SYMMETRY_GRIDS[name]()
+        orbits = g.quotient(g.symmetry_group)
+        assert orbits.n_nodes == g.n_r
+        assert np.array_equal(orbits.orbit_id,
+                              np.repeat(np.arange(g.n_r), g.n_theta))
