@@ -458,9 +458,12 @@ def run_flow(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _audit_candidate(cand: flow.ScalarField, p: float, group) -> dict:
+    """The audit of the lifted candidate, read on the full grid of
+    ``unknowns`` nodes (the scan's residual is read on its orbit grid)."""
     dec = nodal.decompose(cand)
     audit = {
         "elliptic_residual": spectrum.elliptic_residual(cand, p),
+        "unknowns": cand.grid.n_nodes,
         "nodal_count": dec.n_domains,
         "boundary_contact": dec.boundary_contact,
         "origin_domain": dec.origin_domain,
@@ -581,7 +584,8 @@ def run_pipeline(args) -> int:
                        f"spectrum stage: {exc}")
 
     failed = [name for name, ok in (
-        ("residual", audit["elliptic_residual"] < cfg.residual_tol),
+        ("residual",
+         audit["elliptic_residual"] <= spectrum.STEADY_RESIDUAL_TOL),
         ("boundary contact", not audit["boundary_contact"]),
         ("ledger", report["energy_ledger"]["nonincreasing"]),
         ("nodal count", audit["nodal_count"] == 2)) if not ok]

@@ -14,12 +14,13 @@ unknown per orbit instead of per node: group elements are node
 permutations commuting with K and W, and the reaction acts node by node.
 
 Trajectories are classified as decay to zero, blow-up, convergence to a
-steady state (small elliptic residual) or time-out.  Negative energy is
-used as an early blow-up certificate: the energy decreases along the flow
-and no globally decaying trajectory can have E_p < 0.  Threshold probes
-also stop at a decay certificate (a discrete comparison principle): given
-the grid's Perron pair K psi >= mu W psi, psi > 0, max psi = 1, once
-M = max |v| / psi has M^{p-1} < mu every later step shrinks M by the factor
+steady state (elliptic residual <= spectrum.STEADY_RESIDUAL_TOL) or
+time-out.  Negative energy is used as an early blow-up certificate: the
+energy decreases along the flow and no globally decaying trajectory can
+have E_p < 0.  Threshold probes also stop at a decay certificate (a
+discrete comparison principle): given the grid's Perron pair
+K psi >= mu W psi, psi > 0, max psi = 1, once M = max |v| / psi has
+M^{p-1} < mu every later step shrinks M by the factor
 (1 + dt M^{p-1}) / (1 + dt mu) < 1, as (W + dt K)^{-1} W >= 0 (an M-matrix
 inverse) and v -> v + dt |v|^{p-1} v is odd and increasing.
 
@@ -103,7 +104,6 @@ class FlowConfig:
     c_stab: float = 0.2            # dt <= c_stab / (p sup^{p-1}), for accuracy
     t_max: float = 50.0
     decay_factor: float = 1e-6     # decay threshold, relative to initial sup
-    residual_tol: float = 1e-6     # ConvergedSteady elliptic residual
     record_nodal_every: int = 0    # 0: off; else nodal count cadence (steps)
 
 
@@ -185,6 +185,9 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
 
     DECAY means sup < decay_factor * sup0; with ``certify_decay`` also the
     decay certificate (module docstring) on a grid with a Perron pair.
+    STEADY means residual <= spectrum.STEADY_RESIDUAL_TOL at a residual
+    check while sup > 10 decay_factor sup0 (a decayed field's residual is
+    inf), or a zero datum.
     """
     grid = v0.grid
     v = np.array(v0.values, dtype=float)
@@ -258,7 +261,8 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
             if residual < best_residual and sup > 10.0 * decay_at:
                 best_residual = residual
                 best_snapshot = ScalarField(grid, v.copy())
-            if residual < config.residual_tol and sup > 10.0 * decay_at:
+            if (residual <= spectrum_mod.STEADY_RESIDUAL_TOL
+                    and sup > 10.0 * decay_at):
                 cls = Classification.STEADY
         if cls is None and t >= config.t_max:
             cls = Classification.MAXTIME
@@ -407,7 +411,7 @@ def threshold_bisect(direction: ScalarField, p: float,
             if pres < snapshot.residual:
                 snapshot = Candidate(polished, pres, "snapshot")
         polished, pres = spectrum_mod.newton_polish(v0, p)
-        if pres < spectrum_mod.STEADY_RESIDUAL_TOL and polished.sup > 0:
+        if pres <= spectrum_mod.STEADY_RESIDUAL_TOL:  # inf for a zero field
             datum = Candidate(polished, pres, "datum")
     return ThresholdResult(lam_star, v0, (hi - lo) / (2.0 * lam_star),
                            probes, blowup_sign, snapshot, datum)
@@ -519,6 +523,6 @@ def ray_scan(u1: ScalarField, u2: ScalarField, p: float,
 
 
 # a name only, never called: perfbench/spans.py wraps it until ROADMAP
-# item 4 drops that span
+# item 2 drops that span
 def restart_from_nodal_pair(*args, **kwargs):
     raise NotImplementedError("the nodal restart path was removed")

@@ -472,13 +472,13 @@ class Shot:
     sol: DenseShot | None
 
 
-def solve_ivp(p: float, t_span, y0, rtol: float, first_step=None,
+def solve_ivp(p: float, t_span, y0, first_step=None,
               dense_output: bool = False) -> Shot:
     """Integrate (u, u_t, du/ds, du_t/ds) over t_span from y0 by DOP853.
 
     DOP853 (the tableau above, scipy's step-size control and dense output)
     on Python floats: at four lanes scipy's small-array numpy calls cost far
-    more than the arithmetic.  rtol and ATOL are divided by sqrt(2) and the
+    more than the arithmetic.  RTOL and ATOL are divided by sqrt(2) and the
     derivative lanes get atol 1e300, so (u, u_t) have exactly the step
     control of a two-lane integration and the derivative does not drive
     it.  Zeros of u (falling) are recorded in ``t_events[0]``; a trough
@@ -490,7 +490,7 @@ def solve_ivp(p: float, t_span, y0, rtol: float, first_step=None,
     t, t_bound = float(t_span[0]), float(t_span[1])
     rhs = _shot_rhs(p)
     tol = 1.0 / math.sqrt(2.0)
-    rtol *= tol
+    rtol = RTOL * tol
     atol = (ATOL * tol, ATOL * tol, 1e300, 1e300)
     y = tuple(float(v) for v in y0)
     f = rhs(t, *y)
@@ -590,7 +590,7 @@ def _integrate_ball_log(p: float):
     e2t = math.exp(2.0 * t_start)
     y0 = [1.0 - e2t / 4.0, -e2t / 2.0, 0.0, 0.0]
     t_end = t_start + max(40.0, 0.3 * p + 40.0)
-    sol = solve_ivp(p, (t_start, t_end), y0, RTOL, dense_output=True)
+    sol = solve_ivp(p, (t_start, t_end), y0, dense_output=True)
     if not sol.t_events[0].size:
         raise RadialSolveError(
             f"no zero of the ball solution found for p={p} "
@@ -685,19 +685,19 @@ def _rescaled_energy(base: EnergyReport, p: float,
 # ---------------------------------------------------------------------------
 
 def _shoot_annulus(p: float, t_a: float, t_b: float, slope: float,
-                   rtol: float, dense: bool = False) -> Shot:
+                   dense: bool = False) -> Shot:
     """Shoot (u, u_t, du/ds, du_t/ds) in t from (0, slope, 0, 1) at t_a.
 
     The shot runs to t_b, recording zeros of u in ``t_events[0]``, unless
     it first reaches a trough (u_t = 0 and rising, after a zero), where it
     ends (see solve_ivp).
     """
-    return solve_ivp(p, (t_a, t_b), [0.0, slope, 0.0, 1.0], rtol,
+    return solve_ivp(p, (t_a, t_b), [0.0, slope, 0.0, 1.0],
                      first_step=min(1e-3, (t_b - t_a) / 100),
                      dense_output=dense)
 
 
-def _annulus_shot(p: float, a: float, b: float, slope: float, rtol: float):
+def _annulus_shot(p: float, a: float, b: float, slope: float):
     """Dense shot of the positive annulus solution, by safeguarded Newton.
 
     Newton's method on F(s) = u(log b; s) from ``slope``, with F'(s) from
@@ -719,8 +719,7 @@ def _annulus_shot(p: float, a: float, b: float, slope: float, rtol: float):
     closest = math.inf  # smallest |u(b)| / sup of a shot reaching r = b
     s, grow = slope, 4.0
     for _ in range(MAX_SHOTS):
-        sol = _shoot_annulus(p, t_a, t_b, s, rtol,
-                             dense=closest < DENSE_RATIO)
+        sol = _shoot_annulus(p, t_a, t_b, s, dense=closest < DENSE_RATIO)
         newton = math.nan
         if sol.status != 0:  # a trough, or a too-steep rise, before r = b
             hi = s
@@ -732,7 +731,7 @@ def _annulus_shot(p: float, a: float, b: float, slope: float, rtol: float):
             interior = t_zero.size and t_zero[0] < t_b - 1e-13
             if not interior and ratio < ENDPOINT_TOL:
                 return sol if sol.sol is not None else _shoot_annulus(
-                    p, t_a, t_b, s, rtol, dense=True)
+                    p, t_a, t_b, s, dense=True)
             if interior:
                 hi = s
             else:
@@ -773,7 +772,7 @@ def solve_annulus(p: float, a: float, b: float,
         raise ValueError("need 0 < a < b")
     if slope is not None and not 0 < slope < math.inf:
         raise ValueError("need a finite slope > 0")
-    sol = _annulus_shot(p, a, b, 1.0 if slope is None else slope, RTOL)
+    sol = _annulus_shot(p, a, b, 1.0 if slope is None else slope)
     t_s = np.linspace(math.log(a), math.log(b), N_SAMPLES)
     y = sol.sol(t_s)
     u, ut = y[0].copy(), y[1]

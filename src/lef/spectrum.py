@@ -35,7 +35,8 @@ from .geometry import SymmetryGroup, dihedral
 
 NEGATIVE_EIG_REL_TOL = 1e-8  # lambda < -tol * |lambda_1| counts as negative
 EIGENPAIR_RESIDUAL_TOL = 1e-8  # relative residual every eigsh pair must meet
-STEADY_RESIDUAL_TOL = 1e-6  # elliptic residual of a field with a Morse index
+# the one rule for "steady": elliptic residual <= STEADY_RESIDUAL_TOL
+STEADY_RESIDUAL_TOL = 1e-6
 HALF_DOMAIN_AXIS = math.pi / 2.0  # the x2-axis: the half domain is x1 < 0
 ODD_EXTENSION_RESIDUAL_TOL = 1e-6  # eigen-residual of the half-domain mode
 NEWTON_TOL = 1e-10  # newton_polish stops once the residual is below this
@@ -165,12 +166,14 @@ def spectrum_at_shift(A, weights: np.ndarray, sigma: float, k: int):
 
 def elliptic_residual(u, p: float) -> float:
     """|| Delta_h u + |u|^{p-1} u ||_2 / ||u||_2 in the weighted norm,
-    under FLOAT_RANGE: inf whenever a norm passes the float range."""
+    under FLOAT_RANGE: 0 for the zero field, inf whenever a norm passes the
+    float range or a nonzero u's norm underflows (as newton_polish's), so
+    that a decayed field is never steady."""
     grid = u.grid
     with np.errstate(**FLOAT_RANGE):
         nrm = grid.weighted_norm(u.values)
         if nrm == 0.0:  # u is zero, or u * u underflows
-            return 0.0
+            return math.inf if np.any(u.values) else 0.0
         res = (grid.laplacian_apply(u.values)
                + np.abs(u.values) ** (p - 1.0) * u.values)
         out = grid.weighted_norm(res) / nrm
@@ -199,7 +202,7 @@ def morse_index(u, p: float, G: SymmetryGroup | None = None,
     or not, whose G-average is a nonzero G-invariant one.
     """
     res = elliptic_residual(u, p)
-    if res > STEADY_RESIDUAL_TOL:
+    if not res <= STEADY_RESIDUAL_TOL:
         raise NotSteadyError(f"not a converged steady state: elliptic "
                              f"residual {res:.2e} > {STEADY_RESIDUAL_TOL}")
     full = assemble_linearized(u, p), u.grid.weights

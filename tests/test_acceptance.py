@@ -263,6 +263,17 @@ def test_scan_runs_on_the_rings(pipeline_run):
     assert report["scan"]["unknowns"] == 96
 
 
+def test_an_accepted_candidate_passes_the_audit_residual(pipeline_run):
+    """One rule decides "steady" on both grids: the scan accepts the
+    candidate by its residual on the orbit grid, and the audit reads the
+    lifted candidate's residual on the full grid of 3072 nodes."""
+    _, report, candidate = pipeline_run
+    assert report["audit"]["unknowns"] == candidate.grid.n_nodes == 3072
+    for residual in (report["candidate"]["residual"],
+                     report["audit"]["elliptic_residual"]):
+        assert residual <= spectrum.STEADY_RESIDUAL_TOL
+
+
 def test_morse_index_oracle_two_nodal_disk(pipeline_run):
     """De Marchis-Ianni-Pacella (Ann. Mat. Pura Appl. 2016) give Morse
     index 12 for the two-nodal radial solution in the disk; 4 is the
@@ -298,8 +309,7 @@ def test_criterion_10_equivariance_and_symmetry(disk_grid_small):
     G = geometry.cyclic(4)
     orbits = g.quotient(G)
 
-    cfg = flow.FlowConfig(dt_max=0.02, t_max=2.0, decay_factor=0.0,
-                          residual_tol=1e-14)
+    cfg = flow.FlowConfig(dt_max=0.02, t_max=2.0, decay_factor=0.0)
     tp = flow.evolve(v0.on(orbits), p, cfg)
     tm = flow.evolve((-v0).on(orbits), p, cfg)
     odd_dev = float(np.max(np.abs(tp.final.values + tm.final.values)))
@@ -307,8 +317,7 @@ def test_criterion_10_equivariance_and_symmetry(disk_grid_small):
 
     dt = 0.01
     long_cfg = flow.FlowConfig(dt_max=dt, t_max=dt * 10_000,
-                               decay_factor=0.0, residual_tol=0.0,
-                               c_stab=1e9)
+                               decay_factor=0.0, c_stab=1e9)
     tr = flow.evolve(v0.on(orbits), p, long_cfg)
     steps = len(tr.dts)
     defect = g.symmetry_defect(tr.final.lifted().values, G) / tr.final.sup

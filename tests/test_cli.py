@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -622,12 +623,16 @@ class TestConfigValidation:
         shots = []
         monkeypatch.setattr(radial, "solve_ivp",
                             lambda *a, **kw: shots.append(a))
-        for key in ("project_every", "dt_min"):
+        # residual_tol: "steady" has one threshold,
+        # spectrum.STEADY_RESIDUAL_TOL, and no config key sets it
+        for key, command in itertools.product(
+                ("project_every", "dt_min", "residual_tol"),
+                ("flow", "pipeline")):
             config = {"p": 8.0, "flow": {key: 10},
                       "outdir": str(tmp_path / "out")}
             cfg_path = tmp_path / "run.json"
             cfg_path.write_text(json.dumps(config), encoding="utf-8")
-            assert cli.main(["pipeline", "--config", str(cfg_path)]) == 2
+            assert cli.main([command, "--config", str(cfg_path)]) == 2
             err = capsys.readouterr().err.strip().splitlines()
             assert len(err) == 1
             assert f"'{key}'" in err[0] and "t_max" in err[0]
@@ -768,7 +773,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key, value, message", [
         *[(key, value, f"flow {key} must be a number in (0, inf), "
                        f"got {value!r}")
-          for key in ("dt_max", "c_stab", "t_max", "residual_tol")
+          for key in ("dt_max", "c_stab", "t_max")
           for value in ("x", True, 0, -1.0, math.inf, math.nan)],
         *[("decay_factor", value, f"flow decay_factor must be a number in "
                                   f"(0, 1), got {value!r}")
@@ -797,11 +802,9 @@ class TestConfigValidation:
 
     def test_flow_values_in_range_are_accepted(self):
         cfg = cli._flow_config({"dt_max": 1, "c_stab": 0.5, "t_max": 7,
-                                "residual_tol": 1e-8, "decay_factor": 0.5,
-                                "record_nodal_every": 0})
+                                "decay_factor": 0.5, "record_nodal_every": 0})
         assert cfg == flow.FlowConfig(dt_max=1.0, c_stab=0.5, t_max=7.0,
-                                      residual_tol=1e-8, decay_factor=0.5,
-                                      record_nodal_every=0)
+                                      decay_factor=0.5, record_nodal_every=0)
 
     @pytest.mark.parametrize("config, key", [
         ({}, "p"),

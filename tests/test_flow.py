@@ -42,6 +42,17 @@ class TestEvolve:
         assert tr.classification == Classification.DECAY
         assert tr.sup_norms[-1] < 1e-5 * tr.sup_norms[0]
 
+    def test_decayed_field_is_never_steady(self):
+        # the field decays past the underflow of its squared norm (about
+        # 1e-162) long before it falls below decay_factor * sup0: its
+        # residual is then inf, not 0, and the run ends as a decay
+        g = geometry.PolarGrid(16, 8)
+        v = flow.field_from_radial(g, radial.solve_ball(5.0)).scaled(0.5)
+        tr = flow.evolve(v, 5.0, FlowConfig(t_max=1000.0, dt_max=0.5,
+                                            decay_factor=1e-300))
+        assert tr.classification == Classification.DECAY
+        assert tr.final_residual == math.inf
+
     def test_large_data_blowup(self, ball_field):
         tr = flow.evolve(ball_field.scaled(1.8), 5.0, FlowConfig(t_max=50.0))
         assert tr.classification == Classification.BLOWUP

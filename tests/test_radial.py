@@ -97,8 +97,8 @@ def shots(monkeypatch):
     record = []
     shoot = radial._shoot_annulus
 
-    def counted(p, t_a, t_b, slope, rtol, dense=False):
-        sol = shoot(p, t_a, t_b, slope, rtol, dense)
+    def counted(p, t_a, t_b, slope, dense=False):
+        sol = shoot(p, t_a, t_b, slope, dense)
         record.append(sol)
         return sol
 
@@ -129,7 +129,7 @@ class TestAnnulusShooting:
                                          (200.0, math.exp(-39.0), 0.0507)])
     def test_slope_derivative_matches_central_difference(self, p, a, s):
         h = 1e-4 * s
-        lo, mid, hi = (radial._shoot_annulus(p, math.log(a), 0.0, x, 1e-11)
+        lo, mid, hi = (radial._shoot_annulus(p, math.log(a), 0.0, x)
                        for x in (s - h, s, s + h))
         assert all(sol.status == 0 for sol in (lo, mid, hi))  # reach r = 1
         central = (hi.y[0, -1] - lo.y[0, -1]) / (2.0 * h)
@@ -156,7 +156,7 @@ class TestAnnulusShooting:
         assert radial.optimal_alpha(1.02).annulus.slope > 1e30
 
 
-def scipy_shot(p, t_span, y0, rtol, first_step=None, dense_output=False):
+def scipy_shot(p, t_span, y0, first_step=None, dense_output=False):
     """The shot radial.solve_ivp integrates, by scipy's solve_ivp."""
     rhs = radial._shot_rhs(p)
 
@@ -173,7 +173,7 @@ def scipy_shot(p, t_span, y0, rtol, first_step=None, dense_output=False):
     with np.errstate(over="ignore", invalid="ignore"):
         return scipy.integrate.solve_ivp(
             lambda t, y: rhs(t, *y.tolist()), t_span, y0, method="DOP853",
-            rtol=rtol * tol, atol=[radial.ATOL * tol] * 2 + [1e300] * 2,
+            rtol=radial.RTOL * tol, atol=[radial.ATOL * tol] * 2 + [1e300] * 2,
             events=(hit_zero, trough), dense_output=dense_output,
             first_step=first_step)
 
@@ -233,7 +233,7 @@ class TestScipyOracles:
 
         monkeypatch.setattr(radial, "brentq", both)
         radial.solve_ball(8.0)
-        radial._shoot_annulus(5.0, math.log(0.3), 0.0, 4.29, radial.RTOL)
+        radial._shoot_annulus(5.0, math.log(0.3), 0.0, 4.29)
         events = len(calls)
         radial.optimal_alpha(8.0)
         assert events >= 2 and len(calls) > events + 1
@@ -298,11 +298,9 @@ class TestShotKernel:
                                          (200.0, math.exp(-39.0), 0.0507),
                                          (50.0, math.exp(-10.0), 0.3)])
     def test_annulus_shot_matches_scipy(self, monkeypatch, p, a, s):
-        mine = radial._shoot_annulus(p, math.log(a), 0.0, s, radial.RTOL,
-                                     dense=True)
+        mine = radial._shoot_annulus(p, math.log(a), 0.0, s, dense=True)
         monkeypatch.setattr(radial, "solve_ivp", scipy_shot)
-        ref = radial._shoot_annulus(p, math.log(a), 0.0, s, radial.RTOL,
-                                    dense=True)
+        ref = radial._shoot_annulus(p, math.log(a), 0.0, s, dense=True)
         assert mine.status == ref.status
         for t_mine, t_ref in zip(mine.t_events, ref.t_events):
             assert t_mine.shape == t_ref.shape
@@ -313,7 +311,7 @@ class TestShotKernel:
         assert np.max(np.abs(u_mine - u_ref)) <= 1e-9 * sup
 
     def test_steep_shot_stops_early_in_both(self, monkeypatch):
-        args = (200.0, -39.0, 0.0, 50.0, radial.RTOL)
+        args = (200.0, -39.0, 0.0, 50.0)
         assert radial._shoot_annulus(*args).status != 0
         monkeypatch.setattr(radial, "solve_ivp", scipy_shot)
         assert radial._shoot_annulus(*args).status != 0

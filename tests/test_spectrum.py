@@ -127,13 +127,16 @@ class TestResidualOverflowGuard:
                                                 rel=1e-10)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    @pytest.mark.parametrize("scale", [1e160, 1e300, 1e-170])
     def test_field_past_the_float_range_has_residual_inf(self, scale):
-        # the squared norm of u passes the float range, also at p near 1
+        # the squared norm of u passes the float range, or underflows to 0
+        # (a decayed field is not steady), also at p near 1; only the zero
+        # field has residual 0
         g = geometry.PolarGrid(16, 8)
         u = flow.ScalarField(g, scale * (1.0 - np.hypot(*g.xy.T) ** 2))
         for p in (1.01, 8.0):
             assert spectrum.elliptic_residual(u, p) == math.inf
+            assert spectrum.elliptic_residual(u.scaled(0.0), p) == 0.0
 
     def test_direct_residual_is_the_plain_formula(self, polished_ball_p5):
         u = polished_ball_p5.scaled(1.5)
