@@ -623,11 +623,8 @@ class TestConfigValidation:
         shots = []
         monkeypatch.setattr(radial, "solve_ivp",
                             lambda *a, **kw: shots.append(a))
-        # residual_tol: "steady" has one threshold,
-        # spectrum.STEADY_RESIDUAL_TOL, and no config key sets it
-        for key, command in itertools.product(
-                ("project_every", "dt_min", "residual_tol"),
-                ("flow", "pipeline")):
+        for key, command in itertools.product(("project_every", "dt_min"),
+                                              ("flow", "pipeline")):
             config = {"p": 8.0, "flow": {key: 10},
                       "outdir": str(tmp_path / "out")}
             cfg_path = tmp_path / "run.json"
@@ -637,6 +634,33 @@ class TestConfigValidation:
             assert len(err) == 1
             assert f"'{key}'" in err[0] and "t_max" in err[0]
         assert shots == []
+
+    # "steady" has one threshold, spectrum.STEADY_RESIDUAL_TOL, and no
+    # config key sets it: residual_tol is unknown whatever its value, the
+    # values it once rejected as out of range and the ones it once took
+    @pytest.mark.parametrize("value", ["x", True, 0, -1.0, math.inf,
+                                       math.nan, 1e-13, 1e-8])
+    @pytest.mark.parametrize("command", ["flow", "pipeline"])
+    def test_residual_tol_is_an_unknown_flow_key(self, tmp_path, capsys,
+                                                 monkeypatch, command, value):
+        shots, runs = [], []
+        monkeypatch.setattr(radial, "solve_ivp",
+                            lambda *a, **kw: shots.append(a))
+        monkeypatch.setattr(flow, "evolve", lambda *a, **kw: runs.append(a))
+        config = {"p": 8.0, "flow": {"t_max": 7, "residual_tol": value},
+                  "grid": {"type": "polar", "n_r": 16, "n_theta": 8},
+                  "outdir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main([command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        head = f"lef {command}: unknown flow config key 'residual_tol'; "
+        assert err[0].startswith(head + "allowed: ")
+        assert "residual_tol" not in err[0][len(head):]
+        assert "t_max" in err[0][len(head):]
+        assert shots == [] and runs == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("grid", {"type": "hex", "n": 16}),
