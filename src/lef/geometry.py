@@ -310,10 +310,6 @@ class _GridBase:
         rebuilds this grid."""
         raise TypeError(f"{type(self).__name__} has no config recipe")
 
-    def laplacian_apply(self, v: np.ndarray) -> np.ndarray:
-        """Discrete Dirichlet Laplacian: weights * (-lap v) = stiffness @ v."""
-        return -(self.stiffness @ v) / self.weights
-
     def dirichlet_form(self, v: np.ndarray) -> float:
         """Quadratic form v . K v, the discrete version of ||grad v||^2."""
         return float(v @ (self.stiffness @ v))

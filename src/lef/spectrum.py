@@ -11,13 +11,14 @@ group elements act as node permutations, so symmetric fields are exactly
 the fields constant on node orbits and the restriction is an exact
 congruence, not an approximation.
 
-Morse indices are inertia counts (Sylvester's law): W is positive
-diagonal, so the number of eigenvalues below a shift sigma equals the
-number of negative pivots of a symmetric factorization of A - sigma W.
-A Morse record fixes sigma_0 = -NEGATIVE_EIG_REL_TOL |lambda_1| and
-factors A - sigma_0 W once per space.  That one factor gives the index by
-its pivots and is the shift-invert operator of the ``eigsh`` that finds
-the eigenvalues nearest sigma_0, the ones nondegeneracy turns on.
+Every eigenvalue reported here comes from ``spectrum_at_shift``: one
+symmetric factorization of A - sigma W, whose negative pivots count the
+eigenvalues below sigma (Sylvester's law), is the shift-invert operator
+of one ``eigsh``, and each eigenpair passes a residual check.  lambda_1
+is taken at a shift below the spectrum, where the count must be 0; the
+Morse record factors at sigma_0 = -NEGATIVE_EIG_REL_TOL |lambda_1| once
+per space; the half-domain mu is lambda_1 on the odd subspace of the
+reflection about the x2-axis, a congruence like the orbit grid's.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .energy import FLOAT_RANGE
-from .geometry import SymmetryGroup, dihedral
+from .geometry import GridSymmetryError, SymmetryGroup, dihedral
 
 NEGATIVE_EIG_REL_TOL = 1e-8  # lambda < -tol * |lambda_1| counts as negative
 EIGENPAIR_RESIDUAL_TOL = 1e-8  # relative residual every eigsh pair must meet
@@ -105,8 +106,9 @@ def _shifted_factor(A: sp.spmatrix, weights: np.ndarray, sigma: float):
     return int(np.count_nonzero(lu.U.diagonal() < 0.0)), lu
 
 
-def _eigsh(A, k: int, weights: np.ndarray, sigma: float, OPinv=None):
-    """Shift-invert eigsh of the pencil (A, diag(weights)) at sigma.
+def _eigsh(A, k: int, weights: np.ndarray, sigma: float, lu):
+    """Shift-invert eigsh of the pencil (A, diag(weights)) at sigma, whose
+    inverse operator solves with ``lu``, the factor of A - sigma W.
 
     ARPACK starts from a fixed pseudo-random vector, so the same problem
     gives bitwise the same eigenpairs in every run.  A symmetric start
@@ -117,7 +119,8 @@ def _eigsh(A, k: int, weights: np.ndarray, sigma: float, OPinv=None):
     v0 = np.random.default_rng(0).standard_normal(A.shape[0])
     try:
         return spla.eigsh(A, k=k, M=sp.diags(weights), sigma=sigma,
-                          OPinv=OPinv, v0=v0)
+                          OPinv=spla.LinearOperator(
+                              A.shape, matvec=lu.solve, dtype=float), v0=v0)
     except RuntimeError as exc:  # ArpackError, singular shift
         raise EigenSolveError(f"shift-invert eigensolve at sigma = "
                               f"{sigma:.6g} failed: {exc}") from exc
@@ -131,27 +134,23 @@ def _spectrum_floor(A, weights: np.ndarray) -> float:
     return float(np.min((diag - radius) / weights)) - 1.0
 
 
-def lowest_eigenpair(A, weights: np.ndarray):
-    """(lambda_1, eigenvector) of the pencil (A, diag(weights)), from
-    shift-invert eigsh below the spectrum."""
-    vals, vecs = _eigsh(A, 1, weights, _spectrum_floor(A, weights))
-    return float(vals[0]), vecs[:, 0]
-
-
 def spectrum_at_shift(A, weights: np.ndarray, sigma: float, k: int):
     """(inertia below sigma, k eigenvalues nearest sigma in ascending
     order, their eigenvectors), all from one factorization of A - sigma W.
 
     The factor's negative pivots are the inertia, and the factor is the
     shift-invert operator of the eigsh; every eigenpair is checked by its
-    residual against EIGENPAIR_RESIDUAL_TOL.
+    residual against EIGENPAIR_RESIDUAL_TOL.  ARPACK needs k < n - 1, so a
+    space of fewer than 3 unknowns raises EigenSolveError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if A.shape[0] < 3:
+        raise EigenSolveError(f"a space of {A.shape[0]} unknowns is too "
+                              f"small for the shift-invert eigensolve")
     k = min(k, A.shape[0] - 2)
     count, lu = _shifted_factor(A, weights, sigma)
-    vals, vecs = _eigsh(A, k, weights, sigma, spla.LinearOperator(
-        A.shape, matvec=lu.solve, dtype=float))
+    vals, vecs = _eigsh(A, k, weights, sigma, lu)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     for lam, phi in zip(vals, vecs.T):
@@ -164,26 +163,37 @@ def spectrum_at_shift(A, weights: np.ndarray, sigma: float, k: int):
     return count, vals, vecs
 
 
-def elliptic_residual(u, p: float) -> float:
-    """|| Delta_h u + |u|^{p-1} u ||_2 / ||u||_2 in the weighted norm,
-    under FLOAT_RANGE: 0 for the zero field, inf whenever a norm passes the
-    float range or a nonzero u's norm underflows (as newton_polish's), so
-    that a decayed field is never steady."""
-    grid = u.grid
-    with np.errstate(**FLOAT_RANGE):
-        nrm = grid.weighted_norm(u.values)
-        if nrm == 0.0:  # u is zero, or u * u underflows
-            return math.inf if np.any(u.values) else 0.0
-        res = (grid.laplacian_apply(u.values)
-               + np.abs(u.values) ** (p - 1.0) * u.values)
-        out = grid.weighted_norm(res) / nrm
+def lowest_eigenpair(A, weights: np.ndarray):
+    """(lambda_1, eigenvector) of the pencil (A, diag(weights)): the
+    eigenpair nearest a shift below the spectrum, whose factor must have
+    no negative pivot."""
+    floor = _spectrum_floor(A, weights)
+    below, vals, vecs = spectrum_at_shift(A, weights, floor, 1)
+    if below:
+        raise EigenSolveError(f"{below} eigenvalues below the Gershgorin "
+                              f"floor {floor:.6g}")
+    return float(vals[0]), vecs[:, 0]
+
+
+def _relative_residual(grid, v, Kv, p: float) -> float:
+    """|| |v|^{p-1} v - K v / w ||_W / ||v||_W, given Kv = K @ v, under the
+    float-range rules: 0 for the zero field, inf whenever a norm passes the
+    float range or a nonzero v's norm underflows, so that a decayed field
+    is never steady.  Callers hold FLOAT_RANGE."""
+    nrm = grid.weighted_norm(v)
+    if nrm == 0.0:  # v is zero, or v * v underflows
+        return math.inf if np.any(v) else 0.0
+    out = grid.weighted_norm(np.abs(v) ** (p - 1.0) * v
+                             - Kv / grid.weights) / nrm
     return out if math.isfinite(nrm) and math.isfinite(out) else math.inf
 
 
-def _index_and_eigenvalues(A, weights: np.ndarray, sigma: float, k: int):
-    """(inertia below sigma, k eigenvalues nearest sigma) of one space."""
-    index, vals, _ = spectrum_at_shift(A, weights, sigma, k)
-    return index, tuple(float(x) for x in vals)
+def elliptic_residual(u, p: float) -> float:
+    """|| Delta_h u + |u|^{p-1} u ||_2 / ||u||_2 in the weighted norm,
+    under FLOAT_RANGE (see ``_relative_residual``)."""
+    with np.errstate(**FLOAT_RANGE):
+        return _relative_residual(u.grid, u.values,
+                                  u.grid.stiffness @ u.values, p)
 
 
 def morse_index(u, p: float, G: SymmetryGroup | None = None,
@@ -213,10 +223,13 @@ def morse_index(u, p: float, G: SymmetryGroup | None = None,
     invariant = sym is not None and u.grid.symmetry_defect(u.values, G) == 0
     lam1, _ = lowest_eigenpair(*(sym if invariant else full))
     sigma = -NEGATIVE_EIG_REL_TOL * max(abs(lam1), 1e-30)
-    index, vals = _index_and_eigenvalues(*full, sigma, k)
-    sym_idx, sym_vals = ((None, None) if sym is None
-                         else _index_and_eigenvalues(*sym, sigma, k))
-    return SpectrumReport(lam1, index, vals, sym_idx, sym_vals)
+    index, vals, _ = spectrum_at_shift(*full, sigma, k)
+    sym_idx = sym_vals = None
+    if sym is not None:
+        sym_idx, sym_vals, _ = spectrum_at_shift(*sym, sigma, k)
+        sym_vals = tuple(sym_vals.tolist())
+    return SpectrumReport(lam1, index, tuple(vals.tolist()), sym_idx,
+                          sym_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -224,50 +237,39 @@ def morse_index(u, p: float, G: SymmetryGroup | None = None,
 # ---------------------------------------------------------------------------
 
 def half_domain_mu(u, p: float):
-    """First eigenvalue of L on the half domain left of the reflection axis.
+    """First eigenvalue mu of L on the half domain left of the reflection
+    axis, the line at HALF_DOMAIN_AXIS through the origin (the x2-axis,
+    half domain {x1 < 0}), with Dirichlet conditions on the axis.
 
-    The axis is the line at HALF_DOMAIN_AXIS through the origin (the
-    x2-axis, half domain {x1 < 0}).  Dirichlet conditions hold on the whole
-    half-domain boundary including the axis.  Returns (mu, report) where
-    report contains the odd-extension eigen-residual on the full domain;
-    EigenSolveError if it exceeds ODD_EXTENSION_RESIDUAL_TOL.
-
-    Raises AxisAsymmetryError when u is not symmetric about the axis.
+    The half-domain modes are the fields odd under the reflection R, a node
+    permutation of the grid: B = [e_i - e_{R i}] over the mirror pairs
+    i < R i spans them (axis nodes are fixed and carry 0), mu is lambda_1
+    of (B^T A B, B^T W B = 2 W) and B psi is its odd extension.  Returns
+    (mu, report) with the odd extension's eigen-residual on the full
+    domain; EigenSolveError if it exceeds ODD_EXTENSION_RESIDUAL_TOL, and
+    AxisAsymmetryError if u is not symmetric about the axis or the grid
+    does not realize R.
     """
     grid, axis_angle = u.grid, HALF_DOMAIN_AXIS
-    # D_1 about the axis: the identity, then the reflection
-    perm = grid.group_permutations(dihedral(1, axis_angle))[1]
-    sup = float(np.max(np.abs(u.values))) if u.values.size else 0.0
-    defect = float(np.max(np.abs(u.values[perm] - u.values)))
-    if sup > 0 and defect > 1e-8 * sup:
+    mirror = dihedral(1, axis_angle)
+    try:
+        # D_1 about the axis: the identity, then the reflection
+        perm = grid.group_permutations(mirror)[1]
+    except GridSymmetryError as exc:
+        raise AxisAsymmetryError(f"the grid does not realize the reflection "
+                                 f"about the axis ({exc})") from exc
+    defect = grid.symmetry_defect(u.values, mirror)
+    if defect > 1e-8 * u.sup:
         raise AxisAsymmetryError(f"u is not symmetric about the axis "
                                  f"(defect {defect:.2e})")
 
-    # signed distance of each node to the axis; half domain = negative side
-    normal = np.array([math.cos(axis_angle + math.pi / 2.0),
-                       math.sin(axis_angle + math.pi / 2.0)])
-    s = grid.xy @ normal
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(s))))
-    half = s < -tol
-
+    pairs = np.flatnonzero(np.arange(grid.n_nodes) < perm)
+    eye = sp.identity(grid.n_nodes, format="csc")
+    B = eye[:, pairs] - eye[:, perm[pairs]]
     A = assemble_linearized(u, p)
-    idx = np.flatnonzero(half)
-    A_half = A[idx][:, idx]
-    # odd extension forces the mirror of a node to carry -psi; when the
-    # mirror is a direct stencil neighbor (cell-centered grid, axis between
-    # columns) that coupling folds into the diagonal
-    cross = np.asarray(A[idx, perm[idx]]).ravel()
-    cross[perm[idx] == idx] = 0.0
-    if np.any(cross):
-        A_half = A_half - sp.diags(cross)
-    mu, psi = lowest_eigenpair(A_half, grid.weights[idx])
+    mu, psi = lowest_eigenpair(B.T @ A @ B, 2.0 * grid.weights[pairs])
 
-    # odd extension across the axis
-    tilde = np.zeros(grid.n_nodes)
-    tilde[idx] = psi
-    tilde = tilde - tilde[perm]
-    tilde[np.abs(s) <= tol] = 0.0
-
+    tilde = B @ psi
     r = A @ tilde - mu * (grid.weights * tilde)
     denom = (np.linalg.norm(tilde) * max(1.0, abs(mu)))
     odd_residual = float(np.linalg.norm(r / grid.weights) / denom)
@@ -323,18 +325,14 @@ def newton_polish(u, p: float, max_iter: int = 40):
     w_ordered = w[order]
     v = u.values.copy()
 
-    def F(x):
-        return K @ x - w * np.abs(x) ** (p - 1.0) * x
+    def evaluate(x):
+        """(F(x) = K x - W |x|^{p-1} x, residual of x); a zero field has
+        residual inf, so it is never a polished solution."""
+        kx = K @ x
+        res = _relative_residual(grid, x, kx, p) if np.any(x) else math.inf
+        return kx - w * np.abs(x) ** (p - 1.0) * x, res
 
-    def res_of(x, fx):
-        nrm = grid.weighted_norm(x)
-        if not 0.0 < nrm < math.inf:
-            return math.inf
-        r = grid.weighted_norm(fx / w) / nrm
-        return r if math.isfinite(r) else math.inf
-
-    fv = F(v)
-    cur = res_of(v, fv)
+    fv, cur = evaluate(v)
     best_v, best_res = v.copy(), cur
     for _ in range(max_iter):
         J.data[diagonal] = k_diagonal - (w_ordered * p
@@ -347,8 +345,7 @@ def newton_polish(u, p: float, max_iter: int = 40):
         step = 1.0
         while step > 1e-6:
             cand = v - step * dv
-            f_cand = F(cand)
-            r = res_of(cand, f_cand)
+            f_cand, r = evaluate(cand)
             if r < cur:
                 break
             step *= 0.5

@@ -531,6 +531,37 @@ class TestSpectrumCommand:
         assert len(err) == 1
         assert err[0].startswith("lef spectrum: spectrum stage:")
 
+    def test_orbit_space_too_small_for_eigsh_exits_3(self, tmp_path,
+                                                     capsys):
+        # the C4 orbit grid of polar 2x4 has 2 nodes, too few for eigsh
+        g = geometry.PolarGrid(2, 4)
+        u, res = spectrum.newton_polish(
+            flow.field_from_radial(g, radial.solve_ball(5.0)), 5.0)
+        assert res < 1e-10
+        path = tmp_path / "tiny.bin"
+        cli.dump_field(path, u, p=5.0)
+        assert cli.main(["spectrum", "--field", str(path),
+                         "--group", "cyclic:4"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("lef spectrum: spectrum stage:")
+
+    @pytest.mark.parametrize("n_theta", [5, 7])
+    def test_odd_n_theta_dump_reports_null_half_domain_mu(
+            self, tmp_path, capsys, n_theta):
+        # odd n_theta: the grid does not realize the x2-axis reflection
+        g = geometry.PolarGrid(12, n_theta)
+        u, res = spectrum.newton_polish(
+            flow.field_from_radial(g, radial.solve_ball(5.0)), 5.0)
+        assert res < 1e-10
+        path = tmp_path / "odd.bin"
+        cli.dump_field(path, u, p=5.0)
+        assert cli.main(["spectrum", "--field", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["morse_index"] == 1
+        assert out["half_domain_mu"] is None
+        assert out["odd_extension_residual"] is None
+
     def test_k_below_one_exits_2(self, tmp_path, capsys, polished_ball):
         path = tmp_path / "ball.bin"
         cli.dump_field(path, polished_ball, p=5.0)

@@ -104,6 +104,47 @@ def test_lowest_eigenvalue_of_the_orbit_grid_is_the_full_one(case):
     assert lam_orbit == pytest.approx(lam_full, rel=1e-10)
 
 
+class TestEigenSolveGuards:
+    def test_lowest_eigenpair_checks_its_residual(self, monkeypatch):
+        # an eigsh that returns a wrong pair is caught by the residual check
+        g = geometry.PolarGrid(24, 16)
+        z = flow.ScalarField(g, np.zeros(g.n_nodes))
+        A = spectrum.assemble_linearized(z, 5.0)
+        eigsh = spectrum._eigsh
+
+        def shifted(*args, **kwargs):
+            vals, vecs = eigsh(*args, **kwargs)
+            return vals + 1.0, vecs
+
+        monkeypatch.setattr(spectrum, "_eigsh", shifted)
+        with pytest.raises(spectrum.EigenSolveError, match="residual"):
+            spectrum.lowest_eigenpair(A, g.weights)
+
+    def test_lowest_eigenpair_uses_the_shifted_factor(self, monkeypatch):
+        g = geometry.PolarGrid(24, 16)
+        z = flow.ScalarField(g, np.zeros(g.n_nodes))
+        opinv = []
+        eigsh = spla.eigsh
+
+        def recording(*args, **kwargs):
+            opinv.append(kwargs["OPinv"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum.spla, "eigsh", recording)
+        spectrum.lowest_eigenpair(spectrum.assemble_linearized(z, 5.0),
+                                  g.weights)
+        assert len(opinv) == 1
+        assert isinstance(opinv[0], spla.LinearOperator)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_space_of_fewer_than_three_unknowns_raises(self, n):
+        A = sp.diags(np.arange(1.0, n + 1.0)).tocsr()
+        with pytest.raises(spectrum.EigenSolveError, match="too small"):
+            spectrum.spectrum_at_shift(A, np.ones(n), 0.0, 1)
+        with pytest.raises(spectrum.EigenSolveError, match="too small"):
+            spectrum.lowest_eigenpair(A, np.ones(n))
+
+
 class TestResidualOverflowGuard:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_large_field_gives_inf_without_a_warning(self):
@@ -141,7 +182,8 @@ class TestResidualOverflowGuard:
     def test_direct_residual_is_the_plain_formula(self, polished_ball_p5):
         u = polished_ball_p5.scaled(1.5)
         g = u.grid
-        plain = g.laplacian_apply(u.values) + np.abs(u.values) ** 4.0 * u.values
+        plain = (-(g.stiffness @ u.values) / g.weights
+                 + np.abs(u.values) ** 4.0 * u.values)
         assert spectrum.elliptic_residual(u, 5.0) == (
             g.weighted_norm(plain) / g.weighted_norm(u.values))
 
@@ -185,6 +227,20 @@ class TestNewtonPolish:
 
     def test_elliptic_residual_of_solution(self, polished_ball_p5):
         assert spectrum.elliptic_residual(polished_ball_p5, 5.0) < 1e-10
+
+    @pytest.mark.parametrize("scale", [1.0, 1.02])
+    def test_residual_is_the_elliptic_residual(self, scale):
+        # one formula: the polished field's residual is its elliptic one
+        g = geometry.PolarGrid(24, 16)
+        u = flow.field_from_radial(g, radial.solve_ball(5.0)).scaled(scale)
+        polished, res = spectrum.newton_polish(u, 5.0)
+        assert res == spectrum.elliptic_residual(polished, 5.0)
+
+    def test_zero_field_has_residual_inf(self):
+        g = geometry.PolarGrid(16, 8)
+        z = flow.ScalarField(g, np.zeros(g.n_nodes))
+        assert spectrum.elliptic_residual(z, 5.0) == 0.0
+        assert spectrum.newton_polish(z, 5.0)[1] == math.inf
 
 
 class TestMorseIndex:
@@ -232,6 +288,73 @@ class TestHalfDomainMu:
         assert math.isfinite(mu)
 
 
+def _cut_half_domain_mu(u, p):
+    """(mu, odd-extension residual) from the half-domain submatrix: the
+    nodes left of the axis by signed distance, the mirror couplings folded
+    into the diagonal, scipy's own shift-invert factor below the spectrum.
+    The oracle of ``half_domain_mu``."""
+    grid, axis = u.grid, spectrum.HALF_DOMAIN_AXIS
+    perm = grid.group_permutations(geometry.dihedral(1, axis))[1]
+    s = grid.xy @ np.array([math.cos(axis + math.pi / 2.0),
+                            math.sin(axis + math.pi / 2.0)])
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(s))))
+    idx = np.flatnonzero(s < -tol)
+    A = spectrum.assemble_linearized(u, p)
+    cross = np.asarray(A[idx, perm[idx]]).ravel()
+    cross[perm[idx] == idx] = 0.0
+    A_half = A[idx][:, idx] - sp.diags(cross)
+    w = grid.weights[idx]
+    sigma = spectrum._spectrum_floor(A_half, w)
+    v0 = np.random.default_rng(0).standard_normal(idx.size)
+    vals, vecs = spla.eigsh(A_half, k=1, M=sp.diags(w), sigma=sigma, v0=v0)
+    mu, tilde = float(vals[0]), np.zeros(grid.n_nodes)
+    tilde[idx] = vecs[:, 0]
+    tilde = tilde - tilde[perm]
+    tilde[np.abs(s) <= tol] = 0.0
+    r = A @ tilde - mu * (grid.weights * tilde)
+    return mu, float(np.linalg.norm(r / grid.weights)
+                     / (np.linalg.norm(tilde) * max(1.0, abs(mu))))
+
+
+HALF_DOMAIN_GRIDS = {
+    # the axis through node rays, between them, through a column, and
+    # between columns
+    "polar-96x32": lambda: geometry.PolarGrid(96, 32),
+    "polar-24x18": lambda: geometry.PolarGrid(24, 18),
+    "polar-40x20": lambda: geometry.PolarGrid(40, 20),
+    "cartesian-40": lambda: geometry.CartesianMaskedGrid(
+        geometry.DomainSpec.disk(1.0), 40),
+    "cartesian-41": lambda: geometry.CartesianMaskedGrid(
+        geometry.DomainSpec.disk(1.0), 41),
+}
+
+
+class TestHalfDomainAgainstTheCutSubmatrix:
+    @pytest.mark.parametrize("field", ["zero", "ball"])
+    @pytest.mark.parametrize("name", HALF_DOMAIN_GRIDS)
+    def test_odd_subspace_mu_is_the_half_domain_mu(self, name, field):
+        g = HALF_DOMAIN_GRIDS[name]()
+        u = flow.ScalarField(g, np.zeros(g.n_nodes))
+        if field == "ball":
+            u, res = spectrum.newton_polish(
+                flow.field_from_radial(g, radial.solve_ball(5.0)), 5.0)
+            assert res < 1e-10
+        mu, info = spectrum.half_domain_mu(u, 5.0)
+        oracle_mu, oracle_residual = _cut_half_domain_mu(u, 5.0)
+        assert oracle_residual < 1e-6
+        assert mu == pytest.approx(oracle_mu, rel=1e-10)
+        assert info["odd_extension_residual"] < 1e-6
+
+    @pytest.mark.parametrize("n_theta", [5, 7])
+    def test_grid_without_the_axis_reflection_is_axis_asymmetric(
+            self, n_theta):
+        g = geometry.PolarGrid(12, n_theta)
+        u, _ = spectrum.newton_polish(
+            flow.field_from_radial(g, radial.solve_ball(5.0)), 5.0)
+        with pytest.raises(spectrum.AxisAsymmetryError, match="reflection"):
+            spectrum.half_domain_mu(u, 5.0)
+
+
 class TestConvexity:
     def test_disk_and_squircle_convex(self):
         assert spectrum.convex_in_direction(
@@ -263,7 +386,8 @@ def _fresh_jacobian_polish(u, p, tol=1e-10, max_iter=40):
 
     def res_of(x):
         nrm = grid.weighted_norm(x)
-        return np.inf if nrm == 0 else grid.weighted_norm(F(x) / w) / nrm
+        return np.inf if nrm == 0 else grid.weighted_norm(
+            np.abs(x) ** (p - 1.0) * x - K @ x / w) / nrm
 
     best_v, best_res = v.copy(), res_of(v)
     for _ in range(max_iter):
