@@ -40,6 +40,30 @@ class MissingKeyError(ConfigError, KeyError):
         return f"missing config key {self.args[0]!r}"
 
 
+class StageError(Exception):
+    """A pipeline stage's own verdict, with the ``state`` its report keeps."""
+
+    def __init__(self, stage: str, message: str, **state):
+        super().__init__(message)
+        self.stage, self.state = stage, state
+
+
+# each labelled failure, a StageError by its stage: its stage and exit code
+_FAILURES = ((ConfigError, None, 2), (StageError, "admissibility", 2),
+             (radial.RadialSolveError, "radial", 3),
+             (StageError, "profiles", 3), (StageError, "scan", 3),
+             (spectrum.EigenSolveError, "spectrum", 3),
+             (spectrum.NotSteadyError, "spectrum", 4),
+             (StageError, "audit", 4))
+
+
+def _label(exc: Exception) -> tuple | None:
+    """The (stage, exit code) of a labelled failure; None for another."""
+    return next(((stage, code) for kind, stage, code in _FAILURES
+                 if isinstance(exc, kind)
+                 and getattr(exc, "stage", stage) == stage), None)
+
+
 def _plain(obj):
     """obj with numpy values as Python ones and non-finite floats as None."""
     if isinstance(obj, (np.ndarray, np.generic)):
@@ -292,8 +316,7 @@ _ALPHA_RULE = "a number > 0, 'optimal' or 'asymptotic'"
 def _run_setup(config: dict, **defaults):
     """(flow config, p, alpha, group, grid, outdir) of a flow or pipeline
     config, ``defaults`` (flow, group, outdir) and a polar 96x32 grid on the
-    unit disk filling in what it leaves out.  Every value is read, and the
-    outdir made, before any work starts; ConfigError on an unknown or
+    unit disk filling in what it leaves out; ConfigError on an unknown or
     missing key, a value out of its range or a group the grid does not
     realize."""
     spec = {"grid": {"type": "polar", "n_r": 96, "n_theta": 32},
@@ -306,11 +329,28 @@ def _run_setup(config: dict, **defaults):
     grid = _build_grid(spec["grid"], spec["domain"])
     group = _build_group(spec["group"], grid)
     outdir = Path(_string(spec, "outdir", "outdir"))
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"outdir {str(outdir)!r}: {exc}") from None
     return cfg, p, alpha, group, grid, outdir
+
+
+@contextlib.contextmanager
+def _reporting(report: dict, path: Path):
+    """Make the directory of ``path``, run the body, then write and print
+    ``report`` however it ends, a labelled failure as its ``failure``."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"outdir {str(path.parent)!r}: {exc}") from None
+    try:
+        yield
+    except Exception as exc:
+        if label := _label(exc):
+            report["failure"] = {"stage": label[0], **getattr(
+                exc, "state", {"error": str(exc)})}
+        raise
+    finally:
+        text = _json(report)
+        path.write_text(text, encoding="utf-8")
+        print(text)
 
 
 def _alpha_policy(alpha, p: float):
@@ -334,9 +374,8 @@ def _resolve_alpha(alpha, p: float) -> radial.AlphaChoice:
     """The two profiles at a numeric alpha, or at a named policy's ('optimal'
     is the zero of the budget's alpha-derivative at this p)."""
     policy = _alpha_policy(alpha, p)
-    if policy == "optimal":
-        return radial.optimal_alpha(p)
-    return radial.profiles_at(p, policy)
+    return (radial.optimal_alpha(p) if policy == "optimal"
+            else radial.profiles_at(p, policy))
 
 
 # ---------------------------------------------------------------------------
@@ -434,23 +473,24 @@ def run_flow(args) -> int:
     v0 = _initial_field(config.get("initial", {}), grid, p, alpha)
     if group is not None:  # the G-invariant flow runs on the orbit grid
         v0 = v0.on(grid.quotient(group))
-    traj = flow.evolve(v0, p, cfg)
-    rows = ["t,energy,sup"]
-    rows += [f"{t:.10g},{e:.10g},{s:.10g}"
-             for t, e, s in zip(traj.times, traj.energies, traj.sup_norms)]
-    (outdir / "trajectory.csv").write_text("\n".join(rows) + "\n",
-                                           encoding="utf-8")
-    dump_field(outdir / "final.bin", traj.final.lifted(), p=p)
-    report = {"classification": traj.classification.value,
-              "t_final": traj.t_final,
-              "final_residual": traj.final_residual,
-              "steps": int(len(traj.dts)),
-              "energy_initial": float(traj.energies[0]),
-              "energy_final": float(traj.energies[-1]),
-              "energy_defects": traj.energy_defects,
-              "energy_overflow": not np.all(np.isfinite(traj.energies)),
-              "nodal_counts": traj.nodal_counts}
-    return _report(report, outdir / "flow_report.json", 0)
+    report: dict = {}
+    with _reporting(report, outdir / "flow_report.json"):
+        traj = flow.evolve(v0, p, cfg)
+        rows = ["t,energy,sup"]
+        rows += [f"{t:.10g},{e:.10g},{s:.10g}" for t, e, s in
+                 zip(traj.times, traj.energies, traj.sup_norms)]
+        (outdir / "trajectory.csv").write_text("\n".join(rows) + "\n",
+                                               encoding="utf-8")
+        dump_field(outdir / "final.bin", traj.final.lifted(), p=p)
+        report.update(
+            classification=traj.classification.value, t_final=traj.t_final,
+            final_residual=traj.final_residual, steps=int(len(traj.dts)),
+            energy_initial=float(traj.energies[0]),
+            energy_final=float(traj.energies[-1]),
+            energy_defects=traj.energy_defects,
+            energy_overflow=not np.all(np.isfinite(traj.energies)),
+            nodal_counts=traj.nodal_counts)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -477,17 +517,6 @@ def _audit_candidate(cand: flow.ScalarField, p: float, group) -> dict:
     return audit
 
 
-def _report(report: dict, path: Path, code: int, failure: str = "") -> int:
-    """Write and print a run's report, and one stderr line for a failed
-    pipeline stage; returns the exit code."""
-    text = _json(report)
-    path.write_text(text, encoding="utf-8")
-    print(text)
-    if failure:
-        print(f"lef pipeline: {failure}", file=sys.stderr)
-    return code
-
-
 def run_pipeline(args) -> int:
     config = _read_config(args.config)
     cfg, p, alpha, group, grid, outdir = _run_setup(
@@ -495,107 +524,94 @@ def run_pipeline(args) -> int:
         outdir="pipeline_out")
     domain = grid.domain
     ratios = _scan_ratios(config.get("scan", {}))
+    alpha = _alpha_policy(alpha, p)
 
     report: dict = {"p": p, "config": config, "admissible": (
         group is not None and check_admissible(group, domain))}
-    if not report["admissible"]:
-        print(_json(report))
-        print(f"lef pipeline: the group {group} is not admissible on the "
-              f"domain {domain.to_config()}", file=sys.stderr)
-        return 2
+    with _reporting(report, outdir / "pipeline_report.json"):
+        if not report["admissible"]:
+            name = group and f"{group.kind}:{group.order_h}"
+            raise StageError("admissibility", f"the group {name} is not "
+                             f"admissible on the domain {domain.to_config()}")
 
-    choice = _resolve_alpha(alpha, p)
-    alpha = report["alpha"] = choice.alpha
-    report["alpha_search"] = {"solves": choice.solves,
-                              "derivative": choice.derivative}
-    inner = radial.build_ball_solution_scaled(p, alpha, choice.ball)
-    f1 = flow.field_from_radial(grid, inner)
-    f2 = flow.field_from_radial(grid, choice.annulus, sign=-1.0)
-    if not (np.any(f1.values) and np.any(f2.values)):
-        # e.g. an annulus whose hole swallows the ball of radius e^{-alpha p}
-        rho = radial.ball_radius(p, alpha)
-        report["failure"] = {"stage": "profiles", "ball_radius": rho,
-                             "annulus_radii": [rho, 1.0],
-                             "domain_radii": [domain.inner_radius,
-                                              domain.bounding_radius]}
-        return _report(
-            report, outdir / "pipeline_report.json", 3,
-            f"profiles stage: the ball profile on r < {rho:.4g} or the "
-            f"annulus profile on ({rho:.4g}, 1) is zero on every node of the "
-            f"domain {domain.inner_radius:g} <= r <= "
-            f"{domain.bounding_radius:g}")
-    u1, t1n = energy.nehari_project(f1, p)
-    u2, t2n = energy.nehari_project(f2, p)
-    pE1 = p * energy.field_energy(u1, p).energy
-    pE2 = p * energy.field_energy(u2, p).energy
-    report["component_pE"] = {"ball": pE1, "annulus": pE2, "sum": pE1 + pE2}
+        choice = _resolve_alpha(alpha, p)
+        alpha = report["alpha"] = choice.alpha
+        report["alpha_search"] = {"solves": choice.solves,
+                                  "derivative": choice.derivative}
+        inner = radial.build_ball_solution_scaled(p, alpha, choice.ball)
+        f1 = flow.field_from_radial(grid, inner)
+        f2 = flow.field_from_radial(grid, choice.annulus, sign=-1.0)
+        if not (np.any(f1.values) and np.any(f2.values)):
+            # e.g. an annulus whose hole holds the ball r < e^{-alpha p}
+            rho = radial.ball_radius(p, alpha)
+            raise StageError(
+                "profiles", f"the ball profile on r < {rho:.4g} or the "
+                f"annulus profile on ({rho:.4g}, 1) is zero on every node of "
+                f"the domain {domain.inner_radius:g} <= r <= "
+                f"{domain.bounding_radius:g}", ball_radius=rho,
+                annulus_radii=[rho, 1.0],
+                domain_radii=[domain.inner_radius, domain.bounding_radius])
+        u1, u2 = (energy.nehari_project(f, p)[0] for f in (f1, f2))
+        pE1, pE2 = (p * energy.field_energy(u, p).energy for u in (u1, u2))
+        report["component_pE"] = {"ball": pE1, "annulus": pE2,
+                                  "sum": pE1 + pE2}
 
-    # u1 and u2 are radial and the flow commutes with every node
-    # permutation the grid realizes, so the scan runs on the orbit grid of
-    # the grid's whole symmetry group (G is a subgroup; on a polar grid its
-    # orbits are the rings); v0 and candidates are lifted back
-    orbits = grid.quotient(grid.symmetry_group)
-    scan = flow.ray_scan(u1.on(orbits), u2.on(orbits), p, ratios=ratios,
-                         config=cfg)
-    n_rays = len(scan.all_results)
-    report["scan"] = {"n_rays": n_rays, "unknowns": orbits.n_nodes,
-                      "success": scan.success,
-                      "rays": [(th, r if isinstance(r, str) else r.to_dict())
-                               for th, r in scan.all_results]}
-    if not scan.success:
-        report["failure"] = {"stage": "scan", "n_rays": n_rays}
-        return _report(
-            report, outdir / "pipeline_report.json", 3,
-            f"scan stage: no sign-changing candidate on any of {n_rays} "
-            f"rays")
+        # u1 and u2 are radial and the flow commutes with every node
+        # permutation the grid realizes, so the scan runs on the orbit grid
+        # of the grid's whole symmetry group (G is a subgroup; on a polar
+        # grid its orbits are the rings); v0 and candidates are lifted back
+        orbits = grid.quotient(grid.symmetry_group)
+        scan = flow.ray_scan(u1.on(orbits), u2.on(orbits), p, ratios=ratios,
+                             config=cfg)
+        n_rays = len(scan.all_results)
+        report["scan"] = {"n_rays": n_rays, "unknowns": orbits.n_nodes,
+                          "success": scan.success, "rays": [
+                              (th, r if isinstance(r, str) else r.to_dict())
+                              for th, r in scan.all_results]}
+        if not scan.success:
+            raise StageError("scan", f"no sign-changing candidate on any of "
+                             f"{n_rays} rays", n_rays=n_rays)
 
-    # the energy-consistent datum v0: the transition angle's threshold point
-    chosen_res, chosen_theta = scan.chosen
-    lam, v0 = chosen_res.lambda_star, chosen_res.v0.lifted()
-    report["chosen"] = {"theta": chosen_theta,
-                        "t1": lam * math.cos(chosen_theta),
-                        "t2": lam * math.sin(chosen_theta),
-                        "lambda_star": lam,
-                        "bisection_width": chosen_res.bisection_width}
-    found, theta = scan.candidate
-    report["candidate"] = {"theta": theta, "source": found.source,
-                           "residual": found.residual}
+        # v0, the energy-consistent datum: the transition ray's threshold point
+        chosen_res, chosen_theta = scan.chosen
+        lam, v0 = chosen_res.lambda_star, chosen_res.v0.lifted()
+        report["chosen"] = {"theta": chosen_theta,
+                            "t1": lam * math.cos(chosen_theta),
+                            "t2": lam * math.sin(chosen_theta),
+                            "lambda_star": lam,
+                            "bisection_width": chosen_res.bisection_width}
+        found, theta = scan.candidate
+        report["candidate"] = {"theta": theta, "source": found.source,
+                               "residual": found.residual}
 
-    candidate = found.field.lifted()
-    stages = [("v0", p * energy.field_energy(v0, p).energy),
-              ("candidate", p * energy.field_energy(candidate, p).energy)]
-    audit = report["audit"] = _audit_candidate(candidate, p, group)
+        candidate = found.field.lifted()
+        stages = [("v0", p * energy.field_energy(v0, p).energy),
+                  ("candidate", p * energy.field_energy(candidate, p).energy)]
+        audit = report["audit"] = _audit_candidate(candidate, p, group)
 
-    report["energy_ledger"] = {
-        "stages": stages, "bound": energy.UPPER_BOUND_CONST,
-        "nonincreasing": all(a >= b - 1e-9 for (_, a), (_, b)
-                             in zip(stages, stages[1:]))}
+        report["energy_ledger"] = {
+            "stages": stages, "bound": energy.UPPER_BOUND_CONST,
+            "nonincreasing": all(a >= b - 1e-9 for (_, a), (_, b)
+                                 in zip(stages, stages[1:]))}
 
-    dump_field(outdir / "candidate.bin", candidate, p=p)
-    dump_field(outdir / "v0.bin", v0, p=p)
-    report["outputs"] = {"candidate": str(outdir / "candidate.bin"),
-                         "v0": str(outdir / "v0.bin")}
-
-    try:
+        dump_field(outdir / "candidate.bin", candidate, p=p)
+        dump_field(outdir / "v0.bin", v0, p=p)
+        report["outputs"] = {"candidate": str(outdir / "candidate.bin"),
+                             "v0": str(outdir / "v0.bin")}
         report["morse"] = _morse_report(candidate, p, group)
-    except (spectrum.EigenSolveError, spectrum.NotSteadyError) as exc:
-        report["failure"] = {"stage": "spectrum", "error": str(exc)}
-        return _report(report, outdir / "pipeline_report.json", 3,
-                       f"spectrum stage: {exc}")
 
-    failed = [name for name, ok in (
-        ("residual",
-         audit["elliptic_residual"] <= spectrum.STEADY_RESIDUAL_TOL),
-        ("boundary contact", not audit["boundary_contact"]),
-        ("ledger", report["energy_ledger"]["nonincreasing"]),
-        ("nodal count", audit["nodal_count"] == 2)) if not ok]
-    if not failed:
-        return _report(report, outdir / "pipeline_report.json", 0)
-    report["failure"] = {"stage": "audit", "failed": failed}
-    return _report(
-        report, outdir / "pipeline_report.json", 4,
-        f"audit stage: {', '.join(failed)} failed ({audit['nodal_count']} "
-        f"nodal domains, elliptic residual {audit['elliptic_residual']:.3g})")
+        failed = [name for name, ok in (
+            ("residual",
+             audit["elliptic_residual"] <= spectrum.STEADY_RESIDUAL_TOL),
+            ("boundary contact", not audit["boundary_contact"]),
+            ("ledger", report["energy_ledger"]["nonincreasing"]),
+            ("nodal count", audit["nodal_count"] == 2)) if not ok]
+        if failed:
+            raise StageError(
+                "audit", f"{', '.join(failed)} failed "
+                f"({audit['nodal_count']} nodal domains, elliptic residual "
+                f"{audit['elliptic_residual']:.3g})", failed=failed)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -628,12 +644,7 @@ def run_spectrum(args) -> int:
         kind, _, order = args.group.partition(":")
         group = _build_group({"kind": kind, "order": order}, field.grid,
                              text=True)
-    try:
-        out = _morse_report(field, p, group, args.k)
-    except spectrum.NotSteadyError as exc:
-        print(f"lef spectrum: {exc}", file=sys.stderr)
-        return 4
-    print(_json(out))
+    print(_json(_morse_report(field, p, group, args.k)))
     return 0
 
 
@@ -687,14 +698,13 @@ def main(argv=None) -> int:
                 "spectrum": run_spectrum}
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"lef {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except (radial.RadialSolveError, spectrum.EigenSolveError) as exc:
-        stage = ("radial" if isinstance(exc, radial.RadialSolveError)
-                 else "spectrum")
-        print(f"lef {args.command}: {stage} stage: {exc}", file=sys.stderr)
-        return 3
+    except Exception as exc:
+        if (label := _label(exc)) is None:
+            raise
+        stage, code = label
+        print(f"lef {args.command}: {stage + ' stage: ' if stage else ''}"
+              f"{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

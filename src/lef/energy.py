@@ -250,7 +250,7 @@ def upper_bound_report(choice) -> UpperBoundReport:
 
     p, alpha = choice.annulus.p, choice.alpha
     rep1 = radial.radial_energy(choice.annulus)
-    rep2 = radial.ball_scaled_energy(p, alpha, choice.ball)
+    rep2 = radial._rescaled_energy(choice.ball_energy, p, alpha)
     return UpperBoundReport(p, alpha, rep1.scaled_energy, rep2.scaled_energy,
                             rep1.scaled_energy + rep2.scaled_energy,
                             UPPER_BOUND_CONST)

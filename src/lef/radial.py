@@ -660,21 +660,10 @@ def build_ball_solution_scaled(p: float, alpha: float,
     return ball.scaled(math.exp(alpha * p))
 
 
-def ball_scaled_energy(p: float, alpha: float,
-                       ball: RadialProfile) -> EnergyReport:
-    """Energy of u_{p,2,alpha} via the exact scaling identity.
-
-    ||grad u_{p,2,alpha}||^2 = e^{4 alpha p/(p-1)} ||grad w_p||^2, and the
-    L^{p+1} power scales identically (the profile solves the equation, so
-    both norms agree up to the solver's Nehari residual).  ``ball`` is the
-    solution solve_ball(p).
-    """
-    return _rescaled_energy(radial_energy(ball), p, alpha)
-
-
 def _rescaled_energy(base: EnergyReport, p: float,
                      alpha: float) -> EnergyReport:
-    """The ball solution's report ``base`` rescaled to radius e^{-alpha p}."""
+    """``base``, the ball solution's report, rescaled to radius e^{-alpha p}
+    (u_{p,2,alpha}'s): both norms gain the factor e^{4 alpha p/(p-1)}."""
     factor = math.exp(4.0 * alpha * p / (p - 1.0))
     return EnergyReport.from_norms(base.grad_norm_sq * factor,
                                    base.lp1_norm_pow * factor, p)
@@ -825,16 +814,17 @@ def omega_test_function(p: float, alpha: float, b: float) -> RadialProfile:
 class AlphaChoice:
     """An alpha with the two profiles of the energy budget there.
 
-    ``ball`` is the solution solve_ball(p), and ``annulus`` the solution
-    on (e^{-alpha p}, 1); its ``slope`` can start a solve on a nearby
-    annulus.  ``derivative`` is the budget's alpha-derivative T'(alpha)
-    there (see budget_derivative): at the alpha optimal_alpha returns it
-    is the stationarity residual.  ``solves`` counts the alphas at which
-    profiles were solved to make this choice.
+    ``ball`` is the solution solve_ball(p), ``ball_energy`` its energy
+    report, and ``annulus`` the solution on (e^{-alpha p}, 1); its
+    ``slope`` can start a solve on a nearby annulus.  ``derivative`` is
+    the budget's T'(alpha) there (see budget_derivative): at the alpha
+    optimal_alpha returns it is the stationarity residual.  ``solves``
+    counts the alphas at which profiles were solved to make this choice.
     """
 
     alpha: float
     ball: RadialProfile
+    ball_energy: EnergyReport
     annulus: RadialProfile
     derivative: float
     solves: int = 1
@@ -862,7 +852,7 @@ def _profiles(p: float, alpha: float, ball: RadialProfile,
     """profiles_at from the ball solution ``ball`` and its energy report;
     ``slope`` starts the annulus shooting (see solve_annulus)."""
     annulus = solve_annulus(p, ball_radius(p, alpha), 1.0, slope)
-    return AlphaChoice(alpha, ball, annulus, budget_derivative(
+    return AlphaChoice(alpha, ball, ball_energy, annulus, budget_derivative(
         p, alpha, annulus.slope, ball_energy))
 
 

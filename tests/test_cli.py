@@ -405,6 +405,7 @@ class TestFlowCommand:
         assert len(err) == 1
         assert err[0].startswith("lef flow: ") and message in err[0]
         assert shots == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestDumpDatum:
@@ -634,20 +635,6 @@ class TestAlphaResolution:
         assert 0.2 < a8 < 0.4
 
 
-class TestPipelineAdmissibility:
-    def test_inadmissible_group_exits_2(self, tmp_path):
-        config = {
-            "p": 8.0,
-            "domain": {"type": "disk", "radius": 1.0},
-            "grid": {"type": "polar", "n_r": 16, "n_theta": 16},
-            "group": {"kind": "cyclic", "order": 2},
-            "outdir": str(tmp_path / "out"),
-        }
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(config), encoding="utf-8")
-        assert cli.main(["pipeline", "--config", str(cfg_path)]) == 2
-
-
 class TestConfigValidation:
     def test_unknown_flow_key_exits_2_before_any_work(self, tmp_path, capsys,
                                                       monkeypatch):
@@ -796,6 +783,7 @@ class TestConfigValidation:
         assert err == [f"lef pipeline: unknown scan config key "
                        f"{next(iter(scan))!r}; allowed: ratios"]
         assert shots == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("ratios, message", [
         (["a"], "scan ratios entry must be a number in (-inf, inf), "
@@ -824,6 +812,7 @@ class TestConfigValidation:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"lef pipeline: {message}"]
         assert shots == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value, message", [
         *[(key, value, f"flow {key} must be a number in (0, inf), "
@@ -915,148 +904,99 @@ def _tiny_argv(tmp_path, argv, extra):
     return argv + ["--config", str(cfg_path)]
 
 
-def _audit_on(tmp_path, capsys, monkeypatch, transform):
-    """A small C4 pipeline whose audit decomposes transform(candidate);
-    returns its exit code, stderr lines and report."""
-    decompose = nodal.decompose
-    monkeypatch.setattr(nodal, "decompose",
-                        lambda v: decompose(transform(v)))
-    config = {
-        "p": 8.0, "alpha": 0.28,
-        "grid": {"type": "polar", "n_r": 24, "n_theta": 16},
-        "group": {"kind": "cyclic", "order": 4},
-        "outdir": str(tmp_path / "out"),
-    }
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(config), encoding="utf-8")
-    rc = cli.main(["pipeline", "--config", str(cfg_path)])
-    err = capsys.readouterr().err.strip().splitlines()
-    rep = json.loads((tmp_path / "out" / "pipeline_report.json")
-                     .read_text(encoding="utf-8"))
-    return rc, err, rep
+def _three_domains(v):
+    """A +/-/+ field with nodal circles at r = 0.2 and 0.6."""
+    r = np.hypot(v.grid.xy[:, 0], v.grid.xy[:, 1])
+    return flow.ScalarField(v.grid, np.cos(2.5 * np.pi * r))
+
+
+def _split_by_diameter(v):
+    """v times the sign of cos(theta + dtheta/2): a nodal diameter between
+    node rays, with no zero-band node on it, reaching the boundary."""
+    th = np.arctan2(v.grid.xy[:, 1], v.grid.xy[:, 0])
+    sign = np.sign(np.cos(th + v.grid.dtheta / 2.0))
+    return flow.ScalarField(v.grid, v.values * sign)
+
+
+def _audit_on(transform):
+    """A patch under which the pipeline's audit decomposes
+    transform(candidate)."""
+    def patch(monkeypatch):
+        decompose = nodal.decompose
+        monkeypatch.setattr(nodal, "decompose",
+                            lambda v: decompose(transform(v)))
+    return patch
+
+
+def _no_convergence(monkeypatch):
+    def fail(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.empty(0),
+                                       np.empty((0, 0)))
+    monkeypatch.setattr(spla, "eigsh", fail)
 
 
 class TestLabelledFailures:
-    def test_annulus_hole_swallowing_the_ball_exits_3(self, tmp_path,
-                                                      capsys):
-        # alpha = 0.44 puts the ball radius e^{-alpha p} at 0.11 < a = 0.3
-        config = {
-            "p": 5.0, "alpha": 0.44,
-            "domain": {"type": "annulus", "a": 0.3},
-            "grid": {"type": "polar", "n_r": 24, "n_theta": 16},
-            "group": {"kind": "cyclic", "order": 4},
-            "outdir": str(tmp_path / "out"),
-        }
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(config), encoding="utf-8")
-        assert cli.main(["pipeline", "--config", str(cfg_path)]) == 3
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "profiles stage" in err[0]
-        rep = json.loads((tmp_path / "out" / "pipeline_report.json")
-                         .read_text(encoding="utf-8"))
-        failure = rep["failure"]
-        assert failure["stage"] == "profiles"
-        assert failure["ball_radius"] == pytest.approx(math.exp(-2.2))
-        assert failure["domain_radii"] == [0.3, 1.0]
-
+    # each row: the stage, its exit code, the changes to a small C4
+    # pipeline config, a patch, the report's failure (its subset of keys),
+    # a part of the stderr line, and the last report section before
+    # "failure": the state the stage failed in
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_budget_past_the_float_range_exits_3_at_the_radial_stage(
-            self, tmp_path, capsys):
-        config = {
-            "p": 1500.0, "alpha": 0.2,
-            "grid": {"type": "polar", "n_r": 16, "n_theta": 8},
-            "group": {"kind": "cyclic", "order": 4},
-            "outdir": str(tmp_path / "out"),
-        }
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(config), encoding="utf-8")
-        assert cli.main(["pipeline", "--config", str(cfg_path)]) == 3
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("lef pipeline: radial stage: ")
-        assert "float range" in err[0]
-
-    def test_scan_without_candidate_exits_3_with_report(self, tmp_path,
-                                                        capsys):
-        # one ray gives no sign-changing candidate and no flip to refine
-        config = {
-            "p": 8.0,
-            "grid": {"type": "polar", "n_r": 24, "n_theta": 16},
-            "group": {"kind": "cyclic", "order": 4},
-            "scan": {"ratios": [0.1]},
-            "outdir": str(tmp_path / "out"),
-        }
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps(config), encoding="utf-8")
-        assert cli.main(["pipeline", "--config", str(cfg_path)]) == 3
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "scan stage" in err[0]
-        rep = json.loads((tmp_path / "out" / "pipeline_report.json")
-                         .read_text(encoding="utf-8"))
-        assert rep["failure"] == {"stage": "scan", "n_rays": 1}
-        assert rep["scan"]["success"] is False
-
-    def test_eigensolve_failure_exits_3_with_report(self, tmp_path, capsys,
-                                                    monkeypatch):
-        def fail(*args, **kwargs):
-            raise spla.ArpackNoConvergence("no convergence", np.empty(0),
-                                           np.empty((0, 0)))
-
-        monkeypatch.setattr(spla, "eigsh", fail)
+    @pytest.mark.parametrize(
+        "stage, code, changes, patch, failure, message, last", [
+            ("admissibility", 2, {"group": {"kind": "cyclic", "order": 2}},
+             None, {}, "the group cyclic:2 is not admissible on the domain",
+             "admissible"),
+            ("radial", 3, {"p": 1.0001, "alpha": "optimal"}, None, {},
+             "the rescaled amplitude", "admissible"),
+            ("radial", 3, {"p": 1500.0, "alpha": 0.2}, None, {},
+             "float range", "admissible"),
+            # alpha = 0.44 puts the ball radius e^{-alpha p} at 0.11 < a
+            ("profiles", 3, {"p": 5.0, "alpha": 0.44,
+                             "domain": {"type": "annulus", "a": 0.3}},
+             None, {"ball_radius": pytest.approx(math.exp(-2.2)),
+                    "domain_radii": [0.3, 1.0]},
+             "is zero on every node of the domain", "alpha_search"),
+            # one ray gives no sign-changing candidate and no flip to refine
+            ("scan", 3, {"alpha": "optimal", "scan": {"ratios": [0.1]}},
+             None, {"n_rays": 1}, "no sign-changing candidate on any of 1",
+             "scan"),
+            ("spectrum", 3, {}, _no_convergence, {},
+             "shift-invert eigensolve at sigma", "outputs"),
+            ("audit", 4, {}, _audit_on(_three_domains),
+             {"failed": ["nodal count"]},
+             "nodal count failed (3 nodal domains", "morse"),
+            ("audit", 4, {}, _audit_on(_split_by_diameter),
+             {"failed": ["boundary contact", "nodal count"]},
+             "boundary contact", "morse"),
+        ], ids=["admissibility", "radial-p-near-1", "radial-budget",
+                "profiles", "scan", "spectrum", "audit-three-domains",
+                "audit-nodal-line-to-the-boundary"])
+    def test_every_pipeline_failure_is_one_line_and_its_report(
+            self, tmp_path, capsys, monkeypatch, stage, code, changes,
+            patch, failure, message, last):
+        if patch is not None:
+            patch(monkeypatch)
         config = {
             "p": 8.0, "alpha": 0.28,
             "grid": {"type": "polar", "n_r": 24, "n_theta": 16},
             "group": {"kind": "cyclic", "order": 4},
-            "outdir": str(tmp_path / "out"),
+            "outdir": str(tmp_path / "out"), **changes,
         }
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(config), encoding="utf-8")
-        assert cli.main(["pipeline", "--config", str(cfg_path)]) == 3
-        err = capsys.readouterr().err.strip().splitlines()
+        assert cli.main(["pipeline", "--config", str(cfg_path)]) == code
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
         assert len(err) == 1
-        assert err[0].startswith("lef pipeline: spectrum stage:")
-        rep = json.loads((tmp_path / "out" / "pipeline_report.json")
-                         .read_text(encoding="utf-8"))
-        assert rep["failure"]["stage"] == "spectrum"
-        assert "morse" not in rep
-
-    def test_three_nodal_domains_exit_4_naming_the_check(
-            self, tmp_path, capsys, monkeypatch):
-        # the candidate is audited on the nodal domains of a +/-/+ field
-        # with nodal circles at r = 0.2 and 0.6
-        def three_domains(v):
-            r = np.hypot(v.grid.xy[:, 0], v.grid.xy[:, 1])
-            return flow.ScalarField(v.grid, np.cos(2.5 * np.pi * r))
-
-        rc, err, rep = _audit_on(tmp_path, capsys, monkeypatch,
-                                 three_domains)
-        assert rc == 4
-        assert len(err) == 1
-        assert err[0].startswith("lef pipeline: audit stage:")
-        assert "nodal count" in err[0]
-        assert rep["audit"]["nodal_count"] == 3
-        assert rep["failure"] == {"stage": "audit", "failed": ["nodal count"]}
-        assert [name for name, _ in rep["energy_ledger"]["stages"]] == [
-            "v0", "candidate"]
-
-    def test_nodal_line_across_edges_to_the_boundary_exits_4(
-            self, tmp_path, capsys, monkeypatch):
-        # the candidate is audited on its product with the sign of
-        # cos(theta + dtheta/2): a nodal diameter between node rays, with
-        # no zero-band node on it, reaches the boundary
-        def split_by_diameter(v):
-            th = np.arctan2(v.grid.xy[:, 1], v.grid.xy[:, 0])
-            sign = np.sign(np.cos(th + v.grid.dtheta / 2.0))
-            return flow.ScalarField(v.grid, v.values * sign)
-
-        rc, err, rep = _audit_on(tmp_path, capsys, monkeypatch,
-                                 split_by_diameter)
-        assert rc == 4
-        assert len(err) == 1
-        assert err[0].startswith("lef pipeline: audit stage:")
-        assert rep["audit"]["boundary_contact"] is True
-        assert rep["failure"]["stage"] == "audit"
-        assert "boundary contact" in rep["failure"]["failed"]
+        assert err[0].startswith(f"lef pipeline: {stage} stage: ")
+        assert message in err[0]
+        text = (tmp_path / "out" / "pipeline_report.json").read_text(
+            encoding="utf-8")
+        assert captured.out == text + "\n"
+        rep = json.loads(text)
+        assert rep["failure"]["stage"] == stage
+        assert {k: rep["failure"][k] for k in failure} == failure
+        assert list(rep)[-2:] == [last, "failure"]
 
     @pytest.mark.parametrize("argv, extra", [
         (["radial", "--p", "1.0001"], None),
@@ -1077,6 +1017,7 @@ class TestLabelledFailures:
         assert err[0].startswith(f"lef {argv[0]}: radial stage: the "
                                  f"rescaled amplitude")
         assert "passes the float range" in err[0]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv, extra", [
@@ -1094,6 +1035,7 @@ class TestLabelledFailures:
         assert err[0].startswith(f"lef {argv[0]}: radial stage: the first "
                                  f"zero")
         assert "passes the float range" in err[0]
+        assert not (tmp_path / "out").exists()
 
     def test_radial_solve_error_exits_3(self, tmp_path, capsys,
                                         monkeypatch):
@@ -1144,6 +1086,8 @@ class TestScenarioMatrix:
             assert set(report["candidate"]) == {"theta", "source",
                                                 "residual"}
         if "morse" in report:
+            assert [name for name, _ in report["energy_ledger"]["stages"]
+                    ] == ["v0", "candidate"]
             # lambda_1 is found on the orbit grid: the full grid's is equal
             candidate, _ = cli.load_field(tmp_path / "out" / "candidate.bin")
             lam1, _ = spectrum.lowest_eigenpair(

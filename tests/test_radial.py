@@ -70,7 +70,8 @@ class TestBall:
         assert prof(np.array([rho]))[0] == pytest.approx(0.0, abs=1e-8)
         assert prof(np.array([2.0 * rho]))[0] == 0.0
         rep_direct = radial.radial_energy(prof)
-        rep_closed = radial.ball_scaled_energy(p, alpha, ball)
+        rep_closed = radial._rescaled_energy(radial.radial_energy(ball), p,
+                                             alpha)
         assert rep_direct.energy == pytest.approx(rep_closed.energy, rel=1e-6)
 
 

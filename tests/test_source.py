@@ -49,3 +49,16 @@ def test_lef_radial_loads_no_optimize_integrate_or_interpolate(tmp_path):
     assert "scipy.sparse.linalg" in loaded
     dropped = ("scipy.optimize", "scipy.integrate", "scipy.interpolate")
     assert [m for m in loaded if m.startswith(dropped)] == []
+
+
+def test_only_main_writes_to_stderr_in_the_cli():
+    # one failure path: main alone turns a failure into its stderr line
+    tree = ast.parse((Path(lef.__file__).parent / "cli.py").read_text(
+        encoding="utf-8"))
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    inside = {id(node) for node in ast.walk(main)}
+    stderr = [node for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "stderr"]
+    assert stderr
+    assert [node.lineno for node in stderr if id(node) not in inside] == []
