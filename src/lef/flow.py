@@ -1,9 +1,12 @@
 """Semilinear heat flow: IMEX stepping, classification, threshold search.
 
 One step solves (W + dt K) v_{n+1} = W (v_n + dt |v_n|^{p-1} v_n): implicit
-backward-Euler diffusion (sparse LU, each grid owns its factorizations per
-step size), explicit reaction.  That is Eyre's convex splitting of the
-energy, so E(v_{n+1}) <= E(v_n) - dt ||(v_{n+1} - v_n)/dt||_W^2 at any dt:
+backward-Euler diffusion, explicit reaction.  Each grid owns its
+factorizations of W + dt K per step size: LAPACK's tridiagonal LDL^T
+(``dpttrf``/``dpttrs``) when K is tridiagonal in node order
+(``grid.stiffness_bands``, the ring grid of a polar grid), sparse LU
+otherwise.  The step is Eyre's convex splitting of the energy, so
+E(v_{n+1}) <= E(v_n) - dt ||(v_{n+1} - v_n)/dt||_W^2 at any dt:
 no step is rejected, an energy rise beyond roundoff is counted as a defect,
 and ``c_stab`` bounds dt where |v| is large for accuracy, not stability.
 
@@ -41,6 +44,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from . import energy as energy_mod
 from . import nodal as nodal_mod
@@ -117,7 +121,6 @@ class Trajectory:
     times: np.ndarray
     energies: np.ndarray
     sup_norms: np.ndarray
-    vdot_sq: np.ndarray            # ||(v_{n+1}-v_n)/dt||_2^2 per accepted step
     dts: np.ndarray
     classification: Classification
     final: ScalarField
@@ -134,11 +137,36 @@ class Trajectory:
         return float(self.times[-1])
 
 
+class _TridiagonalFactor:
+    """LDL^T factor of the symmetric positive definite tridiagonal matrix
+    with ``diagonal`` and ``off_diagonal`` (LAPACK ``dpttrf``); ``solve``
+    is ``dpttrs``.  A nonzero LAPACK ``info`` raises RuntimeError."""
+
+    def __init__(self, diagonal: np.ndarray, off_diagonal: np.ndarray):
+        self.d, self.e, info = lapack.dpttrf(diagonal, off_diagonal)
+        if info != 0:
+            raise RuntimeError(f"dpttrf info {info}: the tridiagonal step "
+                               f"matrix is not positive definite")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x, info = lapack.dpttrs(self.d, self.e, b)
+        if info != 0:
+            raise RuntimeError(f"dpttrs info {info}")
+        return x
+
+
 def _lu_for(grid, dt: float):
+    """The factor of W + dt K on ``grid`` (cached per dt): tridiagonal
+    LDL^T from K's bands, else SuperLU."""
     key = float(dt)
     if key not in grid.step_factors:
-        mat = (sp.diags(grid.weights) + dt * grid.stiffness).tocsc()
-        grid.step_factors[key] = spla.splu(mat)
+        bands = grid.stiffness_bands
+        if bands is None:
+            mat = (sp.diags(grid.weights) + dt * grid.stiffness).tocsc()
+            grid.step_factors[key] = spla.splu(mat)
+        else:
+            grid.step_factors[key] = _TridiagonalFactor(
+                grid.weights + dt * bands.diagonal, dt * bands.off_diagonal)
     return grid.step_factors[key]
 
 
@@ -195,7 +223,7 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
     sup = sup0 = float(np.max(abs_v))
     if sup0 == 0.0:
         return Trajectory(np.array([0.0]), np.array([0.0]), np.array([0.0]),
-                          np.array([]), np.array([]), Classification.STEADY,
+                          np.array([]), Classification.STEADY,
                           ScalarField(grid, v), 0.0)
     decay_at = config.decay_factor * sup0
     blowup_at = BLOWUP_FACTOR * sup0
@@ -206,7 +234,7 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
     E, power = _energy_and_power(grid, v, abs_v, p)
     energy_scale = max(abs(E), energy_mod.dirichlet_form(grid, v))
     times, energies, sups = [0.0], [E], [sup0]
-    vdots, dts, nodal_counts = [], [], []
+    dts, nodal_counts = [], []
     t, n_step, defects = 0.0, 0, 0
     residual, best_snapshot, best_residual = math.inf, None, math.inf
 
@@ -235,7 +263,6 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
         if E_new - E > 1e-10 * max(abs(E), 1.0):
             defects += 1
 
-        vdots.append(float(grid.weights @ ((nxt - v) / dt) ** 2))
         dts.append(dt)
         v = nxt
         t += dt
@@ -273,7 +300,7 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
     if cls == Classification.STEADY and residual < best_residual:
         best_snapshot, best_residual = final, residual
     return Trajectory(np.array(times), np.array(energies), np.array(sups),
-                      np.array(vdots), np.array(dts), cls, final, residual,
+                      np.array(dts), cls, final, residual,
                       nodal_counts, best_snapshot, best_residual, defects)
 
 

@@ -24,9 +24,10 @@ one unknown per orbit.
 All objects here are immutable after construction, apart from the caches
 a grid fills on demand: group permutations, orbit grids, K's columns in
 the column order of its SuperLU factor ``grid.ordered_stiffness`` (the
-pattern Newton's Jacobians are written into), the Perron pair
-``grid.perron`` and the step factorizations that the flow module stores
-in ``step_factors``.
+pattern Newton's Jacobians are written into), K's bands
+``grid.stiffness_bands`` when K is tridiagonal in node order (the ring
+grid of a polar grid), the Perron pair ``grid.perron`` and the step
+factorizations that the flow module stores in ``step_factors``.
 """
 
 from __future__ import annotations
@@ -230,6 +231,17 @@ class OrderedStiffness:
     diagonal: np.ndarray
 
 
+@dataclass(frozen=True)
+class StiffnessBands:
+    """K of a grid whose stiffness is tridiagonal in node order: its
+    ``diagonal``, its ``off_diagonal`` K[i, i+1] = K[i+1, i] and its
+    ``row_sums`` K 1, each node's conductance to the zero boundary value."""
+
+    diagonal: np.ndarray
+    off_diagonal: np.ndarray
+    row_sums: np.ndarray
+
+
 def _perron_pair(stiffness: sp.csr_matrix,
                  weights: np.ndarray) -> PerronPair | None:
     """Inverse iteration psi <- K^{-1} W psi / ||.||_inf from psi = 1.
@@ -298,7 +310,7 @@ class _GridBase:
     def __init__(self):
         self._perm_cache: dict = {}
         self._quotients: dict = {}
-        #: SuperLU factors of W + dt K per step size dt, filled by flow.step
+        #: factors of W + dt K per step size dt, filled by flow.step
         self.step_factors: dict = {}
 
     @property
@@ -311,8 +323,18 @@ class _GridBase:
         raise TypeError(f"{type(self).__name__} has no config recipe")
 
     def dirichlet_form(self, v: np.ndarray) -> float:
-        """Quadratic form v . K v, the discrete version of ||grad v||^2."""
-        return float(v @ (self.stiffness @ v))
+        """Quadratic form v . K v, the discrete version of ||grad v||^2.
+
+        With K's bands it is the sum over faces, sum_i s_i v_i^2 +
+        sum_i (-e_i) (v_{i+1} - v_i)^2 with s = K 1 and e the
+        off-diagonal: nonnegative terms, no cancellation.
+        """
+        bands = self.stiffness_bands
+        if bands is None:
+            return float(v @ (self.stiffness @ v))
+        jump = v[1:] - v[:-1]
+        return float(bands.row_sums @ (v * v)
+                     - bands.off_diagonal @ (jump * jump))
 
     def weighted_norm(self, v: np.ndarray) -> float:
         return math.sqrt(float(self.weights @ (v * v)))
@@ -329,6 +351,21 @@ class _GridBase:
         column = np.repeat(np.arange(order.size), np.diff(matrix.indptr))
         diagonal = np.flatnonzero(matrix.indices == order[column])
         return OrderedStiffness(matrix, order, diagonal)
+
+    @cached_property
+    def stiffness_bands(self) -> StiffnessBands | None:
+        """K's diagonal, off-diagonal and row sums when K is tridiagonal
+        in node order, as on the ring grid of a polar grid (cached); None
+        for any other grid."""
+        coo = self.stiffness.tocoo()
+        if np.any((np.abs(coo.row - coo.col) > 1) & (coo.data != 0.0)):
+            return None
+        diagonal = self.stiffness.diagonal()
+        off_diagonal = self.stiffness.diagonal(1)
+        row_sums = diagonal.copy()
+        row_sums[:-1] += off_diagonal
+        row_sums[1:] += off_diagonal
+        return StiffnessBands(diagonal, off_diagonal, row_sums)
 
     @cached_property
     def perron(self) -> PerronPair | None:

@@ -11,14 +11,24 @@ group elements act as node permutations, so symmetric fields are exactly
 the fields constant on node orbits and the restriction is an exact
 congruence, not an approximation.
 
-Every eigenvalue reported here comes from ``spectrum_at_shift``: one
-symmetric factorization of A - sigma W, whose negative pivots count the
-eigenvalues below sigma (Sylvester's law), is the shift-invert operator
-of one ``eigsh``, and each eigenpair passes a residual check.  lambda_1
-is taken at a shift below the spectrum, where the count must be 0; the
-Morse record factors at sigma_0 = -NEGATIVE_EIG_REL_TOL |lambda_1| once
-per space; the half-domain mu is lambda_1 on the odd subspace of the
-reflection about the x2-axis, a congruence like the orbit grid's.
+On a general grid every eigenvalue reported here comes from
+``spectrum_at_shift``: one symmetric factorization of A - sigma W, whose
+negative pivots count the eigenvalues below sigma (Sylvester's law), is
+the shift-invert operator of one ``eigsh``, and each eigenpair passes a
+residual check.  lambda_1 is taken at a shift below the spectrum, where
+the count must be 0; the Morse record factors at sigma_0 =
+-NEGATIVE_EIG_REL_TOL |lambda_1| once per space; the half-domain mu is
+lambda_1 on the odd subspace of the reflection about the x2-axis, a
+congruence like the orbit grid's.
+
+A ring-constant field on a polar grid takes the block route instead: the
+operator commutes with the grid's rotations, so the angular DFT splits
+it exactly into one tridiagonal n_r x n_r block per angular mode j =
+0 .. n_theta/2 (``ring_blocks``).  Each block's index below sigma_0 is a
+Sturm count, the negative pivots of its LDL^T (Parlett, The Symmetric
+Eigenvalue Problem, SIAM 1998), and its eigenvalues come from LAPACK's
+tridiagonal eigensolver; a mode counts as often as it occurs in the
+space (``mode_multiplicities``).
 """
 
 from __future__ import annotations
@@ -30,9 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .energy import FLOAT_RANGE
-from .geometry import GridSymmetryError, SymmetryGroup, dihedral
+from .geometry import GridSymmetryError, PolarGrid, SymmetryGroup, dihedral
 
 NEGATIVE_EIG_REL_TOL = 1e-8  # lambda < -tol * |lambda_1| counts as negative
 EIGENPAIR_RESIDUAL_TOL = 1e-8  # relative residual every eigsh pair must meet
@@ -61,15 +72,23 @@ class AxisAsymmetryError(ValueError):
 class SpectrumReport:
     """lambda_1 of L on u's grid, and per space (the grid, then the
     G-symmetric orbit grid if a group is given) the Morse index and the
-    eigenvalues nearest sigma_0 = -NEGATIVE_EIG_REL_TOL |lambda_1|."""
+    eigenvalues nearest sigma_0 = -NEGATIVE_EIG_REL_TOL |lambda_1|.  On
+    the block route ``morse_by_mode`` maps each angular mode j with
+    eigenvalues below sigma_0 to their number in its block (the full
+    index counts a mode 0 < j < n_theta/2 twice); ``to_dict`` leaves it
+    out on the general path."""
     lambda_1: float
     morse_index: int
     eigenvalues: tuple[float, ...]
     symmetric_morse_index: int | None = None
     symmetric_eigenvalues: tuple[float, ...] | None = None
+    morse_by_mode: dict[int, int] | None = None
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        out = dataclasses.asdict(self)
+        if self.morse_by_mode is None:
+            del out["morse_by_mode"]
+        return out
 
 
 def assemble_linearized(u, p: float) -> sp.csr_matrix:
@@ -196,14 +215,129 @@ def elliptic_residual(u, p: float) -> float:
                                   u.grid.stiffness @ u.values, p)
 
 
-def morse_index(u, p: float, G: SymmetryGroup | None = None,
-                k: int = 12) -> SpectrumReport:
-    """Morse record of a converged steady state, optionally also
-    restricted to the G-symmetric subspace.
+# ---------------------------------------------------------------------------
+# angular modes of a ring-constant field on a polar grid
+# ---------------------------------------------------------------------------
 
-    The index counts eigenvalues lambda < sigma_0 = -NEGATIVE_EIG_REL_TOL
-    |lambda_1| by inertia, so it does not depend on ``k``; ``k`` is only
-    the number of eigenvalues nearest sigma_0 reported per space.
+def ring_blocks(u, p: float):
+    """(diagonals, off-diagonal, weights) of the blocks T_j of L at a
+    ring-constant u on a polar grid, one row of ``diagonals`` per angular
+    mode j = 0 .. n_theta // 2.
+
+    T_0 is L on the ring grid (the orbits of ``grid.symmetry_group``) at
+    ``u.on(rings)``; T_j adds the angular faces' weight of the mode,
+    2 (1 - cos 2 pi j / n_theta) n_theta dr / (r_k dtheta) on ring k.
+    The eigenvalues of the pencil (T_j, diag(weights)) are those of the
+    full pencil on the fields cos(j theta) a_k and sin(j theta) a_k.
+    """
+    grid = u.grid
+    rings = grid.quotient(grid.symmetry_group)
+    T0 = assemble_linearized(u.on(rings), p)
+    modes = np.arange(grid.n_theta // 2 + 1)
+    angular = grid.n_theta * grid.dr / (grid.r_nodes * grid.dtheta)
+    shift = 2.0 * (1.0 - np.cos(2.0 * math.pi * modes / grid.n_theta))
+    return (T0.diagonal() + shift[:, None] * angular, T0.diagonal(1),
+            rings.weights)
+
+
+def mode_multiplicities(grid, G: SymmetryGroup | None) -> np.ndarray:
+    """How often each angular mode j = 0 .. n_theta // 2 of a polar grid
+    occurs in the G-invariant fields (all fields when G is None).
+
+    Mode 0 is the ring-constant fields, once.  A mode 0 < j < n_theta/2
+    is a pair, cos and sin: C_h keeps both when h divides j, and D_h one
+    (each of its reflections fixes one direction of the pair, all the
+    same one when h divides j).  Mode n_theta/2 is the alternating field
+    (-1)^i, kept when every group element fixes it.
+    GridSymmetryError if the grid does not realize G.
+    """
+    n_t = grid.n_theta
+    j = np.arange(n_t // 2 + 1)
+    mult = np.where((j == 0) | (2 * j == n_t), 1, 2)
+    if G is None:
+        return mult
+    perms = grid.group_permutations(G)
+    mult = np.where(j % G.order_h == 0, mult, 0)
+    if G.kind == "dihedral":
+        mult = np.minimum(mult, 1)
+    if 2 * j[-1] == n_t:
+        alternating = (-1) ** np.arange(n_t)
+        fixed = all(np.array_equal(alternating[perm[:n_t]], alternating)
+                    for perm in perms)
+        mult[-1] = 1 if fixed else 0
+    return mult
+
+
+def sturm_counts(diagonals: np.ndarray, off_diagonal: np.ndarray,
+                 weights: np.ndarray, sigma: float) -> np.ndarray:
+    """Per row of ``diagonals``: the number of eigenvalues below sigma of
+    the tridiagonal pencil (T, diag(weights)), T with that diagonal and
+    ``off_diagonal``: the negative pivots of the LDL^T of T - sigma W
+    (Sylvester's law).  A zero pivot (sigma an eigenvalue of a leading
+    block) raises EigenSolveError."""
+    squares = off_diagonal * off_diagonal
+    count = np.zeros(diagonals.shape[0], dtype=int)
+    for k, column in enumerate((diagonals - sigma * weights).T):
+        pivot = column if k == 0 else column - squares[k - 1] / pivot
+        if not np.all(pivot != 0.0):  # zero or nan
+            raise EigenSolveError(f"Sturm count at sigma = {sigma:.6g}: "
+                                  f"zero pivot")
+        count += pivot < 0.0
+    return count
+
+
+def _block_eigenvalues(diagonals, off_diagonal, weights) -> np.ndarray:
+    """All eigenvalues of each block's pencil, one row per block, from the
+    symmetric tridiagonal W^{-1/2} T W^{-1/2} (LAPACK ``dsterf``)."""
+    scale = 1.0 / np.sqrt(weights)
+    off = off_diagonal * scale[:-1] * scale[1:]
+    rows = []
+    for d in diagonals:
+        values, info = lapack.dsterf(d * scale * scale, off)
+        if info != 0:
+            raise EigenSolveError(f"tridiagonal eigensolve: dsterf info "
+                                  f"{info}")
+        rows.append(values)
+    return np.stack(rows)
+
+
+def _nearest(values: np.ndarray, mult: np.ndarray, sigma: float,
+             k: int) -> tuple[float, ...]:
+    """The k eigenvalues nearest sigma, in ascending order, of the space
+    in which block row j occurs ``mult[j]`` times; EigenSolveError for a
+    space of fewer than 3 unknowns, as ``spectrum_at_shift``."""
+    space = np.repeat(values, mult, axis=0).ravel()
+    if space.size < 3:
+        raise EigenSolveError(f"a space of {space.size} unknowns is too "
+                              f"small for the shift-invert eigensolve")
+    k = min(k, space.size - 2)
+    near = space[np.argsort(np.abs(space - sigma), kind="stable")[:k]]
+    return tuple(np.sort(near).tolist())
+
+
+def _morse_by_mode(u, p: float, G: SymmetryGroup | None,
+                   k: int) -> SpectrumReport:
+    """``morse_index`` of a ring-constant u on a polar grid, by block."""
+    full = mode_multiplicities(u.grid, None)
+    sym = None if G is None else mode_multiplicities(u.grid, G)
+    blocks = ring_blocks(u, p)
+    values = _block_eigenvalues(*blocks)
+    lam1 = float(values[0, 0])
+    sigma = -NEGATIVE_EIG_REL_TOL * max(abs(lam1), 1e-30)
+    counts = sturm_counts(*blocks, sigma)
+    by_mode = {int(j): int(c) for j, c in enumerate(counts) if c}
+    sym_idx = sym_vals = None
+    if sym is not None:
+        sym_idx = int(counts @ sym)
+        sym_vals = _nearest(values, sym, sigma, k)
+    return SpectrumReport(lam1, int(counts @ full),
+                          _nearest(values, full, sigma, k), sym_idx,
+                          sym_vals, by_mode)
+
+
+def _morse_by_shift(u, p: float, G: SymmetryGroup | None,
+                    k: int) -> SpectrumReport:
+    """``morse_index`` on the general path, by ``spectrum_at_shift``.
 
     For a G-invariant u lambda_1 is found on the orbit grid: L = K -
     pW|u|^{p-1} has nonpositive off-diagonals, so below lambda_1 L - sigma
@@ -211,10 +345,6 @@ def morse_index(u, p: float, G: SymmetryGroup | None = None,
     nonnegative eigenvector (Berman & Plemmons, SIAM 1994), connected grid
     or not, whose G-average is a nonzero G-invariant one.
     """
-    res = elliptic_residual(u, p)
-    if not res <= STEADY_RESIDUAL_TOL:
-        raise NotSteadyError(f"not a converged steady state: elliptic "
-                             f"residual {res:.2e} > {STEADY_RESIDUAL_TOL}")
     full = assemble_linearized(u, p), u.grid.weights
     sym = None
     if G is not None:
@@ -230,6 +360,31 @@ def morse_index(u, p: float, G: SymmetryGroup | None = None,
         sym_vals = tuple(sym_vals.tolist())
     return SpectrumReport(lam1, index, tuple(vals.tolist()), sym_idx,
                           sym_vals)
+
+
+def morse_index(u, p: float, G: SymmetryGroup | None = None,
+                k: int = 12) -> SpectrumReport:
+    """Morse record of a converged steady state, optionally also
+    restricted to the G-symmetric subspace.
+
+    The index counts eigenvalues lambda < sigma_0 = -NEGATIVE_EIG_REL_TOL
+    |lambda_1| by inertia, so it does not depend on ``k``; ``k`` is only
+    the number of eigenvalues nearest sigma_0 reported per space.
+
+    A ring-constant u on a polar grid (``symmetry_defect`` exactly 0
+    under ``grid.symmetry_group``) takes the block route (module
+    docstring), which also reports ``morse_by_mode``; any other u the
+    general path.
+    """
+    res = elliptic_residual(u, p)
+    if not res <= STEADY_RESIDUAL_TOL:
+        raise NotSteadyError(f"not a converged steady state: elliptic "
+                             f"residual {res:.2e} > {STEADY_RESIDUAL_TOL}")
+    grid = u.grid
+    if isinstance(grid, PolarGrid) and grid.symmetry_defect(
+            u.values, grid.symmetry_group) == 0:
+        return _morse_by_mode(u, p, G, k)
+    return _morse_by_shift(u, p, G, k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,6 +36,115 @@ class TestStep:
     def test_invalid_dt(self, ball_field):
         with pytest.raises(ValueError):
             flow.step(ball_field, 5.0, 0.0)
+
+
+RING_GRIDS = {
+    "polar-96x32": lambda: geometry.PolarGrid(96, 32),
+    "polar-48x16": lambda: geometry.PolarGrid(48, 16),
+    "annulus-40x16": lambda: geometry.PolarGrid(40, 16, r_in=0.3),
+}
+
+
+def _ring_fields(g):
+    """A smooth ring-constant field (the p = 5 ball solution, or a sine
+    bump across the annulus) and a random one, on the ring grid of g."""
+    rings = g.quotient(g.symmetry_group)
+    r = np.hypot(rings.xy[:, 0], rings.xy[:, 1])
+    smooth = (radial.solve_ball(5.0)(r) if g.r_in == 0.0
+              else np.sin(math.pi * (r - g.r_in) / (g.r_out - g.r_in)))
+    noise = np.random.default_rng(0).standard_normal(rings.n_nodes)
+    return rings, (smooth, noise)
+
+
+def _exact_tridiagonal_solve(diagonal, off_diagonal, b) -> np.ndarray:
+    """The solution of the symmetric tridiagonal system, in exact rational
+    arithmetic on the floats given, rounded once."""
+    d, e = [Fraction(x) for x in diagonal], [Fraction(x) for x in off_diagonal]
+    y = [Fraction(x) for x in b]
+    for i in range(1, len(d)):
+        m = e[i - 1] / d[i - 1]
+        d[i] -= m * e[i - 1]
+        y[i] -= m * y[i - 1]
+    x = [y[-1] / d[-1]]
+    for i in range(len(d) - 2, -1, -1):
+        x.insert(0, (y[i] - e[i] * x[0]) / d[i])
+    return np.array([float(t) for t in x])
+
+
+class TestBandPath:
+    """On the ring grid of a polar grid K is tridiagonal in node order: the
+    step factors W + dt K by LAPACK's tridiagonal LDL^T and the Dirichlet
+    form sums over faces.  Both are checked against exact rational
+    arithmetic on the same floats, and against SuperLU and v . (K v)
+    where those are themselves that accurate."""
+
+    @pytest.mark.parametrize("name", RING_GRIDS)
+    def test_band_solve_equals_superlu(self, name):
+        rings, fields = _ring_fields(RING_GRIDS[name]())
+        bands = rings.stiffness_bands
+        assert bands is not None
+        for dt in (1e-6, 1e-3, 0.05):
+            factor = flow._lu_for(rings, dt)
+            assert isinstance(factor, flow._TridiagonalFactor)
+            lu = flow.spla.splu((flow.sp.diags(rings.weights)
+                                 + dt * rings.stiffness).tocsc())
+            for v in fields:
+                b = rings.weights * v
+                x, ref = factor.solve(b), lu.solve(b)
+                exact = _exact_tridiagonal_solve(
+                    rings.weights + dt * bands.diagonal,
+                    dt * bands.off_diagonal, b)
+                scale = np.max(np.abs(exact))
+                # at dt = 0.05 W + dt K has condition up to 8e3, and
+                # SuperLU too is 2e-15 from the exact solution
+                assert np.max(np.abs(x - exact)) <= 4e-15 * scale
+                if dt <= 1e-3:
+                    assert np.max(np.abs(x - ref)) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("name", RING_GRIDS)
+    def test_band_dirichlet_form_equals_the_sparse_form(self, name):
+        rings, (smooth, noise) = _ring_fields(RING_GRIDS[name]())
+        K = rings.stiffness
+        for v in (smooth, noise):
+            form = rings.dirichlet_form(v)
+            exact = float(sum(Fraction(d) * Fraction(x) ** 2
+                              for d, x in zip(K.diagonal(), v))
+                          + 2 * sum(Fraction(e) * Fraction(x) * Fraction(y)
+                                    for e, x, y in zip(K.diagonal(1), v,
+                                                       v[1:])))
+            assert abs(form - exact) <= 1e-15 * exact
+        # v . (K v) cancels on a smooth field (2e-14 from the exact value
+        # on 48x16), not on a random one
+        ref = float(noise @ (K @ noise))
+        assert abs(rings.dirichlet_form(noise) - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("grid_of", [
+        lambda: geometry.PolarGrid(24, 16),
+        lambda: geometry.PolarGrid(24, 16).quotient(geometry.cyclic(4)),
+        lambda: geometry.CartesianMaskedGrid(geometry.DomainSpec.disk(1.0),
+                                             24),
+        lambda: geometry.CartesianMaskedGrid(
+            geometry.squircle_mask(1.0, 4.0), 24).quotient(
+                geometry.dihedral(4)),
+    ], ids=["polar", "polar-c4-orbits", "cartesian", "squircle-d4-orbits"])
+    def test_other_grids_keep_superlu(self, monkeypatch, grid_of):
+        g = grid_of()
+        assert g.stiffness_bands is None
+        calls, plain = [], flow.spla.splu
+
+        def splu(mat):
+            calls.append(mat.shape)
+            return plain(mat)
+
+        monkeypatch.setattr(flow, "spla", SimpleNamespace(splu=splu))
+        flow._lu_for(g, 0.01)
+        assert calls == [(g.n_nodes, g.n_nodes)]
+        v = np.random.default_rng(1).standard_normal(g.n_nodes)
+        assert g.dirichlet_form(v) == float(v @ (g.stiffness @ v))
+
+    def test_a_matrix_that_is_not_positive_definite_raises(self):
+        with pytest.raises(RuntimeError, match="dpttrf"):
+            flow._TridiagonalFactor(np.array([1.0, -1.0]), np.array([0.5]))
 
 
 class TestEvolve:
@@ -139,8 +250,8 @@ class TestThresholdBisect:
                    else Classification.BLOWUP if lam > threshold
                    else Classification.DECAY)
             return flow.Trajectory(np.array([0.0]), np.array([0.0]),
-                                   np.array([lam]), np.array([]),
-                                   np.array([]), cls, v0, math.inf)
+                                   np.array([lam]), np.array([]), cls, v0,
+                                   math.inf)
 
         monkeypatch.setattr(flow, "evolve", fake)
         direction = flow.ScalarField(object(), np.array([1.0]))

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from lef import flow, geometry, radial, spectrum
+from lef import energy, flow, geometry, radial, spectrum
 from tests.conftest import angular_bump
 
 
@@ -468,3 +469,142 @@ class TestJacobianInCachedPattern:
     def test_pattern_is_cached_per_grid(self):
         grid, _ = _jacobian_case("orbit-c4")
         assert grid.ordered_stiffness is grid.ordered_stiffness
+
+
+# ---------------------------------------------------------------------------
+# the block route: ring-constant steady states on polar grids
+# ---------------------------------------------------------------------------
+
+P_NODAL = 8.0
+
+
+@pytest.fixture(scope="module")
+def nodal_guess():
+    """The pipeline's radial pair at p = 8, u1 - u2: the ball solution
+    scaled into r < e^(-alpha p) and the annulus solution outside."""
+    choice = radial.optimal_alpha(P_NODAL)
+    inner = radial.build_ball_solution_scaled(P_NODAL, choice.alpha,
+                                              choice.ball)
+
+    def guess(g):
+        return flow.ScalarField(
+            g, flow.field_from_radial(g, inner).values
+            + flow.field_from_radial(g, choice.annulus, sign=-1.0).values)
+    return guess
+
+
+def _ring_steady_state(initial: flow.ScalarField, p: float):
+    """Newton from ``initial`` on the ring grid, lifted: a steady state
+    that is ring-constant bit for bit."""
+    g = initial.grid
+    u, res = spectrum.newton_polish(initial.on(g.quotient(g.symmetry_group)),
+                                    p)
+    assert res < 1e-10
+    u = u.lifted()
+    assert g.symmetry_defect(u.values, g.symmetry_group) == 0.0
+    return u
+
+
+# ROADMAP item 3's polar rows, and two annulus states, one of each sign
+# pattern (the positive one is unstable in every angular mode, up to the
+# alternating mode j = n_theta / 2)
+RING_STATES = ("48x32", "96x32", "96x64", "192x32", "annulus-positive",
+               "annulus-nodal")
+
+
+@pytest.fixture(scope="module", params=RING_STATES)
+def ring_state(request, nodal_guess):
+    if request.param.startswith("annulus"):
+        g = geometry.PolarGrid(48, 16, r_in=0.3)
+        r = np.hypot(g.xy[:, 0], g.xy[:, 1])
+        if request.param == "annulus-positive":
+            shapes = [np.sin(math.pi * (r - 0.3) / 0.7)]
+        else:
+            wave = np.sin(2.0 * math.pi * (r - 0.3) / 0.7)
+            shapes = [np.maximum(wave, 0.0), np.minimum(wave, 0.0)]
+        # each sign part on its own Nehari manifold
+        guess = sum(energy.nehari_project(flow.ScalarField(g, f), 5.0)[0]
+                    .values for f in shapes)
+        return _ring_steady_state(flow.ScalarField(g, guess), 5.0), 5.0
+    n_r, n_theta = map(int, request.param.split("x"))
+    return (_ring_steady_state(nodal_guess(geometry.PolarGrid(n_r, n_theta)),
+                               P_NODAL), P_NODAL)
+
+
+def _assert_same_record(block, general):
+    assert block.morse_index == general.morse_index
+    assert block.symmetric_morse_index == general.symmetric_morse_index
+    assert block.lambda_1 == pytest.approx(general.lambda_1, rel=1e-10,
+                                           abs=0.0)
+    for mine, theirs in ((block.eigenvalues, general.eigenvalues),
+                         (block.symmetric_eigenvalues,
+                          general.symmetric_eigenvalues)):
+        assert len(mine) == len(theirs)
+        np.testing.assert_allclose(mine, theirs, rtol=1e-8, atol=0.0)
+
+
+class TestBlockRoute:
+    """A ring-constant steady state on a polar grid takes the block route;
+    the general path (``spectrum_at_shift`` on the full and the orbit
+    grid) is its oracle."""
+
+    def test_block_route_equals_the_general_path(self, ring_state):
+        u, p = ring_state
+        G = geometry.cyclic(4)
+        block = spectrum.morse_index(u, p, G)
+        general = spectrum._morse_by_shift(u, p, G, 12)
+        assert general.morse_by_mode is None
+        _assert_same_record(block, general)
+        mult = spectrum.mode_multiplicities(u.grid, None)
+        assert block.morse_index == sum(
+            mult[j] * count for j, count in block.morse_by_mode.items())
+        assert block.to_dict()["morse_by_mode"] == block.morse_by_mode
+
+    @pytest.mark.parametrize("G", [
+        geometry.cyclic(8), geometry.cyclic(32), geometry.dihedral(4),
+        geometry.dihedral(4, math.pi / 32), geometry.dihedral(16),
+        geometry.dihedral(16, math.pi / 32)],
+        ids=["C8", "C32", "D4", "D4-half-step", "D16", "D16-half-step"])
+    def test_symmetric_record_under_each_group(self, nodal_guess, G):
+        # the half-step axes (dtheta / 2 on 48x32) flip the alternating
+        # mode j = 16 under D16
+        u = _ring_steady_state(nodal_guess(geometry.PolarGrid(48, 32)),
+                               P_NODAL)
+        mult = spectrum.mode_multiplicities(u.grid, G)
+        assert mult.sum() * u.grid.n_r == u.grid.quotient(G).n_nodes
+        block = spectrum.morse_index(u, P_NODAL, G, k=6)
+        assert block.morse_by_mode is not None
+        _assert_same_record(block, spectrum._morse_by_shift(u, P_NODAL, G, 6))
+
+    def test_the_seed_one_count_by_mode(self, nodal_guess):
+        u = _ring_steady_state(nodal_guess(geometry.PolarGrid(96, 32)),
+                               P_NODAL)
+        rep = spectrum.morse_index(u, P_NODAL, geometry.cyclic(4))
+        assert (rep.morse_index, rep.symmetric_morse_index) == (12, 4)
+        assert rep.morse_by_mode == {0: 2, 1: 2, 2: 1, 3: 1, 4: 1}
+
+    @pytest.mark.parametrize("roll", [0, 1], ids=["dipole", "rolled"])
+    def test_a_dipole_takes_the_general_path(self, roll):
+        g = geometry.PolarGrid(32, 16)
+        r = np.hypot(g.xy[:, 0], g.xy[:, 1])
+        th = np.arctan2(g.xy[:, 1], g.xy[:, 0])
+        phi = scipy.special.j1(3.8317 * r) * np.cos(th + g.dtheta / 2.0)
+        u, res = spectrum.newton_polish(
+            flow.ScalarField(g, 7.0 * phi / np.max(np.abs(phi))), 2.0)
+        assert res < 1e-10
+        values = np.roll(u.values.reshape(g.n_r, g.n_theta), roll, axis=1)
+        rep = spectrum.morse_index(flow.ScalarField(g, values.ravel()), 2.0)
+        assert rep.morse_by_mode is None
+        assert "morse_by_mode" not in rep.to_dict()
+
+    def test_a_cartesian_field_takes_the_general_path(self):
+        g = geometry.CartesianMaskedGrid(geometry.DomainSpec.disk(1.0), 24)
+        u, res = spectrum.newton_polish(
+            flow.field_from_radial(g, radial.solve_ball(5.0)), 5.0)
+        assert res < 1e-10
+        assert spectrum.morse_index(u, 5.0).morse_by_mode is None
+
+    def test_a_zero_pivot_raises(self):
+        with pytest.raises(spectrum.EigenSolveError, match="zero pivot"):
+            spectrum.sturm_counts(np.array([[0.0, 1.0]]), np.array([1.0]),
+                                  np.ones(2), 0.0)
