@@ -370,10 +370,9 @@ def _alpha_policy(alpha, p: float):
     return value
 
 
-def _resolve_alpha(alpha, p: float) -> radial.AlphaChoice:
-    """The two profiles at a numeric alpha, or at a named policy's ('optimal'
-    is the zero of the budget's alpha-derivative at this p)."""
-    policy = _alpha_policy(alpha, p)
+def _resolve_alpha(policy, p: float) -> radial.AlphaChoice:
+    """The two profiles at a policy ``_alpha_policy`` has checked at this p:
+    'optimal' (the zero of the budget's alpha-derivative) or a number."""
     return (radial.optimal_alpha(p) if policy == "optimal"
             else radial.profiles_at(p, policy))
 
@@ -414,11 +413,11 @@ def run_constants(args) -> int:
 def run_radial_sweep(args) -> int:
     p_list = [_read({"p": tok}, "p", low=1.0, text=True)
               for tok in args.p.split(",")]
-    for p in p_list:  # every argument is checked before the first shot
-        _alpha_policy(args.alpha, p)
+    # every argument is checked before the first shot
+    policies = [_alpha_policy(args.alpha, p) for p in p_list]
     lines = ["p,alpha,pE_annulus,pE_ball,total,bound,delta"]
-    for p in p_list:
-        rep = energy.upper_bound_report(_resolve_alpha(args.alpha, p))
+    for p, policy in zip(p_list, policies):
+        rep = energy.upper_bound_report(_resolve_alpha(policy, p))
         delta = rep.total / rep.bound
         lines.append(f"{p:g},{rep.alpha:.10g},{rep.p_energy_annulus:.10g},"
                      f"{rep.p_energy_ball:.10g},{rep.total:.10g},"

@@ -447,6 +447,8 @@ class PolarGrid(_GridBase):
                        else DomainSpec.annulus(r_in, r_out))
 
         self.r_nodes = r_in + (np.arange(n_r) + 0.5) * dr
+        # per ring, the conductance of each face between angular neighbours
+        self.angular_conductance = dr / (self.r_nodes * dth)
         rr = np.repeat(self.r_nodes, n_theta)
         tt = np.tile(np.arange(n_theta) * dth, n_r)
         self.xy = np.column_stack([rr * np.cos(tt), rr * np.sin(tt)])
@@ -460,7 +462,7 @@ class PolarGrid(_GridBase):
         b = np.concatenate([ring[1:].ravel(),
                             np.roll(ring, -1, axis=1).ravel()])
         c = np.repeat(np.concatenate([r_face * dth / dr,
-                                      dr / (self.r_nodes * dth)]), n_theta)
+                                      self.angular_conductance]), n_theta)
         dirichlet = np.zeros(self.n_nodes)
         dirichlet[ring[-1]] = r_out * dth / (dr / 2.0)
         if r_in > 0.0:

@@ -21,14 +21,18 @@ the count must be 0; the Morse record factors at sigma_0 =
 lambda_1 on the odd subspace of the reflection about the x2-axis, a
 congruence like the orbit grid's.
 
-A ring-constant field on a polar grid takes the block route instead: the
-operator commutes with the grid's rotations, so the angular DFT splits
-it exactly into one tridiagonal n_r x n_r block per angular mode j =
-0 .. n_theta/2 (``ring_blocks``).  Each block's index below sigma_0 is a
-Sturm count, the negative pivots of its LDL^T (Parlett, The Symmetric
-Eigenvalue Problem, SIAM 1998), and its eigenvalues come from LAPACK's
-tridiagonal eigensolver; a mode counts as often as it occurs in the
-space (``mode_multiplicities``).
+A ring-constant field on a polar grid (``_ring_constant``) takes the
+block route instead, for its Morse record and its half-domain mu alike:
+the operator commutes with the grid's rotations, so the angular DFT
+splits it exactly into one tridiagonal n_r x n_r block T_j per angular
+mode j = 0 .. n_theta/2 (``ring_blocks``).  Each block's index below
+sigma_0 is a Sturm count, the negative pivots of its LDL^T (Parlett, The
+Symmetric Eigenvalue Problem, SIAM 1998), and its eigenvalues come from
+LAPACK's tridiagonal eigensolver; a mode counts as often as it occurs in
+the space (``mode_multiplicities``).  mu is the lowest eigenvalue of T_1,
+from LAPACK's tridiagonal eigenpair routine, so such a field's spectrum
+needs no sparse factor and no ARPACK.  Every eigenpair reported on either
+route is checked by the same relative residual (``_eigen_residual``).
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
+from scipy.linalg import LinAlgError, eigh_tridiagonal, lapack
 
 from .energy import FLOAT_RANGE
 from .geometry import GridSymmetryError, PolarGrid, SymmetryGroup, dihedral
@@ -153,6 +157,15 @@ def _spectrum_floor(A, weights: np.ndarray) -> float:
     return float(np.min((diag - radius) / weights)) - 1.0
 
 
+def _eigen_residual(A, weights: np.ndarray, lam: float,
+                    phi: np.ndarray) -> float:
+    """|| (A phi - lam W phi) / w || / (||phi|| max(1, |lam|)), the
+    relative residual of an eigenpair of the pencil (A, diag(weights))."""
+    r = A @ phi - lam * (weights * phi)
+    return float(np.linalg.norm(r / weights)
+                 / (np.linalg.norm(phi) * max(1.0, abs(lam))))
+
+
 def spectrum_at_shift(A, weights: np.ndarray, sigma: float, k: int):
     """(inertia below sigma, k eigenvalues nearest sigma in ascending
     order, their eigenvectors), all from one factorization of A - sigma W.
@@ -173,9 +186,7 @@ def spectrum_at_shift(A, weights: np.ndarray, sigma: float, k: int):
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     for lam, phi in zip(vals, vecs.T):
-        r = A @ phi - lam * (weights * phi)
-        rel = np.linalg.norm(r / weights) / (
-            np.linalg.norm(phi) * max(1.0, abs(lam)))
+        rel = _eigen_residual(A, weights, lam, phi)
         if rel > EIGENPAIR_RESIDUAL_TOL:
             raise EigenSolveError(f"eigenpair residual {rel:.2e} exceeds "
                                   f"{EIGENPAIR_RESIDUAL_TOL}")
@@ -219,6 +230,15 @@ def elliptic_residual(u, p: float) -> float:
 # angular modes of a ring-constant field on a polar grid
 # ---------------------------------------------------------------------------
 
+def _ring_constant(u) -> bool:
+    """u is on a polar grid and constant on each of its rings bit for bit
+    (``symmetry_defect`` exactly 0 under ``grid.symmetry_group``): the
+    fields whose spectrum the blocks T_j give."""
+    grid = u.grid
+    return isinstance(grid, PolarGrid) and grid.symmetry_defect(
+        u.values, grid.symmetry_group) == 0
+
+
 def ring_blocks(u, p: float):
     """(diagonals, off-diagonal, weights) of the blocks T_j of L at a
     ring-constant u on a polar grid, one row of ``diagonals`` per angular
@@ -226,7 +246,8 @@ def ring_blocks(u, p: float):
 
     T_0 is L on the ring grid (the orbits of ``grid.symmetry_group``) at
     ``u.on(rings)``; T_j adds the angular faces' weight of the mode,
-    2 (1 - cos 2 pi j / n_theta) n_theta dr / (r_k dtheta) on ring k.
+    2 (1 - cos 2 pi j / n_theta) n_theta c_k on ring k, with c_k the
+    grid's ``angular_conductance`` dr / (r_k dtheta).
     The eigenvalues of the pencil (T_j, diag(weights)) are those of the
     full pencil on the fields cos(j theta) a_k and sin(j theta) a_k.
     """
@@ -234,7 +255,7 @@ def ring_blocks(u, p: float):
     rings = grid.quotient(grid.symmetry_group)
     T0 = assemble_linearized(u.on(rings), p)
     modes = np.arange(grid.n_theta // 2 + 1)
-    angular = grid.n_theta * grid.dr / (grid.r_nodes * grid.dtheta)
+    angular = grid.n_theta * grid.angular_conductance
     shift = 2.0 * (1.0 - np.cos(2.0 * math.pi * modes / grid.n_theta))
     return (T0.diagonal() + shift[:, None] * angular, T0.diagonal(1),
             rings.weights)
@@ -286,14 +307,22 @@ def sturm_counts(diagonals: np.ndarray, off_diagonal: np.ndarray,
     return count
 
 
-def _block_eigenvalues(diagonals, off_diagonal, weights) -> np.ndarray:
-    """All eigenvalues of each block's pencil, one row per block, from the
-    symmetric tridiagonal W^{-1/2} T W^{-1/2} (LAPACK ``dsterf``)."""
+def _standard_form(diagonals, off_diagonal, weights):
+    """(diagonals, off-diagonal, W^{-1/2}) of the symmetric tridiagonal
+    W^{-1/2} T W^{-1/2} of each block: it has the eigenvalues of the pencil
+    (T, diag(weights)), and its eigenvector y is the pencil's W^{-1/2} y."""
     scale = 1.0 / np.sqrt(weights)
-    off = off_diagonal * scale[:-1] * scale[1:]
+    return (diagonals * scale * scale, off_diagonal * scale[:-1] * scale[1:],
+            scale)
+
+
+def _block_eigenvalues(diagonals, off_diagonal, weights) -> np.ndarray:
+    """All eigenvalues of each block's pencil, one row per block, from its
+    standard form (LAPACK ``dsterf``)."""
+    diagonals, off, _ = _standard_form(diagonals, off_diagonal, weights)
     rows = []
     for d in diagonals:
-        values, info = lapack.dsterf(d * scale * scale, off)
+        values, info = lapack.dsterf(d, off)
         if info != 0:
             raise EigenSolveError(f"tridiagonal eigensolve: dsterf info "
                                   f"{info}")
@@ -371,18 +400,15 @@ def morse_index(u, p: float, G: SymmetryGroup | None = None,
     |lambda_1| by inertia, so it does not depend on ``k``; ``k`` is only
     the number of eigenvalues nearest sigma_0 reported per space.
 
-    A ring-constant u on a polar grid (``symmetry_defect`` exactly 0
-    under ``grid.symmetry_group``) takes the block route (module
-    docstring), which also reports ``morse_by_mode``; any other u the
-    general path.
+    A ring-constant u on a polar grid (``_ring_constant``) takes the
+    block route (module docstring), which also reports ``morse_by_mode``;
+    any other u the general path.
     """
     res = elliptic_residual(u, p)
     if not res <= STEADY_RESIDUAL_TOL:
         raise NotSteadyError(f"not a converged steady state: elliptic "
                              f"residual {res:.2e} > {STEADY_RESIDUAL_TOL}")
-    grid = u.grid
-    if isinstance(grid, PolarGrid) and grid.symmetry_defect(
-            u.values, grid.symmetry_group) == 0:
+    if _ring_constant(u):
         return _morse_by_mode(u, p, G, k)
     return _morse_by_shift(u, p, G, k)
 
@@ -391,19 +417,60 @@ def morse_index(u, p: float, G: SymmetryGroup | None = None,
 # half-domain eigenvalue and odd extension
 # ---------------------------------------------------------------------------
 
+def _odd_mode_by_block(u, p: float, perm: np.ndarray):
+    """(mu, odd extension) of a ring-constant u, from the block T_1.
+
+    The fields odd under the reflection about the axis are one direction
+    of each mode pair 0 < j < n_theta/2, and the alternating mode when it
+    is odd.  Each T_j is T_1 plus a nonnegative diagonal that grows with
+    j, so mu is the lowest eigenvalue of T_1, from LAPACK's MRRR routine
+    ``dstemr`` (on 192 rings it sits nearer a 40-digit reference than
+    bisection to its default absolute tolerance).  Its eigenvector a lifts
+    to a_k sin(theta_i - HALF_DOMAIN_AXIS), made odd node for node by the
+    reflection ``perm``; EigenSolveError if LAPACK fails.
+    """
+    grid = u.grid
+    diagonals, off, weights = ring_blocks(u, p)
+    d, e, scale = _standard_form(diagonals[1], off, weights)
+    try:
+        vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 0),
+                                      lapack_driver="stemr")
+    except LinAlgError as exc:
+        raise EigenSolveError(f"tridiagonal eigenpair of T_1: {exc}") from exc
+    theta = np.arange(grid.n_theta) * grid.dtheta
+    tilde = np.outer(vecs[:, 0] * scale,
+                     np.sin(theta - HALF_DOMAIN_AXIS)).ravel()
+    return float(vals[0]), tilde - tilde[perm]
+
+
+def _odd_mode_by_shift(A, weights: np.ndarray, perm: np.ndarray):
+    """(mu, odd extension) on the general path, for the operator A.
+
+    B = [e_i - e_{R i}] over the mirror pairs i < R i of the reflection
+    R = ``perm`` spans the odd fields (axis nodes are fixed and carry 0),
+    mu is lambda_1 of (B^T A B, B^T W B = 2 W) and B psi is its odd
+    extension.
+    """
+    pairs = np.flatnonzero(np.arange(perm.size) < perm)
+    eye = sp.identity(perm.size, format="csc")
+    B = eye[:, pairs] - eye[:, perm[pairs]]
+    mu, psi = lowest_eigenpair(B.T @ A @ B, 2.0 * weights[pairs])
+    return mu, B @ psi
+
+
 def half_domain_mu(u, p: float):
     """First eigenvalue mu of L on the half domain left of the reflection
     axis, the line at HALF_DOMAIN_AXIS through the origin (the x2-axis,
     half domain {x1 < 0}), with Dirichlet conditions on the axis.
 
-    The half-domain modes are the fields odd under the reflection R, a node
-    permutation of the grid: B = [e_i - e_{R i}] over the mirror pairs
-    i < R i spans them (axis nodes are fixed and carry 0), mu is lambda_1
-    of (B^T A B, B^T W B = 2 W) and B psi is its odd extension.  Returns
-    (mu, report) with the odd extension's eigen-residual on the full
-    domain; EigenSolveError if it exceeds ODD_EXTENSION_RESIDUAL_TOL, and
-    AxisAsymmetryError if u is not symmetric about the axis or the grid
-    does not realize R.
+    The half-domain modes are the fields odd under the reflection R, a
+    node permutation of the grid, and mu is lambda_1 of L on them.  A
+    ring-constant u (``_ring_constant``) takes it from the block T_1, any
+    other u from the odd subspace's congruence (``_odd_mode_by_shift``).
+    Returns (mu, report) with the odd extension's eigen-residual on the
+    full domain; EigenSolveError if it exceeds ODD_EXTENSION_RESIDUAL_TOL,
+    and AxisAsymmetryError if u is not symmetric about the axis or the
+    grid does not realize R.
     """
     grid, axis_angle = u.grid, HALF_DOMAIN_AXIS
     mirror = dihedral(1, axis_angle)
@@ -418,16 +485,10 @@ def half_domain_mu(u, p: float):
         raise AxisAsymmetryError(f"u is not symmetric about the axis "
                                  f"(defect {defect:.2e})")
 
-    pairs = np.flatnonzero(np.arange(grid.n_nodes) < perm)
-    eye = sp.identity(grid.n_nodes, format="csc")
-    B = eye[:, pairs] - eye[:, perm[pairs]]
     A = assemble_linearized(u, p)
-    mu, psi = lowest_eigenpair(B.T @ A @ B, 2.0 * grid.weights[pairs])
-
-    tilde = B @ psi
-    r = A @ tilde - mu * (grid.weights * tilde)
-    denom = (np.linalg.norm(tilde) * max(1.0, abs(mu)))
-    odd_residual = float(np.linalg.norm(r / grid.weights) / denom)
+    mu, tilde = (_odd_mode_by_block(u, p, perm) if _ring_constant(u)
+                 else _odd_mode_by_shift(A, grid.weights, perm))
+    odd_residual = _eigen_residual(A, grid.weights, mu, tilde)
     if odd_residual > ODD_EXTENSION_RESIDUAL_TOL:
         raise EigenSolveError(
             f"odd extension eigen-residual {odd_residual:.2e} exceeds "

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg as spla
 from scipy import special
 
@@ -622,17 +623,62 @@ class TestSpectrumCommand:
         assert "not a converged steady state" in err[0]
 
 
+def _resolved(alpha, p):
+    """The profiles at ``alpha`` as the commands resolve them: checked once
+    by ``_alpha_policy``, then resolved."""
+    return cli._resolve_alpha(cli._alpha_policy(alpha, p), p)
+
+
 class TestAlphaResolution:
     def test_asymptotic_and_numeric(self):
         from lef import energy
-        assert cli._resolve_alpha("asymptotic", 8.0).alpha == pytest.approx(
+        assert _resolved("asymptotic", 8.0).alpha == pytest.approx(
             energy.minimize_f().alpha_bar)
-        assert cli._resolve_alpha(0.25, 8.0).alpha == 0.25
-        assert cli._resolve_alpha("0.25", 8.0).alpha == 0.25
+        assert _resolved(0.25, 8.0).alpha == 0.25
+        assert _resolved("0.25", 8.0).alpha == 0.25
 
     def test_optimal_is_per_p(self):
-        a8 = cli._resolve_alpha("optimal", 8.0).alpha
+        a8 = _resolved("optimal", 8.0).alpha
         assert 0.2 < a8 < 0.4
+
+    @pytest.mark.parametrize("alpha", ["0.25", "optimal"])
+    def test_the_sweep_checks_alpha_once_per_p(self, capsys, monkeypatch,
+                                               alpha):
+        checked = []
+
+        def policy(value, p):
+            checked.append(p)
+            return real(value, p)
+
+        real = cli._alpha_policy
+        monkeypatch.setattr(cli, "_alpha_policy", policy)
+        assert cli.main(["radial", "--p", "8,20", "--alpha", alpha]) == 0
+        assert checked == [8.0, 20.0]
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
+    def test_the_pipeline_checks_alpha_once(self, tmp_path, capsys,
+                                            monkeypatch):
+        checked, resolved = [], []
+
+        def policy(value, p):
+            checked.append(p)
+            return real(value, p)
+
+        def profiles_at(p, alpha):
+            resolved.append(alpha)
+            raise radial.RadialSolveError("stop after the alpha")
+
+        real = cli._alpha_policy
+        monkeypatch.setattr(cli, "_alpha_policy", policy)
+        monkeypatch.setattr(radial, "profiles_at", profiles_at)
+        config = {"p": 8.0, "alpha": 0.25,
+                  "grid": {"type": "polar", "n_r": 16, "n_theta": 8},
+                  "outdir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["pipeline", "--config", str(cfg_path)]) == 3
+        assert "stop after the alpha" in capsys.readouterr().err
+        assert (checked, resolved) == ([8.0], [0.25])
 
 
 class TestConfigValidation:
@@ -928,11 +974,12 @@ def _audit_on(transform):
     return patch
 
 
-def _no_convergence(monkeypatch):
+def _no_tridiagonal_eigenpair(monkeypatch):
+    # the pipeline's candidate is ring-constant, so its half-domain mu
+    # comes from the block T_1 by LAPACK, not from ARPACK
     def fail(*args, **kwargs):
-        raise spla.ArpackNoConvergence("no convergence", np.empty(0),
-                                       np.empty((0, 0)))
-    monkeypatch.setattr(spla, "eigsh", fail)
+        raise scipy.linalg.LinAlgError("no convergence")
+    monkeypatch.setattr(spectrum, "eigh_tridiagonal", fail)
 
 
 class TestLabelledFailures:
@@ -960,8 +1007,8 @@ class TestLabelledFailures:
             ("scan", 3, {"alpha": "optimal", "scan": {"ratios": [0.1]}},
              None, {"n_rays": 1}, "no sign-changing candidate on any of 1",
              "scan"),
-            ("spectrum", 3, {}, _no_convergence, {},
-             "shift-invert eigensolve at sigma", "outputs"),
+            ("spectrum", 3, {}, _no_tridiagonal_eigenpair, {},
+             "tridiagonal eigenpair of T_1", "outputs"),
             ("audit", 4, {}, _audit_on(_three_domains),
              {"failed": ["nodal count"]},
              "nodal count failed (3 nodal domains", "morse"),

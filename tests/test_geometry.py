@@ -390,6 +390,15 @@ class TestFaceListAssembly:
         assert sorted(zip(a.tolist(), b.tolist())) == sorted(zip(ea, eb))
         assert np.array_equal(g.boundary_adjacent, bnd)
 
+    @pytest.mark.parametrize("r_in", [0.0, 0.3], ids=["disk", "annulus"])
+    def test_angular_faces_carry_the_angular_conductance(self, r_in):
+        g = PolarGrid(24, 16, r_in=r_in)
+        ring = np.arange(g.n_nodes).reshape(g.n_r, g.n_theta)
+        faces = -g.stiffness[ring.ravel(), np.roll(ring, -1, axis=1).ravel()]
+        assert np.array_equal(
+            np.asarray(faces).reshape(g.n_r, g.n_theta),
+            np.repeat(g.angular_conductance[:, None], g.n_theta, axis=1))
+
     def test_grid_clipping_the_domain_has_off_grid_dirichlet_faces(self):
         # extent below the squircle's radius: the grid's edge cells are
         # inside, and their off-grid neighbours are Dirichlet faces

@@ -512,20 +512,26 @@ RING_STATES = ("48x32", "96x32", "96x64", "192x32", "annulus-positive",
                "annulus-nodal")
 
 
+def _annulus_state(sign_pattern: str):
+    """A ring-constant steady state at p = 5 on the annulus 0.3 < r < 1,
+    positive or with one interior nodal circle."""
+    g = geometry.PolarGrid(48, 16, r_in=0.3)
+    r = np.hypot(g.xy[:, 0], g.xy[:, 1])
+    if sign_pattern == "positive":
+        shapes = [np.sin(math.pi * (r - 0.3) / 0.7)]
+    else:
+        wave = np.sin(2.0 * math.pi * (r - 0.3) / 0.7)
+        shapes = [np.maximum(wave, 0.0), np.minimum(wave, 0.0)]
+    # each sign part on its own Nehari manifold
+    guess = sum(energy.nehari_project(flow.ScalarField(g, f), 5.0)[0]
+                .values for f in shapes)
+    return _ring_steady_state(flow.ScalarField(g, guess), 5.0)
+
+
 @pytest.fixture(scope="module", params=RING_STATES)
 def ring_state(request, nodal_guess):
     if request.param.startswith("annulus"):
-        g = geometry.PolarGrid(48, 16, r_in=0.3)
-        r = np.hypot(g.xy[:, 0], g.xy[:, 1])
-        if request.param == "annulus-positive":
-            shapes = [np.sin(math.pi * (r - 0.3) / 0.7)]
-        else:
-            wave = np.sin(2.0 * math.pi * (r - 0.3) / 0.7)
-            shapes = [np.maximum(wave, 0.0), np.minimum(wave, 0.0)]
-        # each sign part on its own Nehari manifold
-        guess = sum(energy.nehari_project(flow.ScalarField(g, f), 5.0)[0]
-                    .values for f in shapes)
-        return _ring_steady_state(flow.ScalarField(g, guess), 5.0), 5.0
+        return _annulus_state(request.param.split("-")[1]), 5.0
     n_r, n_theta = map(int, request.param.split("x"))
     return (_ring_steady_state(nodal_guess(geometry.PolarGrid(n_r, n_theta)),
                                P_NODAL), P_NODAL)
@@ -608,3 +614,132 @@ class TestBlockRoute:
         with pytest.raises(spectrum.EigenSolveError, match="zero pivot"):
             spectrum.sturm_counts(np.array([[0.0, 1.0]]), np.array([1.0]),
                                   np.ones(2), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the half-domain mu of a ring-constant field: the block T_1
+# ---------------------------------------------------------------------------
+
+HALF_DOMAIN_RING_GRIDS = ("48x32", "96x32", "96x64", "192x32", "annulus")
+
+
+@pytest.fixture(scope="module", params=[
+    (name, field) for name in HALF_DOMAIN_RING_GRIDS
+    for field in ("zero", "positive", "nodal")], ids="-".join)
+def ring_field(request, nodal_guess):
+    """(u, p): the zero field, or a positive or two-nodal ring-constant
+    steady state, on ROADMAP item 3's polar rows and on the annulus."""
+    name, field = request.param
+    if name == "annulus":
+        g = geometry.PolarGrid(48, 16, r_in=0.3)
+        if field != "zero":
+            return _annulus_state(field), 5.0
+    else:
+        g = geometry.PolarGrid(*map(int, name.split("x")))
+    if field == "zero":
+        return flow.ScalarField(g, np.zeros(g.n_nodes)), 5.0
+    initial = (nodal_guess(g) if field == "nodal" else
+               flow.field_from_radial(g, radial.solve_ball(P_NODAL)))
+    return _ring_steady_state(initial, P_NODAL), P_NODAL
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Counts of the calls to each half-domain route, to ``eigsh`` and to
+    the sparse factor ``_shifted_factor``."""
+    calls = dict.fromkeys(("_odd_mode_by_block", "_odd_mode_by_shift",
+                           "_shifted_factor", "eigsh"), 0)
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("_odd_mode_by_block", "_odd_mode_by_shift",
+                 "_shifted_factor"):
+        spy(spectrum, name)
+    spy(spla, "eigsh")
+    return calls
+
+
+def _reflection(grid):
+    return grid.group_permutations(
+        geometry.dihedral(1, spectrum.HALF_DOMAIN_AXIS))[1]
+
+
+class TestHalfDomainByBlock:
+    """A ring-constant field takes its half-domain mu from T_1; the general
+    route (``_odd_mode_by_shift``) is its oracle."""
+
+    def test_t1_mu_equals_the_general_route(self, ring_field, routes):
+        u, p = ring_field
+        mu, info = spectrum.half_domain_mu(u, p)
+        assert routes == {"_odd_mode_by_block": 1, "_odd_mode_by_shift": 0,
+                          "_shifted_factor": 0, "eigsh": 0}
+        assert info["odd_extension_residual"] < (
+            spectrum.ODD_EXTENSION_RESIDUAL_TOL)
+        A, w = spectrum.assemble_linearized(u, p), u.grid.weights
+        general, tilde = spectrum._odd_mode_by_shift(A, w, _reflection(u.grid))
+        assert spectrum._eigen_residual(A, w, general, tilde) < (
+            spectrum.ODD_EXTENSION_RESIDUAL_TOL)
+        assert mu == pytest.approx(general, rel=1e-12, abs=0.0)
+
+    def test_mu_is_the_lowest_of_every_mode_past_zero(self, ring_field):
+        # Sturm counts just below and above mu: no block j >= 1 has an
+        # eigenvalue below it, and T_1 has one just above
+        u, p = ring_field
+        perm = _reflection(u.grid)
+        mu, tilde = spectrum._odd_mode_by_block(u, p, perm)
+        assert np.array_equal(tilde[perm], -tilde) and np.any(tilde)
+        diagonals, off, weights = spectrum.ring_blocks(u, p)
+        gap = 1e-9 * max(1.0, abs(mu))
+        below = spectrum.sturm_counts(diagonals[1:], off, weights, mu - gap)
+        above = spectrum.sturm_counts(diagonals[1:2], off, weights, mu + gap)
+        assert not below.any() and above.tolist() == [1]
+
+    def test_an_axis_symmetric_dipole_takes_the_general_route(self, routes):
+        # j_1(r) sin(theta) is symmetric about the x2-axis, not
+        # ring-constant
+        g = geometry.PolarGrid(32, 16)
+        r = np.hypot(g.xy[:, 0], g.xy[:, 1])
+        th = np.arctan2(g.xy[:, 1], g.xy[:, 0])
+        phi = scipy.special.j1(3.8317 * r) * np.sin(th)
+        u, res = spectrum.newton_polish(
+            flow.ScalarField(g, 7.0 * phi / np.max(np.abs(phi))), 2.0)
+        assert res < 1e-10
+        mu, info = spectrum.half_domain_mu(u, 2.0)
+        assert routes["_odd_mode_by_block"] == 0
+        assert routes["_odd_mode_by_shift"] == 1 and routes["eigsh"] == 1
+        assert info["odd_extension_residual"] < (
+            spectrum.ODD_EXTENSION_RESIDUAL_TOL)
+
+    @pytest.mark.parametrize("roll", [0, 1], ids=["dipole", "rolled"])
+    def test_an_axis_asymmetric_dipole_takes_neither_route(self, routes,
+                                                           roll):
+        g = geometry.PolarGrid(32, 16)
+        r = np.hypot(g.xy[:, 0], g.xy[:, 1])
+        th = np.arctan2(g.xy[:, 1], g.xy[:, 0])
+        phi = scipy.special.j1(3.8317 * r) * np.cos(th + g.dtheta / 2.0)
+        u, res = spectrum.newton_polish(
+            flow.ScalarField(g, 7.0 * phi / np.max(np.abs(phi))), 2.0)
+        assert res < 1e-10
+        values = np.roll(u.values.reshape(g.n_r, g.n_theta), roll, axis=1)
+        with pytest.raises(spectrum.AxisAsymmetryError, match="symmetric"):
+            spectrum.half_domain_mu(flow.ScalarField(g, values.ravel()), 2.0)
+        assert routes["_odd_mode_by_block"] == routes[
+            "_odd_mode_by_shift"] == 0
+
+    @pytest.mark.parametrize("field", ["zero", "ball"])
+    def test_a_cartesian_field_takes_the_general_route(self, routes, field):
+        g = geometry.CartesianMaskedGrid(geometry.DomainSpec.disk(1.0), 24)
+        u = flow.ScalarField(g, np.zeros(g.n_nodes))
+        if field == "ball":
+            u, res = spectrum.newton_polish(
+                flow.field_from_radial(g, radial.solve_ball(5.0)), 5.0)
+            assert res < 1e-10
+        spectrum.half_domain_mu(u, 5.0)
+        assert routes["_odd_mode_by_block"] == 0
+        assert routes["_odd_mode_by_shift"] == 1 and routes["eigsh"] == 1
