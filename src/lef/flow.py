@@ -2,10 +2,13 @@
 
 One step solves (W + dt K) v_{n+1} = W (v_n + dt |v_n|^{p-1} v_n): implicit
 backward-Euler diffusion, explicit reaction.  Each grid owns its
-factorizations of W + dt K per step size: LAPACK's tridiagonal LDL^T
-(``dpttrf``/``dpttrs``) when K is tridiagonal in node order
-(``grid.stiffness_bands``, the ring grid of a polar grid), sparse LU
-otherwise.  The step is Eyre's convex splitting of the energy, so
+factorizations of W + dt K per step size, the grid alone choosing the
+route: LAPACK's tridiagonal LDL^T (``dpttrf``/``dpttrs``) when K is
+tridiagonal in node order (``grid.stiffness_bands``, the ring grid of a
+polar grid); band Cholesky (``dpbtrf``/``dpbtrs``) in node order on
+cartesian grids and their orbit grids (``grid.stiffness_band``); SuperLU
+on full polar grids and polar C_h orbit grids.  The step is Eyre's convex
+splitting of the energy, so
 E(v_{n+1}) <= E(v_n) - dt ||(v_{n+1} - v_n)/dt||_W^2 at any dt:
 no step is rejected, an energy rise beyond roundoff is counted as a defect,
 and ``c_stab`` bounds dt where |v| is large for accuracy, not stability.
@@ -155,18 +158,46 @@ class _TridiagonalFactor:
         return x
 
 
+class _BandFactor:
+    """Cholesky factor of the symmetric positive definite band matrix whose
+    upper band is ``ab`` in LAPACK storage (``dpbtrf``); ``solve`` is
+    ``dpbtrs``.  A nonzero LAPACK ``info`` raises RuntimeError."""
+
+    def __init__(self, ab: np.ndarray):
+        self.c, info = lapack.dpbtrf(ab)
+        if info != 0:
+            raise RuntimeError(f"dpbtrf info {info}: the band step matrix "
+                               f"is not positive definite")
+
+    @property
+    def kd(self) -> int:
+        return self.c.shape[0] - 1
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x, info = lapack.dpbtrs(self.c, b)
+        if info != 0:
+            raise RuntimeError(f"dpbtrs info {info}")
+        return x
+
+
 def _lu_for(grid, dt: float):
     """The factor of W + dt K on ``grid`` (cached per dt): tridiagonal
-    LDL^T from K's bands, else SuperLU."""
+    LDL^T from K's bands on a ring grid, band Cholesky in node order from
+    K's band on a cartesian grid or its orbit grids, else SuperLU."""
     key = float(dt)
     if key not in grid.step_factors:
-        bands = grid.stiffness_bands
-        if bands is None:
+        tridiagonal, band = grid.stiffness_bands, grid.stiffness_band
+        if tridiagonal is not None:
+            grid.step_factors[key] = _TridiagonalFactor(
+                grid.weights + dt * tridiagonal.diagonal,
+                dt * tridiagonal.off_diagonal)
+        elif band is not None:
+            ab = dt * band.ab
+            ab[band.kd] += grid.weights
+            grid.step_factors[key] = _BandFactor(ab)
+        else:
             mat = (sp.diags(grid.weights) + dt * grid.stiffness).tocsc()
             grid.step_factors[key] = spla.splu(mat)
-        else:
-            grid.step_factors[key] = _TridiagonalFactor(
-                grid.weights + dt * bands.diagonal, dt * bands.off_diagonal)
     return grid.step_factors[key]
 
 

@@ -26,8 +26,11 @@ a grid fills on demand: group permutations, orbit grids, K's columns in
 the column order of its SuperLU factor ``grid.ordered_stiffness`` (the
 pattern Newton's Jacobians are written into), K's bands
 ``grid.stiffness_bands`` when K is tridiagonal in node order (the ring
-grid of a polar grid), the Perron pair ``grid.perron`` and the step
-factorizations that the flow module stores in ``step_factors``.
+grid of a polar grid), K's upper band in LAPACK storage
+``grid.stiffness_band`` on a cartesian grid and its orbit grids (row-major
+node numbering makes K a band of half-bandwidth at most n there), the
+Perron pair ``grid.perron`` and the step factorizations that the flow
+module stores in ``step_factors``.
 """
 
 from __future__ import annotations
@@ -242,6 +245,16 @@ class StiffnessBands:
     row_sums: np.ndarray
 
 
+@dataclass(frozen=True)
+class StiffnessBand:
+    """K as a symmetric band of half-bandwidth ``kd`` in node order, its
+    upper band in LAPACK ``ab`` storage: ``ab[kd + i - j, j] = K[i, j]``
+    for j - kd <= i <= j, shape (kd + 1, n), Fortran order."""
+
+    kd: int
+    ab: np.ndarray
+
+
 def _perron_pair(stiffness: sp.csr_matrix,
                  weights: np.ndarray) -> PerronPair | None:
     """Inverse iteration psi <- K^{-1} W psi / ||.||_inf from psi = 1.
@@ -306,6 +319,11 @@ class _GridBase:
     #: nodes adjacent to the domain boundary
     boundary_adjacent: np.ndarray
     domain: DomainSpec
+    #: whether the step factors W + dt K as a band in node order
+    #: (``stiffness_band``): cartesian grids and their orbit grids.  Polar
+    #: grids keep SuperLU, whose step-solve spans the benchmark harness's
+    #: own tests pin on polar grids (perfbench/test_harness.py)
+    band_in_node_order = False
 
     def __init__(self):
         self._perm_cache: dict = {}
@@ -366,6 +384,19 @@ class _GridBase:
         row_sums[:-1] += off_diagonal
         row_sums[1:] += off_diagonal
         return StiffnessBands(diagonal, off_diagonal, row_sums)
+
+    @cached_property
+    def stiffness_band(self) -> StiffnessBand | None:
+        """K's upper band in node order with kd read from K (cached) on a
+        grid with ``band_in_node_order``; None for any other grid."""
+        if not self.band_in_node_order:
+            return None
+        coo = self.stiffness.tocoo()
+        kd = int(np.max(np.abs(coo.row - coo.col)))
+        ab = np.zeros((kd + 1, self.n_nodes), order="F")
+        for k in range(kd + 1):
+            ab[kd - k, k:] = self.stiffness.diagonal(k)
+        return StiffnessBand(kd, ab)
 
     @cached_property
     def perron(self) -> PerronPair | None:
@@ -527,8 +558,10 @@ class CartesianMaskedGrid(_GridBase):
     strictly inside the domain, Dirichlet zero is imposed at the faces
     toward exterior cells (half-cell distance).  Group actions are exact
     node permutations for h in {1, 2, 4} with reflection axes at multiples
-    of pi/4.
+    of pi/4.  Nodes are numbered row-major, so K is a band in node order.
     """
+
+    band_in_node_order = True
 
     def __init__(self, domain: DomainSpec, n: int, extent: float | None = None):
         if n < 4:
@@ -630,6 +663,10 @@ class OrbitGrid(_GridBase):
         basis = sp.csr_matrix((np.ones(n), (np.arange(n), self.orbit_id)),
                               shape=(n, reps.size))
         self.parent = parent
+        # orbits keep the parent's node order (each is labelled by its
+        # smallest node), so K stays a narrow band: kd 27 on the squircle's
+        # D4 orbits of cartesian 64, against 64 on the full grid
+        self.band_in_node_order = parent.band_in_node_order
         self.xy = parent.xy[reps]   # one representative node per orbit
         self.weights = np.bincount(self.orbit_id, weights=parent.weights)
         self.stiffness = (basis.T @ parent.stiffness @ basis).tocsr()

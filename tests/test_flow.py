@@ -71,12 +71,25 @@ def _exact_tridiagonal_solve(diagonal, off_diagonal, b) -> np.ndarray:
     return np.array([float(t) for t in x])
 
 
+def _refined_solve(mat, lu, b) -> np.ndarray:
+    """The solution of mat x = b to extended precision: iterative refinement
+    of SuperLU's solve with residuals in long double, rounded once."""
+    wide = mat.astype(np.longdouble)
+    x = lu.solve(b).astype(np.longdouble)
+    for _ in range(4):
+        x += lu.solve((b - wide @ x).astype(float))
+    return x.astype(float)
+
+
 class TestBandPath:
     """On the ring grid of a polar grid K is tridiagonal in node order: the
     step factors W + dt K by LAPACK's tridiagonal LDL^T and the Dirichlet
     form sums over faces.  Both are checked against exact rational
     arithmetic on the same floats, and against SuperLU and v . (K v)
-    where those are themselves that accurate."""
+    where those are themselves that accurate.  On a cartesian grid and its
+    orbit grids K is a band in node order and the step factors it by band
+    Cholesky, checked against an extended-precision solve, SuperLU and
+    whole flows run through SuperLU; polar grids keep SuperLU."""
 
     @pytest.mark.parametrize("name", RING_GRIDS)
     def test_band_solve_equals_superlu(self, name):
@@ -121,15 +134,10 @@ class TestBandPath:
     @pytest.mark.parametrize("grid_of", [
         lambda: geometry.PolarGrid(24, 16),
         lambda: geometry.PolarGrid(24, 16).quotient(geometry.cyclic(4)),
-        lambda: geometry.CartesianMaskedGrid(geometry.DomainSpec.disk(1.0),
-                                             24),
-        lambda: geometry.CartesianMaskedGrid(
-            geometry.squircle_mask(1.0, 4.0), 24).quotient(
-                geometry.dihedral(4)),
-    ], ids=["polar", "polar-c4-orbits", "cartesian", "squircle-d4-orbits"])
+    ], ids=["polar", "polar-c4-orbits"])
     def test_other_grids_keep_superlu(self, monkeypatch, grid_of):
         g = grid_of()
-        assert g.stiffness_bands is None
+        assert g.stiffness_bands is None and g.stiffness_band is None
         calls, plain = [], flow.spla.splu
 
         def splu(mat):
@@ -142,9 +150,84 @@ class TestBandPath:
         v = np.random.default_rng(1).standard_normal(g.n_nodes)
         assert g.dirichlet_form(v) == float(v @ (g.stiffness @ v))
 
+    @pytest.mark.parametrize("grid_of", [
+        lambda: geometry.CartesianMaskedGrid(geometry.DomainSpec.disk(1.0),
+                                             24),
+        lambda: geometry.CartesianMaskedGrid(
+            geometry.squircle_mask(1.0, 4.0), 24).quotient(
+                geometry.dihedral(4)),
+        lambda: geometry.CartesianMaskedGrid(
+            geometry.squircle_mask(1.0, 4.0), 64),
+    ], ids=["cartesian", "squircle-d4-orbits", "squircle-64"])
+    def test_cartesian_grids_take_the_band_cholesky(self, monkeypatch,
+                                                    grid_of):
+        g = grid_of()
+        assert g.stiffness_bands is None
+        n = (g.parent if isinstance(g, geometry.OrbitGrid) else g).n
+        coo = g.stiffness.tocoo()
+        kd = int(np.max(np.abs(coo.row - coo.col)))
+        assert 1 < kd <= n and g.stiffness_band.kd == kd
+        calls, plain = [], flow.spla.splu
+        monkeypatch.setattr(flow, "spla", SimpleNamespace(
+            splu=lambda mat: calls.append(mat.shape)))
+        # a smooth field and a random one, as on the ring grids
+        fields = (ring_bump(g, 0.1, 0.9).values,
+                  np.random.default_rng(2).standard_normal(g.n_nodes))
+        for dt in (1e-6, 1e-3, 0.05):
+            factor = flow._lu_for(g, dt)
+            assert isinstance(factor, flow._BandFactor) and factor.kd == kd
+            mat = (flow.sp.diags(g.weights) + dt * g.stiffness).tocsc()
+            lu = plain(mat)
+            for v in fields:
+                b = g.weights * v
+                x, ref = factor.solve(b), lu.solve(b)
+                exact = _refined_solve(mat, lu, b)
+                scale = np.max(np.abs(exact))
+                assert np.max(np.abs(x - exact)) <= 1e-14 * scale
+                # at dt = 0.05 on squircle 64 W + dt K has condition 330:
+                # the band's smooth-field solve is 9e-15 from the exact
+                # one, SuperLU's 6e-15 on the other side
+                if dt <= 1e-3 or g.n_nodes < 1000:
+                    assert np.max(np.abs(x - ref)) <= 1e-14 * scale
+        assert calls == []
+        v = fields[1]
+        assert g.dirichlet_form(v) == float(v @ (g.stiffness @ v))
+
+    def test_band_flow_equals_the_superlu_flow(self, monkeypatch):
+        # the same runs with every step solve forced through SuperLU are the
+        # oracle of the band route on the squircle's D4 orbit grid
+        g = geometry.CartesianMaskedGrid(geometry.squircle_mask(1.0, 4.0), 24)
+        G = geometry.dihedral(4)
+        orbits, cfg = g.quotient(G), FlowConfig(t_max=20.0)
+        data = [_invariant_datum(g, G).on(orbits).scaled(s)
+                for s in (0.5, 4.0)]
+        band = [flow.evolve(v0, 3.0, cfg) for v0 in data]
+        factors = {}
+
+        def superlu_for(grid, dt):
+            if dt not in factors:
+                factors[dt] = flow.spla.splu(
+                    (flow.sp.diags(grid.weights) + dt * grid.stiffness).tocsc())
+            return factors[dt]
+
+        monkeypatch.setattr(flow, "_lu_for", superlu_for)
+        for v0, tr in zip(data, band):
+            ref = flow.evolve(v0, 3.0, cfg)
+            assert tr.classification == ref.classification
+            assert len(tr.dts) == len(ref.dts) > 0
+            dev = np.max(np.abs(tr.final.values - ref.final.values))
+            assert dev <= 1e-12 * ref.final.sup
+        assert {tr.classification for tr in band} == {
+            Classification.DECAY, Classification.BLOWUP}
+
     def test_a_matrix_that_is_not_positive_definite_raises(self):
         with pytest.raises(RuntimeError, match="dpttrf"):
             flow._TridiagonalFactor(np.array([1.0, -1.0]), np.array([0.5]))
+
+    def test_a_band_that_is_not_positive_definite_raises(self):
+        # upper band storage, kd = 1, of [[1, 0.5], [0.5, -1]]
+        with pytest.raises(RuntimeError, match="dpbtrf"):
+            flow._BandFactor(np.array([[0.0, 0.5], [1.0, -1.0]], order="F"))
 
 
 class TestEvolve:
