@@ -3,12 +3,12 @@
 One step solves (W + dt K) v_{n+1} = W (v_n + dt |v_n|^{p-1} v_n): implicit
 backward-Euler diffusion, explicit reaction.  Each grid owns its
 factorizations of W + dt K per step size, the grid alone choosing the
-route: LAPACK's tridiagonal LDL^T (``dpttrf``/``dpttrs``) when K is
-tridiagonal in node order (``grid.stiffness_bands``, the ring grid of a
-polar grid); band Cholesky (``dpbtrf``/``dpbtrs``) in node order on
-cartesian grids and their orbit grids (``grid.stiffness_band``); SuperLU
-on full polar grids and polar C_h orbit grids.  The step is Eyre's convex
-splitting of the energy, so
+route: a LAPACK band factor from K's band in node order
+(``grid.stiffness_band``) where the grid has one, tridiagonal LDL^T
+(``dpttrf``/``dpttrs``) at half-bandwidth 1 (the ring grid of a polar
+grid) and band Cholesky (``dpbtrf``/``dpbtrs``) above it (cartesian grids
+and their orbit grids); SuperLU on full polar grids and polar C_h orbit
+grids.  The step is Eyre's convex splitting of the energy, so
 E(v_{n+1}) <= E(v_n) - dt ||(v_{n+1} - v_n)/dt||_W^2 at any dt:
 no step is rejected, an energy rise beyond roundoff is counted as a defect,
 and ``c_stab`` bounds dt where |v| is large for accuracy, not stability.
@@ -140,58 +140,42 @@ class Trajectory:
         return float(self.times[-1])
 
 
-class _TridiagonalFactor:
-    """LDL^T factor of the symmetric positive definite tridiagonal matrix
-    with ``diagonal`` and ``off_diagonal`` (LAPACK ``dpttrf``); ``solve``
-    is ``dpttrs``.  A nonzero LAPACK ``info`` raises RuntimeError."""
-
-    def __init__(self, diagonal: np.ndarray, off_diagonal: np.ndarray):
-        self.d, self.e, info = lapack.dpttrf(diagonal, off_diagonal)
-        if info != 0:
-            raise RuntimeError(f"dpttrf info {info}: the tridiagonal step "
-                               f"matrix is not positive definite")
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        x, info = lapack.dpttrs(self.d, self.e, b)
-        if info != 0:
-            raise RuntimeError(f"dpttrs info {info}")
-        return x
-
-
 class _BandFactor:
-    """Cholesky factor of the symmetric positive definite band matrix whose
-    upper band is ``ab`` in LAPACK storage (``dpbtrf``); ``solve`` is
-    ``dpbtrs``.  A nonzero LAPACK ``info`` raises RuntimeError."""
+    """Factor of the symmetric positive definite band matrix whose upper
+    band is ``ab`` in LAPACK storage (``geometry.StiffnessBand``): LDL^T
+    by the tridiagonal ``dpttrf`` at kd = 1, Cholesky by ``dpbtrf`` above;
+    ``solve`` is ``dpttrs`` or ``dpbtrs``.  A nonzero LAPACK ``info``
+    raises RuntimeError naming the routine."""
 
     def __init__(self, ab: np.ndarray):
-        self.c, info = lapack.dpbtrf(ab)
+        self.kd = ab.shape[0] - 1
+        if self.kd == 1:
+            factor, self._solve = lapack.dpttrf, lapack.dpttrs
+            args = (ab[1], ab[0, 1:])
+        else:
+            factor, self._solve = lapack.dpbtrf, lapack.dpbtrs
+            args = (ab,)
+        *self._factor, info = factor(*args)
         if info != 0:
-            raise RuntimeError(f"dpbtrf info {info}: the band step matrix "
-                               f"is not positive definite")
-
-    @property
-    def kd(self) -> int:
-        return self.c.shape[0] - 1
+            raise RuntimeError(f"{factor.__name__} info {info}: the band "
+                               f"step matrix is not positive definite")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x, info = lapack.dpbtrs(self.c, b)
+        x, info = self._solve(*self._factor, b)
         if info != 0:
-            raise RuntimeError(f"dpbtrs info {info}")
+            raise RuntimeError(f"{self._solve.__name__} info {info}")
         return x
 
 
 def _lu_for(grid, dt: float):
-    """The factor of W + dt K on ``grid`` (cached per dt): tridiagonal
-    LDL^T from K's bands on a ring grid, band Cholesky in node order from
-    K's band on a cartesian grid or its orbit grids, else SuperLU."""
+    """The factor of W + dt K on ``grid`` (cached per dt): the band factor
+    from K's band in node order where the grid has one
+    (``grid.stiffness_band``: tridiagonal LDL^T on a ring grid, band
+    Cholesky on a cartesian grid or its orbit grids), else SuperLU."""
     key = float(dt)
     if key not in grid.step_factors:
-        tridiagonal, band = grid.stiffness_bands, grid.stiffness_band
-        if tridiagonal is not None:
-            grid.step_factors[key] = _TridiagonalFactor(
-                grid.weights + dt * tridiagonal.diagonal,
-                dt * tridiagonal.off_diagonal)
-        elif band is not None:
+        band = grid.stiffness_band
+        if band is not None:
             ab = dt * band.ab
             ab[band.kd] += grid.weights
             grid.step_factors[key] = _BandFactor(ab)

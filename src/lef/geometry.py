@@ -24,12 +24,11 @@ one unknown per orbit.
 All objects here are immutable after construction, apart from the caches
 a grid fills on demand: group permutations, orbit grids, K's columns in
 the column order of its SuperLU factor ``grid.ordered_stiffness`` (the
-pattern Newton's Jacobians are written into), K's bands
-``grid.stiffness_bands`` when K is tridiagonal in node order (the ring
-grid of a polar grid), K's upper band in LAPACK storage
-``grid.stiffness_band`` on a cartesian grid and its orbit grids (row-major
-node numbering makes K a band of half-bandwidth at most n there), the
-Perron pair ``grid.perron`` and the step factorizations that the flow
+pattern Newton's Jacobians are written into), K's band in node order
+``grid.stiffness_band`` when K is tridiagonal there (the ring grid of a
+polar grid) and on a cartesian grid and its orbit grids (row-major node
+numbering makes K a band of half-bandwidth at most n there), the Perron
+pair ``grid.perron`` and the step factorizations that the flow
 module stores in ``step_factors``.
 """
 
@@ -235,24 +234,17 @@ class OrderedStiffness:
 
 
 @dataclass(frozen=True)
-class StiffnessBands:
-    """K of a grid whose stiffness is tridiagonal in node order: its
-    ``diagonal``, its ``off_diagonal`` K[i, i+1] = K[i+1, i] and its
-    ``row_sums`` K 1, each node's conductance to the zero boundary value."""
-
-    diagonal: np.ndarray
-    off_diagonal: np.ndarray
-    row_sums: np.ndarray
-
-
-@dataclass(frozen=True)
 class StiffnessBand:
     """K as a symmetric band of half-bandwidth ``kd`` in node order, its
     upper band in LAPACK ``ab`` storage: ``ab[kd + i - j, j] = K[i, j]``
-    for j - kd <= i <= j, shape (kd + 1, n), Fortran order."""
+    for j - kd <= i <= j, shape (kd + 1, n), in C order so that each
+    diagonal is a contiguous row (at kd = 1, ``ab[1]`` is K's diagonal and
+    ``ab[0, 1:]`` its off-diagonal); ``row_sums`` is K 1, each node's
+    conductance to the zero boundary value."""
 
     kd: int
     ab: np.ndarray
+    row_sums: np.ndarray
 
 
 def _perron_pair(stiffness: sp.csr_matrix,
@@ -319,10 +311,11 @@ class _GridBase:
     #: nodes adjacent to the domain boundary
     boundary_adjacent: np.ndarray
     domain: DomainSpec
-    #: whether the step factors W + dt K as a band in node order
-    #: (``stiffness_band``): cartesian grids and their orbit grids.  Polar
-    #: grids keep SuperLU, whose step-solve spans the benchmark harness's
-    #: own tests pin on polar grids (perfbench/test_harness.py)
+    #: whether K's band in node order (``stiffness_band``) is kept at any
+    #: half-bandwidth, not only a tridiagonal one: cartesian grids and their
+    #: orbit grids.  Full polar grids keep SuperLU for the step, whose
+    #: step-solve spans the benchmark harness's own tests pin on polar
+    #: grids (perfbench/test_harness.py)
     band_in_node_order = False
 
     def __init__(self):
@@ -343,16 +336,16 @@ class _GridBase:
     def dirichlet_form(self, v: np.ndarray) -> float:
         """Quadratic form v . K v, the discrete version of ||grad v||^2.
 
-        With K's bands it is the sum over faces, sum_i s_i v_i^2 +
-        sum_i (-e_i) (v_{i+1} - v_i)^2 with s = K 1 and e the
-        off-diagonal: nonnegative terms, no cancellation.
+        When K is tridiagonal in node order it is the sum over faces,
+        sum_i s_i v_i^2 + sum_i (-e_i) (v_{i+1} - v_i)^2 with s = K 1 and e
+        the off-diagonal, both read from ``stiffness_band``: nonnegative
+        terms, no cancellation.
         """
-        bands = self.stiffness_bands
-        if bands is None:
+        if self._stiffness_kd != 1:
             return float(v @ (self.stiffness @ v))
+        band = self.stiffness_band
         jump = v[1:] - v[:-1]
-        return float(bands.row_sums @ (v * v)
-                     - bands.off_diagonal @ (jump * jump))
+        return float(band.row_sums @ (v * v) - band.ab[0, 1:] @ (jump * jump))
 
     def weighted_norm(self, v: np.ndarray) -> float:
         return math.sqrt(float(self.weights @ (v * v)))
@@ -371,32 +364,31 @@ class _GridBase:
         return OrderedStiffness(matrix, order, diagonal)
 
     @cached_property
-    def stiffness_bands(self) -> StiffnessBands | None:
-        """K's diagonal, off-diagonal and row sums when K is tridiagonal
-        in node order, as on the ring grid of a polar grid (cached); None
-        for any other grid."""
+    def _stiffness_kd(self) -> int:
+        """K's half-bandwidth in node order, read from its nonzero entries
+        (cached): the Dirichlet form reads it without building the band."""
         coo = self.stiffness.tocoo()
-        if np.any((np.abs(coo.row - coo.col) > 1) & (coo.data != 0.0)):
-            return None
-        diagonal = self.stiffness.diagonal()
-        off_diagonal = self.stiffness.diagonal(1)
-        row_sums = diagonal.copy()
-        row_sums[:-1] += off_diagonal
-        row_sums[1:] += off_diagonal
-        return StiffnessBands(diagonal, off_diagonal, row_sums)
+        return int(np.max(np.abs(coo.row - coo.col)[coo.data != 0.0],
+                          initial=0))
 
     @cached_property
     def stiffness_band(self) -> StiffnessBand | None:
-        """K's upper band in node order with kd read from K (cached) on a
-        grid with ``band_in_node_order``; None for any other grid."""
-        if not self.band_in_node_order:
+        """K's band in node order (cached) when K is tridiagonal there, as
+        on the ring grid of a polar grid, or on a grid with
+        ``band_in_node_order``; None for any other grid.  The row sums add
+        K's diagonals to its diagonal by distance from it, the upper one
+        before the lower."""
+        kd = self._stiffness_kd
+        if kd != 1 and not self.band_in_node_order:
             return None
-        coo = self.stiffness.tocoo()
-        kd = int(np.max(np.abs(coo.row - coo.col)))
-        ab = np.zeros((kd + 1, self.n_nodes), order="F")
-        for k in range(kd + 1):
-            ab[kd - k, k:] = self.stiffness.diagonal(k)
-        return StiffnessBand(kd, ab)
+        ab = np.zeros((kd + 1, self.n_nodes))
+        row_sums = self.stiffness.diagonal()
+        ab[kd] = row_sums
+        for k in range(1, kd + 1):
+            ab[kd - k, k:] = diagonal = self.stiffness.diagonal(k)
+            row_sums[:-k] += diagonal
+            row_sums[k:] += diagonal
+        return StiffnessBand(kd, ab, row_sums)
 
     @cached_property
     def perron(self) -> PerronPair | None:

@@ -245,7 +245,9 @@ def ring_blocks(u, p: float):
     mode j = 0 .. n_theta // 2.
 
     T_0 is L on the ring grid (the orbits of ``grid.symmetry_group``) at
-    ``u.on(rings)``; T_j adds the angular faces' weight of the mode,
+    ``u.on(rings)``: the ring grid's tridiagonal band of K
+    (``rings.stiffness_band``) less W p |u|^{p-1} on its diagonal.  T_j
+    adds the angular faces' weight of the mode,
     2 (1 - cos 2 pi j / n_theta) n_theta c_k on ring k, with c_k the
     grid's ``angular_conductance`` dr / (r_k dtheta).
     The eigenvalues of the pencil (T_j, diag(weights)) are those of the
@@ -253,12 +255,13 @@ def ring_blocks(u, p: float):
     """
     grid = u.grid
     rings = grid.quotient(grid.symmetry_group)
-    T0 = assemble_linearized(u.on(rings), p)
+    band = rings.stiffness_band
+    pot = p * np.abs(u.on(rings).values) ** (p - 1.0)
     modes = np.arange(grid.n_theta // 2 + 1)
     angular = grid.n_theta * grid.angular_conductance
     shift = 2.0 * (1.0 - np.cos(2.0 * math.pi * modes / grid.n_theta))
-    return (T0.diagonal() + shift[:, None] * angular, T0.diagonal(1),
-            rings.weights)
+    return (band.ab[1] - rings.weights * pot + shift[:, None] * angular,
+            band.ab[0, 1:], rings.weights)
 
 
 def mode_multiplicities(grid, G: SymmetryGroup | None) -> np.ndarray:

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from lef import energy, flow, geometry, radial, spectrum
 from lef.flow import Classification, FlowConfig
@@ -82,31 +83,36 @@ def _refined_solve(mat, lu, b) -> np.ndarray:
 
 
 class TestBandPath:
-    """On the ring grid of a polar grid K is tridiagonal in node order: the
-    step factors W + dt K by LAPACK's tridiagonal LDL^T and the Dirichlet
-    form sums over faces.  Both are checked against exact rational
-    arithmetic on the same floats, and against SuperLU and v . (K v)
-    where those are themselves that accurate.  On a cartesian grid and its
-    orbit grids K is a band in node order and the step factors it by band
-    Cholesky, checked against an extended-precision solve, SuperLU and
-    whole flows run through SuperLU; polar grids keep SuperLU."""
+    """Every grid with a band of K in node order (``stiffness_band``)
+    factors the step matrix W + dt K from it.  On the ring grid of a polar
+    grid the band is tridiagonal (kd = 1): the step factors it by LAPACK's
+    tridiagonal LDL^T, bit for bit the ``dpttrf`` of K's own diagonals,
+    and the Dirichlet form sums over faces.  Both are checked against
+    exact rational arithmetic on the same floats, and against SuperLU and
+    v . (K v) where those are themselves that accurate.  On a cartesian
+    grid and its orbit grids the band is wider and the step factors it by
+    band Cholesky, checked against an extended-precision solve, SuperLU
+    and whole flows run through SuperLU; polar grids keep SuperLU."""
 
     @pytest.mark.parametrize("name", RING_GRIDS)
     def test_band_solve_equals_superlu(self, name):
         rings, fields = _ring_fields(RING_GRIDS[name]())
-        bands = rings.stiffness_bands
-        assert bands is not None
+        K = rings.stiffness
+        assert rings.stiffness_band.kd == 1
         for dt in (1e-6, 1e-3, 0.05):
             factor = flow._lu_for(rings, dt)
-            assert isinstance(factor, flow._TridiagonalFactor)
+            assert isinstance(factor, flow._BandFactor) and factor.kd == 1
+            diagonal, off_diagonal = (rings.weights + dt * K.diagonal(),
+                                      dt * K.diagonal(1))
+            d, e, info = lapack.dpttrf(diagonal, off_diagonal)
+            assert info == 0
             lu = flow.spla.splu((flow.sp.diags(rings.weights)
                                  + dt * rings.stiffness).tocsc())
             for v in fields:
                 b = rings.weights * v
                 x, ref = factor.solve(b), lu.solve(b)
-                exact = _exact_tridiagonal_solve(
-                    rings.weights + dt * bands.diagonal,
-                    dt * bands.off_diagonal, b)
+                assert np.array_equal(x, lapack.dpttrs(d, e, b)[0])
+                exact = _exact_tridiagonal_solve(diagonal, off_diagonal, b)
                 scale = np.max(np.abs(exact))
                 # at dt = 0.05 W + dt K has condition up to 8e3, and
                 # SuperLU too is 2e-15 from the exact solution
@@ -118,8 +124,17 @@ class TestBandPath:
     def test_band_dirichlet_form_equals_the_sparse_form(self, name):
         rings, (smooth, noise) = _ring_fields(RING_GRIDS[name]())
         K = rings.stiffness
+        diagonal, off_diagonal = K.diagonal(), K.diagonal(1)
+        row_sums = diagonal.copy()
+        row_sums[:-1] += off_diagonal
+        row_sums[1:] += off_diagonal
         for v in (smooth, noise):
             form = rings.dirichlet_form(v)
+            # the face sum from K's own diagonals, bit for bit: the band's
+            # rows are contiguous and its row sums keep this order
+            jump = v[1:] - v[:-1]
+            assert form == float(row_sums @ (v * v)
+                                 - off_diagonal @ (jump * jump))
             exact = float(sum(Fraction(d) * Fraction(x) ** 2
                               for d, x in zip(K.diagonal(), v))
                           + 2 * sum(Fraction(e) * Fraction(x) * Fraction(y)
@@ -137,7 +152,7 @@ class TestBandPath:
     ], ids=["polar", "polar-c4-orbits"])
     def test_other_grids_keep_superlu(self, monkeypatch, grid_of):
         g = grid_of()
-        assert g.stiffness_bands is None and g.stiffness_band is None
+        assert g.stiffness_band is None
         calls, plain = [], flow.spla.splu
 
         def splu(mat):
@@ -162,7 +177,6 @@ class TestBandPath:
     def test_cartesian_grids_take_the_band_cholesky(self, monkeypatch,
                                                     grid_of):
         g = grid_of()
-        assert g.stiffness_bands is None
         n = (g.parent if isinstance(g, geometry.OrbitGrid) else g).n
         coo = g.stiffness.tocoo()
         kd = int(np.max(np.abs(coo.row - coo.col)))
@@ -221,13 +235,16 @@ class TestBandPath:
             Classification.DECAY, Classification.BLOWUP}
 
     def test_a_matrix_that_is_not_positive_definite_raises(self):
+        # upper band storage, kd = 1, of [[1, 0.5], [0.5, -1]]
         with pytest.raises(RuntimeError, match="dpttrf"):
-            flow._TridiagonalFactor(np.array([1.0, -1.0]), np.array([0.5]))
+            flow._BandFactor(np.array([[0.0, 0.5], [1.0, -1.0]]))
 
     def test_a_band_that_is_not_positive_definite_raises(self):
-        # upper band storage, kd = 1, of [[1, 0.5], [0.5, -1]]
+        # upper band storage, kd = 2, of [[1, 0, 0.5], [0, 1, 0],
+        # [0.5, 0, -1]]
         with pytest.raises(RuntimeError, match="dpbtrf"):
-            flow._BandFactor(np.array([[0.0, 0.5], [1.0, -1.0]], order="F"))
+            flow._BandFactor(np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 0.0],
+                                       [1.0, 1.0, -1.0]]))
 
 
 class TestEvolve:

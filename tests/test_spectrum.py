@@ -616,6 +616,57 @@ class TestBlockRoute:
                                   np.ones(2), 0.0)
 
 
+# the two disks and three annuli on which T_0 is read from the band
+BAND_RING_GRIDS = {
+    "96x32": lambda: geometry.PolarGrid(96, 32),
+    "192x32": lambda: geometry.PolarGrid(192, 32),
+    "annulus-48x16": lambda: geometry.PolarGrid(48, 16, r_in=0.3),
+    "annulus-24x18": lambda: geometry.PolarGrid(24, 18, r_in=0.1),
+    "annulus-40x20": lambda: geometry.PolarGrid(40, 20, r_in=0.1),
+}
+
+
+@pytest.fixture(scope="module", params=BAND_RING_GRIDS)
+def band_state(request, nodal_guess):
+    """A ring-constant steady state at p = 8: from the pipeline's nodal
+    pair on a disk, from the positive radial solution on an annulus."""
+    g = BAND_RING_GRIDS[request.param]()
+    guess = (nodal_guess(g) if g.r_in == 0.0 else flow.field_from_radial(
+        g, radial.solve_annulus(P_NODAL, g.r_in, g.r_out)))
+    return _ring_steady_state(guess, P_NODAL)
+
+
+class TestRingBlocksFromTheBand:
+    """``ring_blocks`` reads T_0 from the ring grid's band of K; L
+    assembled on the ring grid is its oracle, bit for bit."""
+
+    def test_t0_equals_the_assembled_operator(self, band_state):
+        u = band_state
+        rings = u.grid.quotient(u.grid.symmetry_group)
+        diagonals, off, weights = spectrum.ring_blocks(u, P_NODAL)
+        T0 = spectrum.assemble_linearized(u.on(rings), P_NODAL)
+        assert np.array_equal(diagonals[0], T0.diagonal())
+        assert np.array_equal(off, T0.diagonal(1))
+        assert np.array_equal(weights, rings.weights)
+
+    def test_the_band_keeps_the_order_of_k_own_diagonals(self, band_state):
+        # the row sums add the off-diagonal above before the one below;
+        # the off-diagonal is a contiguous row, so a dot product with it
+        # rounds as one with K's own off-diagonal
+        rings = band_state.grid.quotient(band_state.grid.symmetry_group)
+        band, K = rings.stiffness_band, rings.stiffness
+        diagonal, off_diagonal = K.diagonal(), K.diagonal(1)
+        row_sums = diagonal.copy()
+        row_sums[:-1] += off_diagonal
+        row_sums[1:] += off_diagonal
+        assert band.kd == 1 and band.ab.flags.c_contiguous
+        assert np.array_equal(band.row_sums, row_sums)
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            squares = rng.standard_normal(off_diagonal.size) ** 2
+            assert band.ab[0, 1:] @ squares == off_diagonal @ squares
+
+
 # ---------------------------------------------------------------------------
 # the half-domain mu of a ring-constant field: the block T_1
 # ---------------------------------------------------------------------------
