@@ -266,9 +266,9 @@ def _build_grid(gspec: dict, domain_spec: dict):
 def _build_group(spec: dict | None, grid,
                  text: bool = False) -> SymmetryGroup | None:
     """The group of a config's ``group`` section (None for null), or with
-    ``text`` of ``--group kind:order``; its orbit grid of ``grid`` is built
-    (and cached for the flow and the symmetric Morse index), or ConfigError
-    if the grid does not realize it."""
+    ``text`` of ``--group kind:order``, checked by its node permutations
+    of ``grid`` (``grid.group_permutations``, cached): ConfigError if the
+    grid does not realize it.  Its orbit grid is built where it is used."""
     if spec is None:
         return None
     kind = _typed("group", spec, tag="kind")
@@ -276,7 +276,7 @@ def _build_group(spec: dict | None, grid,
     group = cyclic(order) if kind == "cyclic" else dihedral(
         order, _read(spec, "axis_angle", "group axis_angle", default=0.0))
     try:
-        grid.quotient(group)
+        grid.group_permutations(group)
     except GridSymmetryError as exc:
         raise ConfigError(f"grid {grid.to_config()} does not realize the "
                           f"group {kind}:{order}: {exc}") from None

@@ -33,8 +33,12 @@ inverse) and v -> v + dt |v|^{p-1} v is odd and increasing.
 Threshold initial data on the boundary of the attraction domain of zero
 are located by bisection along rays of initial data, with an outer fan and
 one bisection over the mixing angle in the 2D space spanned by two
-disjointly supported profiles.  A candidate counts as converged at
-spectrum.STEADY_RESIDUAL_TOL and as sign-changing past nodal's zero band.
+disjointly supported profiles.  A candidate is accepted when it is
+converged (spectrum.STEADY_RESIDUAL_TOL) and sign-changing past nodal's
+zero band.  The scan takes the first accepted candidate in scan order, and
+Newton polishes a ray only while no earlier ray has one: on each such ray
+the hovering snapshot first, the threshold datum only when the snapshot is
+not accepted.
 """
 
 from __future__ import annotations
@@ -341,8 +345,9 @@ class BracketError(RuntimeError):
 class Candidate:
     """A steady-state candidate: the field, its elliptic residual, and its
     source, "snapshot" (a probe's least-residual snapshot, Newton-polished
-    when that lowers the residual) or "datum" (the polished threshold
-    datum)."""
+    on a polished ray when that lowers the residual) or "datum" (the
+    polished threshold datum, polished only when the snapshot is not
+    accepted)."""
 
     field: ScalarField
     residual: float
@@ -362,21 +367,21 @@ class ThresholdResult:
     # near a transition angle the datum sits close to the stable manifold
     # of the separating saddle
     datum: Candidate | None = None
+    # whether Newton ran on the ray; an unpolished snapshot keeps the raw
+    # residual of the flow
+    polished: bool = False
 
     def accepted(self) -> Candidate | None:
-        """The converged (residual <= spectrum.STEADY_RESIDUAL_TOL)
-        sign-changing candidate of least residual (the snapshot on a tie),
-        or None."""
-        ok = [c for c in (self.snapshot, self.datum)
-              if c is not None
-              and c.residual <= spectrum_mod.STEADY_RESIDUAL_TOL
-              and _is_sign_changing(c.field.values)]
-        return min(ok, key=lambda c: c.residual, default=None)
+        """The first accepted (`_is_accepted`) of the snapshot and the
+        datum, or None."""
+        return next((c for c in (self.snapshot, self.datum)
+                     if _is_accepted(c)), None)
 
     def to_dict(self) -> dict:
         snap, datum = self.snapshot, self.datum
         return {"lambda_star": self.lambda_star,
                 "bisection_width": self.bisection_width,
+                "polished": self.polished,
                 "residual": math.inf if snap is None else snap.residual,
                 "sign_changing": (snap is not None
                                   and _is_sign_changing(snap.field.values)),
@@ -394,6 +399,14 @@ def _is_sign_changing(values: np.ndarray) -> bool:
     return bool(np.min(values) < -t and np.max(values) > t)
 
 
+def _is_accepted(cand: Candidate | None) -> bool:
+    """The candidate is converged (residual <= spectrum.STEADY_RESIDUAL_TOL)
+    and sign-changing."""
+    return (cand is not None
+            and cand.residual <= spectrum_mod.STEADY_RESIDUAL_TOL
+            and _is_sign_changing(cand.field.values))
+
+
 def threshold_bisect(direction: ScalarField, p: float,
                      config: FlowConfig = FlowConfig(),
                      width_tol: float = WIDTH_TOL,
@@ -408,6 +421,9 @@ def threshold_bisect(direction: ScalarField, p: float,
     energy stayed nonnegative).  A ConvergedSteady probe ends the search at
     its own lam with bisection width 0: that field is already the
     omega-limit candidate.
+
+    With ``polish`` Newton runs on the least-residual snapshot first, and
+    on the threshold datum only when the snapshot is not accepted.
     """
     if direction.sup == 0.0:
         raise ValueError("direction must be nonzero")
@@ -447,16 +463,16 @@ def threshold_bisect(direction: ScalarField, p: float,
     lam_star = 0.5 * (lo + hi)
     v0 = direction.scaled(lam_star)
     datum = None
-    if polish:
-        if snapshot is not None:
-            polished, pres = spectrum_mod.newton_polish(snapshot.field, p)
-            if pres < snapshot.residual:
-                snapshot = Candidate(polished, pres, "snapshot")
+    if polish and snapshot is not None:
+        polished, pres = spectrum_mod.newton_polish(snapshot.field, p)
+        if pres < snapshot.residual:
+            snapshot = Candidate(polished, pres, "snapshot")
+    if polish and not _is_accepted(snapshot):
         polished, pres = spectrum_mod.newton_polish(v0, p)
         if pres <= spectrum_mod.STEADY_RESIDUAL_TOL:  # inf for a zero field
             datum = Candidate(polished, pres, "datum")
     return ThresholdResult(lam_star, v0, (hi - lo) / (2.0 * lam_star),
-                           probes, blowup_sign, snapshot, datum)
+                           probes, blowup_sign, snapshot, datum, polish)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +483,7 @@ def threshold_bisect(direction: ScalarField, p: float,
 class RayScanResult:
     # v0's ray: the angle bisection's last signed ray, else the candidate's
     chosen: tuple[ThresholdResult, float] | None
-    # the accepted candidate of least residual over all rays, and its angle
+    # the first accepted candidate in scan order, and its angle
     candidate: tuple[Candidate, float] | None
     all_results: list  # (theta, ThresholdResult | error string)
 
@@ -476,17 +492,28 @@ class RayScanResult:
         return self.candidate is not None
 
 
+def _first_candidate(results: list
+                     ) -> tuple[Candidate, float, ThresholdResult] | None:
+    """(accepted candidate, angle, ray) of the first ray of ``results``
+    that has an accepted candidate, or None."""
+    return next(((c, th, r) for th, r in results
+                 if isinstance(r, ThresholdResult) and (c := r.accepted())),
+                None)
+
+
 def _ray_runner(u1: ScalarField, u2: ScalarField, p: float,
                 config: FlowConfig, results: list):
-    """(theta, polish) -> threshold result on the ray
-    cos(theta) u1 + sin(theta) u2.
+    """theta -> threshold result on the ray cos(theta) u1 + sin(theta) u2.
 
-    Every ray is appended to ``results`` as (theta, ThresholdResult or the
-    BracketError message); an unbracketable ray returns None.
+    The one polish rule of the scan: a ray is Newton-polished only while
+    no earlier ray of ``results`` has an accepted candidate.  Every ray is
+    appended to ``results`` as (theta, ThresholdResult or the BracketError
+    message); an unbracketable ray returns None.
     """
-    def run(theta: float, polish: bool) -> ThresholdResult | None:
+    def run(theta: float) -> ThresholdResult | None:
         direction = ScalarField(u1.grid, math.cos(theta) * u1.values
                                 + math.sin(theta) * u2.values)
+        polish = _first_candidate(results) is None
         try:
             res = threshold_bisect(direction, p, config, polish=polish)
         except BracketError as exc:
@@ -500,17 +527,17 @@ def refine_transition(run, results: list
                       ) -> tuple[ThresholdResult, float] | None:
     """Bisect the mixing angle on the blow-up sign, from the first flip
     between angle-adjacent signed rays of ``results`` until the bracket is
-    no wider than WIDTH_TOL rad.
+    no wider than WIDTH_TOL rad; ``run`` (`_ray_runner`) runs each ray and
+    decides whether it is polished.
 
     The sign of the blow-up nearest the threshold flips where the
     threshold family passes the sign-changing saddle.  The threshold datum
     there is the energy-consistent initial condition: it sits above the
     saddle in energy, while data on rays away from the transition may not.
-    A ray is Newton-polished only while no ray of ``results`` has a
-    converged sign-changing candidate.  An unbracketable ray or one of
-    blow-up sign 0 ends the bisection.  Returns the last signed (threshold
-    result, angle) it ran, or None, also when no two rays differ in sign
-    or their bracket is already no wider than WIDTH_TOL.
+    An unbracketable ray or one of blow-up sign 0 ends the bisection.
+    Returns the last signed (threshold result, angle) it ran, or None,
+    also when no two rays differ in sign or their bracket is already no
+    wider than WIDTH_TOL.
     """
     signed = [(th, r.blowup_sign)
               for th, r in sorted(results, key=lambda x: x[0])
@@ -523,8 +550,7 @@ def refine_transition(run, results: list
     last = None
     while hi - lo > WIDTH_TOL:
         mid = 0.5 * (lo + hi)
-        r = run(mid, polish=not any(isinstance(x, ThresholdResult)
-                                    and x.accepted() for _, x in results))
+        r = run(mid)
         if r is None or r.blowup_sign == 0:
             break
         last = (r, mid)
@@ -535,14 +561,14 @@ def refine_transition(run, results: list
 def ray_scan(u1: ScalarField, u2: ScalarField, p: float,
              ratios=None, config: FlowConfig = FlowConfig()) -> RayScanResult:
     """Threshold-bisect along cos(theta) u1 + sin(theta) u2 per ratio (the
-    fan, every ray Newton-polished), then bisect the mixing angle on the
-    blow-up sign (`refine_transition`) in the same pass.
+    fan), then bisect the mixing angle on the blow-up sign
+    (`refine_transition`) in the same pass.
 
-    The candidate is the converged sign-changing candidate of least
-    elliptic residual over all rays, a polished hovering snapshot or a
-    polished threshold datum; v0's ray is the bisection's last signed ray,
-    else the candidate's.  An empty scan is a labeled outcome, not an
-    error.
+    Rays are Newton-polished until one has an accepted candidate
+    (`_ray_runner`), and the candidate is that first accepted one in scan
+    order: a polished hovering snapshot, or else a polished threshold
+    datum.  v0's ray is the bisection's last signed ray, else the
+    candidate's.  An empty scan is a labeled outcome, not an error.
     """
     overlap = (u1.values != 0.0) & (u2.values != 0.0)
     if np.any(overlap):
@@ -553,14 +579,13 @@ def ray_scan(u1: ScalarField, u2: ScalarField, p: float,
     results: list = []
     run = _ray_runner(u1, u2, p, config, results)
     for theta in ratios:
-        run(theta, polish=True)
+        run(theta)
     chosen = refine_transition(run, results)
 
-    found = [(c, th, r) for th, r in results
-             if isinstance(r, ThresholdResult) and (c := r.accepted())]
-    if not found:
+    first = _first_candidate(results)
+    if first is None:
         return RayScanResult(chosen, None, results)
-    cand, theta, ray = min(found, key=lambda x: x[0].residual)
+    cand, theta, ray = first
     return RayScanResult(chosen or (ray, theta), (cand, theta), results)
 
 

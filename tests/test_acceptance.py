@@ -264,13 +264,18 @@ def test_criterion_09_morse_bound_on_convex_domain(pipeline_run):
 def test_candidate_provenance(pipeline_run):
     """The report names the candidate's ray, its source (a polished
     hovering snapshot or a polished threshold datum) and its residual, as
-    that ray's threshold result records them."""
+    that ray's threshold result records them.  The candidate's ray is
+    polished and every ray after it in the scan is not."""
     _, report, _ = pipeline_run
     prov = report["candidate"]
     assert set(prov) == {"theta", "source", "residual"}
-    ray = dict(report["scan"]["rays"])[prov["theta"]]
+    rays = report["scan"]["rays"]
+    ray = dict(rays)[prov["theta"]]
     slot = {"snapshot": "residual", "datum": "datum_residual"}
     assert ray[slot[prov["source"]]] == prov["residual"] <= 1e-6
+    at = [theta for theta, _ in rays].index(prov["theta"])
+    assert ray["polished"] is True
+    assert all(r["polished"] is False for _, r in rays[at + 1:])
 
 
 def test_scan_runs_on_the_rings(pipeline_run):

@@ -541,18 +541,80 @@ def fake_rays(monkeypatch):
 SIGN_CHANGING = np.array([1.0, -1.0])
 
 
-def test_accepted_is_the_converged_sign_changer_of_least_residual():
+def test_accepted_is_the_first_converged_sign_changer():
+    # the snapshot whenever it is accepted, whatever the datum's residual
     field = flow.ScalarField(object(), SIGN_CHANGING)
-    ray = _ray(field, 1, field, 1e-9, datum=field)   # a tie: the snapshot
+    ray = _ray(field, 1, field, 1e-9, datum=field)
     assert ray.accepted() is ray.snapshot
     ray.datum = flow.Candidate(field, 1e-10, "datum")
-    assert ray.accepted() is ray.datum
-    one_signed = flow.ScalarField(field.grid, np.array([1.0, 0.0]))
-    ray.datum = flow.Candidate(one_signed, 1e-12, "datum")
     assert ray.accepted() is ray.snapshot
+    one_signed = flow.ScalarField(field.grid, np.array([1.0, 0.0]))
+    ray.snapshot = flow.Candidate(one_signed, 1e-12, "snapshot")
+    assert ray.accepted() is ray.datum
     ray.snapshot = flow.Candidate(
         field, 2.0 * spectrum.STEADY_RESIDUAL_TOL, "snapshot")
+    assert ray.accepted() is ray.datum
+    ray.datum = flow.Candidate(one_signed, 1e-12, "datum")
     assert ray.accepted() is None
+
+
+class TestPolishOrder:
+    """threshold_bisect polishes the snapshot first and the threshold
+    datum only when the snapshot is not accepted; newton_polish is
+    counted."""
+
+    @staticmethod
+    def _bisect(monkeypatch, values, residuals, polish=True):
+        """A one-probe ray whose steady probe's snapshot is v0 itself at raw
+        residual 1e-3; the i-th polish keeps its field at residuals[i]."""
+        calls = []
+
+        def fake_evolve(v0, p, config, certify_decay=False):
+            return flow.Trajectory(
+                np.array([0.0]), np.array([0.0]), np.array([v0.sup]),
+                np.array([]), Classification.STEADY, v0, 1e-3,
+                best_snapshot=v0, best_residual=1e-3)
+
+        def fake_polish(u, p):
+            calls.append(u)
+            return u, residuals[len(calls) - 1]
+
+        monkeypatch.setattr(flow, "evolve", fake_evolve)
+        monkeypatch.setattr(spectrum, "newton_polish", fake_polish)
+        direction = flow.ScalarField(object(), np.array(values))
+        return flow.threshold_bisect(direction, 5.0, polish=polish), calls
+
+    def test_an_accepted_snapshot_leaves_the_datum_unpolished(
+            self, monkeypatch):
+        res, calls = self._bisect(monkeypatch, SIGN_CHANGING, [1e-12])
+        assert len(calls) == 1
+        assert res.snapshot.field is calls[0]
+        assert res.snapshot.residual == 1e-12
+        assert res.datum is None
+        assert res.accepted() is res.snapshot
+        assert res.polished and res.to_dict()["polished"] is True
+
+    def test_an_unconverged_snapshot_gets_a_datum_polish(self, monkeypatch):
+        # the snapshot's polish does not lower its residual: it is kept
+        # unconverged, and the converged datum is the accepted candidate
+        res, calls = self._bisect(monkeypatch, SIGN_CHANGING, [1.0, 1e-12])
+        assert len(calls) == 2 and calls[1] is res.v0
+        assert res.snapshot.residual == 1e-3
+        assert res.datum.field is res.v0 and res.datum.residual == 1e-12
+        assert res.accepted() is res.datum
+
+    def test_a_one_signed_snapshot_gets_a_datum_polish(self, monkeypatch):
+        res, calls = self._bisect(monkeypatch, [1.0, 0.5], [1e-12, 1e-12])
+        assert len(calls) == 2 and calls[1] is res.v0
+        assert res.snapshot.residual == res.datum.residual == 1e-12
+        assert res.accepted() is None
+
+    def test_no_polish_calls_no_newton(self, monkeypatch):
+        res, calls = self._bisect(monkeypatch, SIGN_CHANGING, [],
+                                  polish=False)
+        assert calls == [] and res.datum is None
+        assert res.snapshot.residual == 1e-3
+        assert res.to_dict()["polished"] is False
 
 
 def _final_bracket(results):
@@ -617,7 +679,9 @@ class TestAngleBisection:
         theta, res = scan.all_results[-1]
         assert scan.chosen == (res, theta)
 
-    def test_fan_candidate_leaves_the_bisection_unpolished(self, fake_rays):
+    def test_fan_candidate_leaves_the_later_rays_unpolished(self,
+                                                           fake_rays):
+        # the later fan rays and every bisection ray are unpolished
         u1, u2, probes, install = fake_rays
 
         def rule(theta):
@@ -629,10 +693,35 @@ class TestAngleBisection:
         install(rule)
         scan = flow.ray_scan(u1, u2, 8.0)
         assert [polish for _, polish in probes] == (
-            [True] * len(FAN) + [False] * N_HALVINGS)
+            [True] * 4 + [False] * (len(FAN) - 4 + N_HALVINGS))
         cand, theta = scan.candidate
         assert (theta, cand.source, cand.residual) == (FAN[3], "datum", 1e-9)
         assert cand.field.values is SIGN_CHANGING
+        _assert_at_width_tol(scan)
+
+    def test_two_candidate_rays_give_the_first(self, fake_rays):
+        # fan rays 1 and 5 have accepted candidates, the later one of less
+        # residual: the scan takes ray 1 and polishes no ray after it
+        u1, u2, probes, install = fake_rays
+        field = flow.ScalarField(u1.grid, SIGN_CHANGING)
+        residuals = {1: 1e-8, 5: 1e-10}   # by fan index
+
+        def rule(theta):
+            if _fan_index(theta) not in residuals:
+                return _angle_sign(theta)
+            return _ray(field, _angle_sign(theta), field,
+                        residuals[_fan_index(theta)])
+
+        install(rule)
+        scan = flow.ray_scan(u1, u2, 8.0)
+        assert len(probes) == len(FAN) + N_HALVINGS
+        assert [polish for _, polish in probes] == (
+            [True] * 2 + [False] * (len(FAN) - 2 + N_HALVINGS))
+        cand, theta = scan.candidate
+        assert (theta, cand.residual) == (FAN[1], 1e-8)
+        # v0's ray is still the angle bisection's last signed ray
+        theta, res = scan.all_results[-1]
+        assert scan.chosen == (res, theta)
         _assert_at_width_tol(scan)
 
     def test_blowup_sign_steers_past_a_disagreeing_candidate(self,
@@ -705,7 +794,7 @@ class TestAngleBisection:
         assert [theta for theta, _ in scan.all_results] == list(FAN)
         assert scan.chosen is None and not scan.success
 
-    def test_no_flip_chooses_the_best_candidate_ray(self, fake_rays):
+    def test_no_flip_chooses_the_first_candidate_ray(self, fake_rays):
         u1, u2, probes, install = fake_rays
         field = flow.ScalarField(u1.grid, SIGN_CHANGING)
         residuals = {1: 1e-8, 4: 1e-10}   # by fan index
@@ -718,11 +807,13 @@ class TestAngleBisection:
         install(rule)
         scan = flow.ray_scan(u1, u2, 8.0)
         assert [theta for theta, _ in scan.all_results] == list(FAN)
+        assert [polish for _, polish in probes] == (
+            [True] * 2 + [False] * (len(FAN) - 2))
         res, theta = scan.chosen
         cand, cand_theta = scan.candidate
-        assert theta == cand_theta == FAN[4]
-        assert res is dict(scan.all_results)[FAN[4]]
-        assert cand.residual == 1e-10
+        assert theta == cand_theta == FAN[1]
+        assert res is dict(scan.all_results)[FAN[1]]
+        assert cand.residual == 1e-8
 
 
 def _certificate_grid(name):
