@@ -251,7 +251,7 @@ def _build_grid(gspec: dict, domain_spec: dict):
         grid = CartesianMaskedGrid(
             domain, _read(gspec, "n", "grid n", least=4),
             extent=_read(gspec, "extent", "grid extent",
-                         default=domain.bounding_radius, **_LENGTH))
+                         default=domain.radius, **_LENGTH))
         if grid.n_nodes == 0:
             raise ConfigError(f"grid {gspec} has no node in the domain")
         return grid
@@ -547,9 +547,9 @@ def run_pipeline(args) -> int:
                 "profiles", f"the ball profile on r < {rho:.4g} or the "
                 f"annulus profile on ({rho:.4g}, 1) is zero on every node of "
                 f"the domain {domain.inner_radius:g} <= r <= "
-                f"{domain.bounding_radius:g}", ball_radius=rho,
+                f"{domain.radius:g}", ball_radius=rho,
                 annulus_radii=[rho, 1.0],
-                domain_radii=[domain.inner_radius, domain.bounding_radius])
+                domain_radii=[domain.inner_radius, domain.radius])
         u1, u2 = (energy.nehari_project(f, p)[0] for f in (f1, f2))
         pE1, pE2 = (p * energy.field_energy(u, p).energy for u in (u1, u2))
         report["component_pE"] = {"ball": pE1, "annulus": pE2,

@@ -40,12 +40,11 @@ class EnergyReport:
     lp1_norm_pow: float
     energy: float
     scaled_energy: float
-    exponent_p: float
 
     @staticmethod
     def from_norms(grad_sq: float, lp1_pow: float, p: float) -> "EnergyReport":
         e = 0.5 * grad_sq - lp1_pow / (p + 1.0)
-        return EnergyReport(grad_sq, lp1_pow, e, p * e, p)
+        return EnergyReport(grad_sq, lp1_pow, e, p * e)
 
     @property
     def nehari_residual(self) -> float:
@@ -53,9 +52,6 @@ class EnergyReport:
         if self.grad_norm_sq == 0.0:
             return 0.0
         return abs(self.grad_norm_sq - self.lp1_norm_pow) / self.grad_norm_sq
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -235,9 +231,6 @@ class UpperBoundReport:
     p_energy_ball: float
     total: float
     bound: float
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def upper_bound_report(choice) -> UpperBoundReport:

@@ -6,9 +6,10 @@ of a config ``domain`` section: a disk, an annulus or a squircle, given by
 its radii and power.  ``check_admissible`` decides the hypothesis on a
 (group, domain) pair exactly, from the group's order and axes and the
 domain's shape: every x != 0 has at least 4 images and the domain is
-G-invariant.  Grids come in two flavours, a polar finite-volume
-grid on disks/annuli and a masked cartesian grid on any of the domains.
-Both expose the same surface: node coordinates, cell weights, a symmetric
+G-invariant; ``convex_in_direction`` decides directional convexity as
+exactly.  Grids come in two flavours, a polar finite-volume grid on
+disks/annuli and a masked cartesian grid on any of the domains.  Both
+expose the same surface: node coordinates, cell weights, a symmetric
 stiffness matrix (discrete Dirichlet form), adjacency for flood fill,
 ``grid.symmetry_group`` (the largest group the grid realizes) and, when
 the discretization conforms to the group, exact node permutations for
@@ -49,8 +50,10 @@ from .energy import FLOAT_RANGE
 # squircle's symmetry axes.
 STEP_TOL = 1e-9
 # Perron pair: inverse iteration stops once the Collatz-Wielandt bracket
-# [min, max] of (K psi)_i / (w_i psi_i) is this narrow (relative), or after
-# PERRON_MAX_ITER solves; mu is the bracket's lower end shrunk by
+# [min, max] of (K psi)_i / (w_i psi_i) is this narrow (relative), once it
+# is no narrower than the bracket before (its roundoff floor, above this on
+# full polar grids with n_theta = 64 and their C4 orbit grids), or after
+# PERRON_MAX_ITER solves; mu is the last bracket's lower end shrunk by
 # PERRON_SAFETY, which absorbs the roundoff of K psi.
 PERRON_BRACKET_TOL = 1e-9
 PERRON_MAX_ITER = 500
@@ -154,13 +157,8 @@ class DomainSpec:
         return DomainSpec("annulus", b_out, inner_radius=a_in)
 
     @property
-    def bounding_radius(self) -> float:
-        """Radius of the disk about the origin that holds the domain."""
-        return self.radius
-
-    @property
     def contains_origin(self) -> bool:
-        return bool(self.inside(np.zeros((1, 2)))[0])
+        return self.shape != "annulus"
 
     def inside(self, pts: np.ndarray) -> np.ndarray:
         """Boolean array: is each point strictly inside the domain."""
@@ -200,6 +198,22 @@ def check_admissible(G: SymmetryGroup, domain: DomainSpec) -> bool:
     steps = G.axis_angle / (math.pi / 4.0)
     return G.order_h == 4 and (G.kind == "cyclic"
                                or abs(steps - round(steps)) <= STEP_TOL)
+
+
+def convex_in_direction(domain: DomainSpec, direction_angle: float) -> bool:
+    """True iff every line along ``direction_angle`` meets the domain in
+    one interval, if at all.  Disks and squircles of power q >= 1 (q-norm
+    balls) are convex; an annulus is convex along no direction (the line
+    through the centre crosses the hole).  A squircle with q < 1 is convex
+    only along its axes, at multiples of pi/2 (to STEP_TOL): each quadrant's
+    boundary is a strictly convex arc from cusp to cusp, so for any other
+    slope a secant crosses the arc twice and leaves the domain between."""
+    if domain.shape == "annulus":
+        return False
+    if domain.shape == "disk" or domain.power >= 1.0:
+        return True
+    steps = direction_angle / (math.pi / 2.0)
+    return abs(steps - round(steps)) <= STEP_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +275,15 @@ def _perron_pair(stiffness: sp.csr_matrix,
         return None
     lu = splu(stiffness.tocsc())
     psi = np.ones(stiffness.shape[0])
+    width = math.inf
     for _ in range(PERRON_MAX_ITER):
         psi = lu.solve(weights * psi)
         psi /= np.max(psi)
         ratio = (stiffness @ psi) / (weights * psi)
         lo, hi = float(np.min(ratio)), float(np.max(ratio))
-        if hi - lo <= PERRON_BRACKET_TOL * lo:
+        if hi - lo <= PERRON_BRACKET_TOL * lo or hi - lo >= width:
             break
+        width = hi - lo
     if not (lo > 0.0 and np.all(psi > 0.0)):
         return None
     return PerronPair(psi, (1.0 - PERRON_SAFETY) * lo)
@@ -561,8 +577,7 @@ class CartesianMaskedGrid(_GridBase):
         super().__init__()
         self.domain = domain
         self.n = n
-        self.extent = float(extent if extent is not None
-                            else domain.bounding_radius)
+        self.extent = float(extent if extent is not None else domain.radius)
         self.h = 2.0 * self.extent / n
 
         coords = (np.arange(n) + 0.5) * self.h - self.extent

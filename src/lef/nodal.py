@@ -37,7 +37,6 @@ class NodalDecomposition:
     zero band or the grid has none.  Both arrays are read-only.
     """
 
-    tau: float
     labels: np.ndarray
     signs: np.ndarray
     boundary_contact: bool
@@ -98,8 +97,7 @@ def decompose(v) -> NodalDecomposition:
         if held.size == 1 and held[0] > 0:
             origin = int(held[0])
     labels.flags.writeable = signs.flags.writeable = False
-    return NodalDecomposition(float(tau), labels, signs, bool(contact),
-                              origin)
+    return NodalDecomposition(labels, signs, bool(contact), origin)
 
 
 def per_domain_energy(v, decomp: NodalDecomposition,

@@ -56,7 +56,6 @@ STEADY_RESIDUAL_TOL = 1e-6
 HALF_DOMAIN_AXIS = math.pi / 2.0  # the x2-axis: the half domain is x1 < 0
 ODD_EXTENSION_RESIDUAL_TOL = 1e-6  # eigen-residual of the half-domain mode
 NEWTON_TOL = 1e-10  # newton_polish stops once the residual is below this
-CONVEXITY_CHORDS, CONVEXITY_POINTS = 64, 256  # chords, points per chord
 
 
 class EigenSolveError(RuntimeError):
@@ -232,11 +231,13 @@ def elliptic_residual(u, p: float) -> float:
 
 def _ring_constant(u) -> bool:
     """u is on a polar grid and constant on each of its rings bit for bit
-    (``symmetry_defect`` exactly 0 under ``grid.symmetry_group``): the
-    fields whose spectrum the blocks T_j give."""
+    (``symmetry_defect`` exactly 0 under ``grid.symmetry_group``, whose
+    orbits are the rings): the fields whose spectrum the blocks T_j give."""
     grid = u.grid
-    return isinstance(grid, PolarGrid) and grid.symmetry_defect(
-        u.values, grid.symmetry_group) == 0
+    if not isinstance(grid, PolarGrid):
+        return False
+    rings = u.values.reshape(grid.n_r, grid.n_theta)
+    return bool(np.all(np.abs(rings - rings[:, :1]) == 0))
 
 
 def ring_blocks(u, p: float):
@@ -498,22 +499,6 @@ def half_domain_mu(u, p: float):
             f"{ODD_EXTENSION_RESIDUAL_TOL}")
     return mu, {"mu": mu, "odd_extension_residual": odd_residual,
                 "axis_angle": axis_angle}
-
-
-def convex_in_direction(domain, direction_angle: float) -> bool:
-    """Sample CONVEXITY_CHORDS chords along ``direction_angle`` at
-    CONVEXITY_POINTS points each: inside-points form one run."""
-    d = np.array([math.cos(direction_angle), math.sin(direction_angle)])
-    n = np.array([-d[1], d[0]])
-    R = domain.bounding_radius
-    for off in np.linspace(-R, R, CONVEXITY_CHORDS):
-        ts = np.linspace(-R, R, CONVEXITY_POINTS)
-        pts = off * n[None, :] + ts[:, None] * d[None, :]
-        ins = domain.inside(pts)
-        runs = np.count_nonzero(np.diff(ins.astype(int)) == 1)
-        if runs > 1:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

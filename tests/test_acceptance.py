@@ -231,8 +231,8 @@ def test_criterion_09_morse_bound_on_convex_domain(pipeline_run):
     _, _, candidate = pipeline_run
     p = 8.0
     dom = geometry.squircle_mask(1.0, 4.0)
-    assert spectrum.convex_in_direction(dom, 0.0)
-    assert spectrum.convex_in_direction(dom, math.pi / 2)
+    assert geometry.convex_in_direction(dom, 0.0)
+    assert geometry.convex_in_direction(dom, math.pi / 2)
 
     # continue the disk state onto the squircle: radial ring means feed a
     # monotone interpolant, then Newton converges on the new domain

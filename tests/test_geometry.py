@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from lef import cli, flow
+from lef import cli, flow, geometry
 from lef.geometry import (CartesianMaskedGrid, DomainSpec, GridSymmetryError,
-                          PolarGrid, SymmetryGroup, check_admissible, cyclic,
-                          dihedral, squircle_mask)
+                          PolarGrid, SymmetryGroup, check_admissible,
+                          convex_in_direction, cyclic, dihedral,
+                          squircle_mask)
 
 
 class TestGroups:
@@ -64,7 +65,7 @@ def _sampled_admissible(G, domain, seed):
     |Gx| >= 4."""
     if G.order_h < 4:
         return False
-    R = domain.bounding_radius
+    R = domain.radius
     pts = np.random.default_rng(seed).uniform(-R, R, size=(512, 2))
     inside = domain.inside(pts)
     if any(np.any(domain.inside(pts @ m.T) != inside)
@@ -169,6 +170,126 @@ class TestAdmissibility:
 
     def test_annulus_accepted(self):
         assert check_admissible(cyclic(4), DomainSpec.annulus(0.3, 1.0)) is True
+
+
+def _runs(domain, point, direction, reach, n=4001):
+    """The number of runs of inside points among n points of the line
+    point + t direction, |t| <= reach."""
+    t = np.linspace(-reach, reach, n)
+    inside = domain.inside(point + t[:, None] * direction).astype(int)
+    return int(inside[0] + np.count_nonzero(np.diff(inside) == 1))
+
+
+def _direction(angle):
+    return np.array([math.cos(angle), math.sin(angle)])
+
+
+def _lines_meet_in_one_run(domain, angle, n_lines=101):
+    """Whether each of n_lines lines along ``angle``, spread across the
+    disk of radius sqrt(2) R that holds the domain, meets it in at most one
+    run of its sampled points: the check of a convex verdict."""
+    d = _direction(angle)
+    normal = np.array([-d[1], d[0]])
+    reach = math.sqrt(2.0) * domain.radius
+    return all(_runs(domain, off * normal, d, reach) <= 1
+               for off in np.linspace(-reach, reach, n_lines))
+
+
+def _annulus_witness(domain, angle):
+    """Three points in order on the line through the centre along
+    ``angle``: inside, in the hole, inside."""
+    mid = 0.5 * (domain.inner_radius + domain.radius)
+    return np.outer([-mid, 0.0, mid], _direction(angle))
+
+
+def _squircle_secant(domain, angle, gap=0.01):
+    """(point, direction) of a line along ``angle`` that crosses a squircle
+    of power q < 1 twice: the tangent of that slope to the boundary arc of
+    the quadrant whose tangents have that slope's sign, at (x0, y0), moved
+    ``gap * min(x0, y0)`` out along the arc's normal (the arc narrows
+    toward its cusps).  The point is just outside, and the arc rises above
+    the line on both sides of it."""
+    q, R = domain.power, domain.radius
+    d = _direction(angle)
+    flip = np.array([1.0 if d[0] * d[1] < 0.0 else -1.0, 1.0])
+    dx, dy = d * flip   # in the first quadrant the slope dy/dx is negative
+    # on x^q + y^q = R^q the slope is -(x/y)^(q-1)
+    k = (-dy / dx) ** (1.0 / (q - 1.0))
+    y0 = R * (1.0 + k ** q) ** (-1.0 / q)
+    x0 = k * y0
+    normal = np.array([x0 ** (q - 1.0), y0 ** (q - 1.0)])
+    point = np.array([x0, y0]) + (gap * min(x0, y0) * normal
+                                  / np.linalg.norm(normal))
+    return point * flip, d
+
+
+ALL_ANGLES = (0.0, 0.3, math.pi / 4, 1.0, math.pi / 2, 2.0, 3 * math.pi / 4,
+              math.pi, -0.3, 5.0)
+AXIS_ANGLES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2, -math.pi / 2,
+               2 * math.pi, 1e-12, math.pi / 2 - 1e-12)
+CONVEX_CASES = (
+    [(f"disk-{a:g}", DomainSpec.disk(1.0), a) for a in ALL_ANGLES]
+    + [(f"squircle-q{q:g}-{a:g}", squircle_mask(R, q), a)
+       for R, q in [(1.0, 1.0), (1.0, 1.5), (1.0, 4.0), (0.8, 6.0),
+                    (2.0, 3.0)] for a in ALL_ANGLES]
+    + [(f"squircle-q{q:g}-axis-{a:g}", squircle_mask(1.0, q), a)
+       for q in (0.5, 0.8) for a in AXIS_ANGLES])
+ANNULUS_CASES = [(f"annulus-{a:g}-{angle:g}", DomainSpec.annulus(a, 1.0), angle)
+                 for a in (0.3, 0.01, 0.005) for angle in ALL_ANGLES]
+# near q = 1 the arc is nearly straight and, away from the diagonals, its
+# tangent points lie too near a cusp for a sampled line to resolve
+SECANT_CASES = [(f"squircle-q{q:g}-R{R:g}-{a:g}", squircle_mask(R, q), a)
+                for R, q in [(1.0, 0.8), (1.0, 0.5), (2.0, 0.8)]
+                for a in (0.3, math.pi / 4, 1.0, 2.0, 3 * math.pi / 4, -0.3,
+                          5.0)] + [
+    (f"squircle-q0.95-{a:g}", squircle_mask(1.0, 0.95), a)
+    for a in (math.pi / 4, 3 * math.pi / 4)]
+
+
+class TestConvexity:
+    """``convex_in_direction`` is exact: a convex verdict is checked by
+    many lines that each meet the domain in one run, a non-convex one by
+    one explicit line that meets it in two."""
+
+    @pytest.mark.parametrize("domain,angle", [c[1:] for c in CONVEX_CASES],
+                             ids=[c[0] for c in CONVEX_CASES])
+    def test_convex_verdict_every_line_meets_one_run(self, domain, angle):
+        assert convex_in_direction(domain, angle) is True
+        assert _lines_meet_in_one_run(domain, angle)
+
+    @pytest.mark.parametrize("domain,angle", [c[1:] for c in ANNULUS_CASES],
+                             ids=[c[0] for c in ANNULUS_CASES])
+    def test_annulus_line_through_the_centre_crosses_the_hole(self, domain,
+                                                              angle):
+        assert convex_in_direction(domain, angle) is False
+        pts = _annulus_witness(domain, angle)
+        assert domain.inside(pts).tolist() == [True, False, True]
+
+    @pytest.mark.parametrize("domain,angle", [c[1:] for c in SECANT_CASES],
+                             ids=[c[0] for c in SECANT_CASES])
+    def test_squircle_below_power_1_secant_meets_two_runs(self, domain,
+                                                          angle):
+        assert convex_in_direction(domain, angle) is False
+        point, d = _squircle_secant(domain, angle)
+        assert not domain.inside(point)[0]
+        t = np.linspace(0.0, 2.0 * domain.radius, 100_001)[1:]
+        for side in (-1.0, 1.0):   # inside on both sides: two runs
+            assert np.any(domain.inside(point + side * t[:, None] * d))
+
+    def test_disk_and_squircle_convex(self):
+        assert convex_in_direction(DomainSpec.disk(1.0), 0.3) is True
+        assert convex_in_direction(squircle_mask(1.0, 4.0), 0.0) is True
+
+    def test_annulus_not_convex(self):
+        assert convex_in_direction(DomainSpec.annulus(0.3, 1.0), 0.0) is False
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_power_squircle_within_the_float_range(self):
+        # the diagonal lines reach |x| = 1.41, where |x|^1e4 passes the
+        # float range: inf < 1 is outside, with no numpy warning
+        domain = squircle_mask(1.0, 1e4)
+        assert convex_in_direction(domain, math.pi / 4) is True
+        assert _lines_meet_in_one_run(domain, math.pi / 4)
 
 
 class TestPolarGrid:
@@ -485,3 +606,67 @@ class TestSymmetryGroup:
         assert orbits.n_nodes == g.n_r
         assert np.array_equal(orbits.orbit_id,
                               np.repeat(np.arange(g.n_r), g.n_theta))
+
+
+# ---------------------------------------------------------------------------
+# the Perron pair's inverse iteration
+# ---------------------------------------------------------------------------
+
+class _CountedFactor:
+    """A factor that counts its solves."""
+
+    def __init__(self, factor):
+        self.factor, self.solves = factor, 0
+
+    def solve(self, rhs):
+        self.solves += 1
+        return self.factor.solve(rhs)
+
+
+def _perron_solves(grid, monkeypatch):
+    """The number of solves ``grid.perron`` makes with the factor of K
+    that geometry builds for it."""
+    factors = []
+    splu = geometry.splu
+
+    def counted(*args, **kwargs):
+        factors.append(_CountedFactor(splu(*args, **kwargs)))
+        return factors[-1]
+
+    monkeypatch.setattr(geometry, "splu", counted)
+    assert grid.perron is not None
+    assert len(factors) == 1
+    return factors[0].solves
+
+
+def _rings(n_r, n_theta):
+    g = PolarGrid(n_r, n_theta)
+    return g.quotient(g.symmetry_group)
+
+
+PERRON_EXACT = {
+    "rings-96x32": (lambda: _rings(96, 32), 14),
+    "squircle-d4-64": (lambda: CartesianMaskedGrid(squircle_mask(), 64)
+                       .quotient(dihedral(4)), 15),
+}
+PERRON_STALLED = {
+    f"{kind}-{n_r}x64": (lambda n_r=n_r, kind=kind: PolarGrid(n_r, 64)
+                         if kind == "full"
+                         else PolarGrid(n_r, 64).quotient(cyclic(4)))
+    for kind in ("full", "c4") for n_r in (128, 192, 256)}
+
+
+class TestPerronSolves:
+    """The inverse iteration stops at its bracket tolerance, or at the
+    roundoff floor of the Collatz-Wielandt ratio, which on full polar grids
+    with n_theta = 64 and their C4 orbit grids lies above that tolerance."""
+
+    @pytest.mark.parametrize("name", PERRON_EXACT)
+    def test_benchmark_grids_reach_the_tolerance(self, name, monkeypatch):
+        build, solves = PERRON_EXACT[name]
+        assert _perron_solves(build(), monkeypatch) == solves
+
+    @pytest.mark.parametrize("name", PERRON_STALLED)
+    def test_stalled_bracket_ends_the_iteration(self, name, monkeypatch):
+        assert (_perron_solves(PERRON_STALLED[name](), monkeypatch)
+                < geometry.PERRON_MAX_ITER)

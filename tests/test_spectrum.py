@@ -356,25 +356,6 @@ class TestHalfDomainAgainstTheCutSubmatrix:
             spectrum.half_domain_mu(u, 5.0)
 
 
-class TestConvexity:
-    def test_disk_and_squircle_convex(self):
-        assert spectrum.convex_in_direction(
-            geometry.DomainSpec.disk(1.0), 0.3) is True
-        assert spectrum.convex_in_direction(
-            geometry.squircle_mask(1.0, 4.0), 0.0) is True
-
-    def test_annulus_not_convex(self):
-        assert spectrum.convex_in_direction(
-            geometry.DomainSpec.annulus(0.3, 1.0), 0.0) is False
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_large_power_squircle_within_the_float_range(self):
-        # the diagonal chords reach |x| = 1.41, where |x|^1e4 passes the
-        # float range: inf < 1 is outside, with no numpy warning
-        assert spectrum.convex_in_direction(
-            geometry.squircle_mask(1.0, 1e4), math.pi / 4) is True
-
-
 def _fresh_jacobian_polish(u, p, tol=1e-10, max_iter=40):
     """Newton polish that assembles K - W diag(p |v|^{p-1}) and lets SuperLU
     order it afresh on every iteration: the oracle of ``newton_polish``."""
@@ -547,6 +528,54 @@ def _assert_same_record(block, general):
                           general.symmetric_eigenvalues)):
         assert len(mine) == len(theirs)
         np.testing.assert_allclose(mine, theirs, rtol=1e-8, atol=0.0)
+
+
+def _ring_fields():
+    """(name, field) pairs on which the ring test and the symmetry defect
+    must agree: ring-constant fields, fields off by one node or one bit,
+    signed zeros and non-finite values, and fields on grids with no
+    rings."""
+    g = geometry.PolarGrid(12, 8)
+    rings = np.repeat(np.linspace(1.0, 0.0, 12), 8)
+    fields = {"ring-constant": rings, "zero": np.zeros(g.n_nodes)}
+    one_node = rings.copy()
+    one_node[8 * 5 + 3] += 1e-3
+    fields["one node off"] = one_node
+    one_bit = rings.copy()
+    one_bit[8 * 2 + 7] = np.nextafter(one_bit[8 * 2 + 7], 2.0)
+    fields["one bit off"] = one_bit
+    signed_zero = np.zeros(g.n_nodes)
+    signed_zero[::2] = -0.0
+    fields["signed zeros"] = signed_zero
+    for value in (np.nan, np.inf, -np.inf):
+        whole = rings.copy()
+        whole[8:16] = value
+        fields[f"ring of {value}"] = whole
+        single = rings.copy()
+        single[20] = value
+        fields[f"one {value}"] = single
+    out = [(name, flow.ScalarField(g, v)) for name, v in fields.items()]
+    cart = geometry.CartesianMaskedGrid(geometry.squircle_mask(), 16)
+    out.append(("cartesian", flow.ScalarField(cart, np.ones(cart.n_nodes))))
+    orbits = g.quotient(geometry.cyclic(4))
+    out.append(("orbit grid", flow.ScalarField(orbits,
+                                               np.ones(orbits.n_nodes))))
+    return out
+
+
+@pytest.mark.parametrize("name,u", _ring_fields(),
+                         ids=[name for name, _ in _ring_fields()])
+def test_ring_constant_is_a_zero_symmetry_defect(name, u):
+    """``_ring_constant`` reads the rings, the orbits of
+    ``grid.symmetry_group``: the verdict of a zero symmetry defect under
+    that group, non-finite values included."""
+    grid = u.grid
+    with np.errstate(invalid="ignore"):
+        expected = (isinstance(grid, geometry.PolarGrid)
+                    and grid.symmetry_defect(u.values,
+                                             grid.symmetry_group) == 0)
+        assert spectrum._ring_constant(u) is expected
+    assert expected is (name in ("ring-constant", "zero", "signed zeros"))
 
 
 class TestBlockRoute:
