@@ -23,14 +23,12 @@ surface in orbit coordinates, on which the G-invariant fields live with
 one unknown per orbit.
 
 All objects here are immutable after construction, apart from the caches
-a grid fills on demand: group permutations, orbit grids, K's columns in
-the column order of its SuperLU factor ``grid.ordered_stiffness`` (the
-pattern Newton's Jacobians are written into), K's band in node order
-``grid.stiffness_band`` when K is tridiagonal there (the ring grid of a
-polar grid) and on a cartesian grid and its orbit grids (row-major node
-numbering makes K a band of half-bandwidth at most n there), the Perron
-pair ``grid.perron`` and the step factorizations that the flow
-module stores in ``step_factors``.
+a grid fills on demand: group permutations, orbit grids, K's band in
+node order ``grid.stiffness_band`` when K is tridiagonal there (the ring
+grid of a polar grid) and on a cartesian grid and its orbit grids
+(row-major node numbering makes K a band of half-bandwidth at most n
+there), the Perron pair ``grid.perron`` and the step factorizations that
+the flow module stores in ``step_factors``.
 """
 
 from __future__ import annotations
@@ -231,23 +229,6 @@ class PerronPair:
 
 
 @dataclass(frozen=True)
-class OrderedStiffness:
-    """K in csc form with its columns in the column order of K's SuperLU
-    factor: column j is K's column ``order[j]``, and ``diagonal[j]`` is the
-    index in ``matrix.data`` of K's diagonal entry in that column.
-
-    The COLAMD ordering reads only the sparsity pattern, so this order is
-    also the one SuperLU picks for every K - diag(d) with K's pattern; a
-    matrix written into a copy of ``matrix`` can be factored in its natural
-    column order with the same result.
-    """
-
-    matrix: sp.csc_matrix
-    order: np.ndarray
-    diagonal: np.ndarray
-
-
-@dataclass(frozen=True)
 class StiffnessBand:
     """K as a symmetric band of half-bandwidth ``kd`` in node order, its
     upper band in LAPACK ``ab`` storage: ``ab[kd + i - j, j] = K[i, j]``
@@ -329,9 +310,10 @@ class _GridBase:
     domain: DomainSpec
     #: whether K's band in node order (``stiffness_band``) is kept at any
     #: half-bandwidth, not only a tridiagonal one: cartesian grids and their
-    #: orbit grids.  Full polar grids keep SuperLU for the step, whose
-    #: step-solve spans the benchmark harness's own tests pin on polar
-    #: grids (perfbench/test_harness.py)
+    #: orbit grids, which also factor Newton's Jacobians on it.  Full polar
+    #: grids keep SuperLU for the step, whose step-solve spans the benchmark
+    #: harness's own tests pin on polar grids (perfbench/test_harness.py),
+    #: and every polar grid, the ring grid too, keeps it for Newton
     band_in_node_order = False
 
     def __init__(self):
@@ -365,19 +347,6 @@ class _GridBase:
 
     def weighted_norm(self, v: np.ndarray) -> float:
         return math.sqrt(float(self.weights @ (v * v)))
-
-    @cached_property
-    def ordered_stiffness(self) -> OrderedStiffness:
-        """K's csc columns in the column order of K's SuperLU factor in
-        SuperLU's default (COLAMD) ordering (cached): the pattern and order
-        of every K - diag(d).  Only the order is kept, not the factor,
-        whose memory pool would outweigh it."""
-        stiffness = self.stiffness.tocsc()
-        order = np.argsort(splu(stiffness).perm_c)
-        matrix = stiffness[:, order]
-        column = np.repeat(np.arange(order.size), np.diff(matrix.indptr))
-        diagonal = np.flatnonzero(matrix.indices == order[column])
-        return OrderedStiffness(matrix, order, diagonal)
 
     @cached_property
     def _stiffness_kd(self) -> int:

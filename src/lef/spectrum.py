@@ -505,6 +505,39 @@ def half_domain_mu(u, p: float):
 # Newton polishing of steady states
 # ---------------------------------------------------------------------------
 
+def _jacobian_solver(grid):
+    """solve(d, f): the solution x of J x = f, J being K with diagonal d.
+
+    On a grid with ``band_in_node_order`` J is K's band, factored by LAPACK
+    band LU (``dgbtrf``/``dgbtrs``, kl = ku = kd); on any other grid it is
+    a csc copy of K's pattern, factored by SuperLU, whose COLAMD ordering
+    reads only the pattern.  A zero pivot raises RuntimeError.
+    """
+    if not grid.band_in_node_order:
+        J = grid.stiffness.tocsc(copy=True)
+
+        def solve(d, f):
+            J.setdiag(d)  # in place: every diagonal entry is in K's pattern
+            return spla.splu(J).solve(f)
+        return solve
+
+    band = grid.stiffness_band
+    kd = band.kd
+    # LAPACK general band rows: the LU's fill, K's upper band, its mirror
+    ab = np.zeros((3 * kd + 1, grid.n_nodes))
+    ab[kd:2 * kd + 1] = band.ab
+    for k in range(1, kd + 1):
+        ab[2 * kd + k, :-k] = band.ab[kd - k, k:]
+
+    def solve(d, f):
+        ab[2 * kd] = d
+        lu, piv, info = lapack.dgbtrf(ab, kd, kd)
+        if info > 0:
+            raise RuntimeError(f"dgbtrf info {info}: zero pivot")
+        return lapack.dgbtrs(lu, kd, kd, f, piv)[0]
+    return solve
+
+
 @np.errstate(**FLOAT_RANGE)
 def newton_polish(u, p: float, max_iter: int = 40):
     """Newton iteration on K v - W |v|^{p-1} v = 0 with damping, under
@@ -512,21 +545,17 @@ def newton_polish(u, p: float, max_iter: int = 40):
     ``max_iter`` iterations.
 
     Returns (polished field, residual).  The iteration stops early and
-    returns the best iterate if it stalls; callers should check the
-    residual, which is inf for a field past the float range.
-
-    Each Jacobian K - W diag(p |v|^{p-1}) is written into the grid's cached
-    copy of K's pattern, whose columns are already in the order SuperLU
-    picks for K (``grid.ordered_stiffness``), and factored in that natural
-    order: no pattern is rebuilt and no ordering rerun per iteration.
+    returns the best iterate if it stalls or its Jacobian has a zero
+    pivot; callers should check the residual, which is inf for a field
+    past the float range.  Each Jacobian K - W diag(p |v|^{p-1}) is K with
+    a new diagonal, factored on the grid's own structure
+    (``_jacobian_solver``): band LU on cartesian grids and their orbit
+    grids, SuperLU in K's pattern elsewhere.
     """
     grid = u.grid
     K, w = grid.stiffness, grid.weights
-    ordered = grid.ordered_stiffness
-    order, diagonal = ordered.order, ordered.diagonal
-    J = ordered.matrix.copy()
-    k_diagonal = J.data[diagonal]
-    w_ordered = w[order]
+    k_diagonal = K.diagonal()
+    solve = _jacobian_solver(grid)
     v = u.values.copy()
 
     def evaluate(x):
@@ -539,11 +568,8 @@ def newton_polish(u, p: float, max_iter: int = 40):
     fv, cur = evaluate(v)
     best_v, best_res = v.copy(), cur
     for _ in range(max_iter):
-        J.data[diagonal] = k_diagonal - (w_ordered * p
-                                         * np.abs(v[order]) ** (p - 1.0))
-        dv = np.empty_like(v)
         try:
-            dv[order] = spla.splu(J, permc_spec="NATURAL").solve(fv)
+            dv = solve(k_diagonal - w * p * np.abs(v) ** (p - 1.0), fv)
         except RuntimeError:
             break
         step = 1.0

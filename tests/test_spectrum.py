@@ -216,12 +216,19 @@ class TestNewtonPolish:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e40, 1e300])
+    @pytest.mark.parametrize("grid", ["polar", "orbit-d4"])
     def test_field_past_the_float_range_is_returned_with_residual_inf(
-            self, scale):
+            self, grid, scale):
         # |u|^7 u passes the float range at 1e40, the norm of u at 1e300:
-        # no Newton step is taken and the residual is inf, never nan
-        g = geometry.PolarGrid(16, 8)
-        u = flow.field_from_radial(g, radial.solve_ball(8.0)).scaled(scale)
+        # no Newton step is taken and the residual is inf, never nan, on
+        # the SuperLU route (polar) and the band route (orbit-d4) alike
+        g = {"polar": lambda: geometry.PolarGrid(16, 8),
+             "orbit-d4": lambda: geometry.CartesianMaskedGrid(
+                 geometry.squircle_mask(), 16).quotient(
+                     geometry.dihedral(4))}[grid]()
+        full = getattr(g, "parent", g)
+        u = flow.field_from_radial(full, radial.solve_ball(8.0)).on(
+            g).scaled(scale)
         out, res = spectrum.newton_polish(u, 8.0)
         assert res == math.inf
         assert np.array_equal(out.values, u.values)
@@ -356,9 +363,26 @@ class TestHalfDomainAgainstTheCutSubmatrix:
             spectrum.half_domain_mu(u, 5.0)
 
 
-def _fresh_jacobian_polish(u, p, tol=1e-10, max_iter=40):
-    """Newton polish that assembles K - W diag(p |v|^{p-1}) and lets SuperLU
-    order it afresh on every iteration: the oracle of ``newton_polish``."""
+def _superlu_solve(J, f):
+    """SuperLU with its default ordering, chosen afresh for J."""
+    return spla.splu(J.tocsc()).solve(f)
+
+
+def _banded_solve(J, f):
+    """scipy's ``solve_banded`` (LAPACK ``gbsv``: ``dgbtrf`` then
+    ``dgbtrs``) on J's band, read from its diagonals."""
+    kd = int(np.max(np.abs(np.subtract(*J.nonzero()))))
+    ab = np.zeros((2 * kd + 1, J.shape[0]))
+    for k in range(-kd, kd + 1):
+        ab[kd - k, max(k, 0):J.shape[0] + min(k, 0)] = J.diagonal(k)
+    return scipy.linalg.solve_banded((kd, kd), ab, f)
+
+
+def _fresh_jacobian_polish(u, p, solve=_superlu_solve, tol=1e-10,
+                          max_iter=40):
+    """Newton polish that assembles K - W diag(p |v|^{p-1}) and factors it
+    afresh by ``solve`` on every iteration: the oracle of
+    ``newton_polish``."""
     grid = u.grid
     K, w = grid.stiffness, grid.weights
     v = u.values.copy()
@@ -373,10 +397,10 @@ def _fresh_jacobian_polish(u, p, tol=1e-10, max_iter=40):
 
     best_v, best_res = v.copy(), res_of(v)
     for _ in range(max_iter):
-        J = (K - sp.diags(w * p * np.abs(v) ** (p - 1.0))).tocsc()
+        J = K - sp.diags(w * p * np.abs(v) ** (p - 1.0))
         try:
-            dv = spla.splu(J).solve(F(v))
-        except RuntimeError:
+            dv = solve(J, F(v))
+        except (RuntimeError, np.linalg.LinAlgError):
             break
         step = 1.0
         cur = res_of(v)
@@ -417,39 +441,56 @@ def _jacobian_case(name):
 
 JACOBIAN_GRIDS = ["polar", "annulus-polar", "cartesian", "orbit-c4",
                   "orbit-d4"]
+# the grids with band_in_node_order: cartesian grids and their orbit grids
+BAND_GRIDS = ["cartesian", "orbit-d4"]
+SUPERLU_GRIDS = [name for name in JACOBIAN_GRIDS if name not in BAND_GRIDS]
 
 
-class TestJacobianInCachedPattern:
-    @pytest.mark.parametrize("name", JACOBIAN_GRIDS)
-    def test_factor_and_solve_equal_a_fresh_factorization(self, name):
+class TestJacobianRoutes:
+    @pytest.mark.parametrize("name", SUPERLU_GRIDS)
+    def test_superlu_polish_equals_the_fresh_factorization_loop(self, name):
+        # COLAMD reads only the pattern, so K's csc copy with a new
+        # diagonal factors exactly as the Jacobian assembled afresh
         grid, u = _jacobian_case(name)
-        rng = np.random.default_rng(7)
-        d = grid.weights * 5.0 * np.abs(
-            u.values * (1.0 + 0.1 * rng.standard_normal(grid.n_nodes))) ** 4
-        J = (grid.stiffness - sp.diags(d)).tocsc()
-        ordered = grid.ordered_stiffness
-        # COLAMD reads only the pattern: K's column order is J's
-        assert np.array_equal(spla.splu(grid.stiffness.tocsc()).perm_c,
-                              spla.splu(J).perm_c)
-        written = ordered.matrix.copy()
-        written.data[ordered.diagonal] -= d[ordered.order]
-        assert (written != J[:, ordered.order]).nnz == 0
-        F = rng.standard_normal(grid.n_nodes)
-        x = np.empty(grid.n_nodes)
-        x[ordered.order] = spla.splu(written, permc_spec="NATURAL").solve(F)
-        assert np.array_equal(x, spla.splu(J).solve(F))
-
-    @pytest.mark.parametrize("name", JACOBIAN_GRIDS)
-    def test_polish_equals_the_fresh_factorization_loop(self, name):
-        grid, u = _jacobian_case(name)
+        assert not grid.band_in_node_order
         polished, res = spectrum.newton_polish(u, 5.0)
         values, oracle_res = _fresh_jacobian_polish(u, 5.0)
         assert res == oracle_res
         assert np.array_equal(polished.values, values)
 
-    def test_pattern_is_cached_per_grid(self):
-        grid, _ = _jacobian_case("orbit-c4")
-        assert grid.ordered_stiffness is grid.ordered_stiffness
+    @pytest.mark.parametrize("name", BAND_GRIDS)
+    def test_band_polish_equals_the_solve_banded_loop(self, name):
+        grid, u = _jacobian_case(name)
+        assert grid.band_in_node_order and grid.stiffness_band.kd > 1
+        polished, res = spectrum.newton_polish(u, 5.0)
+        values, oracle_res = _fresh_jacobian_polish(u, 5.0, _banded_solve)
+        assert res == oracle_res < 1e-10
+        assert np.array_equal(polished.values, values)
+
+    @pytest.mark.parametrize("name", BAND_GRIDS)
+    def test_band_polish_agrees_with_superlu(self, name):
+        grid, u = _jacobian_case(name)
+        polished, res = spectrum.newton_polish(u, 5.0)
+        values, oracle_res = _fresh_jacobian_polish(u, 5.0)
+        assert (np.max(np.abs(polished.values - values))
+                <= 1e-12 * np.max(np.abs(values)))
+        assert res == pytest.approx(oracle_res, abs=1e-12)
+
+    def test_zero_pivot_of_the_band_factor_returns_the_best_iterate(self):
+        # the 2 x 2 cells around the origin, a ring of 4 nodes with K =
+        # 6 I - A (A the ring's adjacency); at v = 12, p = 2 the Jacobian
+        # is -A exactly, and band LU meets an exact zero pivot
+        g = geometry.CartesianMaskedGrid(geometry.DomainSpec.disk(0.5), 4,
+                                         extent=1.0)
+        assert g.n_nodes == 4 and g.band_in_node_order
+        v = np.full(4, 12.0)
+        d = g.stiffness.diagonal() - g.weights * 2.0 * np.abs(v)
+        assert not np.any(d)
+        with pytest.raises(RuntimeError, match="zero pivot"):
+            spectrum._jacobian_solver(g)(d, v)
+        out, res = spectrum.newton_polish(flow.ScalarField(g, v), 2.0)
+        assert np.array_equal(out.values, v)
+        assert res == spectrum.elliptic_residual(flow.ScalarField(g, v), 2.0)
 
 
 # ---------------------------------------------------------------------------
