@@ -310,10 +310,9 @@ class _GridBase:
     domain: DomainSpec
     #: whether K's band in node order (``stiffness_band``) is kept at any
     #: half-bandwidth, not only a tridiagonal one: cartesian grids and their
-    #: orbit grids, which also factor Newton's Jacobians on it.  Full polar
-    #: grids keep SuperLU for the step, whose step-solve spans the benchmark
-    #: harness's own tests pin on polar grids (perfbench/test_harness.py),
-    #: and every polar grid, the ring grid too, keeps it for Newton
+    #: orbit grids.  Full polar grids keep SuperLU for the step, whose
+    #: step-solve spans the benchmark harness's own tests pin on polar
+    #: grids (perfbench/test_harness.py)
     band_in_node_order = False
 
     def __init__(self):

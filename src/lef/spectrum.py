@@ -505,39 +505,6 @@ def half_domain_mu(u, p: float):
 # Newton polishing of steady states
 # ---------------------------------------------------------------------------
 
-def _jacobian_solver(grid):
-    """solve(d, f): the solution x of J x = f, J being K with diagonal d.
-
-    On a grid with ``band_in_node_order`` J is K's band, factored by LAPACK
-    band LU (``dgbtrf``/``dgbtrs``, kl = ku = kd); on any other grid it is
-    a csc copy of K's pattern, factored by SuperLU, whose COLAMD ordering
-    reads only the pattern.  A zero pivot raises RuntimeError.
-    """
-    if not grid.band_in_node_order:
-        J = grid.stiffness.tocsc(copy=True)
-
-        def solve(d, f):
-            J.setdiag(d)  # in place: every diagonal entry is in K's pattern
-            return spla.splu(J).solve(f)
-        return solve
-
-    band = grid.stiffness_band
-    kd = band.kd
-    # LAPACK general band rows: the LU's fill, K's upper band, its mirror
-    ab = np.zeros((3 * kd + 1, grid.n_nodes))
-    ab[kd:2 * kd + 1] = band.ab
-    for k in range(1, kd + 1):
-        ab[2 * kd + k, :-k] = band.ab[kd - k, k:]
-
-    def solve(d, f):
-        ab[2 * kd] = d
-        lu, piv, info = lapack.dgbtrf(ab, kd, kd)
-        if info > 0:
-            raise RuntimeError(f"dgbtrf info {info}: zero pivot")
-        return lapack.dgbtrs(lu, kd, kd, f, piv)[0]
-    return solve
-
-
 @np.errstate(**FLOAT_RANGE)
 def newton_polish(u, p: float, max_iter: int = 40):
     """Newton iteration on K v - W |v|^{p-1} v = 0 with damping, under
@@ -548,14 +515,14 @@ def newton_polish(u, p: float, max_iter: int = 40):
     returns the best iterate if it stalls or its Jacobian has a zero
     pivot; callers should check the residual, which is inf for a field
     past the float range.  Each Jacobian K - W diag(p |v|^{p-1}) is K with
-    a new diagonal, factored on the grid's own structure
-    (``_jacobian_solver``): band LU on cartesian grids and their orbit
-    grids, SuperLU in K's pattern elsewhere.
+    a new diagonal, written in place into a csc copy of K's pattern and
+    factored by SuperLU; COLAMD reads only the pattern, so its ordering is
+    the one a Jacobian assembled afresh would get.
     """
     grid = u.grid
     K, w = grid.stiffness, grid.weights
     k_diagonal = K.diagonal()
-    solve = _jacobian_solver(grid)
+    J = K.tocsc(copy=True)
     v = u.values.copy()
 
     def evaluate(x):
@@ -568,8 +535,9 @@ def newton_polish(u, p: float, max_iter: int = 40):
     fv, cur = evaluate(v)
     best_v, best_res = v.copy(), cur
     for _ in range(max_iter):
+        J.setdiag(k_diagonal - w * p * np.abs(v) ** (p - 1.0))
         try:
-            dv = solve(k_diagonal - w * p * np.abs(v) ** (p - 1.0), fv)
+            dv = spla.splu(J).solve(fv)
         except RuntimeError:
             break
         step = 1.0

@@ -1142,35 +1142,3 @@ class TestScenarioMatrix:
                 candidate.grid.weights)
             assert report["morse"]["lambda_1"] == pytest.approx(lam1,
                                                                 rel=1e-10)
-
-
-def test_squircle_scan_newton_work_stays_at_most_116(tmp_path, monkeypatch):
-    # the benchmark's seed-1 squircle pipeline (perfbench/workloads.py:
-    # p = 8, cartesian 64, D4, t_max 120, the 7-ray fan shifted by seed
-    # 1's offset): a ray is Newton-polished only until some ray has an
-    # accepted candidate, so its Newton factorizations, counted on the
-    # band route and the SuperLU route alike, stay at most 116
-    offset = np.random.default_rng(1).uniform(-0.03, 0.03)
-    ratios = np.linspace(0.1, math.pi / 2 - 0.1, 7) + offset
-    config = {"p": 8.0, "alpha": "optimal", "flow": {"t_max": 120.0},
-              "seed": 0, "outdir": str(tmp_path),
-              "scan": {"ratios": [float(x) for x in ratios]},
-              "domain": {"type": "squircle", "radius": 1.0, "power": 4.0},
-              "grid": {"type": "cartesian", "n": 64},
-              "group": {"kind": "dihedral", "order": 4}}
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(config), encoding="utf-8")
-    factors = []
-    solver = spectrum._jacobian_solver
-
-    def counting_solver(grid):
-        solve = solver(grid)
-
-        def counted(d, f):
-            factors.append(grid.band_in_node_order)
-            return solve(d, f)
-        return counted
-
-    monkeypatch.setattr(spectrum, "_jacobian_solver", counting_solver)
-    assert cli.main(["pipeline", "--config", str(cfg_path)]) == 0
-    assert 0 < len(factors) <= 116

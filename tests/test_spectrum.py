@@ -220,8 +220,8 @@ class TestNewtonPolish:
     def test_field_past_the_float_range_is_returned_with_residual_inf(
             self, grid, scale):
         # |u|^7 u passes the float range at 1e40, the norm of u at 1e300:
-        # no Newton step is taken and the residual is inf, never nan, on
-        # the SuperLU route (polar) and the band route (orbit-d4) alike
+        # no Newton step is taken and the residual is inf, never nan, on a
+        # polar grid and on a cartesian grid's D4 orbit grid alike
         g = {"polar": lambda: geometry.PolarGrid(16, 8),
              "orbit-d4": lambda: geometry.CartesianMaskedGrid(
                  geometry.squircle_mask(), 16).quotient(
@@ -363,26 +363,9 @@ class TestHalfDomainAgainstTheCutSubmatrix:
             spectrum.half_domain_mu(u, 5.0)
 
 
-def _superlu_solve(J, f):
-    """SuperLU with its default ordering, chosen afresh for J."""
-    return spla.splu(J.tocsc()).solve(f)
-
-
-def _banded_solve(J, f):
-    """scipy's ``solve_banded`` (LAPACK ``gbsv``: ``dgbtrf`` then
-    ``dgbtrs``) on J's band, read from its diagonals."""
-    kd = int(np.max(np.abs(np.subtract(*J.nonzero()))))
-    ab = np.zeros((2 * kd + 1, J.shape[0]))
-    for k in range(-kd, kd + 1):
-        ab[kd - k, max(k, 0):J.shape[0] + min(k, 0)] = J.diagonal(k)
-    return scipy.linalg.solve_banded((kd, kd), ab, f)
-
-
-def _fresh_jacobian_polish(u, p, solve=_superlu_solve, tol=1e-10,
-                          max_iter=40):
-    """Newton polish that assembles K - W diag(p |v|^{p-1}) and factors it
-    afresh by ``solve`` on every iteration: the oracle of
-    ``newton_polish``."""
+def _fresh_jacobian_polish(u, p, tol=1e-10, max_iter=40):
+    """Newton polish that assembles K - W diag(p |v|^{p-1}) and lets SuperLU
+    order it afresh on every iteration: the oracle of ``newton_polish``."""
     grid = u.grid
     K, w = grid.stiffness, grid.weights
     v = u.values.copy()
@@ -397,10 +380,10 @@ def _fresh_jacobian_polish(u, p, solve=_superlu_solve, tol=1e-10,
 
     best_v, best_res = v.copy(), res_of(v)
     for _ in range(max_iter):
-        J = K - sp.diags(w * p * np.abs(v) ** (p - 1.0))
+        J = (K - sp.diags(w * p * np.abs(v) ** (p - 1.0))).tocsc()
         try:
-            dv = solve(J, F(v))
-        except (RuntimeError, np.linalg.LinAlgError):
+            dv = spla.splu(J).solve(F(v))
+        except RuntimeError:
             break
         step = 1.0
         cur = res_of(v)
@@ -441,56 +424,52 @@ def _jacobian_case(name):
 
 JACOBIAN_GRIDS = ["polar", "annulus-polar", "cartesian", "orbit-c4",
                   "orbit-d4"]
-# the grids with band_in_node_order: cartesian grids and their orbit grids
-BAND_GRIDS = ["cartesian", "orbit-d4"]
-SUPERLU_GRIDS = [name for name in JACOBIAN_GRIDS if name not in BAND_GRIDS]
 
 
-class TestJacobianRoutes:
-    @pytest.mark.parametrize("name", SUPERLU_GRIDS)
-    def test_superlu_polish_equals_the_fresh_factorization_loop(self, name):
-        # COLAMD reads only the pattern, so K's csc copy with a new
-        # diagonal factors exactly as the Jacobian assembled afresh
+class TestJacobianInStiffnessPattern:
+    @pytest.mark.parametrize("name", JACOBIAN_GRIDS)
+    def test_factor_and_solve_equal_a_fresh_factorization(self, name):
         grid, u = _jacobian_case(name)
-        assert not grid.band_in_node_order
+        rng = np.random.default_rng(7)
+        d = grid.weights * 5.0 * np.abs(
+            u.values * (1.0 + 0.1 * rng.standard_normal(grid.n_nodes))) ** 4
+        J = (grid.stiffness - sp.diags(d)).tocsc()
+        written = grid.stiffness.tocsc(copy=True)
+        written.setdiag(grid.stiffness.diagonal() - d)
+        # K's pattern with a new diagonal is J, entry for entry
+        assert np.array_equal(written.indptr, J.indptr)
+        assert np.array_equal(written.indices, J.indices)
+        assert np.array_equal(written.data, J.data)
+        # COLAMD reads only the pattern: K's column order is J's
+        assert np.array_equal(spla.splu(grid.stiffness.tocsc()).perm_c,
+                              spla.splu(J).perm_c)
+        F = rng.standard_normal(grid.n_nodes)
+        assert np.array_equal(spla.splu(written).solve(F),
+                              spla.splu(J).solve(F))
+
+    @pytest.mark.parametrize("name", JACOBIAN_GRIDS)
+    def test_polish_equals_the_fresh_factorization_loop(self, name):
+        grid, u = _jacobian_case(name)
         polished, res = spectrum.newton_polish(u, 5.0)
         values, oracle_res = _fresh_jacobian_polish(u, 5.0)
         assert res == oracle_res
         assert np.array_equal(polished.values, values)
 
-    @pytest.mark.parametrize("name", BAND_GRIDS)
-    def test_band_polish_equals_the_solve_banded_loop(self, name):
-        grid, u = _jacobian_case(name)
-        assert grid.band_in_node_order and grid.stiffness_band.kd > 1
-        polished, res = spectrum.newton_polish(u, 5.0)
-        values, oracle_res = _fresh_jacobian_polish(u, 5.0, _banded_solve)
-        assert res == oracle_res < 1e-10
-        assert np.array_equal(polished.values, values)
-
-    @pytest.mark.parametrize("name", BAND_GRIDS)
-    def test_band_polish_agrees_with_superlu(self, name):
-        grid, u = _jacobian_case(name)
-        polished, res = spectrum.newton_polish(u, 5.0)
-        values, oracle_res = _fresh_jacobian_polish(u, 5.0)
-        assert (np.max(np.abs(polished.values - values))
-                <= 1e-12 * np.max(np.abs(values)))
-        assert res == pytest.approx(oracle_res, abs=1e-12)
-
-    def test_zero_pivot_of_the_band_factor_returns_the_best_iterate(self):
+    def test_zero_pivot_returns_the_best_iterate(self):
         # the 2 x 2 cells around the origin, a ring of 4 nodes with K =
         # 6 I - A (A the ring's adjacency); at v = 12, p = 2 the Jacobian
-        # is -A exactly, and band LU meets an exact zero pivot
+        # is -A exactly, singular, and SuperLU meets an exact zero pivot
         g = geometry.CartesianMaskedGrid(geometry.DomainSpec.disk(0.5), 4,
                                          extent=1.0)
-        assert g.n_nodes == 4 and g.band_in_node_order
         v = np.full(4, 12.0)
-        d = g.stiffness.diagonal() - g.weights * 2.0 * np.abs(v)
-        assert not np.any(d)
-        with pytest.raises(RuntimeError, match="zero pivot"):
-            spectrum._jacobian_solver(g)(d, v)
-        out, res = spectrum.newton_polish(flow.ScalarField(g, v), 2.0)
+        J = g.stiffness - sp.diags(g.weights * 2.0 * np.abs(v))
+        assert g.n_nodes == 4 and not np.any(J.diagonal())
+        with pytest.raises(RuntimeError, match="singular"):
+            spla.splu(J.tocsc())
+        u = flow.ScalarField(g, v)
+        out, res = spectrum.newton_polish(u, 2.0)
         assert np.array_equal(out.values, v)
-        assert res == spectrum.elliptic_residual(flow.ScalarField(g, v), 2.0)
+        assert res == spectrum.elliptic_residual(u, 2.0)
 
 
 # ---------------------------------------------------------------------------
