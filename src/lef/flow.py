@@ -315,11 +315,8 @@ def evolve(v0: ScalarField, p: float, config: FlowConfig = FlowConfig(),
 
     if not math.isfinite(residual):
         residual = residual_of(v) if np.all(np.isfinite(v)) else math.inf
-    final = ScalarField(grid, v)
-    if cls == Classification.STEADY and residual < best_residual:
-        best_snapshot, best_residual = final, residual
     return Trajectory(np.array(times), np.array(energies), np.array(sups),
-                      np.array(dts), cls, final, residual,
+                      np.array(dts), cls, ScalarField(grid, v), residual,
                       nodal_counts, best_snapshot, best_residual, defects)
 
 

@@ -11,13 +11,14 @@ exactly.  Grids come in two flavours, a polar finite-volume grid on
 disks/annuli and a masked cartesian grid on any of the domains.  Both
 expose the same surface: node coordinates, cell weights, a symmetric
 stiffness matrix (discrete Dirichlet form), adjacency for flood fill,
-``grid.symmetry_group`` (the largest group the grid realizes) and, when
-the discretization conforms to the group, exact node permutations for
-every group element.  Each grid lists its faces as arrays (node pairs
-with conductances, plus a Dirichlet conductance per node) and one
-assembly turns them into the stiffness, the adjacency and the
-boundary-adjacent nodes.  ``grid.to_config()`` is the config ``grid``
-section that, with ``grid.domain.to_config()``, rebuilds the grid.
+``grid.symmetry_group`` (the largest group the grid realizes) and
+``grid.group_permutations(G)``: one order gate (h divides that group's
+order), then each matrix of ``G.elements()`` through the grid's one
+node map to an exact node permutation.  Each grid lists its faces as
+arrays (node pairs with conductances, plus a Dirichlet conductance per
+node) and one assembly turns them into the stiffness, the adjacency and
+the boundary-adjacent nodes.  ``grid.to_config()`` is the config
+``grid`` section that, with ``grid.domain.to_config()``, rebuilds it.
 ``grid.quotient(G)`` is the grid of G-orbits of those nodes: the same
 surface in orbit coordinates, on which the G-invariant fields live with
 one unknown per orbit.
@@ -34,6 +35,7 @@ the flow module stores in ``step_factors``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,8 +46,8 @@ from scipy.sparse.linalg import splu
 from .energy import FLOAT_RANGE
 
 # An angle is a whole number of steps when its step count is this close to
-# an integer: the test of polar-grid rotations and reflections and of a
-# squircle's symmetry axes.
+# an integer: the test of the polar node map (the turn of each matrix of
+# SymmetryGroup.elements()) and of a squircle's symmetry axes.
 STEP_TOL = 1e-9
 # Perron pair: inverse iteration stops once the Collatz-Wielandt bracket
 # [min, max] of (K psi)_i / (w_i psi_i) is this narrow (relative), once it
@@ -66,16 +68,6 @@ class GridSymmetryError(ValueError):
 # symmetry groups
 # ---------------------------------------------------------------------------
 
-def _rotation(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
-
-
-def _reflection(axis_angle: float) -> np.ndarray:
-    c, s = math.cos(2.0 * axis_angle), math.sin(2.0 * axis_angle)
-    return np.array([[c, s], [s, -c]])
-
-
 @dataclass(frozen=True)
 class SymmetryGroup:
     """Cyclic or dihedral subgroup of O(2).
@@ -92,21 +84,25 @@ class SymmetryGroup:
     def __post_init__(self):
         if self.kind not in ("cyclic", "dihedral"):
             raise ValueError(f"unknown group kind {self.kind!r}")
-        if self.order_h < 1:
-            raise ValueError("order_h must be >= 1")
+        h = self.order_h
+        if isinstance(h, bool) or not isinstance(h, numbers.Integral) or h < 1:
+            raise ValueError(f"order_h must be an integer >= 1, got {h!r}")
 
     @property
     def size(self) -> int:
         return self.order_h if self.kind == "cyclic" else 2 * self.order_h
 
     def elements(self) -> list[np.ndarray]:
-        """All group elements as 2x2 orthogonal matrices, rotations first."""
+        """The group elements as matrices [[c, -d s], [s, d c]], c = cos t and
+        s = sin t: rotations (d = 1) by t = 2 pi k / h first, then reflections
+        (d = -1) about the axes at t / 2 = axis_angle + pi k / h."""
         h = self.order_h
-        mats = [_rotation(2.0 * math.pi * k / h) for k in range(h)]
+        turns = [(2.0 * math.pi * k / h, 1.0) for k in range(h)]
         if self.kind == "dihedral":
-            mats += [_reflection(self.axis_angle + math.pi * k / h)
-                     for k in range(h)]
-        return mats
+            turns += [(2.0 * (self.axis_angle + math.pi * k / h), -1.0)
+                      for k in range(h)]
+        return [np.array([[math.cos(t), -d * math.sin(t)],
+                          [math.sin(t), d * math.cos(t)]]) for t, d in turns]
 
 
 def cyclic(h: int) -> SymmetryGroup:
@@ -398,12 +394,17 @@ class _GridBase:
 
         ``new_values = values[perm]`` gives the transformed field, i.e.
         ``perm[a]`` is the node index of the preimage of node ``a``.
-        Cached per group; GridSymmetryError if the grid does not realize
-        the group.
+        Cached per group.  One order gate, h dividing the order of
+        ``symmetry_group``, runs before any element is built; GridSymmetryError
+        there or where ``_node_map`` refuses a matrix of ``G.elements()``.
         """
         key = _group_key(G)
         if key not in self._perm_cache:
-            self._perm_cache[key] = self._permutations(G)
+            if self.symmetry_group.order_h % G.order_h:
+                raise GridSymmetryError(
+                    f"h={G.order_h} does not divide the grid's "
+                    f"{self.symmetry_group.order_h} rotations")
+            self._perm_cache[key] = [self._node_map(m) for m in G.elements()]
         return self._perm_cache[key]
 
     def symmetrize(self, values: np.ndarray, G: SymmetryGroup) -> np.ndarray:
@@ -434,9 +435,10 @@ class PolarGrid(_GridBase):
 
     Nodes sit at ``r_j = r_in + (j + 1/2) dr``, ``theta_i = i dtheta``.
     Dirichlet data are imposed at the faces ``r = r_out`` (and ``r = r_in``
-    for annuli) at distance ``dr/2`` from the adjacent node.  Rotations by
-    multiples of ``dtheta`` and reflections about axes at multiples of
-    ``dtheta/2`` act as exact node permutations.
+    for annuli) at distance ``dr/2`` from the adjacent node.  The node map
+    turns each matrix of ``SymmetryGroup.elements()`` that rotates by a
+    multiple of ``dtheta`` or reflects about an axis at a multiple of
+    ``dtheta/2`` into a node permutation by index arithmetic.
     """
 
     def __init__(self, n_r: int, n_theta: int, r_out: float = 1.0,
@@ -494,37 +496,19 @@ class PolarGrid(_GridBase):
             return None
         return np.arange(self.n_theta)
 
-    # -- group action ---------------------------------------------------------
-
-    def _theta_steps(self, angle: float) -> int:
-        s = angle / self.dtheta
-        si = round(s)
-        if abs(s - si) > STEP_TOL:
-            raise GridSymmetryError(
-                f"angle {angle} is not a multiple of dtheta={self.dtheta}")
-        return si % self.n_theta
-
-    def _permutations(self, G: SymmetryGroup) -> list[np.ndarray]:
-        if self.n_theta % G.order_h != 0:
-            raise GridSymmetryError(
-                f"n_theta={self.n_theta} not a multiple of h={G.order_h}")
-        n_t = self.n_theta
-        i = np.arange(n_t)
-        j = np.arange(self.n_r)
-        perms = []
-        # rotation by 2 pi k / h: preimage of node theta_i is theta_{i-s}
-        for k in range(G.order_h):
-            s = (k * n_t) // G.order_h
-            ring_perm = (i - s) % n_t
-            perms.append((j[:, None] * n_t + ring_perm[None, :]).ravel())
-        if G.kind == "dihedral":
-            for k in range(G.order_h):
-                axis = G.axis_angle + math.pi * k / G.order_h
-                # reflection: preimage of theta is 2*axis - theta
-                s2 = self._theta_steps(2.0 * axis)
-                ring_perm = (s2 - i) % n_t
-                perms.append((j[:, None] * n_t + ring_perm[None, :]).ravel())
-        return perms
+    def _node_map(self, mat: np.ndarray) -> np.ndarray:
+        """Permutation for a matrix whose turn atan2(mat[1, 0], mat[0, 0])
+        is a whole number s of steps dtheta: node theta_i's preimage is
+        theta_{d (i-s)}, d = det mat (1 rotates, -1 reflects)."""
+        turn = math.atan2(mat[1, 0], mat[0, 0]) / self.dtheta
+        s = round(turn)
+        if abs(turn - s) > STEP_TOL:
+            raise GridSymmetryError(f"turn {turn * self.dtheta} is not a "
+                                    f"multiple of dtheta={self.dtheta}")
+        det = 1 if mat[0, 0] * mat[1, 1] > mat[0, 1] * mat[1, 0] else -1
+        ring_perm = det * (np.arange(self.n_theta) - s) % self.n_theta
+        return (np.arange(self.n_r)[:, None] * self.n_theta
+                + ring_perm[None, :]).ravel()
 
 
 class CartesianMaskedGrid(_GridBase):
@@ -532,9 +516,10 @@ class CartesianMaskedGrid(_GridBase):
 
     Cells tile ``[-extent, extent]^2``; interior nodes are the cell centers
     strictly inside the domain, Dirichlet zero is imposed at the faces
-    toward exterior cells (half-cell distance).  Group actions are exact
-    node permutations for h in {1, 2, 4} with reflection axes at multiples
-    of pi/4.  Nodes are numbered row-major, so K is a band in node order.
+    toward exterior cells (half-cell distance).  The node map turns each
+    matrix of ``SymmetryGroup.elements()`` that maps the mask's cell centres
+    onto themselves (D4's, axes at multiples of pi/4) into a node
+    permutation.  Row-major node numbering makes K a band in node order.
     """
 
     band_in_node_order = True
@@ -582,7 +567,7 @@ class CartesianMaskedGrid(_GridBase):
     def symmetry_group(self) -> SymmetryGroup:
         """D4, the symmetry of the cell lattice centred on the origin: the
         largest group the grid realizes as node permutations.  Every
-        domain kind is D4-invariant; ``_index_map`` raises
+        domain kind is D4-invariant; ``_node_map`` raises
         GridSymmetryError for a mask that is not."""
         return dihedral(4)
 
@@ -594,7 +579,7 @@ class CartesianMaskedGrid(_GridBase):
         near = np.flatnonzero(d2 <= 2.01 * (self.h / 2.0) ** 2)
         return near if near.size else np.array([int(np.argmin(d2))])
 
-    def _index_map(self, mat: np.ndarray) -> np.ndarray:
+    def _node_map(self, mat: np.ndarray) -> np.ndarray:
         """Permutation for an orthogonal map that permutes cell centers."""
         src = self.xy @ mat  # mat is orthogonal: inverse = transpose
         cell = np.rint((src + self.extent) / self.h - 0.5).astype(np.int64)
@@ -606,12 +591,6 @@ class CartesianMaskedGrid(_GridBase):
         if np.any(perm < 0):
             raise GridSymmetryError("domain mask is not invariant on the grid")
         return perm
-
-    def _permutations(self, G: SymmetryGroup) -> list[np.ndarray]:
-        if G.order_h not in (1, 2, 4):
-            raise GridSymmetryError(
-                "cartesian grids support h in {1, 2, 4} only")
-        return [self._index_map(m) for m in G.elements()]
 
 
 class OrbitGrid(_GridBase):
@@ -645,3 +624,7 @@ class OrbitGrid(_GridBase):
         self.xy = parent.xy[reps]   # one representative node per orbit
         self.weights = np.bincount(self.orbit_id, weights=parent.weights)
         self.stiffness = (basis.T @ parent.stiffness @ basis).tocsr()
+
+    def group_permutations(self, G: SymmetryGroup) -> list[np.ndarray]:
+        """Refused: an orbit grid realizes no group as node permutations."""
+        raise GridSymmetryError("an orbit grid's nodes are orbits")

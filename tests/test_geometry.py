@@ -609,6 +609,162 @@ class TestSymmetryGroup:
 
 
 # ---------------------------------------------------------------------------
+# one group action: every grid maps the matrices of SymmetryGroup.elements()
+# ---------------------------------------------------------------------------
+
+def _ring_arithmetic_permutations(g, G):
+    """A polar grid's permutations by index arithmetic on the group's order
+    and axes, never reading a matrix: the oracle of its node map."""
+    if g.n_theta % G.order_h != 0:
+        raise GridSymmetryError(
+            f"n_theta={g.n_theta} not a multiple of h={G.order_h}")
+    n_t = g.n_theta
+    i = np.arange(n_t)
+    j = np.arange(g.n_r)
+    perms = []
+    # rotation by 2 pi k / h: preimage of node theta_i is theta_{i-s}
+    for k in range(G.order_h):
+        s = (k * n_t) // G.order_h
+        ring_perm = (i - s) % n_t
+        perms.append((j[:, None] * n_t + ring_perm[None, :]).ravel())
+    if G.kind == "dihedral":
+        for k in range(G.order_h):
+            axis = G.axis_angle + math.pi * k / G.order_h
+            # reflection: preimage of theta is 2*axis - theta
+            steps = 2.0 * axis / g.dtheta
+            if abs(steps - round(steps)) > geometry.STEP_TOL:
+                raise GridSymmetryError(f"angle {2.0 * axis} is not a "
+                                        f"multiple of dtheta={g.dtheta}")
+            ring_perm = (round(steps) % n_t - i) % n_t
+            perms.append((j[:, None] * n_t + ring_perm[None, :]).ravel())
+    return perms
+
+
+def _cell_lookup_permutations(g, G):
+    """A cartesian grid's permutations by looking each element's preimages
+    up among the node coordinates, as odd multiples of h/2, after the
+    lattice's order gate h in {1, 2, 4}: the oracle of its node map."""
+    if G.order_h not in (1, 2, 4):
+        raise GridSymmetryError("cartesian grids support h in {1, 2, 4} only")
+
+    def keys(pts):
+        halves = 2.0 * pts / g.h
+        odd = np.rint(halves)
+        if np.max(np.abs(halves - odd)) > 2e-9:
+            raise GridSymmetryError("a preimage is not a cell centre")
+        return (odd[:, 0] * 4 * g.n + odd[:, 1]).astype(np.int64)
+
+    nodes = keys(g.xy)
+    order = np.argsort(nodes)
+    perms = []
+    for mat in G.elements():
+        want = keys(g.xy @ mat)
+        perm = order[np.minimum(np.searchsorted(nodes, want, sorter=order),
+                                nodes.size - 1)]
+        if np.any(nodes[perm] != want):
+            raise GridSymmetryError("a preimage is not a node")
+        perms.append(perm)
+    return perms
+
+
+ACTION_GRIDS = [
+    *[(f"polar-{n_r}x{n_t}-{r_in:g}",
+       lambda n_r=n_r, n_t=n_t, r_in=r_in: PolarGrid(n_r, n_t, r_in=r_in))
+      for n_r, n_t in ((12, 8), (16, 8), (8, 15), (10, 12), (96, 32))
+      for r_in in (0.0, 0.3)],
+    *[(f"cartesian-{name}-{n}",
+       lambda dom=dom, n=n: CartesianMaskedGrid(dom, n))
+      for n in (16, 33)
+      for name, dom in (("disk", DomainSpec.disk(1.0)),
+                        ("squircle-4", squircle_mask(1.0, 4.0)),
+                        ("squircle-0.7", squircle_mask(1.0, 0.7)),
+                        ("annulus", DomainSpec.annulus(0.3, 1.0)))],
+]
+
+
+def _action_groups(g):
+    """C_h and D_h for h = 1 .. 16, the dihedral ones about axes on and off
+    the grid's steps."""
+    steps = g.n_theta if isinstance(g, PolarGrid) else g.n
+    axes = (0.0, math.pi / steps, math.pi / 4, math.pi / 2, 0.3)
+    return [G for h in range(1, 17)
+            for G in (cyclic(h), *(dihedral(h, a) for a in axes))]
+
+
+def _realized(build, g, G):
+    try:
+        return build(g, G)
+    except GridSymmetryError:
+        return None
+
+
+class TestOneGroupAction:
+    def test_node_maps_equal_the_oracles_bitwise(self):
+        cases = realized = 0
+        for _, make in ACTION_GRIDS:
+            g = make()
+            oracle = (_ring_arithmetic_permutations
+                      if isinstance(g, PolarGrid)
+                      else _cell_lookup_permutations)
+            for G in _action_groups(g):
+                want = _realized(oracle, g, G)
+                got = _realized(type(g).group_permutations, g, G)
+                cases += 1
+                assert (got is None) == (want is None), (g.to_config(), G)
+                if got is None:
+                    continue
+                realized += 1
+                assert len(got) == len(want) == G.size
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert (cases, realized) == (1728, 310)
+
+    @pytest.mark.parametrize("G", [cyclic(10 ** 400), cyclic(5),
+                                   dihedral(10 ** 400, 0.3)],
+                             ids=["C_10^400", "C_5", "D_10^400"])
+    @pytest.mark.parametrize("make", [
+        lambda: PolarGrid(8, 32),
+        lambda: CartesianMaskedGrid(DomainSpec.disk(1.0), 16)],
+        ids=["polar", "cartesian"])
+    def test_order_gate_refuses_before_any_element(self, make, G,
+                                                   monkeypatch):
+        def built(self):
+            raise AssertionError("elements built before the order gate")
+        monkeypatch.setattr(SymmetryGroup, "elements", built)
+        with pytest.raises(GridSymmetryError, match="does not divide"):
+            make().group_permutations(G)
+
+    @pytest.mark.parametrize("axis", [1e17, 1e300])
+    def test_axis_whole_in_steps_only_as_a_float_is_refused(self, axis):
+        # past 2^53 the step count 2 axis / dtheta has no fraction left, but
+        # the reflection built about that axis is none of the grid's
+        with pytest.raises(GridSymmetryError, match="not a multiple"):
+            PolarGrid(8, 8).group_permutations(dihedral(4, axis))
+
+    def test_orbit_grid_realizes_no_group(self):
+        orbits = PolarGrid(16, 8).quotient(cyclic(4))
+        for G in (cyclic(1), cyclic(4), dihedral(1)):
+            with pytest.raises(GridSymmetryError, match="orbit"):
+                orbits.group_permutations(G)
+        with pytest.raises(GridSymmetryError):
+            orbits.quotient(cyclic(2))
+
+    @pytest.mark.parametrize("order", [4.0, 4.5, True, "4", None, 0, -4])
+    def test_order_is_an_integer_at_least_one(self, order):
+        for kind in ("cyclic", "dihedral"):
+            with pytest.raises(ValueError, match="order_h must be an int"):
+                SymmetryGroup(kind, order)
+
+    def test_numpy_integer_order_is_the_int_order(self):
+        for g in (PolarGrid(8, 16), CartesianMaskedGrid(
+                squircle_mask(1.0, 4.0), 16)):
+            for kind in (cyclic, dihedral):
+                got = g.group_permutations(kind(np.int64(4)))
+                want = g.group_permutations(kind(4))
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+# ---------------------------------------------------------------------------
 # the Perron pair's inverse iteration
 # ---------------------------------------------------------------------------
 

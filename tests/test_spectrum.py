@@ -251,7 +251,23 @@ class TestNewtonPolish:
         assert spectrum.newton_polish(z, 5.0)[1] == math.inf
 
 
+def _orbit_grid_state(p=3.0):
+    """A polished radial state on polar 16x8, moved to its C4 orbit grid."""
+    g = geometry.PolarGrid(16, 8)
+    u, res = spectrum.newton_polish(
+        flow.field_from_radial(g, radial.solve_ball(p)), p)
+    assert res < 1e-10
+    return u.on(g.quotient(geometry.cyclic(4)))
+
+
 class TestMorseIndex:
+    def test_orbit_grid_field_refuses_a_group(self):
+        # an orbit grid's nodes are orbits: it realizes no group
+        u = _orbit_grid_state()
+        assert spectrum.morse_index(u, 3.0).morse_index == 1
+        with pytest.raises(geometry.GridSymmetryError, match="orbit"):
+            spectrum.morse_index(u, 3.0, geometry.cyclic(4))
+
     def test_positive_solution_has_index_one(self, polished_ball_p5):
         rep = spectrum.morse_index(polished_ball_p5, 5.0)
         assert rep.morse_index == 1
@@ -361,6 +377,10 @@ class TestHalfDomainAgainstTheCutSubmatrix:
             flow.field_from_radial(g, radial.solve_ball(5.0)), 5.0)
         with pytest.raises(spectrum.AxisAsymmetryError, match="reflection"):
             spectrum.half_domain_mu(u, 5.0)
+
+    def test_orbit_grid_is_axis_asymmetric(self):
+        with pytest.raises(spectrum.AxisAsymmetryError, match="reflection"):
+            spectrum.half_domain_mu(_orbit_grid_state(), 3.0)
 
 
 def _fresh_jacobian_polish(u, p, tol=1e-10, max_iter=40):
